@@ -18,6 +18,7 @@ from elastoscat import (
     union,
     volume_mesh,
 )
+from elastoscat.elastic import content_id
 from elastoscat.errors import (
     ChartInvalid,
     DisjointnessViolated,
@@ -232,3 +233,166 @@ def test_signed_distance_sign_convention_cap():
     assert signed_distance(dom, mid) < 0.0
     assert signed_distance(dom, np.array([0.0, 0.5])) > 0.0
     assert signed_distance(dom, np.array([0.0, -0.1])) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# golden values: meshes and metrics pinned bit for bit
+# ---------------------------------------------------------------------------
+
+# Every mesh and metric below must reproduce these values exactly (``==``),
+# so a change to the geometry code that reorders floating-point operations
+# shows up here before it reaches any downstream table.
+GOLDEN_DOMAINS = {
+    "disk": (lambda: disk(0.4), 0.02, [(0.0, 0.0), (0.9, 0.1), (-0.2, 0.35)]),
+    "disk_offset": (lambda: disk(0.3, center=(0.7, -0.2)), 0.025,
+                    [(0.7, -0.2), (0.0, 0.0), (0.95, -0.1)]),
+    "ellipse": (lambda: ellipse(0.5, 0.3, center=(0.1, 0.05)), 0.02,
+                [(0.1, 0.05), (0.9, 0.4), (0.5, 0.2), (0.1, -0.3)]),
+    "cap": (lambda: make_cap_domain(K=10.0, L=1.0, M=1.0, varsigma=0.5), 0.01,
+            [(0.0, 0.05), (0.05, 0.2), (0.02, -0.01), (0.09, 0.05)]),
+    "cap_cubic": (lambda: make_cap_domain(K=10.0, L=3.0, M=4.0, varsigma=0.9,
+                                          cubic=1.5), 0.01,
+                  [(0.0, 0.05), (0.05, 0.2), (-0.02, -0.01), (-0.09, 0.05)]),
+    "two_disks": (lambda: union(disk(0.3, center=(-0.5, 0.0)),
+                                disk(0.25, center=(0.5, 0.1))), 0.02,
+                  [(-0.5, 0.0), (0.0, 0.05), (0.6, 0.4)]),
+    "disk_ellipse": (lambda: union(disk(0.3, center=(-0.6, 0.0)),
+                                   ellipse(0.4, 0.2, center=(0.5, 0.1))), 0.02,
+                     [(-0.6, 0.0), (0.0, 0.05), (0.5, 0.35), (0.85, 0.1)]),
+}
+
+GOLDEN = {'cap': {'volume_mesh': '726b039fbc11075b',
+                  'volume_measure': 0.013333333300000002,
+                  'gauss_mesh': '52cbfbef2ef1dd58',
+                  'gauss_measure': 0.013333333300000002,
+                  'boundary_mesh': '2c1c4e710bc0d739',
+                  'boundary_normals': '0f9af0e4488206b5',
+                  'boundary_tags': ['graph', 'lid'],
+                  'diameter': 0.2,
+                  'boundary_measure': 0.49578857180706193,
+                  'signed_distance': [-0.05,
+                                      0.1,
+                                      0.013181552550489304,
+                                      0.01596316581029693]},
+          'cap_cubic': {'volume_mesh': '32bf343c52192ecb',
+                        'volume_measure': 0.01325943630913455,
+                        'gauss_mesh': '2e258f50f183cc25',
+                        'gauss_measure': 0.01325943630913455,
+                        'boundary_mesh': '42167f95a7e8665a',
+                        'boundary_normals': 'f06f457e92a5d00d',
+                        'boundary_tags': ['graph', 'lid'],
+                        'diameter': 0.19852746775662708,
+                        'boundary_measure': 0.4934072147625942,
+                        'signed_distance': [-0.049999999466604536,
+                                            0.1,
+                                            0.013187381781285114,
+                                            0.016327857445575526]},
+          'disk': {'volume_mesh': 'd3e81101ca71842d',
+                   'volume_measure': 0.5026548245743669,
+                   'gauss_mesh': 'a6b9688d4e0dcd76',
+                   'gauss_measure': 0.5026548245743669,
+                   'boundary_mesh': 'fba51475cde793d6',
+                   'boundary_normals': 'a4761e10f0d3cbc2',
+                   'boundary_tags': ['boundary'],
+                   'diameter': 0.8,
+                   'boundary_measure': 2.5132741228718345,
+                   'signed_distance': [-0.4, 0.5055385138137417, 0.00311288741492749]},
+          'disk_ellipse': {'volume_mesh': '87d126290125365a',
+                           'volume_measure': 0.5340707511102649,
+                           'gauss_mesh': '5630b6f3cd35ea8f',
+                           'gauss_measure': 0.5340707511102649,
+                           'boundary_mesh': '74ef5e6fde7b8a86',
+                           'boundary_normals': 'b79153e75700d190',
+                           'boundary_tags': ['c0boundary', 'c1boundary'],
+                           'diameter': 1.8035667955468895,
+                           'boundary_measure': 3.822645236263411,
+                           'signed_distance': [-0.3,
+                                               0.10612182770393087,
+                                               0.04999999999999993,
+                                               -0.050000000000000044],
+                           'separation': 0.4062241588657146},
+          'disk_offset': {'volume_mesh': '5aebbb38cb16293b',
+                          'volume_measure': 0.2827433388230814,
+                          'gauss_mesh': '4d73747c45be575f',
+                          'gauss_measure': 0.2827433388230814,
+                          'boundary_mesh': 'ad24407a82fe1668',
+                          'boundary_normals': '618b78a44355c0fa',
+                          'boundary_tags': ['boundary'],
+                          'diameter': 0.6,
+                          'boundary_measure': 1.8849555921538759,
+                          'signed_distance': [-0.3,
+                                              0.4280109889280517,
+                                              -0.030741759643274802]},
+          'ellipse': {'volume_mesh': 'f89472a74cebdc2b',
+                      'volume_measure': 0.47123889803846897,
+                      'gauss_mesh': 'c1027378705ae9de',
+                      'gauss_measure': 0.47123889803846897,
+                      'boundary_mesh': 'd12ee1b4b788107f',
+                      'boundary_normals': 'db4b7af6a7c350cb',
+                      'boundary_tags': ['boundary'],
+                      'diameter': 1.0,
+                      'boundary_measure': 2.552699886339813,
+                      'signed_distance': [-0.3,
+                                          0.4118258667806177,
+                                          -0.022916413435094717,
+                                          0.04999999999999999]},
+          'two_disks': {'volume_mesh': '24e17efbc4b06200',
+                        'volume_measure': 0.47909287967244346,
+                        'gauss_mesh': '02e3439ce6ea87a6',
+                        'gauss_measure': 0.47909287967244346,
+                        'boundary_mesh': '66f29ef528e0dd3e',
+                        'boundary_normals': '31ac47ed8aaf5ee9',
+                        'boundary_tags': ['c0boundary', 'c1boundary'],
+                        'diameter': 1.554987562112089,
+                        'boundary_measure': 3.4557519189487724,
+                        'signed_distance': [-0.3,
+                                            0.2024937810560445,
+                                            0.06622776601683794],
+                        'separation': 0.4549875621120889},
+          'ball_pair': {'diameter': 1.64564392373896,
+                        'separation': 0.64564392373896,
+                        'signed_distance': [-0.19999999999999998,
+                                            -0.05000000000000002,
+                                            0.23851648071345039],
+                        'inside': [True, True, False]}}
+
+
+def _golden_values(name):
+    build, h, points = GOLDEN_DOMAINS[name]
+    dom = build()
+    vm = volume_mesh(dom, h)
+    gm = gauss_mesh(dom, n_radial=16, n_angular=32)
+    bm = boundary_mesh(dom, h)
+    out = {
+        "volume_mesh": vm.mesh_id,
+        "volume_measure": vm.measure,
+        "gauss_mesh": gm.mesh_id,
+        "gauss_measure": gm.measure,
+        "boundary_mesh": bm.mesh_id,
+        "boundary_normals": content_id(bm.normals),
+        "boundary_tags": sorted(set(bm.tags)),
+        "diameter": diameter(dom),
+        "boundary_measure": boundary_measure(dom),
+        "signed_distance": [signed_distance(dom, np.array(p)) for p in points],
+    }
+    if len(dom.components) > 1:
+        out["separation"] = component_separation(dom)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DOMAINS))
+def test_golden_geometry_values(name):
+    assert _golden_values(name) == GOLDEN[name]
+
+
+def test_golden_ball_pair():
+    pair = union(disk(0.3, center=(0.0, 0.0, 0.0), dim=3),
+                 disk(0.2, center=(1.0, 0.5, -0.25), dim=3))
+    pts = np.array([[0.1, 0.0, 0.0], [1.0, 0.5, -0.1], [0.5, 0.2, 0.0]])
+    got = {
+        "diameter": diameter(pair),
+        "separation": component_separation(pair),
+        "signed_distance": [signed_distance(pair, p) for p in pts],
+        "inside": inside(pair, pts).tolist(),
+    }
+    assert got == GOLDEN["ball_pair"]
