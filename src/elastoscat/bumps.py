@@ -10,136 +10,13 @@ analytic, which keeps the source evaluation exact for polynomial data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .elastic import FieldJet, LameMedium
 from .errors import UnsupportedDimension
-from .geometry import DomainGeometry
-
-
-class LevelFunction:
-    """Scalar q with analytic gradient and Hessian (2-D)."""
-
-    def value(self, x):          # pragma: no cover - interface
-        raise NotImplementedError
-
-    def gradient(self, x):       # pragma: no cover - interface
-        raise NotImplementedError
-
-    def hessian(self, x):        # pragma: no cover - interface
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class DiskLevel(LevelFunction):
-    radius: float
-    center: np.ndarray
-
-    def value(self, x):
-        y = np.asarray(x, float) - self.center
-        return self.radius ** 2 - np.sum(y * y, axis=-1)
-
-    def gradient(self, x):
-        y = np.asarray(x, float) - self.center
-        return -2.0 * y
-
-    def hessian(self, x):
-        n = self.center.shape[0]
-        return -2.0 * np.eye(n)
-
-
-@dataclass(frozen=True)
-class EllipseLevel(LevelFunction):
-    a: float
-    b: float
-    center: np.ndarray
-
-    def value(self, x):
-        y = np.asarray(x, float) - self.center
-        return 1.0 - (y[..., 0] / self.a) ** 2 - (y[..., 1] / self.b) ** 2
-
-    def gradient(self, x):
-        y = np.asarray(x, float) - self.center
-        g = np.empty_like(y)
-        g[..., 0] = -2.0 * y[..., 0] / self.a ** 2
-        g[..., 1] = -2.0 * y[..., 1] / self.b ** 2
-        return g
-
-    def hessian(self, x):
-        return np.diag([-2.0 / self.a ** 2, -2.0 / self.b ** 2])
-
-
-@dataclass(frozen=True)
-class CapGraphLevel(LevelFunction):
-    """q = x2 - gamma(x1): vanishes on the graph part of a cap boundary only."""
-
-    K: float
-    cubic: float
-
-    def _g(self, t):
-        return self.K * t ** 2 + self.cubic * np.abs(t) ** 3
-
-    def _gp(self, t):
-        return 2.0 * self.K * t + 3.0 * self.cubic * np.abs(t) * t
-
-    def _gpp(self, t):
-        return 2.0 * self.K + 6.0 * self.cubic * np.abs(t)
-
-    def value(self, x):
-        x = np.asarray(x, float)
-        return x[..., 1] - self._g(x[..., 0])
-
-    def gradient(self, x):
-        x = np.asarray(x, float)
-        g = np.empty_like(x)
-        g[..., 0] = -self._gp(x[..., 0])
-        g[..., 1] = 1.0
-        return g
-
-    def hessian(self, x):
-        x = np.asarray(x, float)
-        h = np.zeros(x.shape[:-1] + (2, 2))
-        h[..., 0, 0] = -self._gpp(x[..., 0])
-        return h
-
-
-@dataclass(frozen=True)
-class CapFullLevel(LevelFunction):
-    """q = (x2 - gamma(x1)) (b - x2): vanishes on graph and lid."""
-
-    K: float
-    cubic: float
-    b: float
-
-    def _graph(self):
-        return CapGraphLevel(self.K, self.cubic)
-
-    def value(self, x):
-        x = np.asarray(x, float)
-        return self._graph().value(x) * (self.b - x[..., 1])
-
-    def gradient(self, x):
-        x = np.asarray(x, float)
-        p = self._graph()
-        pv = p.value(x)
-        pg = p.gradient(x)
-        rv = self.b - x[..., 1]
-        g = pg * rv[..., None]
-        g[..., 1] -= pv
-        return g
-
-    def hessian(self, x):
-        x = np.asarray(x, float)
-        p = self._graph()
-        pg = p.gradient(x)
-        ph = p.hessian(x)
-        rv = self.b - x[..., 1]
-        rg = np.array([0.0, -1.0])
-        h = ph * rv[..., None, None]
-        h = h + pg[..., :, None] * rg[None, :] + rg[:, None] * pg[..., None, :]
-        return h
+from .geometry import DomainGeometry, LevelFunction
 
 
 @dataclass(frozen=True)
@@ -220,15 +97,4 @@ def polynomial_bump(domain: DomainGeometry, amplitude=(1.0, 0.0),
         raise UnsupportedDimension("bumps are 2-D")
     a0 = np.asarray(amplitude, dtype=float)
     alin = np.zeros((n, n)) if linear is None else np.asarray(linear, dtype=float)
-    if comp.kind == "disk":
-        level = DiskLevel(comp.params["radius"], comp.center)
-    elif comp.kind == "ellipse":
-        level = EllipseLevel(comp.params["a"], comp.params["b"], comp.center)
-    elif comp.kind == "cap":
-        if whole_boundary:
-            level = CapFullLevel(comp.params["K"], comp.params["cubic"], comp.params["b"])
-        else:
-            level = CapGraphLevel(comp.params["K"], comp.params["cubic"])
-    else:
-        raise UnsupportedDimension(f"no bump for component kind {comp.kind!r}")
-    return Bump(level=level, a0=a0, alin=alin)
+    return Bump(level=comp.level_function(whole_boundary), a0=a0, alin=alin)

@@ -43,7 +43,7 @@ from .errors import (
     TauTooSmall,
     UnsupportedDimension,
 )
-from .geometry import DomainGeometry
+from .geometry import Cap, DomainGeometry
 from .greens import lower_incomplete_gamma
 
 RESIDUAL_MIN_PPW = 12.0
@@ -385,7 +385,7 @@ def integral_identity_check(domain: DomainGeometry, bump: Bump, probe: CgoProbe,
         raise InvalidParameter(f"refine must be positive, got {refine}")
     if domain.dim != 2:
         raise UnsupportedDimension("identity check is 2-D")
-    if len(domain.components) != 1 or domain.components[0].kind != "cap":
+    if len(domain.components) != 1 or not isinstance(domain.components[0], Cap):
         raise UnsupportedDimension("identity check needs a single cap component")
     comp = domain.components[0]
     if np.linalg.norm(comp.center) > 0.0:
@@ -393,18 +393,15 @@ def integral_identity_check(domain: DomainGeometry, bump: Bump, probe: CgoProbe,
     if np.linalg.norm(probe.d - np.array([0.0, -1.0])) > 1e-12:
         raise InvalidDirection("probe must decay upward: d = (0, -1)")
 
-    K = comp.params["K"]
-    c3 = comp.params["cubic"]
-    b = comp.params["b"]
-    w_cap = comp.params["x1max"]
+    K = comp.chart.K
+    b = comp.chart.b
+    w_cap = comp.x1max
+    gamma = comp.chart.graph.gamma
     w0 = math.sqrt(b / K)
     xi = probe.xi
     xi1, xi2 = complex(xi[0]), complex(xi[1])
     tau = probe.tau
     osc = math.sqrt(probe.kappa_s ** 2 + tau ** 2)
-
-    def gamma(t):
-        return K * t ** 2 + c3 * np.abs(t) ** 3
 
     # boundary-condition audit on the graph
     ts = np.linspace(-w_cap, w_cap, 101)

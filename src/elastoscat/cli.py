@@ -459,7 +459,7 @@ def run_kpoint_decay(cfg: dict, seed: int, workers: int) -> dict:
         K, zeta = grid[i]
         tau, dom, bd = _identity_point(med, caps, K, zeta)
         b = 1.0 / K
-        rho = dom.components[0].params["rho"]
+        rho = dom.chart.rho
         k_lo, k_hi = K - cubic * rho, K + cubic * rho
         i2_bound = cgo.shell_integral(max(k_lo, 0.5 * K), k_hi, tau, b, 2)
         _, i3_bound = cgo.tail_and_holder_bounds(tau, b, K, alpha, 2)
@@ -613,8 +613,8 @@ def _execute(experiment: str, cfg: dict, out_prefix: Path, seed: int,
         tables = {}
         for name, (header, rows) in result["tables"].items():
             path = Path(f"{out_prefix}_{name}.csv")
-            write_csv(path, header, rows)
             written.append(path)
+            write_csv(path, header, rows)
             tables[name] = path.name
         report = {
             "artifact": "elastoscat",
@@ -627,12 +627,15 @@ def _execute(experiment: str, cfg: dict, out_prefix: Path, seed: int,
             "wall_clock_sec": time.monotonic() - started,
         }
         report_path = Path(f"{out_prefix}_report.json")
+        written.append(report_path)
         report_path.write_text(json.dumps(report, indent=2, sort_keys=True)
                                + "\n", encoding="utf-8")
-        written.append(report_path)
     except BaseException:
+        # a path is listed before its write starts, so a half-written file
+        # goes too; anything else squatting on the path is left alone
         for path in written:
-            path.unlink(missing_ok=True)
+            if path.is_file():
+                path.unlink()
         raise
     return report_path
 

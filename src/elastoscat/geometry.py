@@ -1,10 +1,13 @@
 """Domain catalog, curvature charts, and quadrature meshes.
 
-Supported component shapes: disks/balls, axis-aligned ellipses, and
-paraboloid-like boundary caps.  A cap is the region between a convex graph
+A domain is a union of disjoint components.  Each component is one of three
+frozen shape classes implementing the :class:`Shape` protocol: ``Ball`` (a
+disk in 2-D, a ball in 3-D), the axis-aligned ``Ellipse``, and the
+paraboloid-like boundary ``Cap``.  The module-level functions only combine
+the components' answers.  A cap is the region between a convex graph
 ``x_n = gamma(|x'|)`` and the flat lid ``x_n = b``:
 
-    cap = { x : gamma(x') < x_n < b },     gamma(t) = K t^2 + c3 t^3,
+    cap = { x : gamma(x') < x_n < b },     gamma(t) = K t^2 + c3 |t|^3,
 
 with chart radius ``rho = sqrt(M)/K`` and lid height ``b = 1/K``.  The chart
 is admissible when, on a 201-point sample grid,
@@ -19,8 +22,9 @@ bit-identical meshes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from itertools import combinations
+from typing import Optional, Protocol
 import warnings
 
 import numpy as np
@@ -30,8 +34,9 @@ from scipy.special import ellipe
 from .elastic import content_id
 from .errors import (
     ChartInvalid,
-    CoincidentPoints,
+    DimensionMismatch,
     DisjointnessViolated,
+    InvalidParameter,
     KTooSmall,
     MeshTooCoarse,
     SingleComponent,
@@ -43,15 +48,24 @@ _BOUNDARY_SCAN = 2048
 
 
 @dataclass(frozen=True)
-class DomainComponent:
-    """One connected piece of a scattering domain."""
+class CapGraph:
+    """The cap's lower boundary ``gamma(t) = K t^2 + cubic |t|^3``.
 
-    kind: str                     # "disk" | "ball" | "ellipse" | "cap"
-    params: dict
-    center: np.ndarray
+    Accepts scalars and arrays alike.  Every cap formula goes through these
+    three methods, so each keeps one fixed operation order.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+    K: float
+    cubic: float
+
+    def gamma(self, t):
+        return self.K * t ** 2 + self.cubic * abs(t) ** 3
+
+    def dgamma(self, t):
+        return 2.0 * self.K * t + 3.0 * self.cubic * abs(t) * t
+
+    def d2gamma(self, t):
+        return 2.0 * self.K + 6.0 * self.cubic * abs(t)
 
 
 @dataclass(frozen=True)
@@ -67,7 +81,13 @@ class KCurvatureChart:
     rho: float
     b: float
     cubic: float
-    gamma: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+
+    @property
+    def graph(self) -> CapGraph:
+        return CapGraph(self.K, self.cubic)
+
+    def gamma(self, t):
+        return self.graph.gamma(np.asarray(t, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -107,27 +127,493 @@ class BoundaryMesh:
 
 
 # ---------------------------------------------------------------------------
+# level functions: q > 0 inside, q = 0 on (part of) the boundary
+# ---------------------------------------------------------------------------
+
+class LevelFunction:
+    """Scalar q with analytic gradient and Hessian (2-D)."""
+
+    def value(self, x):          # pragma: no cover - interface
+        raise NotImplementedError
+
+    def gradient(self, x):       # pragma: no cover - interface
+        raise NotImplementedError
+
+    def hessian(self, x):        # pragma: no cover - interface
+        raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class DiskLevel(LevelFunction):
+    radius: float
+    center: np.ndarray
+
+    def value(self, x):
+        y = np.asarray(x, float) - self.center
+        return self.radius ** 2 - np.sum(y * y, axis=-1)
+
+    def gradient(self, x):
+        y = np.asarray(x, float) - self.center
+        return -2.0 * y
+
+    def hessian(self, x):
+        n = self.center.shape[0]
+        return -2.0 * np.eye(n)
+
+
+@dataclass(frozen=True)
+class EllipseLevel(LevelFunction):
+    a: float
+    b: float
+    center: np.ndarray
+
+    def value(self, x):
+        y = np.asarray(x, float) - self.center
+        return 1.0 - (y[..., 0] / self.a) ** 2 - (y[..., 1] / self.b) ** 2
+
+    def gradient(self, x):
+        y = np.asarray(x, float) - self.center
+        g = np.empty_like(y)
+        g[..., 0] = -2.0 * y[..., 0] / self.a ** 2
+        g[..., 1] = -2.0 * y[..., 1] / self.b ** 2
+        return g
+
+    def hessian(self, x):
+        return np.diag([-2.0 / self.a ** 2, -2.0 / self.b ** 2])
+
+
+@dataclass(frozen=True)
+class CapGraphLevel(LevelFunction):
+    """q = x2 - gamma(x1): vanishes on the graph part of a cap boundary only."""
+
+    graph: CapGraph
+
+    def value(self, x):
+        x = np.asarray(x, float)
+        return x[..., 1] - self.graph.gamma(x[..., 0])
+
+    def gradient(self, x):
+        x = np.asarray(x, float)
+        g = np.empty_like(x)
+        g[..., 0] = -self.graph.dgamma(x[..., 0])
+        g[..., 1] = 1.0
+        return g
+
+    def hessian(self, x):
+        x = np.asarray(x, float)
+        h = np.zeros(x.shape[:-1] + (2, 2))
+        h[..., 0, 0] = -self.graph.d2gamma(x[..., 0])
+        return h
+
+
+@dataclass(frozen=True)
+class CapFullLevel(LevelFunction):
+    """q = (x2 - gamma(x1)) (b - x2): vanishes on graph and lid."""
+
+    lower: CapGraphLevel
+    b: float
+
+    def value(self, x):
+        x = np.asarray(x, float)
+        return self.lower.value(x) * (self.b - x[..., 1])
+
+    def gradient(self, x):
+        x = np.asarray(x, float)
+        pv = self.lower.value(x)
+        pg = self.lower.gradient(x)
+        rv = self.b - x[..., 1]
+        g = pg * rv[..., None]
+        g[..., 1] -= pv
+        return g
+
+    def hessian(self, x):
+        x = np.asarray(x, float)
+        pg = self.lower.gradient(x)
+        ph = self.lower.hessian(x)
+        rv = self.b - x[..., 1]
+        rg = np.array([0.0, -1.0])
+        h = ph * rv[..., None, None]
+        h = h + pg[..., :, None] * rg[None, :] + rg[:, None] * pg[..., None, :]
+        return h
+
+
+# ---------------------------------------------------------------------------
+# shapes
+# ---------------------------------------------------------------------------
+
+class Shape(Protocol):
+    """One connected piece of a scattering domain, anchored at ``center``.
+
+    ``inside``, ``bbox``, ``diameter`` and ``signed_distance`` work in the
+    shape's own dimension; the boundary sample, measures, meshes and level
+    function are 2-D.
+    """
+
+    center: np.ndarray
+
+    def inside(self, pts: np.ndarray) -> np.ndarray:
+        """Mask of the (N, n) points that lie strictly inside."""
+
+    def boundary_sample(self, n: int) -> np.ndarray:
+        """``n`` boundary points for distance and diameter scans."""
+
+    def bbox(self) -> tuple:
+        """``(lo, hi)`` corners of the axis-aligned bounding box."""
+
+    def diameter(self) -> float: ...
+
+    def signed_distance(self, x: np.ndarray) -> float:
+        """Distance from ``x`` to the boundary, negative inside."""
+
+    def measure(self) -> float: ...
+
+    def cell_mesh(self, h: float) -> tuple:
+        """``(nodes, weights)`` of the near-uniform cell mesh of side ``h``."""
+
+    def gauss_mesh(self, n_radial: int, n_angular: int) -> tuple:
+        """``(nodes, weights)`` of the high-order rule for smooth integrands."""
+
+    def boundary_mesh(self, h: float) -> tuple:
+        """``(nodes, outward normals, weights, tags)``, one tag per node."""
+
+    def boundary_measure(self) -> float: ...
+
+    def level_function(self, whole_boundary: bool = True) -> LevelFunction:
+        """Level function vanishing on the boundary; on a cap with
+        ``whole_boundary=False``, on the graph part only."""
+
+
+def _positive(name: str, value) -> float:
+    if not value > 0:
+        raise InvalidParameter(f"{name} must be positive, got {value}")
+    return float(value)
+
+
+def _as_center(center, lengths: tuple) -> np.ndarray:
+    c = np.asarray(center, dtype=float)
+    if c.ndim != 1 or c.shape[0] not in lengths:
+        raise DimensionMismatch(
+            f"center must have length {' or '.join(map(str, lengths))}, "
+            f"got shape {c.shape}")
+    return c
+
+
+def _lattice_cells(shape: Shape, rx: float, ry: float, h: float):
+    """Cell centers of the h-lattice over the box of semi-axes (rx, ry)."""
+    if h > min(rx, ry):
+        raise MeshTooCoarse(f"h={h} exceeds smallest feature {min(rx, ry)}")
+    nx = int(math.ceil(2.0 * rx / h))
+    ny = int(math.ceil(2.0 * ry / h))
+    xs = shape.center[0] + (np.arange(nx) - 0.5 * (nx - 1)) * h
+    ys = shape.center[1] + (np.arange(ny) - 0.5 * (ny - 1)) * h
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    pts = pts[shape.inside(pts)]
+    return pts, np.full(pts.shape[0], h * h)
+
+
+def _polar_gauss(center: np.ndarray, a: float, b: float, n_radial: int,
+                 n_angular: int):
+    """Gauss-Legendre in radius times trapezoidal angles on semi-axes (a, b)."""
+    r, wr = np.polynomial.legendre.leggauss(n_radial)
+    r = 0.5 * (r + 1.0)          # (0,1)
+    wr = 0.5 * wr
+    th = 2.0 * np.pi * np.arange(n_angular) / n_angular
+    wt = 2.0 * np.pi / n_angular
+    R, TH = np.meshgrid(r, th, indexing="ij")
+    X = center[0] + a * R * np.cos(TH)
+    Y = center[1] + b * R * np.sin(TH)
+    W = (wr[:, None] * R) * wt * a * b
+    return (np.stack([X.ravel(), Y.ravel()], axis=1),
+            np.broadcast_to(W, R.shape).ravel().copy())
+
+
+@dataclass(frozen=True)
+class Ball:
+    """Disk (2-D) or ball (3-D) of the given radius."""
+
+    radius: float
+    center: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "radius", _positive("radius", self.radius))
+        object.__setattr__(self, "center", _as_center(self.center, (2, 3)))
+
+    def inside(self, pts):
+        return np.linalg.norm(pts - self.center, axis=1) < self.radius
+
+    def boundary_sample(self, n):
+        th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        return self.center + self.radius * np.stack([np.cos(th), np.sin(th)], axis=1)
+
+    def bbox(self):
+        return self.center - self.radius, self.center + self.radius
+
+    def diameter(self):
+        return 2.0 * self.radius
+
+    def signed_distance(self, x):
+        return float(np.linalg.norm(x - self.center) - self.radius)
+
+    def measure(self):
+        return math.pi * self.radius ** 2
+
+    def cell_mesh(self, h):
+        return _lattice_cells(self, self.radius, self.radius, h)
+
+    def gauss_mesh(self, n_radial, n_angular):
+        return _polar_gauss(self.center, self.radius, self.radius, n_radial, n_angular)
+
+    def boundary_mesh(self, h):
+        r = self.radius
+        n = max(int(math.ceil(2.0 * np.pi * r / h)), 8)
+        th = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+        nrm = np.stack([np.cos(th), np.sin(th)], axis=1)
+        weights = np.full(n, 2.0 * np.pi * r / n)
+        return self.center + r * nrm, nrm, weights, ["boundary"] * n
+
+    def boundary_measure(self):
+        return 2.0 * math.pi * self.radius
+
+    def level_function(self, whole_boundary=True):
+        return DiskLevel(self.radius, self.center)
+
+
+@dataclass(frozen=True)
+class Ellipse:
+    """Axis-aligned ellipse with semi-axes ``a`` (along x1) and ``b`` (along x2)."""
+
+    a: float
+    b: float
+    center: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", _positive("semi-axis a", self.a))
+        object.__setattr__(self, "b", _positive("semi-axis b", self.b))
+        object.__setattr__(self, "center", _as_center(self.center, (2,)))
+
+    def inside(self, pts):
+        x = pts - self.center
+        return (x[:, 0] / self.a) ** 2 + (x[:, 1] / self.b) ** 2 < 1.0
+
+    def boundary_sample(self, n):
+        th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        return self.center + np.stack([self.a * np.cos(th), self.b * np.sin(th)], axis=1)
+
+    def bbox(self):
+        ab = np.array([self.a, self.b])
+        return self.center - ab, self.center + ab
+
+    def diameter(self):
+        return 2.0 * max(self.a, self.b)
+
+    def signed_distance(self, x):
+        scan = self.boundary_sample(_BOUNDARY_SCAN)
+        d = self._refine_distance(x, float(np.min(np.linalg.norm(scan - x, axis=1))))
+        return -d if self.inside(x[None, :])[0] else d
+
+    def _refine_distance(self, x: np.ndarray, d0: float) -> float:
+        """Newton refinement of the closest boundary point in the angle parameter."""
+        a, b = self.a, self.b
+        y = x - self.center
+        th = math.atan2(y[1] / b, y[0] / a)
+        for _ in range(60):
+            c, s = math.cos(th), math.sin(th)
+            p = np.array([a * c, b * s])
+            dp = np.array([-a * s, b * c])
+            d2p = np.array([-a * c, -b * s])
+            r = p - y
+            f = float(np.dot(r, dp))
+            fp = float(np.dot(dp, dp) + np.dot(r, d2p))
+            if fp == 0.0:
+                break
+            step = f / fp
+            th -= step
+            if abs(step) < 1e-15:
+                break
+        c, s = math.cos(th), math.sin(th)
+        d = float(np.linalg.norm(np.array([a * c, b * s]) - y))
+        return min(d, d0)
+
+    def measure(self):
+        return math.pi * self.a * self.b
+
+    def cell_mesh(self, h):
+        return _lattice_cells(self, self.a, self.b, h)
+
+    def gauss_mesh(self, n_radial, n_angular):
+        return _polar_gauss(self.center, self.a, self.b, n_radial, n_angular)
+
+    def boundary_mesh(self, h):
+        a, b = self.a, self.b
+        n = max(int(math.ceil(2.0 * np.pi * max(a, b) / h)), 8)
+        th = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+        pts = np.stack([a * np.cos(th), b * np.sin(th)], axis=1)
+        tang = np.stack([-a * np.sin(th), b * np.cos(th)], axis=1)
+        speed = np.linalg.norm(tang, axis=1)
+        nrm = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / speed[:, None]
+        # outward check: flip if pointing inward
+        flip = np.sum(nrm * pts, axis=1) < 0
+        nrm[flip] *= -1.0
+        return self.center + pts, nrm, speed * 2.0 * np.pi / n, ["boundary"] * n
+
+    def boundary_measure(self):
+        big, small = max(self.a, self.b), min(self.a, self.b)
+        ecc2 = 1.0 - (small / big) ** 2
+        return 4.0 * big * float(ellipe(ecc2))
+
+    def level_function(self, whole_boundary=True):
+        return EllipseLevel(self.a, self.b, self.center)
+
+
+@dataclass(frozen=True)
+class Cap:
+    """Region between the chart's graph and its lid: ``gamma(|x'|) < x_n < b``.
+
+    ``x1max`` is the radial extent, where the graph meets the lid.
+    """
+
+    chart: KCurvatureChart
+    x1max: float
+    center: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "x1max", _positive("x1max", self.x1max))
+        object.__setattr__(self, "center", _as_center(self.center, (2, 3)))
+
+    def inside(self, pts):
+        x = pts - self.center
+        t = np.abs(x[:, 0]) if x.shape[1] == 2 else np.linalg.norm(x[:, :-1], axis=1)
+        return (x[:, -1] > self.chart.graph.gamma(t)) & (x[:, -1] < self.chart.b)
+
+    def boundary_sample(self, n):
+        w, m = self.x1max, n // 2
+        t = np.linspace(-w, w, m)
+        graph = np.stack([t, self.chart.graph.gamma(t)], axis=1)
+        lid = np.stack([np.linspace(-w, w, n - m), np.full(n - m, self.chart.b)], axis=1)
+        return self.center + np.concatenate([graph, lid], axis=0)
+
+    def bbox(self):
+        w, b = self.x1max, self.chart.b
+        return self.center + np.array([-w, 0.0]), self.center + np.array([w, b])
+
+    def diameter(self):
+        pts = self.boundary_sample(_BOUNDARY_SCAN)
+        return _max_cloud_distance(pts, pts)
+
+    def signed_distance(self, x):
+        d = self._boundary_distance(x)
+        return -d if self.inside(x[None, :])[0] else d
+
+    def _boundary_distance(self, x: np.ndarray) -> float:
+        graph, w = self.chart.graph, self.x1max
+        y = x - self.center
+
+        # lid segment
+        dx = max(abs(y[0]) - w, 0.0)
+        d_lid = math.hypot(dx, y[1] - self.chart.b)
+
+        # graph curve: coarse scan then Newton on t -> |(t, g(t)) - y|^2 / 2
+        ts = np.linspace(-w, w, _BOUNDARY_SCAN)
+        d2 = (ts - y[0]) ** 2 + (graph.gamma(ts) - y[1]) ** 2
+        t = float(ts[np.argmin(d2)])
+        for _ in range(60):
+            r2 = graph.gamma(t) - y[1]
+            f = t - y[0] + r2 * graph.dgamma(t)
+            fp = 1.0 + graph.dgamma(t) ** 2 + r2 * graph.d2gamma(t)
+            if fp <= 0.0:
+                break
+            step = f / fp
+            t -= step
+            t = min(max(t, -w), w)
+            if abs(step) < 1e-15:
+                break
+        d_graph = math.hypot(t - y[0], graph.gamma(t) - y[1])
+        d_graph = min(d_graph, math.sqrt(float(np.min(d2))))
+        return min(d_graph, d_lid)
+
+    def measure(self):
+        w = self.x1max
+        ts = np.linspace(-w, w, 20001)
+        col = self.chart.b - self.chart.graph.gamma(ts)
+        return float(np.trapezoid(np.maximum(col, 0.0), ts))
+
+    def cell_mesh(self, h):
+        gamma, b, w = self.chart.graph.gamma, self.chart.b, self.x1max
+        if h > b:
+            raise MeshTooCoarse(f"h={h} exceeds cap height {b}")
+        n1 = max(int(math.ceil(2.0 * w / h)), 2)
+        d1 = 2.0 * w / n1
+        xs = -w + (np.arange(n1) + 0.5) * d1
+        nodes, weights = [], []
+        for x1 in xs:
+            g = gamma(x1)
+            depth = b - g
+            if depth <= 0:
+                continue
+            n2 = max(int(math.ceil(depth / h)), 1)
+            d2 = depth / n2
+            ys = g + (np.arange(n2) + 0.5) * d2
+            nodes.append(np.stack([np.full(n2, x1), ys], axis=1))
+            weights.append(np.full(n2, d1 * d2))
+        return np.concatenate(nodes, axis=0) + self.center, np.concatenate(weights)
+
+    def gauss_mesh(self, n_radial, n_angular):
+        gamma, b, w = self.chart.graph.gamma, self.chart.b, self.x1max
+        x1, w1 = np.polynomial.legendre.leggauss(max(n_angular, 16))
+        x1 = w * x1
+        w1 = w * w1
+        x2r, w2r = np.polynomial.legendre.leggauss(max(n_radial, 8))
+        nodes, weights = [], []
+        for xi, wi in zip(x1, w1):
+            g = gamma(xi)
+            depth = b - g
+            if depth <= 0:
+                continue
+            ys = g + 0.5 * depth * (x2r + 1.0)
+            ws = 0.5 * depth * w2r * wi
+            nodes.append(np.stack([np.full(ys.size, xi), ys], axis=1))
+            weights.append(ws)
+        return np.concatenate(nodes, axis=0) + self.center, np.concatenate(weights)
+
+    def boundary_mesh(self, h):
+        graph, w = self.chart.graph, self.x1max
+        n = max(int(math.ceil(2.0 * w / h)), 8)
+        d1 = 2.0 * w / n
+        t = -w + (np.arange(n) + 0.5) * d1
+        gp = graph.dgamma(t)
+        speed = np.sqrt(1.0 + gp ** 2)
+        nrm = np.stack([gp, -np.ones_like(t)], axis=1) / speed[:, None]
+        nodes = np.concatenate([np.stack([t, graph.gamma(t)], axis=1),
+                                np.stack([t, np.full(n, self.chart.b)], axis=1)])
+        normals = np.concatenate([nrm, np.tile([0.0, 1.0], (n, 1))])
+        weights = np.concatenate([speed * d1, np.full(n, d1)])
+        return self.center + nodes, normals, weights, ["graph"] * n + ["lid"] * n
+
+    def boundary_measure(self):
+        w = self.x1max
+        ts = np.linspace(-w, w, 20001)
+        gp = self.chart.graph.dgamma(ts)
+        return float(np.trapezoid(np.sqrt(1.0 + gp ** 2), ts)) + 2.0 * w
+
+    def level_function(self, whole_boundary=True):
+        lower = CapGraphLevel(self.chart.graph)
+        return CapFullLevel(lower, self.chart.b) if whole_boundary else lower
+
+
+# ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
 
 def disk(radius: float, center=(0.0, 0.0), dim: int = 2) -> DomainGeometry:
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    center = np.asarray(center, dtype=float)
-    if center.shape != (dim,):
-        raise ValueError(f"center must have length {dim}")
-    kind = "disk" if dim == 2 else "ball"
-    comp = DomainComponent(kind=kind, params={"radius": float(radius)}, center=center)
-    return DomainGeometry(components=(comp,), dim=dim)
+    ball = Ball(radius, center)
+    if ball.center.shape != (dim,):
+        raise DimensionMismatch(f"center must have length {dim}")
+    return DomainGeometry(components=(ball,), dim=dim)
 
 
 def ellipse(a: float, b: float, center=(0.0, 0.0)) -> DomainGeometry:
-    if a <= 0 or b <= 0:
-        raise ValueError("semi-axes must be positive")
-    comp = DomainComponent(kind="ellipse",
-                           params={"a": float(a), "b": float(b)},
-                           center=np.asarray(center, dtype=float))
-    return DomainGeometry(components=(comp,), dim=2)
+    return DomainGeometry(components=(Ellipse(a, b, center),), dim=2)
 
 
 def union(*domains: DomainGeometry) -> DomainGeometry:
@@ -148,7 +634,7 @@ def make_cap_domain(K: float, L: float, M: float, varsigma: float,
     """Build a cap domain and validate its curvature chart.
 
     ``cubic`` is the declared magnitude of the graph's cubic perturbation:
-    ``gamma(t) = K t^2 + cubic * t^3``.  Raises ``ChartInvalid`` when any
+    ``gamma(t) = K t^2 + cubic * |t|^3``.  Raises ``ChartInvalid`` when any
     chart inequality fails on the sample grid and ``KTooSmall`` for K < e.
     """
     if dim not in (2, 3):
@@ -165,13 +651,9 @@ def make_cap_domain(K: float, L: float, M: float, varsigma: float,
     b = 1.0 / K
     c3 = float(cubic)
 
-    def gamma(t):
-        t = np.asarray(t, dtype=float)
-        return K * t ** 2 + c3 * t ** 3
-
     # Chart validation on the sample grid.
     t = np.linspace(0.0, rho, CHART_SAMPLES)
-    g = gamma(t)
+    g = CapGraph(K, c3).gamma(t)
     if g[0] != 0.0:
         raise ChartInvalid("gamma(0) must vanish")
     if np.any(g[1:] <= 0.0):
@@ -194,12 +676,9 @@ def make_cap_domain(K: float, L: float, M: float, varsigma: float,
         raise ChartInvalid("graph remainder exceeds the declared cubic magnitude")
 
     chart = KCurvatureChart(K=K, K_minus=k_minus, K_plus=k_plus, L=L, M=M,
-                            varsigma=varsigma, rho=rho, b=b, cubic=c3, gamma=gamma)
-    comp = DomainComponent(kind="cap",
-                           params={"K": K, "b": b, "rho": rho, "cubic": c3,
-                                   "x1max": _cap_halfwidth(chart)},
-                           center=np.zeros(dim))
-    return DomainGeometry(components=(comp,), dim=dim, chart=chart)
+                            varsigma=varsigma, rho=rho, b=b, cubic=c3)
+    cap = Cap(chart=chart, x1max=_cap_halfwidth(chart), center=np.zeros(dim))
+    return DomainGeometry(components=(cap,), dim=dim, chart=chart)
 
 
 def _cap_halfwidth(chart: KCurvatureChart) -> float:
@@ -218,94 +697,31 @@ def _cap_halfwidth(chart: KCurvatureChart) -> float:
 
 
 # ---------------------------------------------------------------------------
-# inside tests and boundary parameterizations
+# union queries and metric quantities
 # ---------------------------------------------------------------------------
-
-def _component_inside(comp: DomainComponent, pts: np.ndarray) -> np.ndarray:
-    x = pts - comp.center
-    if comp.kind in ("disk", "ball"):
-        return np.linalg.norm(x, axis=1) < comp.params["radius"]
-    if comp.kind == "ellipse":
-        return (x[:, 0] / comp.params["a"]) ** 2 + (x[:, 1] / comp.params["b"]) ** 2 < 1.0
-    if comp.kind == "cap":
-        K, c3, b = comp.params["K"], comp.params["cubic"], comp.params["b"]
-        t = np.abs(x[:, 0]) if x.shape[1] == 2 else np.linalg.norm(x[:, :-1], axis=1)
-        g = K * t ** 2 + c3 * t ** 3
-        return (x[:, -1] > g) & (x[:, -1] < b)
-    raise UnsupportedDimension(f"unknown component kind {comp.kind!r}")
-
 
 def inside(domain: DomainGeometry, pts) -> np.ndarray:
     """Boolean mask: which points lie strictly inside any component."""
     x = np.atleast_2d(np.asarray(pts, dtype=float))
     mask = np.zeros(x.shape[0], dtype=bool)
     for comp in domain.components:
-        mask |= _component_inside(comp, x)
+        mask |= comp.inside(x)
     return mask
 
 
-def _boundary_points(comp: DomainComponent, n: int) -> np.ndarray:
-    """Dense boundary sample for distance/diameter work (2-D catalog)."""
-    if comp.kind == "disk":
-        th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        r = comp.params["radius"]
-        return comp.center + r * np.stack([np.cos(th), np.sin(th)], axis=1)
-    if comp.kind == "ellipse":
-        th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        return comp.center + np.stack([comp.params["a"] * np.cos(th),
-                                       comp.params["b"] * np.sin(th)], axis=1)
-    if comp.kind == "cap":
-        K, c3, b = comp.params["K"], comp.params["cubic"], comp.params["b"]
-        w = comp.params["x1max"]
-        m = n // 2
-        t = np.linspace(-w, w, m)
-        graph = np.stack([t, K * t ** 2 + c3 * np.abs(t) ** 3], axis=1)
-        lid = np.stack([np.linspace(-w, w, n - m), np.full(n - m, b)], axis=1)
-        return comp.center + np.concatenate([graph, lid], axis=0)
-    raise UnsupportedDimension(f"no boundary parameterization for {comp.kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# metric quantities
-# ---------------------------------------------------------------------------
-
 def diameter(domain: DomainGeometry) -> float:
     """Diameter of the union: largest pairwise point distance of the closure."""
-    comps = domain.components
     best = 0.0
-    for c in comps:
-        best = max(best, _component_diameter(c))
-    if len(comps) > 1:
-        if domain.dim == 3:
-            # 3-D catalog is balls only
-            for i in range(len(comps)):
-                for j in range(i + 1, len(comps)):
-                    a, bc = comps[i], comps[j]
-                    d = np.linalg.norm(a.center - bc.center) \
-                        + a.params["radius"] + bc.params["radius"]
-                    best = max(best, d)
-            return best
-        clouds = [_boundary_points(c, _BOUNDARY_SCAN) for c in comps]
-        for i in range(len(comps)):
-            for j in range(i + 1, len(comps)):
-                if comps[i].kind == "disk" and comps[j].kind == "disk":
-                    d = np.linalg.norm(comps[i].center - comps[j].center) \
-                        + comps[i].params["radius"] + comps[j].params["radius"]
-                else:
-                    d = _max_cloud_distance(clouds[i], clouds[j])
-                best = max(best, d)
+    for comp in domain.components:
+        best = max(best, comp.diameter())
+    for a, b in combinations(domain.components, 2):
+        if isinstance(a, Ball) and isinstance(b, Ball):
+            d = np.linalg.norm(a.center - b.center) + a.radius + b.radius
+        else:
+            d = _max_cloud_distance(a.boundary_sample(_BOUNDARY_SCAN),
+                                    b.boundary_sample(_BOUNDARY_SCAN))
+        best = max(best, d)
     return best
-
-
-def _component_diameter(comp: DomainComponent) -> float:
-    if comp.kind in ("disk", "ball"):
-        return 2.0 * comp.params["radius"]
-    if comp.kind == "ellipse":
-        return 2.0 * max(comp.params["a"], comp.params["b"])
-    if comp.kind == "cap":
-        pts = _boundary_points(comp, _BOUNDARY_SCAN)
-        return _max_cloud_distance(pts, pts)
-    raise UnsupportedDimension(f"unknown component kind {comp.kind!r}")
 
 
 def _max_cloud_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -333,25 +749,23 @@ def component_separation(domain: DomainGeometry, warn: bool = True) -> float:
     if len(comps) < 2:
         raise SingleComponent("separation needs at least two components")
     best = np.inf
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            best = min(best, _pair_separation(comps[i], comps[j]))
+    for a, b in combinations(comps, 2):
+        best = min(best, _pair_separation(a, b))
     best = max(best, 0.0)
     if warn and best <= 0.0:
         warnings.warn("component closures touch or overlap", DisjointnessViolated)
     return best
 
 
-def _pair_separation(a: DomainComponent, b: DomainComponent) -> float:
-    if a.kind in ("disk", "ball") and b.kind in ("disk", "ball"):
-        return float(np.linalg.norm(a.center - b.center)
-                     - a.params["radius"] - b.params["radius"])
-    pa = _boundary_points(a, _BOUNDARY_SCAN)
-    pb = _boundary_points(b, _BOUNDARY_SCAN)
+def _pair_separation(a: Shape, b: Shape) -> float:
+    if isinstance(a, Ball) and isinstance(b, Ball):
+        return float(np.linalg.norm(a.center - b.center) - a.radius - b.radius)
+    pa = a.boundary_sample(_BOUNDARY_SCAN)
+    pb = b.boundary_sample(_BOUNDARY_SCAN)
     d = _min_cloud_distance(pa, pb)
     # sampled boundaries of overlapping components can miss penetration;
     # detect overlap via inside-tests of the sampled points
-    if np.any(_component_inside(a, pb)) or np.any(_component_inside(b, pa)):
+    if np.any(a.inside(pb)) or np.any(b.inside(pa)):
         return 0.0
     return float(d)
 
@@ -361,113 +775,12 @@ def signed_distance(domain: DomainGeometry, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (domain.dim,):
         raise UnsupportedDimension(f"point must have length {domain.dim}")
-    vals = [_component_signed_distance(c, x) for c in domain.components]
-    return float(min(vals))
-
-
-def _component_signed_distance(comp: DomainComponent, x: np.ndarray) -> float:
-    y = x - comp.center
-    if comp.kind in ("disk", "ball"):
-        return float(np.linalg.norm(y) - comp.params["radius"])
-    if comp.kind == "ellipse":
-        d = _curve_distance(_boundary_points(comp, _BOUNDARY_SCAN), x)
-        d = _refine_ellipse_distance(comp, x, d)
-        inside = _component_inside(comp, x[None, :])[0]
-        return -d if inside else d
-    if comp.kind == "cap":
-        d = _cap_boundary_distance(comp, x)
-        inside = _component_inside(comp, x[None, :])[0]
-        return -d if inside else d
-    raise UnsupportedDimension(f"unknown component kind {comp.kind!r}")
-
-
-def _curve_distance(pts: np.ndarray, x: np.ndarray) -> float:
-    return float(np.min(np.linalg.norm(pts - x, axis=1)))
-
-
-def _refine_ellipse_distance(comp: DomainComponent, x: np.ndarray, d0: float) -> float:
-    """Newton refinement of the closest boundary point in the angle parameter."""
-    a, b = comp.params["a"], comp.params["b"]
-    y = x - comp.center
-    th = math.atan2(y[1] / b if b else 0.0, y[0] / a if a else 0.0)
-    for _ in range(60):
-        c, s = math.cos(th), math.sin(th)
-        p = np.array([a * c, b * s])
-        dp = np.array([-a * s, b * c])
-        d2p = np.array([-a * c, -b * s])
-        r = p - y
-        f = float(np.dot(r, dp))
-        fp = float(np.dot(dp, dp) + np.dot(r, d2p))
-        if fp == 0.0:
-            break
-        step = f / fp
-        th -= step
-        if abs(step) < 1e-15:
-            break
-    c, s = math.cos(th), math.sin(th)
-    d = float(np.linalg.norm(np.array([a * c, b * s]) - y))
-    return min(d, d0)
-
-
-def _cap_boundary_distance(comp: DomainComponent, x: np.ndarray) -> float:
-    K, c3, b = comp.params["K"], comp.params["cubic"], comp.params["b"]
-    w = comp.params["x1max"]
-    y = x - comp.center
-
-    # lid segment
-    dx = max(abs(y[0]) - w, 0.0)
-    d_lid = math.hypot(dx, y[1] - b)
-
-    # graph curve: coarse scan then Newton on t -> |(t, g(t)) - y|^2 / 2
-    def g(t):
-        return K * t ** 2 + c3 * abs(t) ** 3
-
-    def gp(t):
-        return 2.0 * K * t + 3.0 * c3 * abs(t) * t
-
-    ts = np.linspace(-w, w, _BOUNDARY_SCAN)
-    gs = K * ts ** 2 + c3 * np.abs(ts) ** 3
-    d2 = (ts - y[0]) ** 2 + (gs - y[1]) ** 2
-    t0 = float(ts[np.argmin(d2)])
-    t = t0
-    for _ in range(60):
-        r1 = t - y[0]
-        r2 = g(t) - y[1]
-        f = r1 + r2 * gp(t)
-        fp = 1.0 + gp(t) ** 2 + r2 * (2.0 * K + 6.0 * c3 * abs(t))
-        if fp <= 0.0:
-            break
-        step = f / fp
-        t -= step
-        t = min(max(t, -w), w)
-        if abs(step) < 1e-15:
-            break
-    d_graph = math.hypot(t - y[0], g(t) - y[1])
-    d_graph = min(d_graph, math.sqrt(float(np.min(d2))))
-    return min(d_graph, d_lid)
+    return float(min(comp.signed_distance(x) for comp in domain.components))
 
 
 # ---------------------------------------------------------------------------
 # meshes
 # ---------------------------------------------------------------------------
-
-def _analytic_measure(domain: DomainGeometry):
-    total = 0.0
-    for comp in domain.components:
-        if comp.kind == "disk":
-            total += math.pi * comp.params["radius"] ** 2
-        elif comp.kind == "ellipse":
-            total += math.pi * comp.params["a"] * comp.params["b"]
-        elif comp.kind == "cap":
-            K, c3, b = comp.params["K"], comp.params["cubic"], comp.params["b"]
-            w = comp.params["x1max"]
-            ts = np.linspace(-w, w, 20001)
-            col = b - (K * ts ** 2 + c3 * np.abs(ts) ** 3)
-            total += float(np.trapezoid(np.maximum(col, 0.0), ts))
-        else:
-            return None
-    return total
-
 
 def volume_mesh(domain: DomainGeometry, h: float) -> QuadratureMesh:
     """Near-uniform cell mesh with square-ish cells of side ``h``.
@@ -480,61 +793,16 @@ def volume_mesh(domain: DomainGeometry, h: float) -> QuadratureMesh:
         raise UnsupportedDimension("volume meshes are 2-D only")
     if h <= 0:
         raise MeshTooCoarse("h must be positive")
-    nodes_l, weights_l = [], []
-    for comp in domain.components:
-        n, w = _component_cells(comp, h)
-        nodes_l.append(n)
-        weights_l.append(w)
+    nodes_l, weights_l = zip(*(comp.cell_mesh(h) for comp in domain.components))
     nodes = np.concatenate(nodes_l, axis=0)
     weights = np.concatenate(weights_l)
     if nodes.shape[0] == 0:
         raise MeshTooCoarse(f"h={h} produced an empty mesh")
-    measure = _analytic_measure(domain)
     mesh = QuadratureMesh(nodes=nodes, weights=weights, h=float(h), style="cell",
-                          mesh_id=content_id(nodes, weights), measure=measure)
+                          mesh_id=content_id(nodes, weights),
+                          measure=_measure(domain))
     _check_measure(mesh)
     return mesh
-
-
-def _component_cells(comp: DomainComponent, h: float):
-    if comp.kind in ("disk", "ellipse"):
-        if comp.kind == "disk":
-            rx = ry = comp.params["radius"]
-        else:
-            rx, ry = comp.params["a"], comp.params["b"]
-        if h > min(rx, ry):
-            raise MeshTooCoarse(f"h={h} exceeds smallest feature {min(rx, ry)}")
-        nx = int(math.ceil(2.0 * rx / h))
-        ny = int(math.ceil(2.0 * ry / h))
-        xs = comp.center[0] + (np.arange(nx) - 0.5 * (nx - 1)) * h
-        ys = comp.center[1] + (np.arange(ny) - 0.5 * (ny - 1)) * h
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-        keep = _component_inside(comp, pts)
-        pts = pts[keep]
-        return pts, np.full(pts.shape[0], h * h)
-    if comp.kind == "cap":
-        K, c3, b = comp.params["K"], comp.params["cubic"], comp.params["b"]
-        w = comp.params["x1max"]
-        if h > b:
-            raise MeshTooCoarse(f"h={h} exceeds cap height {b}")
-        n1 = max(int(math.ceil(2.0 * w / h)), 2)
-        d1 = 2.0 * w / n1
-        xs = -w + (np.arange(n1) + 0.5) * d1
-        nodes, weights = [], []
-        for x1 in xs:
-            g = K * x1 ** 2 + c3 * abs(x1) ** 3
-            depth = b - g
-            if depth <= 0:
-                continue
-            n2 = max(int(math.ceil(depth / h)), 1)
-            d2 = depth / n2
-            ys = g + (np.arange(n2) + 0.5) * d2
-            nodes.append(np.stack([np.full(n2, x1), ys], axis=1))
-            weights.append(np.full(n2, d1 * d2))
-        pts = np.concatenate(nodes, axis=0) + comp.center
-        return pts, np.concatenate(weights)
-    raise UnsupportedDimension(f"no volume mesh for {comp.kind!r}")
 
 
 def gauss_mesh(domain: DomainGeometry, n_radial: int = 48,
@@ -547,51 +815,14 @@ def gauss_mesh(domain: DomainGeometry, n_radial: int = 48,
     """
     if domain.dim != 2:
         raise UnsupportedDimension("gauss meshes are 2-D only")
-    nodes_l, weights_l = [], []
-    for comp in domain.components:
-        if comp.kind in ("disk", "ellipse"):
-            if comp.kind == "disk":
-                a = bb = comp.params["radius"]
-            else:
-                a, bb = comp.params["a"], comp.params["b"]
-            r, wr = np.polynomial.legendre.leggauss(n_radial)
-            r = 0.5 * (r + 1.0)          # (0,1)
-            wr = 0.5 * wr
-            th = 2.0 * np.pi * np.arange(n_angular) / n_angular
-            wt = 2.0 * np.pi / n_angular
-            R, TH = np.meshgrid(r, th, indexing="ij")
-            X = comp.center[0] + a * R * np.cos(TH)
-            Y = comp.center[1] + bb * R * np.sin(TH)
-            W = (wr[:, None] * R) * wt * a * bb
-            nodes_l.append(np.stack([X.ravel(), Y.ravel()], axis=1))
-            weights_l.append(np.broadcast_to(W, R.shape).ravel().copy())
-        elif comp.kind == "cap":
-            K, c3, b = comp.params["K"], comp.params["cubic"], comp.params["b"]
-            w = comp.params["x1max"]
-            x1, w1 = np.polynomial.legendre.leggauss(max(n_angular, 16))
-            x1 = w * x1
-            w1 = w * w1
-            x2r, w2r = np.polynomial.legendre.leggauss(max(n_radial, 8))
-            nodes, weights = [], []
-            for xi, wi in zip(x1, w1):
-                g = K * xi ** 2 + c3 * abs(xi) ** 3
-                depth = b - g
-                if depth <= 0:
-                    continue
-                ys = g + 0.5 * depth * (x2r + 1.0)
-                ws = 0.5 * depth * w2r * wi
-                nodes.append(np.stack([np.full(ys.size, xi), ys], axis=1))
-                weights.append(ws)
-            nodes_l.append(np.concatenate(nodes, axis=0) + comp.center)
-            weights_l.append(np.concatenate(weights))
-        else:
-            raise UnsupportedDimension(f"no gauss mesh for {comp.kind!r}")
+    nodes_l, weights_l = zip(*(comp.gauss_mesh(n_radial, n_angular)
+                               for comp in domain.components))
     nodes = np.concatenate(nodes_l, axis=0)
     weights = np.concatenate(weights_l)
     h_eff = float(np.sqrt(np.median(weights)))
-    measure = _analytic_measure(domain)
     return QuadratureMesh(nodes=nodes, weights=weights, h=h_eff, style="smooth",
-                          mesh_id=content_id(nodes, weights), measure=measure)
+                          mesh_id=content_id(nodes, weights),
+                          measure=_measure(domain))
 
 
 def boundary_mesh(domain: DomainGeometry, h: float) -> BoundaryMesh:
@@ -600,63 +831,23 @@ def boundary_mesh(domain: DomainGeometry, h: float) -> BoundaryMesh:
         raise UnsupportedDimension("boundary meshes are 2-D only")
     if h <= 0:
         raise MeshTooCoarse("h must be positive")
-    nodes_l, normals_l, weights_l, tags_l = [], [], [], []
-    for ci, comp in enumerate(domain.components):
-        label = f"c{ci}" if len(domain.components) > 1 else ""
-        if comp.kind == "disk":
-            r = comp.params["radius"]
-            n = max(int(math.ceil(2.0 * np.pi * r / h)), 8)
-            th = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-            nrm = np.stack([np.cos(th), np.sin(th)], axis=1)
-            nodes_l.append(comp.center + r * nrm)
-            normals_l.append(nrm)
-            weights_l.append(np.full(n, 2.0 * np.pi * r / n))
-            tags_l.extend([label + "boundary"] * n)
-        elif comp.kind == "ellipse":
-            a, bb = comp.params["a"], comp.params["b"]
-            n = max(int(math.ceil(2.0 * np.pi * max(a, bb) / h)), 8)
-            th = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-            pts = np.stack([a * np.cos(th), bb * np.sin(th)], axis=1)
-            tang = np.stack([-a * np.sin(th), bb * np.cos(th)], axis=1)
-            speed = np.linalg.norm(tang, axis=1)
-            nrm = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / speed[:, None]
-            # outward check: flip if pointing inward
-            flip = np.sum(nrm * pts, axis=1) < 0
-            nrm[flip] *= -1.0
-            nodes_l.append(comp.center + pts)
-            normals_l.append(nrm)
-            weights_l.append(speed * 2.0 * np.pi / n)
-            tags_l.extend([label + "boundary"] * n)
-        elif comp.kind == "cap":
-            K, c3, b = comp.params["K"], comp.params["cubic"], comp.params["b"]
-            w = comp.params["x1max"]
-            n = max(int(math.ceil(2.0 * w / h)), 8)
-            d1 = 2.0 * w / n
-            t = -w + (np.arange(n) + 0.5) * d1
-            g = K * t ** 2 + c3 * np.abs(t) ** 3
-            gp = 2.0 * K * t + 3.0 * c3 * np.abs(t) * t
-            speed = np.sqrt(1.0 + gp ** 2)
-            nrm = np.stack([gp, -np.ones_like(t)], axis=1) / speed[:, None]
-            nodes_l.append(comp.center + np.stack([t, g], axis=1))
-            normals_l.append(nrm)
-            weights_l.append(speed * d1)
-            tags_l.extend([label + "graph"] * n)
-            nodes_l.append(comp.center + np.stack([t, np.full(n, b)], axis=1))
-            normals_l.append(np.tile([0.0, 1.0], (n, 1)))
-            weights_l.append(np.full(n, d1))
-            tags_l.extend([label + "lid"] * n)
-        else:
-            raise UnsupportedDimension(f"no boundary mesh for {comp.kind!r}")
+    comps = domain.components
+    nodes_l, normals_l, weights_l, tags_l = zip(*(c.boundary_mesh(h) for c in comps))
+    labels = [f"c{ci}" if len(comps) > 1 else "" for ci in range(len(comps))]
     nodes = np.concatenate(nodes_l, axis=0)
-    normals = np.concatenate(normals_l, axis=0)
     weights = np.concatenate(weights_l)
-    return BoundaryMesh(nodes=nodes, normals=normals, weights=weights, h=float(h),
-                        tags=tuple(tags_l), mesh_id=content_id(nodes, weights))
+    return BoundaryMesh(nodes=nodes, normals=np.concatenate(normals_l, axis=0),
+                        weights=weights, h=float(h),
+                        tags=tuple(lab + t for lab, tags in zip(labels, tags_l)
+                                   for t in tags),
+                        mesh_id=content_id(nodes, weights))
+
+
+def _measure(domain: DomainGeometry) -> float:
+    return sum(comp.measure() for comp in domain.components)
 
 
 def _check_measure(mesh: QuadratureMesh) -> None:
-    if mesh.measure is None:
-        return
     total = float(np.sum(mesh.weights))
     if abs(total - mesh.measure) > 0.01 * mesh.measure:
         raise MeshTooCoarse(
@@ -666,21 +857,6 @@ def _check_measure(mesh: QuadratureMesh) -> None:
 
 def boundary_measure(domain: DomainGeometry) -> float:
     """Analytic (or densely integrated) boundary length of the union."""
-    total = 0.0
-    for comp in domain.components:
-        if comp.kind == "disk":
-            total += 2.0 * math.pi * comp.params["radius"]
-        elif comp.kind == "ellipse":
-            a, b = comp.params["a"], comp.params["b"]
-            big, small = max(a, b), min(a, b)
-            ecc2 = 1.0 - (small / big) ** 2
-            total += 4.0 * big * float(ellipe(ecc2))
-        elif comp.kind == "cap":
-            K, c3 = comp.params["K"], comp.params["cubic"]
-            w = comp.params["x1max"]
-            ts = np.linspace(-w, w, 20001)
-            gp = 2.0 * K * ts + 3.0 * c3 * np.abs(ts) * ts
-            total += float(np.trapezoid(np.sqrt(1.0 + gp ** 2), ts)) + 2.0 * w
-        else:
-            raise UnsupportedDimension(f"no boundary measure for {comp.kind!r}")
-    return total
+    if domain.dim != 2:
+        raise UnsupportedDimension("boundary measures are 2-D only")
+    return sum(comp.boundary_measure() for comp in domain.components)

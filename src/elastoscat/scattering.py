@@ -34,7 +34,7 @@ from .geometry import (
     inside,
     signed_distance,
 )
-from .greens import kupradze_batch, kupradze_tensor, singular_cell_integral
+from .greens import kupradze_batch, singular_cell_integral
 from .source import (
     FarFieldPattern,
     SourceProblem,
@@ -101,13 +101,8 @@ class IncidentWave:
             dperp = np.array([-d[1], d[0]])
             phase = np.exp(1j * med.kappa_s * (pts @ d))
             return phase[:, None] * dperp
-        # point-source: Green-tensor column against a fixed unit force
-        out = np.empty((pts.shape[0], med.dim), dtype=complex)
-        force = np.zeros(med.dim)
-        force[0] = 1.0
-        for i, x in enumerate(pts):
-            out[i] = kupradze_tensor(x, self.origin, med) @ force
-        return out
+        # point-source: Green-tensor column against the unit force e_1
+        return kupradze_batch(pts - self.origin, med)[:, :, 0]
 
 
 @dataclass
@@ -140,14 +135,6 @@ class ContractionReport:
     out_of_regime: bool
 
 
-def incident_field(kind: str, params: dict, medium: LameMedium,
-                   eval_points) -> SampledVectorField:
-    """Sample a plane wave or exterior point source at the given points."""
-    wave = make_incident(kind, params, medium)
-    pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
-    return SampledVectorField(nodes=pts, values=wave(pts), mesh_ref=None)
-
-
 def make_incident(kind: str, params: dict, medium: LameMedium) -> IncidentWave:
     if medium.dim != 2:
         raise UnsupportedDimension("incident fields are 2-D only")
@@ -165,20 +152,7 @@ def make_incident(kind: str, params: dict, medium: LameMedium) -> IncidentWave:
 
 
 def _bounding_box(domain: DomainGeometry):
-    los, his = [], []
-    for comp in domain.components:
-        c = comp.center
-        if comp.kind in ("disk", "ball"):
-            r = comp.params["radius"]
-            los.append(c - r); his.append(c + r)
-        elif comp.kind == "ellipse":
-            ab = np.array([comp.params["a"], comp.params["b"]])
-            los.append(c - ab); his.append(c + ab)
-        elif comp.kind == "cap":
-            w, b = comp.params["x1max"], comp.params["b"]
-            los.append(c + np.array([-w, 0.0])); his.append(c + np.array([w, b]))
-        else:
-            raise UnsupportedDimension(f"unknown component kind {comp.kind!r}")
+    los, his = zip(*(comp.bbox() for comp in domain.components))
     return np.min(los, axis=0), np.max(his, axis=0)
 
 

@@ -482,8 +482,7 @@ def test_criterion_10_term_bounds():
         dom = make_cap_domain(K=K, L=3.0, M=4.0, varsigma=0.9, cubic=1.5)
         bump = polynomial_bump(dom, amplitude=(1.0, 0.5), linear=LIN,
                                whole_boundary=False)
-        comp = dom.components[0]
-        b, rho = comp.params["b"], comp.params["rho"]
+        b, rho = dom.chart.b, dom.chart.rho
         for zeta in (0.35, 0.5, 0.65):
             tau = select_tau(K, zeta)
             probe = make_cgo((0.0, -1.0), (1.0, 0.0), tau, MED)

@@ -266,6 +266,20 @@ def test_failed_report_write_cleans_partial_csvs(tmp_path):
     assert not Path(f"{prefix}_distinguish.csv").exists()
 
 
+def test_failed_csv_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    cfg_path = write_cfg(tmp_path, "dist.json", dist_cfg())
+    prefix = tmp_path / "out" / "d"
+
+    def write_then_fail(path, header, rows):
+        Path(path).write_text("separation,rad", encoding="utf-8")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_csv", write_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        cli.main(["distinguish", "--config", cfg_path, "--out", str(prefix)])
+    assert list((tmp_path / "out").glob("d_*")) == []
+
+
 # ---------------------------------------------------------------------------
 # determinism: workers and seeds
 # ---------------------------------------------------------------------------

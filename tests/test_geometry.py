@@ -21,11 +21,14 @@ from elastoscat import (
 from elastoscat.elastic import content_id
 from elastoscat.errors import (
     ChartInvalid,
+    DimensionMismatch,
     DisjointnessViolated,
+    InvalidParameter,
     KTooSmall,
     MeshTooCoarse,
     SingleComponent,
 )
+from elastoscat.geometry import Ball, Cap, Ellipse
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +70,40 @@ def test_cap_graph_between_envelopes():
     assert np.all(g >= ch.K_minus * ts ** 2 - 1e-12)
     assert np.all(g <= ch.K_plus * ts ** 2 + 1e-12)
     assert ch.K_plus - ch.K_minus <= ch.L * ch.K ** (1.0 - ch.varsigma) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# shape constructors reject bad sizes and centers
+# ---------------------------------------------------------------------------
+
+def _chart():
+    return make_cap_domain(K=10.0, L=1.0, M=1.0, varsigma=0.5).chart
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: disk(0.0), InvalidParameter),
+    (lambda: disk(-0.5), InvalidParameter),
+    (lambda: disk(float("nan")), InvalidParameter),
+    (lambda: disk(1.0, center=(0.0, 0.0, 0.0)), DimensionMismatch),
+    (lambda: disk(1.0, center=(0.0, 0.0), dim=3), DimensionMismatch),
+    (lambda: ellipse(0.0, 1.0), InvalidParameter),
+    (lambda: ellipse(1.0, -0.2), InvalidParameter),
+    (lambda: ellipse(1.0, 0.5, center=(0.0,)), DimensionMismatch),
+    (lambda: Ball(-1.0, (0.0, 0.0)), InvalidParameter),
+    (lambda: Ball(1.0, (0.0, 0.0, 0.0, 0.0)), DimensionMismatch),
+    (lambda: Ball(1.0, [[0.0, 0.0]]), DimensionMismatch),
+    (lambda: Ellipse(1.0, 0.0, (0.0, 0.0)), InvalidParameter),
+    (lambda: Ellipse(1.0, 0.5, (0.0, 0.0, 0.0)), DimensionMismatch),
+    (lambda: Cap(_chart(), 0.0, (0.0, 0.0)), InvalidParameter),
+    (lambda: Cap(_chart(), 0.1, (0.0,)), DimensionMismatch),
+], ids=["disk-zero", "disk-negative", "disk-nan", "disk-3d-center",
+        "disk-2d-center-dim3", "ellipse-zero-a", "ellipse-negative-b",
+        "ellipse-1d-center", "ball-negative", "ball-4d-center",
+        "ball-matrix-center", "Ellipse-zero-b", "Ellipse-3d-center",
+        "cap-zero-width", "cap-1d-center"])
+def test_constructors_raise_named_errors(build, error):
+    with pytest.raises(error):
+        build()
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +251,7 @@ def test_signed_distance_cap_matches_brute_force():
     w = None
     # dense boundary cloud for the oracle
     for comp in dom.components:
-        w = comp.params["x1max"]
+        w = comp.x1max
     ts = np.linspace(-w, w, 60_001)
     graph = np.stack([ts, ch.gamma(np.abs(ts))], axis=1)
     lid = np.stack([np.linspace(-w, w, 60_001), np.full(60_001, ch.b)], axis=1)

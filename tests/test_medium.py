@@ -10,6 +10,7 @@ from elastoscat import (
     farfield_norm,
     field_norms,
     gauss_mesh,
+    kupradze_tensor,
     lattice_pde_residual,
     make_incident,
     make_medium,
@@ -64,6 +65,16 @@ def test_incident_shear_wave_solves_system():
 def test_incident_point_source_solves_system():
     inc = make_incident("point-source", {"origin": (5.0, 5.0)}, MED)
     assert pde_residual_check(inc, [0.1, -0.3]) < 1e-8
+
+
+def test_incident_point_source_matches_per_point_tensor():
+    # reference: one Green-tensor evaluation per point, column e_1
+    nodes = volume_mesh(disk(0.45), h=0.05).nodes
+    for origin in ((1.0, 0.0), (0.0, 1.2), (-0.9, 0.6), (0.8, -0.8)):
+        inc = make_incident("point-source", {"origin": origin}, MED)
+        want = np.array([kupradze_tensor(x, np.array(origin), MED)[:, 0]
+                         for x in nodes])
+        assert np.array_equal(inc(nodes), want)
 
 
 def test_incident_pressure_wave_is_curl_free():
