@@ -1,5 +1,10 @@
 """Density-contrast scattering: volume integral equation, series, diagnostics."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -19,6 +24,7 @@ from elastoscat import (
     upsilon,
     volume_mesh,
 )
+from elastoscat.elastic import content_id
 from elastoscat.geometry import QuadratureMesh
 from elastoscat.errors import (
     InvalidDirection,
@@ -182,6 +188,52 @@ def test_point_source_must_sit_outside():
         solve_medium(sc, inc, mesh)
 
 
+# Golden values: the solved fields pinned bit for bit, so a change to the
+# volume-potential quadrature or the solvers that reorders floating-point
+# operations shows up here.  The disk, mesh and contrast profile are those of
+# the medium-sweep benchmark at v0 = 0.2 (256 nodes).  The LU solve's last
+# bits depend on the BLAS thread count, so the values are computed in a child
+# process with one BLAS thread (run this file as a script to print them).
+GOLDEN_INCIDENTS = {
+    "pressure": ("pressure-plane", {"direction": (1.0, 0.0)}),
+    "point": ("point-source", {"origin": (1.0, 0.0)}),
+}
+GOLDEN_MEDIUM = {
+    "pressure/direct-dense": ["fbc01aa54bf30ce6", "35d10a7bdd827419", 1,
+                              "0.03634893637737824"],
+    "pressure/neumann-series": ["f6752fd3f57cfe9e", "5ff65ee3a61a75a0", 8,
+                                "0.028306675632410492"],
+    "point/direct-dense": ["ed0f94ab5a71e7db", "6713e6f267897f99", 1,
+                           "0.03634893637737824"],
+    "point/neumann-series": ["90a8b16d67a4ee0c", "ecfa756d9bad0d2f", 8,
+                             "0.028244625596182425"],
+}
+
+
+def _golden_medium_values():
+    sc = scatterer(v0=0.2, radius=0.45)
+    mesh = volume_mesh(sc.domain, h=0.05)
+    assert mesh.nodes.shape[0] == 256
+    out = {}
+    for name, (kind, params) in GOLDEN_INCIDENTS.items():
+        inc = make_incident(kind, params, MED)
+        for mode in ("direct-dense", "neumann-series"):
+            sol = solve_medium(sc, inc, mesh, mode=mode)
+            out[f"{name}/{mode}"] = [
+                content_id(sol.u_total.values),
+                content_id(sol.farfield.up_inf, sol.farfield.us_inf),
+                sol.series_terms_used, repr(sol.contraction_estimate)]
+    return out
+
+
+def test_golden_medium_solves():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, __file__], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    assert json.loads(run.stdout) == GOLDEN_MEDIUM
+
+
 def test_dense_matrix_budget_guard():
     sc = scatterer()
     n = 5000
@@ -296,3 +348,7 @@ def test_total_is_incident_plus_scattered():
     ui = inc(mesh.nodes)
     gap = np.max(np.abs(sol.u_total.values - ui - sol.u_scattered.values))
     assert gap < 1e-12
+
+
+if __name__ == "__main__":
+    print(json.dumps(_golden_medium_values(), indent=1))
