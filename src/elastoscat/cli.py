@@ -524,20 +524,20 @@ def run_medium_demo(cfg: dict, seed: int, workers: int) -> dict:
             mode_gap = float(num / np.linalg.norm(sol.u_total.values))
             terms, contraction = sol_n.series_terms_used, sol_n.contraction_estimate
         ffn = farfield_norm(sol.farfield)
-        return [i, abs(v0), rep.epsilon, rep.v_sup, rep.upsilon,
-                sup_s / sup_i, sup_t / sup_i, ffn, terms, contraction,
-                mode_gap, rep.out_of_regime]
+        return ([i, abs(v0), rep.epsilon, rep.v_sup, rep.upsilon,
+                 sup_s / sup_i, sup_t / sup_i, ffn, terms, contraction,
+                 mode_gap, rep.out_of_regime], sol.u_total.values)
 
-    # PDE self-check: the first solve must satisfy the perturbed system on
-    # its own lattice
-    sc0 = scatterer_for(v0_values[0])
-    sol0 = solve_medium(sc0, incident, mesh, mode="direct-dense")
-    max_rel, _, _ = lattice_pde_residual(sc0, mesh, sol0.u_total.values)
+    results = _parallel(point, len(v0_values), workers)
+    rows = [row for row, _ in results]
+    # PDE self-check: the first direct solve must satisfy the perturbed
+    # system on its own lattice
+    max_rel, _, _ = lattice_pde_residual(scatterer_for(v0_values[0]), mesh,
+                                         results[0][1])
     if max_rel > tol:
         raise NumericalValidationFailure(
             f"lattice residual {max_rel} exceeds {tol} at h={h}")
 
-    rows = _parallel(point, len(v0_values), workers)
     entries = [(r[2], r[3], r[5], r[6]) for r in rows if not r[11]]
     summary = {"lattice_residual_max": max_rel, "delta": delta}
     if entries:

@@ -20,7 +20,7 @@ surface with unit normal ``nu`` is
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

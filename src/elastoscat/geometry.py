@@ -4,10 +4,10 @@ A domain is a union of disjoint components.  Each component is one of three
 frozen shape classes implementing the :class:`Shape` protocol: ``Ball`` (a
 disk in 2-D, a ball in 3-D), the axis-aligned ``Ellipse``, and the
 paraboloid-like boundary ``Cap``.  The module-level functions only combine
-the components' answers.  A cap is the region between a convex graph
-``x_n = gamma(|x'|)`` and the flat lid ``x_n = b``:
+the components' answers.  A cap is the planar region between a convex graph
+``x2 = gamma(|x1|)`` and the flat lid ``x2 = b``:
 
-    cap = { x : gamma(x') < x_n < b },     gamma(t) = K t^2 + c3 |t|^3,
+    cap = { x : gamma(|x1|) < x2 < b },     gamma(t) = K t^2 + c3 |t|^3,
 
 with chart radius ``rho = sqrt(M)/K`` and lid height ``b = 1/K``.  The chart
 is admissible when, on a 201-point sample grid,
@@ -468,7 +468,7 @@ class Ellipse:
 
 @dataclass(frozen=True)
 class Cap:
-    """Region between the chart's graph and its lid: ``gamma(|x'|) < x_n < b``.
+    """Planar region between the chart's graph and its lid: ``gamma(|x1|) < x2 < b``.
 
     ``x1max`` is the radial extent, where the graph meets the lid.
     """
@@ -479,12 +479,12 @@ class Cap:
 
     def __post_init__(self):
         object.__setattr__(self, "x1max", _positive("x1max", self.x1max))
-        object.__setattr__(self, "center", _as_center(self.center, (2, 3)))
+        object.__setattr__(self, "center", _as_center(self.center, (2,)))
 
     def inside(self, pts):
         x = pts - self.center
-        t = np.abs(x[:, 0]) if x.shape[1] == 2 else np.linalg.norm(x[:, :-1], axis=1)
-        return (x[:, -1] > self.chart.graph.gamma(t)) & (x[:, -1] < self.chart.b)
+        t = np.abs(x[:, 0])
+        return (x[:, 1] > self.chart.graph.gamma(t)) & (x[:, 1] < self.chart.b)
 
     def boundary_sample(self, n):
         w, m = self.x1max, n // 2
@@ -630,15 +630,13 @@ def union(*domains: DomainGeometry) -> DomainGeometry:
 
 
 def make_cap_domain(K: float, L: float, M: float, varsigma: float,
-                    cubic: float = 0.0, dim: int = 2) -> DomainGeometry:
+                    cubic: float = 0.0) -> DomainGeometry:
     """Build a cap domain and validate its curvature chart.
 
     ``cubic`` is the declared magnitude of the graph's cubic perturbation:
     ``gamma(t) = K t^2 + cubic * |t|^3``.  Raises ``ChartInvalid`` when any
     chart inequality fails on the sample grid and ``KTooSmall`` for K < e.
     """
-    if dim not in (2, 3):
-        raise UnsupportedDimension(f"dim must be 2 or 3, got {dim}")
     if K < math.e:
         raise KTooSmall(f"need K >= e, got K={K}")
     if M < 1.0:
@@ -677,8 +675,8 @@ def make_cap_domain(K: float, L: float, M: float, varsigma: float,
 
     chart = KCurvatureChart(K=K, K_minus=k_minus, K_plus=k_plus, L=L, M=M,
                             varsigma=varsigma, rho=rho, b=b, cubic=c3)
-    cap = Cap(chart=chart, x1max=_cap_halfwidth(chart), center=np.zeros(dim))
-    return DomainGeometry(components=(cap,), dim=dim, chart=chart)
+    cap = Cap(chart=chart, x1max=_cap_halfwidth(chart), center=np.zeros(2))
+    return DomainGeometry(components=(cap,), dim=2, chart=chart)
 
 
 def _cap_halfwidth(chart: KCurvatureChart) -> float:

@@ -11,7 +11,7 @@ exists to exercise the contraction regime and its a-priori bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -34,12 +34,13 @@ from .geometry import (
     inside,
     signed_distance,
 )
-from .greens import kupradze_batch, singular_cell_integral
+from .greens import kupradze_batch
 from .source import (
     FarFieldPattern,
     SourceProblem,
     directions_circle,
     farfield_of_source,
+    potential_row,
 )
 
 _SERIES_MAX_TERMS = 200
@@ -159,8 +160,9 @@ def _bounding_box(domain: DomainGeometry):
 def _potential_matrix(mesh: QuadratureMesh, medium: LameMedium) -> np.ndarray:
     """Dense discretization of the volume potential on the mesh nodes.
 
-    Block ``(i, k)`` is ``w_k G(y_i, y_k)`` with the diagonal block replaced
-    by the analytic singular-cell integral; requires a cell-style mesh.
+    Row pair ``i`` is :func:`potential_row` at node ``y_i``: block ``(i, k)``
+    is ``w_k G(y_i, y_k)`` and the diagonal block is the analytic
+    singular-cell integral; requires a cell-style mesh.
     """
     if mesh.style != "cell":
         raise MeshMismatch("potential collocation needs a cell-style mesh")
@@ -171,15 +173,8 @@ def _potential_matrix(mesh: QuadratureMesh, medium: LameMedium) -> np.ndarray:
             f"dense potential matrix would take {nbytes / 2**30:.1f} GiB "
             f"({n} nodes); coarsen the mesh")
     mat = np.empty((2 * n, 2 * n), dtype=complex)
-    self_block = singular_cell_integral(medium, mesh.h)
     for i in range(n):
-        diffs = mesh.nodes[i][None, :] - mesh.nodes
-        live = np.ones(n, dtype=bool)
-        live[i] = False
-        g = np.empty((n, 2, 2), dtype=complex)
-        g[live] = kupradze_batch(diffs[live], medium) * mesh.weights[live, None, None]
-        g[i] = self_block
-        mat[2 * i:2 * i + 2] = np.transpose(g, (1, 0, 2)).reshape(2, 2 * n)
+        mat[2 * i:2 * i + 2] = potential_row(mesh, medium, mesh.nodes[i])
     return mat
 
 

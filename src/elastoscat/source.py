@@ -112,18 +112,49 @@ def _check_mesh_resolution(mesh: QuadratureMesh, medium: LameMedium) -> None:
             f"{ppw:.2f} points per shear wavelength, need >= {SOURCE_MIN_PPW}")
 
 
+def potential_row(mesh: QuadratureMesh, medium: LameMedium,
+                  x: np.ndarray) -> np.ndarray:
+    """Quadrature of the volume potential at one point, as a (2, 2N) block.
+
+    Column pair ``k`` is ``w_k G(x, y_k)``, so the block times the node-major
+    flattened intensity approximates ``int_Omega G(x, y) phi(y) dy``.  When
+    ``x`` coincides with a node of a cell-style mesh, that node's block is the
+    analytic integral of the kernel over its square cell
+    (:func:`singular_cell_integral`), which restores convergence of the
+    product rule.  Coincidence with a node of a smooth-style mesh has no such
+    correction, and coincidence with more than one node has no meaning; both
+    raise ``CoincidentPoints``.
+    """
+    n = mesh.nodes.shape[0]
+    diffs = x[None, :] - mesh.nodes
+    r = np.hypot(diffs[:, 0], diffs[:, 1])
+    hit = np.flatnonzero(r < 1e-9 * mesh.h)
+    if hit.size > 1:
+        raise CoincidentPoints(
+            f"evaluation point coincides with {hit.size} mesh nodes")
+    if hit.size and mesh.style != "cell":
+        raise CoincidentPoints(
+            "evaluation point coincides with a smooth-mesh node; "
+            "use a cell-style mesh for on-node evaluation")
+    live = np.ones(n, dtype=bool)
+    live[hit] = False
+    g = np.empty((n, 2, 2), dtype=complex)
+    g[live] = kupradze_batch(diffs[live], medium) * mesh.weights[live, None, None]
+    if hit.size:
+        g[hit[0]] = singular_cell_integral(medium, mesh.h)
+    return np.transpose(g, (1, 0, 2)).reshape(2, 2 * n)
+
+
 def solve_source(problem: SourceProblem, mesh: QuadratureMesh,
                  eval_points) -> SampledVectorField:
     """Evaluate the outgoing solution at arbitrary points.
 
     ``u(x) = -sum_k w_k G(x, y_k) phi_k`` (minus: the kernel is normalized
-    against ``-delta``), with one refinement: when an evaluation point
-    coincides with a node of a cell-style mesh, the divergent self term is
-    replaced by the analytic integral of the kernel's logarithmic/static
-    part over the square cell, which restores convergence of the product
-    rule.  Coincidence with a node of a smooth-style mesh has no such
-    correction and is rejected.  For evaluation points outside the domain
-    the integrand is smooth, so a smooth-style mesh is the accurate choice.
+    against ``-delta``), one :func:`potential_row` per point, so an
+    evaluation point on a node of a cell-style mesh takes the singular-cell
+    correction and one on a node of a smooth-style mesh is rejected.  For
+    evaluation points outside the domain the integrand is smooth, so a
+    smooth-style mesh is the accurate choice.
     """
     if problem.medium.dim != 2 or problem.domain.dim != 2:
         raise UnsupportedDimension("volume solve is 2-D only")
@@ -131,30 +162,10 @@ def solve_source(problem: SourceProblem, mesh: QuadratureMesh,
     pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
     if pts.shape[1] != 2:
         raise DimensionMismatch(f"eval points have shape {pts.shape}, expected (M, 2)")
-    phi = problem.intensity_on(mesh)
-    med = problem.medium
-    self_block = None
+    phi = problem.intensity_on(mesh).ravel()
     out = np.empty((pts.shape[0], 2), dtype=complex)
     for i, x in enumerate(pts):
-        diffs = x[None, :] - mesh.nodes
-        r = np.hypot(diffs[:, 0], diffs[:, 1])
-        hit = np.flatnonzero(r < 1e-9 * mesh.h)
-        if hit.size:
-            if mesh.style != "cell":
-                raise CoincidentPoints(
-                    "evaluation point coincides with a smooth-mesh node; "
-                    "use a cell-style mesh for on-node evaluation")
-            if self_block is None:
-                self_block = singular_cell_integral(med, mesh.h)
-            live = np.ones(mesh.nodes.shape[0], dtype=bool)
-            live[hit] = False
-            g = kupradze_batch(diffs[live], med)
-            acc = np.einsum("k,kij,kj->i", mesh.weights[live], g, phi[live])
-            acc = acc + self_block @ phi[hit[0]]
-        else:
-            g = kupradze_batch(diffs, med)
-            acc = np.einsum("k,kij,kj->i", mesh.weights, g, phi)
-        out[i] = -acc
+        out[i] = -(potential_row(mesh, problem.medium, x) @ phi)
     return SampledVectorField(nodes=pts, values=out, mesh_ref=None)
 
 

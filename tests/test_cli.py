@@ -401,6 +401,47 @@ def test_medium_demo_table(tmp_path):
     assert report["summary"]["lattice_residual_max"] < 0.01
 
 
+def _medium_cfg(**over):
+    cfg = {
+        "schema_version": 1,
+        "experiment": "medium-demo",
+        "medium": dict(MEDIUM),
+        "seed": 1,
+        "scatterer": {"radius": 0.45, "v0_values": [0.2], "h": 0.05, "s": 1.0},
+        "tolerance": 0.01,
+    }
+    cfg.update(over)
+    return cfg
+
+
+def test_medium_demo_solves_each_contrast_once_per_mode(tmp_path, monkeypatch):
+    modes = []
+    solve_medium = cli.solve_medium
+
+    def counted(*args, **kwargs):
+        modes.append(kwargs["mode"])
+        return solve_medium(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_medium", counted)
+    cfg_path = write_cfg(tmp_path, "med.json", _medium_cfg())
+    prefix = tmp_path / "out" / "md"
+    assert cli.main(["medium-demo", "--config", cfg_path,
+                     "--out", str(prefix)]) == 0
+    # the PDE self-check reads the first point's own direct solve
+    assert modes == ["direct-dense", "neumann-series"]
+    report = json.loads(Path(f"{prefix}_report.json").read_text())
+    assert report["summary"]["lattice_residual_max"] < 0.01
+
+
+def test_medium_demo_failed_self_check_writes_nothing(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, "tight.json", _medium_cfg(tolerance=1e-30))
+    prefix = tmp_path / "fail" / "md"
+    rc = cli.main(["medium-demo", "--config", cfg_path, "--out", str(prefix)])
+    assert rc == 3
+    assert "lattice residual" in capsys.readouterr().err
+    assert not (tmp_path / "fail").exists()
+
+
 def test_nonradiating_audit_nullity(tmp_path):
     cfg = {
         "schema_version": 1,

@@ -96,11 +96,12 @@ def _chart():
     (lambda: Ellipse(1.0, 0.5, (0.0, 0.0, 0.0)), DimensionMismatch),
     (lambda: Cap(_chart(), 0.0, (0.0, 0.0)), InvalidParameter),
     (lambda: Cap(_chart(), 0.1, (0.0,)), DimensionMismatch),
+    (lambda: Cap(_chart(), 0.1, (0.0, 0.0, 0.0)), DimensionMismatch),
 ], ids=["disk-zero", "disk-negative", "disk-nan", "disk-3d-center",
         "disk-2d-center-dim3", "ellipse-zero-a", "ellipse-negative-b",
         "ellipse-1d-center", "ball-negative", "ball-4d-center",
         "ball-matrix-center", "Ellipse-zero-b", "Ellipse-3d-center",
-        "cap-zero-width", "cap-1d-center"])
+        "cap-zero-width", "cap-1d-center", "cap-3d-center"])
 def test_constructors_raise_named_errors(build, error):
     with pytest.raises(error):
         build()

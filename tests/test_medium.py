@@ -27,6 +27,7 @@ from elastoscat import (
 from elastoscat.elastic import content_id
 from elastoscat.geometry import QuadratureMesh
 from elastoscat.errors import (
+    CoincidentPoints,
     InvalidDirection,
     InvalidParameter,
     MeshMismatch,
@@ -232,6 +233,16 @@ def test_golden_medium_solves():
     run = subprocess.run([sys.executable, __file__], env=env, check=True,
                          capture_output=True, text=True, timeout=300)
     assert json.loads(run.stdout) == GOLDEN_MEDIUM
+
+
+def test_duplicate_mesh_node_is_rejected():
+    sc = scatterer()
+    nodes = np.array([[0.0, 0.0], [0.05, 0.0], [0.0, 0.05], [0.05, 0.0]])
+    dup = QuadratureMesh(nodes=nodes, weights=np.full(4, 2.5e-3), h=0.05,
+                         style="cell", mesh_id="repeated-node")
+    inc = make_incident("pressure-plane", {"direction": (1.0, 0.0)}, MED)
+    with pytest.raises(CoincidentPoints, match="coincides with 2 mesh nodes"):
+        solve_medium(sc, inc, dup)
 
 
 def test_dense_matrix_budget_guard():

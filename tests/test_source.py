@@ -16,10 +16,13 @@ from elastoscat import (
     make_medium,
     make_nonradiating,
     polynomial_bump,
+    singular_cell_integral,
     solve_source,
     volume_mesh,
 )
 from elastoscat.geometry import QuadratureMesh
+from elastoscat.greens import kupradze_batch
+from elastoscat.source import potential_row
 from elastoscat.errors import (
     BumpNotVanishing,
     CoincidentPoints,
@@ -111,6 +114,67 @@ def test_on_node_evaluation_needs_cell_mesh():
     prob = SourceProblem(domain=dom, medium=MED, phi=const_phi([1.0, 0.0]))
     with pytest.raises(CoincidentPoints):
         solve_source(prob, smooth, smooth.nodes[:1])
+
+
+def test_on_node_evaluation_rejects_duplicate_nodes():
+    nodes = np.array([[0.0, 0.0], [0.01, 0.0], [0.0, 0.0]])
+    mesh = QuadratureMesh(nodes=nodes, weights=np.full(3, 1e-4), h=0.01,
+                          style="cell", mesh_id="repeated-node")
+    prob = SourceProblem(domain=disk(0.05), medium=MED, phi=const_phi([1.0, 0.0]))
+    with pytest.raises(CoincidentPoints, match="coincides with 2 mesh nodes"):
+        solve_source(prob, mesh, nodes[:1])
+    # a point on the other node is still evaluated
+    assert np.all(np.isfinite(solve_source(prob, mesh, nodes[1:2]).values))
+
+
+def test_potential_row_blocks_are_weighted_kernels():
+    mesh = volume_mesh(disk(0.4), h=0.04)
+    assert mesh.nodes.shape[0] == 316
+    for x in (mesh.nodes[0], mesh.nodes[150], np.array([0.013, -0.27]),
+              np.array([1.2, 0.5])):
+        row = potential_row(mesh, MED, x)
+        assert row.shape == (2, 2 * 316)
+        for k, y in enumerate(mesh.nodes):
+            block = row[:, 2 * k:2 * k + 2]
+            if np.array_equal(x, y):
+                assert np.array_equal(block, singular_cell_integral(MED, mesh.h))
+            else:
+                assert np.array_equal(block,
+                                      mesh.weights[k] * kupradze_tensor(x, y, MED))
+
+
+def _solve_source_per_target(prob, mesh, pts):
+    """Reference: one kernel sum per target with its own self-cell handling."""
+    phi = prob.intensity_on(mesh)
+    out = np.empty((pts.shape[0], 2), dtype=complex)
+    for i, x in enumerate(pts):
+        diffs = x[None, :] - mesh.nodes
+        r = np.hypot(diffs[:, 0], diffs[:, 1])
+        hit = np.flatnonzero(r < 1e-9 * mesh.h)
+        live = np.ones(mesh.nodes.shape[0], dtype=bool)
+        live[hit] = False
+        g = kupradze_batch(diffs[live], MED)
+        acc = np.einsum("k,kij,kj->i", mesh.weights[live], g, phi[live])
+        if hit.size:
+            acc = acc + singular_cell_integral(MED, mesh.h) @ phi[hit[0]]
+        out[i] = -acc
+    return out
+
+
+def test_solve_source_matches_per_target_reference():
+    dom = disk(0.4)
+    mesh = volume_mesh(dom, h=0.04)
+
+    def phi(p):
+        return np.stack([np.exp(-np.sum(p ** 2, axis=1)),
+                         p[:, 0] - 0.5j * p[:, 1]], axis=1).astype(complex)
+
+    prob = SourceProblem(dom, MED, phi)
+    off = np.array([[0.013, -0.27], [0.2, 0.21], [1.5, 0.4], [-0.3, -2.0]])
+    for pts in (mesh.nodes, off):
+        got = solve_source(prob, mesh, pts).values
+        ref = _solve_source_per_target(prob, mesh, pts)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_solve_rejects_3d_and_coarse_mesh():
