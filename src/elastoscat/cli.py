@@ -27,22 +27,26 @@ Subcommands
     Far-field difference of two separated small disk sources against the
     quadrature noise floor.
 
-Configs are JSON validated against a versioned schema (``schema_version``
-must be 1 and ``experiment`` must match the subcommand).  Every run writes
-``<prefix>_<table>.csv`` tables (RFC 4180, ``\\r\\n`` line endings, floats at
-17 significant digits, fixed column order documented per runner) plus
-``<prefix>_report.json`` echoing the config, seed, artifact version,
+Configs are JSON validated against the subcommand's schema in
+``CONFIG_SCHEMAS``, the reference for every key, its type, range and default
+(``schema_version`` must be 1, ``experiment`` must match the subcommand and
+unknown keys are rejected).  Every run writes ``<prefix>_<table>.csv`` tables
+(RFC 4180, ``\\r\\n`` line endings, floats at 17 significant digits, fixed
+column order documented per runner) plus ``<prefix>_report.json`` echoing the
+config as read and with its defaults filled in, seed, artifact version,
 summary statistics, and wall clock.  Replaying a config with the same seed
 reproduces the CSV bytes exactly; per-point seeds derive from the master
 seed and the point index, so worker count does not affect results.
 
-Exit codes: 0 success, 2 invalid config, 3 numerical-validation failure
+Exit codes: 0 success, 2 invalid config (a schema violation, or a medium
+with 2 lam + 2 mu <= 0), 3 numerical-validation failure
 (including any self-check whose refined recomputation disagrees beyond the
 declared tolerance; partial outputs are removed).
 """
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import json
 import math
@@ -52,7 +56,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
-from jsonschema import ValidationError, validate
+from jsonschema import Draft202012Validator, validators
+from jsonschema.exceptions import best_match
 
 from . import __version__, bounds, cgo
 from .bumps import polynomial_bump
@@ -87,47 +92,168 @@ from .source import (
     make_nonradiating,
 )
 
-EXPERIMENTS = ("sweep-small", "nonradiating-audit", "cgo-verify",
-               "identity-check", "kpoint-decay", "medium-demo", "distinguish")
+# ---------------------------------------------------------------------------
+# config schemas: each key appears once, with its type, range and default
+# ---------------------------------------------------------------------------
 
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["schema_version", "experiment", "medium"],
-    "properties": {
-        "schema_version": {"const": 1},
-        "experiment": {"enum": list(EXPERIMENTS)},
-        "medium": {
-            "type": "object",
-            "required": ["lam", "mu", "omega"],
-            "properties": {
-                "lam": {"type": "number"},
-                "mu": {"type": "number", "exclusiveMinimum": 0},
-                "omega": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "seed": {"type": "integer", "minimum": 0},
-        "tolerance": {"type": "number", "exclusiveMinimum": 0},
-        "output": {"type": "string"},
-    },
+def _number(default=None, **bounds) -> dict:
+    return {"type": "number", **bounds, **_default(default)}
+
+
+def _positive(default=None) -> dict:
+    return _number(default, exclusiveMinimum=0)
+
+
+def _unit(default: float) -> dict:
+    """A number in (0, 1], such as a Holder exponent."""
+    return _number(default, exclusiveMinimum=0, maximum=1)
+
+
+def _integer(minimum: int, default: int) -> dict:
+    return {"type": "integer", "minimum": minimum, "default": default}
+
+
+def _array(items: dict, default=None) -> dict:
+    return {"type": "array", "items": items, "minItems": 1, **_default(default)}
+
+
+def _obj(required=(), default=None, **properties) -> dict:
+    return {"type": "object", "properties": properties, "required": list(required),
+            "additionalProperties": False, **_default(default)}
+
+
+def _default(value) -> dict:
+    return {} if value is None else {"default": value}
+
+
+_VEC2 = {"type": "array", "items": _number(), "minItems": 2, "maxItems": 2}
+_MAT2 = dict(_VEC2, items=_VEC2)
+_CRITERION = _obj(default={}, delta=_unit(1.0))
+
+
+def _by_kind(tag: str, then: dict, otherwise: dict, **properties) -> dict:
+    """An object with the keys of ``then`` when its ``kind`` is ``tag`` and
+    those of ``otherwise`` when not (or when it has no ``kind``).  Not a
+    oneOf: best_match explains a failed oneOf by whichever branch fails
+    deepest, often one whose ``kind`` does not match."""
+    return {"type": "object", "properties": properties, "then": then, "else": otherwise,
+            "if": {"required": ["kind"], "properties": {"kind": {"const": tag}}}}
+
+
+_SHAPE_KEYS = dict(kind={}, center=_VEC2, amplitude=_VEC2, linear=_MAT2)
+_SHAPE = _by_kind(
+    "ellipse", _obj(("a", "b"), a=_positive(), b=_positive(), **_SHAPE_KEYS),
+    _obj(("radius",), radius=_positive(), **_SHAPE_KEYS),
+    kind={"enum": ["disk", "ellipse"], "default": "disk"},
+    amplitude={"default": [1.0, 0.0]})
+_INCIDENT = dict(_by_kind(
+    "point-source", _obj(("kind", "origin"), kind={}, origin=_VEC2),
+    _obj(("kind", "direction"), kind={}, direction=_VEC2),
+    kind={"enum": ["pressure-plane", "shear-plane", "point-source"]}),
+    default={"kind": "pressure-plane", "direction": [1.0, 0.0]})
+
+
+def _mesh(radial: int, angular: int) -> dict:
+    return _obj(default={}, n_radial=_integer(1, radial), n_angular=_integer(1, angular))
+
+
+def _caps(**extra) -> dict:
+    """Cap-domain block of the identity experiments.  The K >= e floor is a
+    precondition of the frequency rule and stays in the library (exit 3)."""
+    return _obj(("K_values",), K_values=_array(_positive()), L=_positive(3.0),
+                M=_number(4.0, minimum=1), varsigma=_unit(0.9), cubic=_number(1.5),
+                amplitude=dict(_VEC2, default=[1.0, 0.5]), linear=_MAT2,
+                alpha=_unit(1.0), beta=_unit(1.0), node_budget=_integer(1, 2_000_000),
+                **extra)
+
+
+def _experiment(name: str, **blocks) -> dict:
+    """Top level of a config; a block without a default is required."""
+    required = [key for key, blk in blocks.items() if "default" not in blk]
+    return {"$schema": "https://json-schema.org/draft/2020-12/schema",
+            **_obj(("schema_version", "experiment", "medium", *required),
+                   schema_version={"const": 1}, experiment={"const": name},
+                   medium=_obj(("lam", "mu", "omega"), lam=_number(), mu=_positive(),
+                               omega=_positive(), dim={"const": 2}),
+                   seed=_integer(0, 0),
+                   output={"type": "string", "default": f"out/{name}"}, **blocks)}
+
+
+# each experiment's blocks beside schema_version, experiment, medium, seed and output
+_BLOCKS = {
+    "sweep-small": dict(
+        sweep=_obj(("epsilons",), epsilons=_array(_positive()),
+                   amplitudes=_array(_VEC2)),
+        criterion=_obj(default={}, delta=_unit(1.0), c_fit=_positive(1.0)),
+        mesh=_mesh(32, 64), directions=_integer(1, 128), tolerance=_positive(1e-6)),
+    "nonradiating-audit": dict(
+        family=_array(_SHAPE), criterion=_CRITERION, mesh=_mesh(40, 80),
+        directions=_integer(1, 128), tolerance=_positive(1e-8)),
+    # tau = ratio * kappa_s must exceed kappa_s; the residual stencil needs 3
+    # points a side and the Monte Carlo two samples in each of its 32 batches
+    "cgo-verify": dict(
+        probes=_obj(tau_ratios=_array(_number(exclusiveMinimum=1), [2.0, 10.0, 100.0]),
+                    angles=_array(_number(), [0.0, 0.9, 2.2]),
+                    residual_ppw=_positive(400.0), points_per_side=_integer(3, 8)),
+        paraboloid=_obj(default={}, K_values=_array(_positive(), [1.0, 5.0, 20.0]),
+                        tau_values=_array(_positive(), [4.0, 12.0, 40.0]),
+                        dims=_array({"enum": [2, 3]}, [2, 3]),
+                        samples=_integer(64, 200_000))),
+    "identity-check": dict(caps=_caps(zeta=_positive()), tolerance=_positive(1e-2)),
+    "kpoint-decay": dict(caps=_caps(zeta_values=_array(_positive(), [0.35, 0.5, 0.65]))),
+    "medium-demo": dict(
+        scatterer=_obj(("v0_values",), v0_values=_array(_number()),
+                       radius=_positive(0.45), h=_positive(0.05), s=_positive(1.0),
+                       incident=_INCIDENT),
+        criterion=_CRITERION, tolerance=_positive(1e-2)),
+    "distinguish": dict(
+        pair=_obj(default={}, radius_scale=_positive(0.05),
+                  separation_scale=_number(3.0, minimum=0),
+                  amplitude=dict(_VEC2, default=[1.0, 0.0])),
+        mesh=_mesh(32, 64), directions=_integer(1, 256)),
 }
+CONFIG_SCHEMAS = {name: _experiment(name, **blocks) for name, blocks in _BLOCKS.items()}
+EXPERIMENTS = tuple(CONFIG_SCHEMAS)
 
 
-def load_config(path: str) -> dict:
-    """Read and schema-validate a JSON config; ConfigInvalid on any defect."""
+def _fill_defaults(validator, properties, instance, schema):
+    """The ``properties`` keyword, after setting each absent key's default."""
+    if validator.is_type(instance, "object"):
+        for key, sub in properties.items():
+            if "default" in sub and key not in instance:
+                instance[key] = copy.deepcopy(sub["default"])
+    yield from Draft202012Validator.VALIDATORS["properties"](
+        validator, properties, instance, schema)
+
+
+# built directly: ``jsonschema.validate`` would re-check the metaschema on
+# every call (the schemas themselves are checked in the tests)
+_Validator = validators.extend(Draft202012Validator, {"properties": _fill_defaults})
+
+
+def load_config(path: str, experiment: str) -> tuple:
+    """Read a JSON config for ``experiment`` and validate it against
+    ``CONFIG_SCHEMAS[experiment]``.
+
+    Returns ``(as_read, effective)``: the parsed file, and a copy with every
+    default filled in.  Raises ConfigInvalid, naming the JSON path of the
+    offending value, on any defect.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        as_read = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from None
-    try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or UTF-8
         raise ConfigInvalid(f"config is not valid JSON: {exc}") from None
-    try:
-        validate(cfg, CONFIG_SCHEMA)
-    except ValidationError as exc:
-        raise ConfigInvalid(f"config rejected by schema: {exc.message}") from None
-    return cfg
+    found = as_read.get("experiment") if isinstance(as_read, dict) else None
+    if found not in (None, experiment):
+        raise ConfigInvalid(f"config is for {found!r}, not {experiment!r}")
+    effective = copy.deepcopy(as_read)
+    error = best_match(_Validator(CONFIG_SCHEMAS[experiment]).iter_errors(effective))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "top level"
+        raise ConfigInvalid(f"config rejected by schema at {where}: {error.message}")
+    return as_read, effective
 
 
 def _fmt(value) -> str:
@@ -162,20 +288,34 @@ def _parallel(fn, count: int, workers: int):
 
 def _medium_from(cfg: dict):
     m = cfg["medium"]
-    return make_medium(m["lam"], m["mu"], m["omega"], dim=int(m.get("dim", 2)))
+    try:
+        return make_medium(m["lam"], m["mu"], m["omega"], dim=2)
+    except ToolkitError as exc:
+        # 2 lam + 2 mu > 0 ties two keys together, beyond the schema
+        raise ConfigInvalid(f"medium: {exc}") from None
 
 
-def _block(cfg: dict, key: str) -> dict:
-    blk = cfg.get(key)
-    if not isinstance(blk, dict):
-        raise ConfigInvalid(f"config needs a {key!r} object for this experiment")
-    return blk
+def _gauss(dom, cfg: dict, refined: bool = False):
+    """The config's Gauss mesh on ``dom``, or the refined (n_radial + 16,
+    2 n_angular) mesh that the self-checks compare against."""
+    nr, na = int(cfg["mesh"]["n_radial"]), int(cfg["mesh"]["n_angular"])
+    if refined:
+        nr, na = nr + 16, 2 * na
+    return gauss_mesh(dom, n_radial=nr, n_angular=na)
 
 
-def _require(blk: dict, key: str, where: str):
-    if key not in blk:
-        raise ConfigInvalid(f"{where} block needs {key!r}")
-    return blk[key]
+def _disk_farfield(med, cfg: dict, radius: float, amplitude, center=(0.0, 0.0),
+                   refined: bool = False):
+    """Far field, in the config's directions, of a constant-amplitude disk
+    source on the Gauss mesh that :func:`_gauss` picks."""
+    dom = disk(radius, center)
+    vec = np.asarray(amplitude, dtype=complex)
+
+    def phi(pts):
+        return np.broadcast_to(vec, (pts.shape[0], 2)).copy()
+
+    return farfield_of_source(SourceProblem(dom, med, phi), _gauss(dom, cfg, refined),
+                              directions_circle(int(cfg["directions"])))
 
 
 # ---------------------------------------------------------------------------
@@ -186,28 +326,17 @@ def run_sweep_small(cfg: dict, seed: int, workers: int) -> dict:
     """Columns: index, epsilon, radius, amp_x, amp_y, farfield_norm,
     criterion_lhs, criterion_rhs, ratio, regime."""
     med = _medium_from(cfg)
-    sweep = _block(cfg, "sweep")
-    eps_list = [float(e) for e in _require(sweep, "epsilons", "sweep")]
+    sweep = cfg["sweep"]
+    eps_list = [float(e) for e in sweep["epsilons"]]
     amps = sweep.get("amplitudes", [[1.0, 0.0]] * len(eps_list))
     if len(amps) != len(eps_list):
-        raise ConfigInvalid("amplitudes must match epsilons in length")
-    crit = cfg.get("criterion", {})
-    delta = float(crit.get("delta", 1.0))
-    c_fit = float(crit.get("c_fit", 1.0))
-    n_radial = int(cfg.get("mesh", {}).get("n_radial", 32))
-    n_angular = int(cfg.get("mesh", {}).get("n_angular", 64))
-    dirs = directions_circle(int(cfg.get("directions", 128)))
+        raise ConfigInvalid("sweep/amplitudes must match sweep/epsilons in length")
+    delta = float(cfg["criterion"]["delta"])
+    c_fit = float(cfg["criterion"]["c_fit"])
 
-    def ff_norm_for(eps, amp, nr, na):
-        dom = disk(eps / (2.0 * med.omega))
-        mesh = gauss_mesh(dom, n_radial=nr, n_angular=na)
-        vec = np.asarray(amp, dtype=complex)
-
-        def phi(pts):
-            return np.broadcast_to(vec, (pts.shape[0], 2)).copy()
-
-        pattern = farfield_of_source(SourceProblem(dom, med, phi), mesh, dirs)
-        return farfield_norm(pattern)
+    def ff_norm_for(eps, amp, refined=False):
+        return farfield_norm(_disk_farfield(med, cfg, eps / (2.0 * med.omega), amp,
+                                            refined=refined))
 
     def point(i):
         eps, amp = eps_list[i], amps[i]
@@ -217,19 +346,18 @@ def run_sweep_small(cfg: dict, seed: int, workers: int) -> dict:
             rhs = bounds.small_support_rhs(eps, delta, 2)
             return [i, eps, radius, amp[0], amp[1], 0.0, 0.0, rhs, 0.0,
                     bounds.REGIME_NONRADIATING]
-        ffn = ff_norm_for(eps, amp, n_radial, n_angular)
+        ffn = ff_norm_for(eps, amp)
         rep = bounds.small_support_criterion(anorm, 0.0, anorm, delta, eps, 2,
                                              omega=med.omega, c_fit=c_fit)
         return [i, eps, radius, amp[0], amp[1], ffn, rep.lhs,
                 rep.rhs_structural, rep.ratio, rep.regime]
 
     # refinement self-check on the first radiating point
-    tol = float(cfg.get("tolerance", 1e-6))
     for eps, amp in zip(eps_list, amps):
         if np.hypot(amp[0], amp[1]) > 0.0:
-            coarse = ff_norm_for(eps, amp, n_radial, n_angular)
-            fine = ff_norm_for(eps, amp, n_radial + 16, 2 * n_angular)
-            if abs(coarse - fine) > tol * max(fine, 1e-300):
+            coarse = ff_norm_for(eps, amp)
+            fine = ff_norm_for(eps, amp, refined=True)
+            if abs(coarse - fine) > cfg["tolerance"] * max(fine, 1e-300):
                 raise NumericalValidationFailure(
                     f"far-field self-check: {coarse} vs refined {fine}")
             break
@@ -242,37 +370,29 @@ def run_sweep_small(cfg: dict, seed: int, workers: int) -> dict:
 
 
 def _domain_from_spec(spec: dict):
-    kind = spec.get("kind", "disk")
     center = tuple(spec.get("center", (0.0, 0.0)))
-    if kind == "disk":
-        return disk(float(_require(spec, "radius", "family entry")), center)
-    if kind == "ellipse":
-        return ellipse(float(_require(spec, "a", "family entry")),
-                       float(_require(spec, "b", "family entry")), center)
-    raise ConfigInvalid(f"unknown domain kind {kind!r}")
+    if spec["kind"] == "disk":
+        return disk(float(spec["radius"]), center)
+    return ellipse(float(spec["a"]), float(spec["b"]), center)
 
 
 def run_nonradiating_audit(cfg: dict, seed: int, workers: int) -> dict:
     """Columns: index, kind, diameter, epsilon, phi_l2, farfield_norm,
     nullity, criterion_lhs, criterion_rhs, ratio, diameter_bound."""
     med = _medium_from(cfg)
-    family = cfg.get("family")
-    if not isinstance(family, list) or not family:
-        raise ConfigInvalid("config needs a nonempty 'family' list")
-    delta = float(cfg.get("criterion", {}).get("delta", 1.0))
-    n_radial = int(cfg.get("mesh", {}).get("n_radial", 40))
-    n_angular = int(cfg.get("mesh", {}).get("n_angular", 80))
-    dirs = directions_circle(int(cfg.get("directions", 128)))
-    tol = float(cfg.get("tolerance", 1e-8))
+    family = cfg["family"]
+    delta = float(cfg["criterion"]["delta"])
+    dirs = directions_circle(int(cfg["directions"]))
+    tol = float(cfg["tolerance"])
 
-    def evaluate(i, nr, na):
+    def evaluate(i, refined=False):
         spec = family[i]
         dom = _domain_from_spec(spec)
-        amp = tuple(spec.get("amplitude", (1.0, 0.0)))
+        amp = tuple(spec["amplitude"])
         lin = spec.get("linear")
         bump = polynomial_bump(dom, amplitude=amp,
                                linear=None if lin is None else np.asarray(lin, float))
-        mesh = gauss_mesh(dom, n_radial=nr, n_angular=na)
+        mesh = _gauss(dom, cfg, refined)
         phi_field, _ = make_nonradiating(dom, bump, med, mesh)
         problem = SourceProblem(dom, med, phi_field)
         pattern = farfield_of_source(problem, mesh, dirs)
@@ -289,13 +409,13 @@ def run_nonradiating_audit(cfg: dict, seed: int, workers: int) -> dict:
         return dom, d, eps, phi_l2, ffn, rep
 
     def point(i):
-        _, d, eps, phi_l2, ffn, rep = evaluate(i, n_radial, n_angular)
-        return [i, family[i].get("kind", "disk"), d, eps, phi_l2, ffn,
+        _, d, eps, phi_l2, ffn, rep = evaluate(i)
+        return [i, family[i]["kind"], d, eps, phi_l2, ffn,
                 ffn / phi_l2, rep.lhs, rep.rhs_structural, rep.ratio]
 
     # nullity self-check: the first configuration must stay null when refined
-    _, _, _, phi_l2, ffn, _ = evaluate(0, n_radial, n_angular)
-    _, _, _, phi_l2_f, ffn_f, _ = evaluate(0, n_radial + 16, 2 * n_angular)
+    _, _, _, phi_l2, ffn, _ = evaluate(0)
+    _, _, _, phi_l2_f, ffn_f, _ = evaluate(0, refined=True)
     if ffn / phi_l2 > tol or ffn_f / phi_l2_f > tol:
         raise NumericalValidationFailure(
             f"nullity self-check: {ffn / phi_l2} vs refined {ffn_f / phi_l2_f} "
@@ -324,13 +444,12 @@ def run_cgo_verify(cfg: dict, seed: int, workers: int) -> dict:
     residual) and paraboloid (dim, K, tau, closed_re, closed_im, mc_re,
     mc_im, stderr, z)."""
     med = _medium_from(cfg)
-    probes = _block(cfg, "probes")
-    ratios = [float(r) for r in probes.get("tau_ratios", (2.0, 10.0, 100.0))]
-    angles = [float(a) for a in probes.get("angles", (0.0, 0.9, 2.2))]
-    ppw = float(probes.get("residual_ppw", 400.0))
-    pts_side = int(probes.get("points_per_side", 8))
+    probes = cfg["probes"]
+    ppw = float(probes["residual_ppw"])
+    pts_side = int(probes["points_per_side"])
 
-    combos = [(r, a) for r in ratios for a in angles]
+    combos = [(float(r), float(a)) for r in probes["tau_ratios"]
+              for a in probes["angles"]]
 
     def probe_point(i):
         ratio, ang = combos[i]
@@ -358,12 +477,9 @@ def run_cgo_verify(cfg: dict, seed: int, workers: int) -> dict:
 
     probe_rows = [probe_point(i)[0] for i in range(len(combos))]
 
-    para = cfg.get("paraboloid", {})
-    k_values = [float(k) for k in para.get("K_values", (1.0, 5.0, 20.0))]
-    taus = [float(t) for t in para.get("tau_values", (4.0, 12.0, 40.0))]
-    dims = [int(d) for d in para.get("dims", (2, 3))]
-    samples = int(para.get("samples", 200_000))
-    grid = [(dim, K, tau) for dim in dims for K in k_values for tau in taus]
+    para = cfg["paraboloid"]
+    grid = [(int(dim), float(K), float(tau)) for dim in para["dims"]
+            for K in para["K_values"] for tau in para["tau_values"]]
 
     def para_point(i):
         dim, K, tau = grid[i]
@@ -372,7 +488,7 @@ def run_cgo_verify(cfg: dict, seed: int, workers: int) -> dict:
         xi[0] = 1j * s
         xi[-1] = -tau
         closed = cgo.paraboloid_integral_closed(xi, K, dim)
-        est, se = cgo.paraboloid_integral_mc(xi, K, dim, samples=samples,
+        est, se = cgo.paraboloid_integral_mc(xi, K, dim, samples=int(para["samples"]),
                                              seed=_point_seed(seed, i))
         z = abs(est - closed) / se if se > 0 else 0.0
         return [dim, K, tau, closed.real, closed.imag, est.real, est.imag,
@@ -392,15 +508,13 @@ def run_cgo_verify(cfg: dict, seed: int, workers: int) -> dict:
 def _identity_point(med, caps: dict, K: float, zeta: float):
     tau = cgo.select_tau(K, zeta)
     pr = cgo.make_cgo(np.array([0.0, -1.0]), np.array([1.0, 0.0]), tau, med)
-    dom = make_cap_domain(K=K, L=float(caps.get("L", 3.0)),
-                          M=float(caps.get("M", 4.0)),
-                          varsigma=float(caps.get("varsigma", 0.9)),
-                          cubic=float(caps.get("cubic", 1.5)))
+    dom = make_cap_domain(K=K, L=float(caps["L"]), M=float(caps["M"]),
+                          varsigma=float(caps["varsigma"]), cubic=float(caps["cubic"]))
     lin = caps.get("linear")
-    bump = polynomial_bump(dom, amplitude=tuple(caps.get("amplitude", (1.0, 0.5))),
+    bump = polynomial_bump(dom, amplitude=tuple(caps["amplitude"]),
                            linear=None if lin is None else np.asarray(lin, float),
                            whole_boundary=False)
-    budget = int(caps.get("node_budget", 2_000_000))
+    budget = int(caps["node_budget"])
     bd = cgo.integral_identity_check(dom, bump, pr, med, node_budget=budget)
     return tau, dom, bd
 
@@ -409,13 +523,12 @@ def run_identity_check(cfg: dict, seed: int, workers: int) -> dict:
     """Columns: K, zeta, tau, lhs_abs, i1_abs, i2_abs, i3_abs, i4_abs,
     residual_abs, residual_rel, nodes_used."""
     med = _medium_from(cfg)
-    caps = _block(cfg, "caps")
-    k_values = [float(k) for k in _require(caps, "K_values", "caps")]
-    alpha = float(caps.get("alpha", 1.0))
-    varsigma = float(caps.get("varsigma", 0.9))
+    caps = cfg["caps"]
+    k_values = [float(k) for k in caps["K_values"]]
     zeta = caps.get("zeta")
-    zeta = cgo.zeta_default(alpha, varsigma, 2) if zeta is None else float(zeta)
-    tol = float(cfg.get("tolerance", 1e-2))
+    zeta = cgo.zeta_default(float(caps["alpha"]), float(caps["varsigma"]), 2) \
+        if zeta is None else float(zeta)
+    tol = float(cfg["tolerance"])
 
     def point(i):
         K = k_values[i]
@@ -428,7 +541,7 @@ def run_identity_check(cfg: dict, seed: int, workers: int) -> dict:
                 bd.nodes_used]
 
     # refinement self-check: quarter budget must not beat the full budget
-    caps_coarse = dict(caps, node_budget=int(caps.get("node_budget", 2_000_000)) // 4)
+    caps_coarse = dict(caps, node_budget=int(caps["node_budget"]) // 4)
     _, _, bd_coarse = _identity_point(med, caps_coarse, k_values[0], zeta)
     _, _, bd_fine = _identity_point(med, caps, k_values[0], zeta)
     if bd_fine.residual_rel > 1.5 * bd_coarse.residual_rel + 1e-15:
@@ -447,13 +560,10 @@ def run_kpoint_decay(cfg: dict, seed: int, workers: int) -> dict:
     """Columns: K, zeta, tau, i2_abs, i2_bound, i3_abs, i3_bound, i4_abs,
     i4_bound, lhs_abs."""
     med = _medium_from(cfg)
-    caps = _block(cfg, "caps")
-    k_values = [float(k) for k in _require(caps, "K_values", "caps")]
-    zetas = [float(z) for z in caps.get("zeta_values", (0.35, 0.5, 0.65))]
-    alpha = float(caps.get("alpha", 1.0))
-    beta = float(caps.get("beta", 1.0))
-    cubic = float(caps.get("cubic", 1.5))
-    grid = [(K, z) for K in k_values for z in zetas]
+    caps = cfg["caps"]
+    cubic = float(caps["cubic"])
+    grid = [(float(K), float(z)) for K in caps["K_values"]
+            for z in caps["zeta_values"]]
 
     def point(i):
         K, zeta = grid[i]
@@ -462,8 +572,8 @@ def run_kpoint_decay(cfg: dict, seed: int, workers: int) -> dict:
         rho = dom.chart.rho
         k_lo, k_hi = K - cubic * rho, K + cubic * rho
         i2_bound = cgo.shell_integral(max(k_lo, 0.5 * K), k_hi, tau, b, 2)
-        _, i3_bound = cgo.tail_and_holder_bounds(tau, b, K, alpha, 2)
-        i4_bound = cgo.boundary_term_bound(tau, b, K, beta, 1.0, 2)
+        _, i3_bound = cgo.tail_and_holder_bounds(tau, b, K, float(caps["alpha"]), 2)
+        i4_bound = cgo.boundary_term_bound(tau, b, K, float(caps["beta"]), 1.0, 2)
         return [K, zeta, tau, abs(bd.i2), i2_bound, abs(bd.i3), i3_bound,
                 abs(bd.i4), i4_bound, abs(bd.lhs)]
 
@@ -484,20 +594,13 @@ def run_medium_demo(cfg: dict, seed: int, workers: int) -> dict:
     ratio_total, farfield_norm, series_terms, contraction, mode_gap,
     out_of_regime."""
     med = _medium_from(cfg)
-    blk = _block(cfg, "scatterer")
-    radius = float(blk.get("radius", 0.45))
-    v0_values = [complex(v) for v in _require(blk, "v0_values", "scatterer")]
-    h = float(blk.get("h", 0.05))
-    s_scale = float(blk.get("s", 1.0))
-    inc_cfg = blk.get("incident", {"kind": "pressure-plane",
-                                   "direction": [1.0, 0.0]})
+    blk = cfg["scatterer"]
+    radius = float(blk["radius"])
+    v0_values = [complex(v) for v in blk["v0_values"]]
     dom = disk(radius)
-    mesh = volume_mesh(dom, h=h)
-    incident = make_incident(inc_cfg["kind"],
-                             {k: v for k, v in inc_cfg.items() if k != "kind"},
-                             med)
-    tol = float(cfg.get("tolerance", 1e-2))
-    delta = float(cfg.get("criterion", {}).get("delta", 1.0))
+    mesh = volume_mesh(dom, h=float(blk["h"]))
+    incident = make_incident(blk["incident"]["kind"], blk["incident"], med)
+    tol = float(cfg["tolerance"])
 
     def scatterer_for(v0):
         def contrast(pts):
@@ -515,7 +618,7 @@ def run_medium_demo(cfg: dict, seed: int, workers: int) -> dict:
         sup_i = float(np.max(np.linalg.norm(ui, axis=1)))
         sup_s = float(np.max(np.linalg.norm(sol.u_scattered.values, axis=1)))
         sup_t = float(np.max(np.linalg.norm(sol.u_total.values, axis=1)))
-        rep = contraction_report(sc, s=s_scale)
+        rep = contraction_report(sc, s=float(blk["s"]))
         mode_gap = float("nan")
         terms, contraction = sol.series_terms_used, sol.contraction_estimate
         if not rep.out_of_regime:
@@ -536,10 +639,11 @@ def run_medium_demo(cfg: dict, seed: int, workers: int) -> dict:
                                          results[0][1])
     if max_rel > tol:
         raise NumericalValidationFailure(
-            f"lattice residual {max_rel} exceeds {tol} at h={h}")
+            f"lattice residual {max_rel} exceeds {tol} at h={mesh.h}")
 
     entries = [(r[2], r[3], r[5], r[6]) for r in rows if not r[11]]
-    summary = {"lattice_residual_max": max_rel, "delta": delta}
+    summary = {"lattice_residual_max": max_rel,
+               "delta": float(cfg["criterion"]["delta"])}
     if entries:
         try:
             calib = bounds.calibrate_contraction_scale(entries)
@@ -555,26 +659,14 @@ def run_medium_demo(cfg: dict, seed: int, workers: int) -> dict:
 def run_distinguish(cfg: dict, seed: int, workers: int) -> dict:
     """Columns: separation, radius, diff_norm, noise, margin."""
     med = _medium_from(cfg)
-    blk = cfg.get("pair", {})
-    radius = float(blk.get("radius_scale", 0.05)) / med.omega
-    sep = float(blk.get("separation_scale", 3.0)) / med.omega
-    amp = np.asarray(blk.get("amplitude", (1.0, 0.0)), dtype=complex)
-    n_radial = int(cfg.get("mesh", {}).get("n_radial", 32))
-    n_angular = int(cfg.get("mesh", {}).get("n_angular", 64))
-    dirs = directions_circle(int(cfg.get("directions", 256)))
+    blk = cfg["pair"]
+    radius = float(blk["radius_scale"]) / med.omega
+    sep = float(blk["separation_scale"]) / med.omega
 
-    def pattern_for(center, nr, na):
-        dom = disk(radius, center)
-        mesh = gauss_mesh(dom, n_radial=nr, n_angular=na)
-
-        def phi(pts):
-            return np.broadcast_to(amp, (pts.shape[0], 2)).copy()
-
-        return farfield_of_source(SourceProblem(dom, med, phi), mesh, dirs)
-
-    p1 = pattern_for((-sep / 2.0, 0.0), n_radial, n_angular)
-    p2 = pattern_for((sep / 2.0, 0.0), n_radial, n_angular)
-    p1f = pattern_for((-sep / 2.0, 0.0), n_radial + 16, 2 * n_angular)
+    amp = blk["amplitude"]
+    p1 = _disk_farfield(med, cfg, radius, amp, (-sep / 2.0, 0.0))
+    p2 = _disk_farfield(med, cfg, radius, amp, (sep / 2.0, 0.0))
+    p1f = _disk_farfield(med, cfg, radius, amp, (-sep / 2.0, 0.0), refined=True)
 
     def diff_norm(a, b):
         dup = a.up_inf - b.up_inf
@@ -603,8 +695,8 @@ RUNNERS = {
 }
 
 
-def _execute(experiment: str, cfg: dict, out_prefix: Path, seed: int,
-             workers: int) -> Path:
+def _execute(experiment: str, as_read: dict, cfg: dict, out_prefix: Path,
+             seed: int, workers: int) -> Path:
     started = time.monotonic()
     result = RUNNERS[experiment](cfg, seed, workers)
     written = []
@@ -621,7 +713,8 @@ def _execute(experiment: str, cfg: dict, out_prefix: Path, seed: int,
             "version": __version__,
             "experiment": experiment,
             "seed": seed,
-            "config_echo": cfg,
+            "config_echo": as_read,
+            "config_effective": cfg,
             "tables": tables,
             "summary": result["summary"],
             "wall_clock_sec": time.monotonic() - started,
@@ -657,14 +750,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
-        if cfg["experiment"] != args.experiment:
-            raise ConfigInvalid(
-                f"config is for {cfg['experiment']!r}, not {args.experiment!r}")
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-        prefix = Path(args.out or cfg.get("output", f"out/{args.experiment}"))
-        report = _execute(args.experiment, cfg, prefix, seed,
-                          max(1, args.workers))
+        as_read, cfg = load_config(args.config, args.experiment)
+        seed = args.seed if args.seed is not None else int(cfg["seed"])
+        report = _execute(args.experiment, as_read, cfg, Path(args.out or cfg["output"]),
+                          seed, max(1, args.workers))
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,6 @@ from typing import Optional, Protocol
 import warnings
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ellipe
 
 from .elastic import content_id
@@ -681,6 +680,10 @@ def make_cap_domain(K: float, L: float, M: float, varsigma: float,
 
 def _cap_halfwidth(chart: KCurvatureChart) -> float:
     """Radial extent of the cap: smallest t > 0 with gamma(t) = b."""
+    # imported here, its only use: scipy.optimize (and the scipy.linalg it
+    # pulls in) would otherwise load with every import of the package
+    from scipy.optimize import brentq
+
     f = lambda t: chart.gamma(t) - chart.b
     ts = np.linspace(0.0, chart.rho, 4096)
     vals = f(ts)

@@ -5,16 +5,24 @@ temporary directory, so the suite exercises the same argument parsing,
 schema validation, exit codes, and CSV/JSON writers as the installed
 ``elastoscat`` entry point.
 """
+import copy
 import csv
+import importlib.util
 import json
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from jsonschema import Draft202012Validator
 
 from elastoscat import cli
 from elastoscat.bounds import REGIME_NONRADIATING
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MEDIUM = {"lam": 2.0, "mu": 1.0, "omega": 2.0}
 
@@ -74,6 +82,19 @@ def dist_cfg():
     }
 
 
+def _medium_cfg(**over):
+    cfg = {
+        "schema_version": 1,
+        "experiment": "medium-demo",
+        "medium": dict(MEDIUM),
+        "seed": 1,
+        "scatterer": {"radius": 0.45, "v0_values": [0.2], "h": 0.05, "s": 1.0},
+        "tolerance": 0.01,
+    }
+    cfg.update(over)
+    return cfg
+
+
 @pytest.fixture(scope="module")
 def sweep_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli-sweep")
@@ -127,6 +148,14 @@ def test_sweep_small_writes_table_and_report(sweep_run):
     for row in rows[:3]:
         assert row["regime"] == "radiating-asserted"
         assert float(row["farfield_norm"]) > 0.0
+
+
+def test_report_records_the_config_with_defaults(sweep_run):
+    report = json.loads(Path(f"{sweep_run}_report.json").read_text())
+    effective = report["config_effective"]
+    assert {k: effective[k] for k in sweep_cfg()} == sweep_cfg()
+    assert effective["tolerance"] == 1e-6
+    assert effective["output"] == "out/sweep-small"
 
 
 def test_csv_uses_crlf_and_17_digit_floats(sweep_run):
@@ -214,6 +243,178 @@ def test_rejects_missing_experiment_block(tmp_path, capsys):
                    "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "'sweep'" in capsys.readouterr().err
+
+
+def tiny_sweep_cfg():
+    """A sweep-small config that runs in a few milliseconds."""
+    return sweep_cfg(sweep={"epsilons": [0.1, 0.2], "amplitudes": [[1, 0], [0, 1]]},
+                     mesh={"n_radial": 8, "n_angular": 16}, directions=16)
+
+
+def nonradiating_cfg():
+    return {"schema_version": 1, "experiment": "nonradiating-audit",
+            "medium": dict(MEDIUM), "seed": 3,
+            "family": [{"kind": "disk", "radius": 0.3},
+                       {"kind": "ellipse", "a": 0.4, "b": 0.25}]}
+
+
+def edit(cfg, path, value):
+    """``cfg`` with the value at ``path`` (a list of keys) replaced."""
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+# (config, path to the bad value, the JSON path the message must name)
+EXIT_2_CASES = {
+    "epsilon-not-a-number": (sweep_cfg, ["sweep", "epsilons"],
+                             ["abc", 0.1, 0.2, 0.1], "sweep/epsilons/0"),
+    "one-element-amplitude": (sweep_cfg, ["sweep", "amplitudes"],
+                              [[1], [1, 0], [1, 0], [0, 0]], "sweep/amplitudes/0"),
+    "zero-n_radial": (sweep_cfg, ["mesh", "n_radial"], 0, "mesh/n_radial"),
+    "directions-not-a-count": (sweep_cfg, ["directions"], "many", "directions"),
+    "cgo-angles-a-string": (cgo_cfg, ["probes", "angles"], "ab", "probes/angles"),
+    "contrast-not-a-number": (_medium_cfg, ["scatterer", "v0_values"], ["x"],
+                              "scatterer/v0_values/0"),
+    "three-component-amplitude": (dist_cfg, ["pair", "amplitude"], [1, 0, 0],
+                                  "pair/amplitude"),
+    "non-convex-medium": (sweep_cfg, ["medium", "lam"], -5, "medium"),
+    "three-dimensional-medium": (sweep_cfg, ["medium", "dim"], 3, "medium/dim"),
+    "negative-epsilon": (sweep_cfg, ["sweep", "epsilons"], [-0.05, 0.1, 0.2, 0.1],
+                         "sweep/epsilons/0"),
+    "holder-exponent-above-one": (sweep_cfg, ["criterion", "delta"], 2,
+                                  "criterion/delta"),
+    "paraboloid-dimension-4": (cgo_cfg, ["paraboloid", "dims"], [4],
+                               "paraboloid/dims/0"),
+    "zero-lattice-spacing": (_medium_cfg, ["scatterer", "h"], 0, "scatterer/h"),
+    "misspelt-key": (sweep_cfg, ["mesh"], {"n_radail": 24, "n_angular": 48},
+                     "'n_radail' was unexpected"),
+    "K_values-a-string": (cgo_cfg, ["paraboloid", "K_values"], "10",
+                          "paraboloid/K_values"),
+    "unknown-incident-kind": (_medium_cfg, ["scatterer", "incident"],
+                              {"kind": "spherical", "direction": [1, 0]},
+                              "scatterer/incident/kind"),
+    "ellipse-without-b": (nonradiating_cfg, ["family", 1],
+                          {"kind": "ellipse", "a": 0.4}, "family/1"),
+}
+
+
+@pytest.mark.parametrize("case", list(EXIT_2_CASES))
+def test_config_defects_exit_2(tmp_path, capsys, case):
+    make, path, value, where = EXIT_2_CASES[case]
+    cfg = edit(make(), path, value)
+    cfg_path = write_cfg(tmp_path, "bad.json", cfg)
+    rc = cli.main([cfg["experiment"], "--config", cfg_path,
+                   "--out", str(tmp_path / "out" / "x")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and where in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_float_counts_are_accepted(tmp_path):
+    # JSON Schema's "integer" admits 8.0; the runners cast before numpy
+    csvs = []
+    for tag, n_radial in (("int", 8), ("float", 8.0)):
+        cfg_path = write_cfg(tmp_path, f"{tag}.json",
+                             edit(tiny_sweep_cfg(), ["mesh", "n_radial"], n_radial))
+        prefix = tmp_path / tag / "sw"
+        assert cli.main(["sweep-small", "--config", cfg_path,
+                         "--out", str(prefix)]) == 0
+        csvs.append(Path(f"{prefix}_sweep.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+def _value_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _value_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _value_paths(value, path + (i,))
+    if path:
+        yield path
+
+
+_WRONG_VALUES = st.one_of(
+    st.text(max_size=4), st.none(), st.booleans(), st.just({}), st.just([]),
+    st.integers(-3, 3), st.floats(-10.0, 10.0),
+    st.lists(st.integers(-2, 2), max_size=3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_one_bad_value_never_escapes_as_a_crash(data):
+    cfg = tiny_sweep_cfg()
+    path = data.draw(st.sampled_from(list(_value_paths(cfg))))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        # misspell the key instead of changing its value
+        parent[path[-1] + data.draw(st.sampled_from(["s", "_", "x"]))] = \
+            parent.pop(path[-1])
+    else:
+        parent[path[-1]] = data.draw(_WRONG_VALUES)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = write_cfg(tmp, "cfg.json", cfg)
+        rc = cli.main(["sweep-small", "--config", cfg_path,
+                       "--out", str(Path(tmp) / "out" / "x")])
+    assert rc in (0, 2, 3)
+
+
+def test_config_schemas_are_valid_and_cover_every_experiment():
+    assert set(cli.CONFIG_SCHEMAS) == set(cli.EXPERIMENTS) == set(cli.RUNNERS)
+    for schema in cli.CONFIG_SCHEMAS.values():
+        # the CLI never checks its schemas against the metaschema itself
+        Draft202012Validator.check_schema(schema)
+
+
+def test_readme_sweep_example_is_a_valid_config(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"\(`sweep\.json`\):\s*```json\n(.*?)```", readme, re.S)
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(example.group(1), encoding="utf-8")
+    as_read, _ = cli.load_config(str(cfg_path), "sweep-small")
+    assert as_read["experiment"] == "sweep-small"
+
+
+def test_load_config_fills_defaults_in_a_copy(tmp_path):
+    minimal = {"schema_version": 1, "experiment": "distinguish",
+               "medium": dict(MEDIUM)}
+    cfg_path = write_cfg(tmp_path, "min.json", minimal)
+    as_read, effective = cli.load_config(cfg_path, "distinguish")
+    assert as_read == minimal
+    assert effective == {**minimal, "seed": 0, "output": "out/distinguish",
+                         "pair": {"radius_scale": 0.05, "separation_scale": 3.0,
+                                  "amplitude": [1.0, 0.0]},
+                         "mesh": {"n_radial": 32, "n_angular": 64},
+                         "directions": 256}
+    # the defaults handed out are copies, never the schema's own values
+    effective["pair"]["amplitude"].append(5.0)
+    assert cli.load_config(cfg_path, "distinguish")[1]["pair"]["amplitude"] == [1.0, 0.0]
+
+
+def _benchmark_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_configs_load(tmp_path):
+    workloads = _benchmark_workloads()
+    configs = [cfg for name in workloads.WORKLOADS
+               for cfg in workloads.covering_configs(name)]
+    configs += [cfg for name in workloads.WORKLOADS for seed in range(501, 511)
+                for cfg in workloads.generate(name, seed)]
+    for i, cfg in enumerate(configs):
+        cli.load_config(write_cfg(tmp_path, f"{i}.json", cfg), cfg["experiment"])
 
 
 def test_unknown_subcommand_is_usage_error(tmp_path):
@@ -401,19 +602,6 @@ def test_medium_demo_table(tmp_path):
     assert report["summary"]["lattice_residual_max"] < 0.01
 
 
-def _medium_cfg(**over):
-    cfg = {
-        "schema_version": 1,
-        "experiment": "medium-demo",
-        "medium": dict(MEDIUM),
-        "seed": 1,
-        "scatterer": {"radius": 0.45, "v0_values": [0.2], "h": 0.05, "s": 1.0},
-        "tolerance": 0.01,
-    }
-    cfg.update(over)
-    return cfg
-
-
 def test_medium_demo_solves_each_contrast_once_per_mode(tmp_path, monkeypatch):
     modes = []
     solve_medium = cli.solve_medium
@@ -479,3 +667,11 @@ def test_module_entry_point_help(tmp_path):
     assert proc.returncode == 0
     for name in cli.EXPERIMENTS:
         assert name in proc.stdout
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    code = "import sys, elastoscat.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
