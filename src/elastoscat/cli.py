@@ -231,6 +231,11 @@ def _fill_defaults(validator, properties, instance, schema):
 _Validator = validators.extend(Draft202012Validator, {"properties": _fill_defaults})
 
 
+def _reject_constant(name: str):
+    # Python's json reads NaN and Infinity, which no schema range rejects
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
 def load_config(path: str, experiment: str) -> tuple:
     """Read a JSON config for ``experiment`` and validate it against
     ``CONFIG_SCHEMAS[experiment]``.
@@ -240,7 +245,8 @@ def load_config(path: str, experiment: str) -> tuple:
     offending value, on any defect.
     """
     try:
-        as_read = json.loads(Path(path).read_text(encoding="utf-8"))
+        as_read = json.loads(Path(path).read_text(encoding="utf-8"),
+                             parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from None
     except ValueError as exc:  # malformed JSON or UTF-8
@@ -599,7 +605,11 @@ def run_medium_demo(cfg: dict, seed: int, workers: int) -> dict:
     v0_values = [complex(v) for v in blk["v0_values"]]
     dom = disk(radius)
     mesh = volume_mesh(dom, h=float(blk["h"]))
-    incident = make_incident(blk["incident"]["kind"], blk["incident"], med)
+    try:
+        incident = make_incident(blk["incident"]["kind"], blk["incident"], med)
+    except ToolkitError as exc:
+        # a unit direction ties the vector's entries together, beyond the schema
+        raise ConfigInvalid(f"scatterer/incident: {exc}") from None
     tol = float(cfg["tolerance"])
 
     def scatterer_for(v0):

@@ -112,6 +112,27 @@ def _check_mesh_resolution(mesh: QuadratureMesh, medium: LameMedium) -> None:
             f"{ppw:.2f} points per shear wavelength, need >= {SOURCE_MIN_PPW}")
 
 
+def coincident_nodes(r: np.ndarray, mesh: QuadratureMesh) -> np.ndarray:
+    """Mask of the distances ``r`` (last axis: the mesh nodes) at which an
+    evaluation point sits on a node.
+
+    Raises ``CoincidentPoints`` for a point on more than one node, naming the
+    first such point's count, and for a point on a node of a smooth-style
+    mesh, which has no singular-cell correction.
+    """
+    hit = r < 1e-9 * mesh.h
+    counts = np.atleast_1d(np.count_nonzero(hit, axis=-1))
+    crowded = np.flatnonzero(counts > 1)
+    if crowded.size:
+        raise CoincidentPoints(
+            f"evaluation point coincides with {counts[crowded[0]]} mesh nodes")
+    if mesh.style != "cell" and np.any(hit):
+        raise CoincidentPoints(
+            "evaluation point coincides with a smooth-mesh node; "
+            "use a cell-style mesh for on-node evaluation")
+    return hit
+
+
 def potential_row(mesh: QuadratureMesh, medium: LameMedium,
                   x: np.ndarray) -> np.ndarray:
     """Quadrature of the volume potential at one point, as a (2, 2N) block.
@@ -127,15 +148,7 @@ def potential_row(mesh: QuadratureMesh, medium: LameMedium,
     """
     n = mesh.nodes.shape[0]
     diffs = x[None, :] - mesh.nodes
-    r = np.hypot(diffs[:, 0], diffs[:, 1])
-    hit = np.flatnonzero(r < 1e-9 * mesh.h)
-    if hit.size > 1:
-        raise CoincidentPoints(
-            f"evaluation point coincides with {hit.size} mesh nodes")
-    if hit.size and mesh.style != "cell":
-        raise CoincidentPoints(
-            "evaluation point coincides with a smooth-mesh node; "
-            "use a cell-style mesh for on-node evaluation")
+    hit = np.flatnonzero(coincident_nodes(np.hypot(diffs[:, 0], diffs[:, 1]), mesh))
     live = np.ones(n, dtype=bool)
     live[hit] = False
     g = np.empty((n, 2, 2), dtype=complex)

@@ -299,6 +299,13 @@ EXIT_2_CASES = {
                               "scatterer/incident/kind"),
     "ellipse-without-b": (nonradiating_cfg, ["family", 1],
                           {"kind": "ellipse", "a": 0.4}, "family/1"),
+    # json.dumps writes NaN and Infinity, which Python's json reads back
+    "tolerance-NaN": (_medium_cfg, ["tolerance"], float("nan"), "NaN"),
+    "lattice-spacing-Infinity": (_medium_cfg, ["scatterer", "h"], float("inf"),
+                                 "Infinity"),
+    "non-unit-incident-direction": (_medium_cfg, ["scatterer", "incident"],
+                                    {"kind": "pressure-plane", "direction": [2, 0]},
+                                    "scatterer/incident"),
 }
 
 
@@ -670,8 +677,10 @@ def test_module_entry_point_help(tmp_path):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    code = "import sys, elastoscat.cli; print('scipy.optimize' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    # scipy.linalg would add to the start-up cost of every experiment too
+    for module in ("scipy.optimize", "scipy.linalg"):
+        code = f"import sys, elastoscat.cli; print({module!r} in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False", module

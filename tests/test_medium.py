@@ -12,20 +12,26 @@ from elastoscat import (
     MediumScatterer,
     contraction_report,
     disk,
+    ellipse,
     farfield_norm,
     field_norms,
     gauss_mesh,
     kupradze_tensor,
     lattice_pde_residual,
+    make_cap_domain,
     make_incident,
     make_medium,
     pde_residual_check,
     solve_medium,
+    union,
     upsilon,
     volume_mesh,
 )
+from elastoscat import scattering
+from elastoscat.greens import kupradze_batch
 from elastoscat.elastic import content_id
 from elastoscat.geometry import QuadratureMesh
+from elastoscat.source import potential_row
 from elastoscat.errors import (
     CoincidentPoints,
     InvalidDirection,
@@ -254,6 +260,51 @@ def test_dense_matrix_budget_guard():
     inc = make_incident("pressure-plane", {"direction": (1.0, 0.0)}, MED)
     with pytest.raises(QuadratureBudgetExceeded):
         solve_medium(sc, inc, fake)
+
+
+def _potential_matrix_by_rows(mesh, medium):
+    """Reference assembly: one potential_row per node, as the solver once did."""
+    n = mesh.nodes.shape[0]
+    mat = np.empty((2 * n, 2 * n), dtype=complex)
+    for i in range(n):
+        mat[2 * i:2 * i + 2] = potential_row(mesh, medium, mesh.nodes[i])
+    return mat
+
+
+POTENTIAL_MESHES = {
+    "disk-h0.03": (lambda: disk(0.45), 0.03),
+    "disk-h0.05": (lambda: disk(0.45), 0.05),
+    "offset-disk": (lambda: disk(0.4, center=(0.15, -0.1)), 0.04),
+    "ellipse": (lambda: ellipse(0.4, 0.25), 0.03),
+    "cap": (lambda: make_cap_domain(10.0, 3.0, 4.0, 0.9), 0.01),
+    "two-disks": (lambda: union(disk(0.2, center=(-0.3, 0.0)),
+                                disk(0.15, center=(0.3, 0.1))), 0.02),
+}
+
+
+@pytest.mark.parametrize("name", list(POTENTIAL_MESHES))
+def test_potential_matrix_matches_row_loop(name):
+    # array_equal, not a tolerance: the table gather repeats the row loop's
+    # arithmetic exactly (it counts -0.0 and 0.0 as equal)
+    make, h = POTENTIAL_MESHES[name]
+    mesh = volume_mesh(make(), h=h)
+    assert mesh.nodes.shape[0] <= 710
+    assert np.array_equal(scattering._potential_matrix(mesh, MED),
+                          _potential_matrix_by_rows(mesh, MED))
+
+
+def test_potential_matrix_evaluates_each_distinct_difference_once(monkeypatch):
+    rows = []
+
+    def counting(diffs, medium):
+        rows.append(diffs.shape[0])
+        return kupradze_batch(diffs, medium)
+
+    monkeypatch.setattr(scattering, "kupradze_batch", counting)
+    mesh = volume_mesh(disk(0.45), h=0.03)
+    n = mesh.nodes.shape[0]
+    scattering._potential_matrix(mesh, MED)
+    assert 0 < sum(rows) < n * n / 20
 
 
 def test_farfield_reciprocity_pressure_channel():
