@@ -74,6 +74,7 @@ from .geometry import (
     disk,
     ellipse,
     gauss_mesh,
+    inside,
     make_cap_domain,
     volume_mesh,
 )
@@ -358,17 +359,15 @@ def run_sweep_small(cfg: dict, seed: int, workers: int) -> dict:
         return [i, eps, radius, amp[0], amp[1], ffn, rep.lhs,
                 rep.rhs_structural, rep.ratio, rep.regime]
 
+    rows = _parallel(point, len(eps_list), workers)
     # refinement self-check on the first radiating point
-    for eps, amp in zip(eps_list, amps):
+    for row, eps, amp in zip(rows, eps_list, amps):
         if np.hypot(amp[0], amp[1]) > 0.0:
-            coarse = ff_norm_for(eps, amp)
-            fine = ff_norm_for(eps, amp, refined=True)
+            coarse, fine = row[5], ff_norm_for(eps, amp, refined=True)
             if abs(coarse - fine) > cfg["tolerance"] * max(fine, 1e-300):
                 raise NumericalValidationFailure(
                     f"far-field self-check: {coarse} vs refined {fine}")
             break
-
-    rows = _parallel(point, len(eps_list), workers)
     header = ["index", "epsilon", "radius", "amp_x", "amp_y", "farfield_norm",
               "criterion_lhs", "criterion_rhs", "ratio", "regime"]
     return {"tables": {"sweep": (header, rows)},
@@ -391,43 +390,40 @@ def run_nonradiating_audit(cfg: dict, seed: int, workers: int) -> dict:
     dirs = directions_circle(int(cfg["directions"]))
     tol = float(cfg["tolerance"])
 
-    def evaluate(i, refined=False):
+    def null_source(i, refined=False):
+        """Member i's non-radiating source, its mesh and its far-field norm."""
         spec = family[i]
         dom = _domain_from_spec(spec)
-        amp = tuple(spec["amplitude"])
         lin = spec.get("linear")
-        bump = polynomial_bump(dom, amplitude=amp,
+        bump = polynomial_bump(dom, amplitude=tuple(spec["amplitude"]),
                                linear=None if lin is None else np.asarray(lin, float))
         mesh = _gauss(dom, cfg, refined)
         phi_field, _ = make_nonradiating(dom, bump, med, mesh)
-        problem = SourceProblem(dom, med, phi_field)
-        pattern = farfield_of_source(problem, mesh, dirs)
-        ffn = farfield_norm(pattern)
+        ffn = farfield_norm(farfield_of_source(SourceProblem(dom, med, phi_field),
+                                               mesh, dirs))
+        return dom, bump, mesh, phi_field, ffn
+
+    def point(i):
+        dom, bump, mesh, phi_field, ffn = null_source(i)
         phi_l2, phi_linf = field_norms(phi_field, mesh)
         d = diameter(dom)
         eps = d * med.omega
         bnodes = boundary_mesh(dom, h=0.02 * d).nodes
         sup_b = float(np.max(np.linalg.norm(
             bump.source_density(bnodes, med), axis=-1)))
-        sem = holder_seminorm(phi_field, delta, seed=_point_seed(seed, i))
+        sem = holder_seminorm(phi_field, delta)
         rep = bounds.small_support_criterion(sup_b, sem, phi_linf, delta, eps,
                                              2, omega=med.omega)
-        return dom, d, eps, phi_l2, ffn, rep
-
-    def point(i):
-        _, d, eps, phi_l2, ffn, rep = evaluate(i)
         return [i, family[i]["kind"], d, eps, phi_l2, ffn,
                 ffn / phi_l2, rep.lhs, rep.rhs_structural, rep.ratio]
 
-    # nullity self-check: the first configuration must stay null when refined
-    _, _, _, phi_l2, ffn, _ = evaluate(0)
-    _, _, _, phi_l2_f, ffn_f, _ = evaluate(0, refined=True)
-    if ffn / phi_l2 > tol or ffn_f / phi_l2_f > tol:
-        raise NumericalValidationFailure(
-            f"nullity self-check: {ffn / phi_l2} vs refined {ffn_f / phi_l2_f} "
-            f"exceeds {tol}")
-
     rows = _parallel(point, len(family), workers)
+    # nullity self-check: the first configuration must stay null when refined
+    _, _, mesh_f, phi_f, ffn_f = null_source(0, refined=True)
+    nullity, nullity_f = rows[0][6], ffn_f / field_norms(phi_f, mesh_f)[0]
+    if nullity > tol or nullity_f > tol:
+        raise NumericalValidationFailure(
+            f"nullity self-check: {nullity} vs refined {nullity_f} exceeds {tol}")
     calib = bounds.calibrate_constant([(r[7], r[8]) for r in rows])
     c_diam = 1.0 / (3.0 * calib.constant_fit)
     diam_violations = 0
@@ -471,8 +467,10 @@ def run_cgo_verify(cfg: dict, seed: int, workers: int) -> dict:
         res = cgo.cgo_residual(pr, med, grid)
         return [ratio, ang, tau, err1, err2, res], pr, s
 
+    built = [probe_point(i) for i in range(len(combos))]
+    probe_rows = [row for row, _, _ in built]
     # residual refinement self-check on the first probe
-    row0, pr0, s0 = probe_point(0)
+    row0, pr0, s0 = built[0]
     grid_fine = cgo.probe_grid(pr0, spacing=2.0 * math.pi / (s0 * 2 * ppw),
                                points_per_side=pts_side)
     res_fine = cgo.cgo_residual(pr0, med, grid_fine)
@@ -480,8 +478,6 @@ def run_cgo_verify(cfg: dict, seed: int, workers: int) -> dict:
         raise NumericalValidationFailure(
             f"probe residual did not improve under refinement: "
             f"{row0[5]} -> {res_fine}")
-
-    probe_rows = [probe_point(i)[0] for i in range(len(combos))]
 
     para = cfg["paraboloid"]
     grid = [(int(dim), float(K), float(tau)) for dim in para["dims"]
@@ -546,16 +542,15 @@ def run_identity_check(cfg: dict, seed: int, workers: int) -> dict:
                 abs(bd.i3), abs(bd.i4), bd.residual_abs, bd.residual_rel,
                 bd.nodes_used]
 
+    rows = _parallel(point, len(k_values), workers)
     # refinement self-check: quarter budget must not beat the full budget
     caps_coarse = dict(caps, node_budget=int(caps["node_budget"]) // 4)
     _, _, bd_coarse = _identity_point(med, caps_coarse, k_values[0], zeta)
-    _, _, bd_fine = _identity_point(med, caps, k_values[0], zeta)
-    if bd_fine.residual_rel > 1.5 * bd_coarse.residual_rel + 1e-15:
+    fine = rows[0][9]
+    if fine > 1.5 * bd_coarse.residual_rel + 1e-15:
         raise NumericalValidationFailure(
             f"identity residual grew under refinement: "
-            f"{bd_coarse.residual_rel} -> {bd_fine.residual_rel}")
-
-    rows = _parallel(point, len(k_values), workers)
+            f"{bd_coarse.residual_rel} -> {fine}")
     header = ["K", "zeta", "tau", "lhs_abs", "i1_abs", "i2_abs", "i3_abs",
               "i4_abs", "residual_abs", "residual_rel", "nodes_used"]
     return {"tables": {"identity": (header, rows)},
@@ -610,6 +605,10 @@ def run_medium_demo(cfg: dict, seed: int, workers: int) -> dict:
     except ToolkitError as exc:
         # a unit direction ties the vector's entries together, beyond the schema
         raise ConfigInvalid(f"scatterer/incident: {exc}") from None
+    if incident.origin is not None and bool(inside(dom, incident.origin[None, :])[0]):
+        # the origin and the radius are two keys, beyond the schema
+        raise ConfigInvalid("scatterer/incident/origin: point-source origin must "
+                            "lie outside the scatterer")
     tol = float(cfg["tolerance"])
 
     def scatterer_for(v0):

@@ -39,6 +39,9 @@ from .errors import (
 # Minimum points per shear wavelength for difference-based mode splitting.
 SPLIT_MIN_PPW = 10.0
 _UNIT_NORMAL_TOL = 1.0e-12
+# Candidate pairs per block of holder_seminorm; bounds its index and
+# difference arrays whatever the number of nodes.
+_PAIR_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -230,41 +233,29 @@ def helmholtz_split(fld: SampledVectorField, medium: LameMedium):
     return u_p, u_s
 
 
-def holder_seminorm(fld: SampledVectorField, delta: float,
-                    pair_budget: int = 2_000_000, seed: int = 0) -> float:
-    """Sampled Holder seminorm ``max |phi(x)-phi(y)| / |x-y|^delta``.
-
-    Exhaustive over all pairs when the budget allows, otherwise a seeded
-    random subset.  Always a lower bound for the true seminorm; adding pairs
-    never decreases the value.
-    """
-    n_amb = fld.nodes.shape[1]
-    _check_holder_exponent(delta, n_amb)
+def holder_seminorm(fld: SampledVectorField, delta: float) -> float:
+    """Holder seminorm ``max |phi(x)-phi(y)| / |x-y|^delta``, exact over all
+    pairs of distinct sample points, taken one block of rows at a time."""
+    _check_holder_exponent(delta, fld.nodes.shape[1])
     n = fld.nodes.shape[0]
     if n < 2:
         raise InsufficientSamples("need at least two sample points")
-    if pair_budget < 1:
-        raise InsufficientSamples("pair budget must be positive")
-
-    total_pairs = n * (n - 1) // 2
-    if total_pairs <= pair_budget:
-        ii, jj = np.triu_indices(n, k=1)
-    else:
-        rng = np.random.default_rng(seed)
-        ii = rng.integers(0, n, size=pair_budget)
-        jj = rng.integers(0, n, size=pair_budget)
-        keep = ii != jj
-        ii, jj = ii[keep], jj[keep]
-        if ii.size == 0:
-            raise InsufficientSamples("no distinct pairs drawn")
-    dist = np.linalg.norm(fld.nodes[ii] - fld.nodes[jj], axis=1)
-    keep = dist > 0.0
-    ii, jj, dist = ii[keep], jj[keep], dist[keep]
-    if dist.size == 0:
-        raise InsufficientSamples("all drawn pairs coincide")
-    diff = np.linalg.norm(fld.values[ii] - fld.values[jj], axis=1)
-    quot = diff / dist ** delta
-    return float(np.max(quot))
+    step = max(1, _PAIR_BLOCK // n)
+    tops = []
+    for start in range(0, n - 1, step):
+        rows = np.arange(start, min(start + step, n))
+        ii, jj = np.nonzero(rows[:, None] < np.arange(n))   # j > i
+        ii += start
+        dist = np.linalg.norm(fld.nodes[ii] - fld.nodes[jj], axis=1)
+        keep = dist > 0.0
+        if not np.any(keep):
+            continue
+        ii, jj, dist = ii[keep], jj[keep], dist[keep]
+        diff = np.linalg.norm(fld.values[ii] - fld.values[jj], axis=1)
+        tops.append(float(np.max(diff / dist ** delta)))
+    if not tops:
+        raise InsufficientSamples("all pairs coincide")
+    return max(tops)
 
 
 def field_norms(fld: SampledVectorField, mesh) -> tuple:

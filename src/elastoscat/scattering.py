@@ -44,6 +44,9 @@ from .source import (
 )
 
 _SERIES_MAX_TERMS = 200
+# uniform points in the domain's bounding box that MediumScatterer.v_sup draws
+_V_SUP_SAMPLES = 4096
+_V_SUP_SEED = 7
 
 
 @dataclass
@@ -67,12 +70,12 @@ class MediumScatterer:
                 f"contrast returned shape {vals.shape}, expected {pts.shape[:-1]}")
         return vals
 
-    def v_sup(self, samples: int = 4096, seed: int = 7) -> float:
+    def v_sup(self) -> float:
         """Sampled sup of |V| over the domain (dense random + mesh-free)."""
         if self._v_sup_cache is None:
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(_V_SUP_SEED)
             lo, hi = _bounding_box(self.domain)
-            pts = rng.uniform(lo, hi, size=(samples, self.domain.dim))
+            pts = rng.uniform(lo, hi, size=(_V_SUP_SAMPLES, self.domain.dim))
             mask = inside(self.domain, pts)
             if not np.any(mask):
                 self._v_sup_cache = 0.0

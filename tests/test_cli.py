@@ -306,6 +306,9 @@ EXIT_2_CASES = {
     "non-unit-incident-direction": (_medium_cfg, ["scatterer", "incident"],
                                     {"kind": "pressure-plane", "direction": [2, 0]},
                                     "scatterer/incident"),
+    "point-source-inside-scatterer": (_medium_cfg, ["scatterer", "incident"],
+                                      {"kind": "point-source", "origin": [0.1, 0.0]},
+                                      "scatterer/incident/origin"),
 }
 
 
@@ -637,7 +640,10 @@ def test_medium_demo_failed_self_check_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "fail").exists()
 
 
-def test_nonradiating_audit_nullity(tmp_path):
+@pytest.fixture(scope="module")
+def audit_runs(tmp_path_factory):
+    """One nonradiating-audit config on a 32x64 mesh run with two seeds."""
+    root = tmp_path_factory.mktemp("cli-audit")
     cfg = {
         "schema_version": 1,
         "experiment": "nonradiating-audit",
@@ -654,10 +660,18 @@ def test_nonradiating_audit_nullity(tmp_path):
         "directions": 96,
         "tolerance": 1e-8,
     }
-    cfg_path = write_cfg(tmp_path, "audit.json", cfg)
-    prefix = tmp_path / "out" / "au"
-    assert cli.main(["nonradiating-audit", "--config", cfg_path,
-                     "--out", str(prefix)]) == 0
+    cfg_path = write_cfg(root, "audit.json", cfg)
+    prefixes = []
+    for seed in ("1", "2"):
+        prefix = root / f"seed{seed}" / "au"
+        assert cli.main(["nonradiating-audit", "--config", cfg_path,
+                         "--out", str(prefix), "--seed", seed]) == 0
+        prefixes.append(prefix)
+    return prefixes
+
+
+def test_nonradiating_audit_nullity(audit_runs):
+    prefix = audit_runs[0]
     _, rows = read_table(Path(f"{prefix}_audit.csv"))
     assert [row["kind"] for row in rows] == ["disk", "disk", "ellipse"]
     for row in rows:
@@ -665,6 +679,59 @@ def test_nonradiating_audit_nullity(tmp_path):
         assert float(row["diameter"]) >= float(row["diameter_bound"])
     report = json.loads(Path(f"{prefix}_report.json").read_text())
     assert report["summary"]["diameter_violations"] == 0
+
+
+def test_nonradiating_audit_does_not_depend_on_the_seed(audit_runs):
+    # the Holder seminorm is exact over all 2,096,128 node pairs
+    one, two = (Path(f"{prefix}_audit.csv").read_bytes() for prefix in audit_runs)
+    assert one == two
+
+
+def _identity_cfg():
+    return {"schema_version": 1, "experiment": "identity-check",
+            "medium": dict(MEDIUM), "seed": 1,
+            "caps": {"K_values": [10, 30], "node_budget": 100000}}
+
+
+# (config, and the calls each counted function must see for it): every
+# self-check reads the first row instead of computing it again
+CALL_COUNTS = {
+    "nonradiating-audit": (
+        lambda: dict(nonradiating_cfg(), mesh={"n_radial": 16, "n_angular": 32}),
+        lambda cfg: {"make_nonradiating": len(cfg["family"]) + 1,
+                     "holder_seminorm": len(cfg["family"])}),
+    "sweep-small": (
+        tiny_sweep_cfg,
+        lambda cfg: {"farfield_of_source": 1 + sum(
+            1 for amp in cfg["sweep"]["amplitudes"] if any(amp))}),
+    "identity-check": (
+        _identity_cfg,
+        lambda cfg: {"integral_identity_check": len(cfg["caps"]["K_values"]) + 1}),
+    "cgo-verify": (
+        cgo_cfg,
+        lambda cfg: {"make_cgo": len(cfg["probes"]["tau_ratios"])
+                     * len(cfg["probes"]["angles"])}),
+}
+
+
+@pytest.mark.parametrize("case", list(CALL_COUNTS))
+def test_self_checks_reuse_the_first_row(tmp_path, monkeypatch, case):
+    make, expect = CALL_COUNTS[case]
+    cfg = make()
+    expected = expect(cfg)
+    calls = dict.fromkeys(expected, 0)
+    for name in expected:
+        owner = cli if hasattr(cli, name) else cli.cgo
+
+        def counted(*args, _name=name, _fn=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    cfg_path = write_cfg(tmp_path, "cfg.json", cfg)
+    assert cli.main([case, "--config", cfg_path,
+                     "--out", str(tmp_path / "out" / "x")]) == 0
+    assert calls == expected
 
 
 def test_module_entry_point_help(tmp_path):

@@ -15,7 +15,11 @@ from elastoscat import (
     traction,
     volume_mesh,
     disk,
+    gauss_mesh,
+    make_nonradiating,
+    polynomial_bump,
 )
+from elastoscat import elastic
 from elastoscat.errors import (
     GridTooCoarse,
     InsufficientSamples,
@@ -275,17 +279,58 @@ def test_seminorm_square_approaches_two():
     assert 1.99 < s <= 2.0
 
 
-def test_seminorm_grows_with_budget():
-    # random subsets only ever add candidate pairs: value is non-decreasing
+def _holder_by_all_pairs(fld, delta):
+    """Reference: the seminorm over one triu_indices array of every pair."""
+    n = fld.nodes.shape[0]
+    ii, jj = np.triu_indices(n, k=1)
+    dist = np.linalg.norm(fld.nodes[ii] - fld.nodes[jj], axis=1)
+    keep = dist > 0.0
+    ii, jj, dist = ii[keep], jj[keep], dist[keep]
+    diff = np.linalg.norm(fld.values[ii] - fld.values[jj], axis=1)
+    return float(np.max(diff / dist ** delta))
+
+
+def _random_field():
     rng = np.random.default_rng(3)
     nodes = rng.uniform(0, 1, size=(400, 2))
     vals = np.sin(3.0 * nodes[:, :1]) * np.cos(2.0 * nodes[:, 1:])
-    fld = SampledVectorField(nodes, np.hstack([vals, vals]))
-    lo = holder_seminorm(fld, 0.7, pair_budget=500, seed=5)
-    hi = holder_seminorm(fld, 0.7, pair_budget=50_000, seed=5)
-    full = holder_seminorm(fld, 0.7)
-    assert lo <= hi * (1 + 1e-12)
-    assert hi <= full * (1 + 1e-12)
+    return SampledVectorField(nodes, np.hstack([vals, vals]))
+
+
+def _nonradiating_field():
+    med = make_medium(2.0, 1.0, 2.0, 2)
+    dom = disk(0.5)
+    mesh = gauss_mesh(dom, n_radial=32, n_angular=64)
+    bump = polynomial_bump(dom, amplitude=(0.5, 1.0),
+                           linear=np.array([[0.3, -0.2], [0.1, 0.4]]))
+    return make_nonradiating(dom, bump, med, mesh)[0]
+
+
+@pytest.mark.parametrize("make, delta", [(_random_field, 0.7),
+                                         (_nonradiating_field, 1.0)])
+def test_seminorm_equals_all_pairs_reference(make, delta):
+    fld = make()
+    assert holder_seminorm(fld, delta) == _holder_by_all_pairs(fld, delta)
+
+
+def test_seminorm_blocks_cover_every_pair(monkeypatch):
+    fld = _random_field()
+    # 6 rows a block: 67 blocks, the last one holding rows 396-399 only
+    monkeypatch.setattr(elastic, "_PAIR_BLOCK", 6 * 400)
+    assert holder_seminorm(fld, 0.7) == _holder_by_all_pairs(fld, 0.7)
+
+
+def test_seminorm_skips_coincident_pairs():
+    # a duplicated node is a pair at distance 0; it must not divide by zero
+    nodes = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+    vals = np.array([[0.0, 0.0], [5.0, 0.0], [1.0, 0.0]])
+    assert holder_seminorm(SampledVectorField(nodes, vals), 1.0) == 4.0
+
+
+def test_seminorm_all_nodes_coincide():
+    fld = SampledVectorField(np.ones((5, 2)), np.arange(10.0).reshape(5, 2))
+    with pytest.raises(InsufficientSamples):
+        holder_seminorm(fld, 0.5)
 
 
 def test_seminorm_exponent_range_depends_on_dimension():
