@@ -20,15 +20,17 @@ from .errors import (
     CoincidentPoints,
     DimensionMismatch,
     BumpNotVanishing,
+    InvalidDirection,
     MeshMismatch,
     MeshTooCoarse,
     UnsupportedDimension,
 )
 from .geometry import BoundaryMesh, DomainGeometry, QuadratureMesh, boundary_mesh, inside
-from .greens import farfield_kernels_batch, kupradze_batch, singular_cell_integral
+from .greens import farfield_constants, kupradze_batch, singular_cell_integral
 
 SOURCE_MIN_PPW = 4.0
 _TANGENT_TOL = 1.0e-12
+_PHASE_BLOCK = 1 << 18   # phase-matrix entries per block of far-field directions
 
 
 @dataclass
@@ -182,6 +184,17 @@ def solve_source(problem: SourceProblem, mesh: QuadratureMesh,
     return SampledVectorField(nodes=pts, values=out, mesh_ref=None)
 
 
+def _phase_product(kappa: float, dots: np.ndarray, phase: np.ndarray,
+                   wphi: np.ndarray) -> np.ndarray:
+    """``e^{-i kappa dots} @ wphi``, with the phase matrix written into
+    ``phase``: cos and sin in place take half the time of ``np.exp`` on a
+    (256, 2048) block and give the same bits."""
+    arg = -kappa * dots
+    np.cos(arg, out=phase.real)
+    np.sin(arg, out=phase.imag)
+    return phase @ wphi
+
+
 def farfield_of_source(problem: SourceProblem, mesh: QuadratureMesh,
                        directions) -> FarFieldPattern:
     """Far-field pattern of the outgoing solution, by direct quadrature.
@@ -189,20 +202,51 @@ def farfield_of_source(problem: SourceProblem, mesh: QuadratureMesh,
     The sign matches :func:`solve_source`: this is the pattern of the field
     that routine produces, so a manufactured non-radiating pair yields both a
     vanishing exterior field and a vanishing pattern.
+
+    ``directions`` is an (M, 2) array of unit vectors, M >= 1 (a single
+    direction may be given as a length-2 vector): a wrong shape raises
+    ``DimensionMismatch``, a non-finite row or one whose length is off 1 by
+    more than 1e-12 raises ``InvalidDirection``.
+
+    The pattern is a non-uniform discrete Fourier transform of ``w phi``:
+    ``up = -c_p xhat . sum_k e^{-i kp xhat.y_k} w_k phi_k`` and
+    ``us = -c_s (I - xhat xhat^T) sum_k e^{-i ks xhat.y_k} w_k phi_k``.  Each
+    block of directions forms the two (block, N) phase matrices and applies
+    them to ``w phi`` as matrix products; a block holds about
+    ``_PHASE_BLOCK`` phase entries, which bounds memory for any M and N.
     """
     if problem.medium.dim != 2 or problem.domain.dim != 2:
         raise UnsupportedDimension("far-field quadrature is 2-D only")
-    _check_mesh_resolution(mesh, problem.medium)
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    phi = problem.intensity_on(mesh)
-    m = dirs.shape[0]
+    if dirs.ndim != 2 or dirs.shape[1] != 2 or dirs.shape[0] < 1:
+        raise DimensionMismatch(
+            f"directions have shape {dirs.shape}, expected (M, 2) with M >= 1")
+    unit = np.abs(np.hypot(dirs[:, 0], dirs[:, 1]) - 1.0) <= 1e-12   # False for NaN
+    if not np.all(unit):
+        k = int(np.flatnonzero(~unit)[0])
+        raise InvalidDirection(f"direction {k} = {dirs[k].tolist()} is not a unit vector")
+    med = problem.medium
+    _check_mesh_resolution(mesh, med)
+    wphi = mesh.weights[:, None] * problem.intensity_on(mesh)
+    cp, cs = farfield_constants(med)
+    m, n = dirs.shape[0], mesh.nodes.shape[0]
+    step = min(m, max(1, _PHASE_BLOCK // max(n, 1)))
+    phase = np.empty((step, n), dtype=complex)
     up = np.empty(m, dtype=complex)
     us = np.empty((m, 2), dtype=complex)
-    for i, xhat in enumerate(dirs):
-        p_scal, s_mat = farfield_kernels_batch(xhat, mesh.nodes, problem.medium)
-        up[i] = -np.sum(mesh.weights * p_scal * (phi @ xhat))
-        us[i] = -np.einsum("k,kij,kj->i", mesh.weights, s_mat, phi)
-        us[i] -= (us[i] @ xhat) * xhat   # scrub quadrature round-off radially
+    for lo in range(0, m, step):
+        xhat = dirs[lo:lo + step]
+        dots = xhat @ mesh.nodes.T
+        z = phase[:xhat.shape[0]]
+        p_amp = _phase_product(med.kappa_p, dots, z, wphi)
+        s_amp = _phase_product(med.kappa_s, dots, z, wphi)
+        up[lo:lo + step] = -cp * np.sum(p_amp * xhat, axis=1)
+        us_blk = -cs * s_amp
+        # project out the radial part, then scrub the round-off of that
+        # projection (xhat is a unit vector only to 1e-12) radially once more
+        for _ in range(2):
+            us_blk -= np.sum(us_blk * xhat, axis=1)[:, None] * xhat
+        us[lo:lo + step] = us_blk
     return FarFieldPattern(directions=dirs, up_inf=up, us_inf=us)
 
 

@@ -10,6 +10,8 @@ import pytest
 
 from elastoscat import (
     MediumScatterer,
+    SampledVectorField,
+    SourceProblem,
     contraction_report,
     disk,
     ellipse,
@@ -41,6 +43,7 @@ from elastoscat.errors import (
     QuadratureBudgetExceeded,
     SeriesDiverges,
 )
+from test_source import assert_matches_direction_loop
 
 MED = make_medium(2.0, 1.0, 2.0, 2)
 
@@ -201,36 +204,53 @@ def test_point_source_must_sit_outside():
 # the medium-sweep benchmark at v0 = 0.2 (256 nodes).  The LU solve's last
 # bits depend on the BLAS thread count, so the values are computed in a child
 # process with one BLAS thread (run this file as a script to print them).
+# The far-field hashes are those of the blocked phase-matrix products, whose
+# agreement with the per-direction reference loop is checked below.
 GOLDEN_INCIDENTS = {
     "pressure": ("pressure-plane", {"direction": (1.0, 0.0)}),
     "point": ("point-source", {"origin": (1.0, 0.0)}),
 }
 GOLDEN_MEDIUM = {
-    "pressure/direct-dense": ["fbc01aa54bf30ce6", "35d10a7bdd827419", 1,
+    "pressure/direct-dense": ["fbc01aa54bf30ce6", "5f6a62766639ff36", 1,
                               "0.03634893637737824"],
-    "pressure/neumann-series": ["f6752fd3f57cfe9e", "5ff65ee3a61a75a0", 8,
+    "pressure/neumann-series": ["f6752fd3f57cfe9e", "77a2baec6b4ff5a6", 8,
                                 "0.028306675632410492"],
-    "point/direct-dense": ["ed0f94ab5a71e7db", "6713e6f267897f99", 1,
+    "point/direct-dense": ["ed0f94ab5a71e7db", "751185d04dc4fe0b", 1,
                            "0.03634893637737824"],
-    "point/neumann-series": ["90a8b16d67a4ee0c", "ecfa756d9bad0d2f", 8,
+    "point/neumann-series": ["90a8b16d67a4ee0c", "7db22fe5b9bd1e8b", 8,
                              "0.028244625596182425"],
 }
 
 
-def _golden_medium_values():
+def _golden_medium_solves():
     sc = scatterer(v0=0.2, radius=0.45)
     mesh = volume_mesh(sc.domain, h=0.05)
     assert mesh.nodes.shape[0] == 256
-    out = {}
     for name, (kind, params) in GOLDEN_INCIDENTS.items():
         inc = make_incident(kind, params, MED)
         for mode in ("direct-dense", "neumann-series"):
-            sol = solve_medium(sc, inc, mesh, mode=mode)
-            out[f"{name}/{mode}"] = [
-                content_id(sol.u_total.values),
-                content_id(sol.farfield.up_inf, sol.farfield.us_inf),
-                sol.series_terms_used, repr(sol.contraction_estimate)]
-    return out
+            yield f"{name}/{mode}", sc, mesh, solve_medium(sc, inc, mesh, mode=mode)
+
+
+def _golden_medium_values():
+    return {key: [content_id(sol.u_total.values),
+                  content_id(sol.farfield.up_inf, sol.farfield.us_inf),
+                  sol.series_terms_used, repr(sol.contraction_estimate)]
+            for key, _, _, sol in _golden_medium_solves()}
+
+
+def test_golden_medium_farfields_match_direction_loop():
+    # the pinned far-field hashes are those of the blocked phase-matrix
+    # products; on the same four solves they agree with the per-direction
+    # reference loop to round-off
+    for _, sc, mesh, sol in _golden_medium_solves():
+        n = mesh.nodes.shape[0]
+        vdiag = np.repeat(sc.contrast_on(mesh.nodes), 2)
+        equivalent = -MED.omega ** 2 * vdiag.reshape(n, 2) * sol.u_total.values
+        problem = SourceProblem(domain=sc.domain, medium=MED,
+                                phi=SampledVectorField(nodes=mesh.nodes, values=equivalent,
+                                                       mesh_ref=mesh.mesh_id))
+        assert_matches_direction_loop(sol.farfield, problem, mesh)
 
 
 def test_golden_medium_solves():

@@ -5,9 +5,11 @@ import pytest
 
 from elastoscat import (
     FarFieldPattern,
+    SampledVectorField,
     SourceProblem,
     directions_circle,
     disk,
+    ellipse,
     farfield_norm,
     farfield_of_source,
     field_norms,
@@ -21,12 +23,14 @@ from elastoscat import (
     volume_mesh,
 )
 from elastoscat.geometry import QuadratureMesh
-from elastoscat.greens import kupradze_batch
+from elastoscat import source
+from elastoscat.greens import farfield_kernels_batch, kupradze_batch
 from elastoscat.source import potential_row
 from elastoscat.errors import (
     BumpNotVanishing,
     CoincidentPoints,
     DimensionMismatch,
+    InvalidDirection,
     MeshTooCoarse,
     UnsupportedDimension,
 )
@@ -243,6 +247,85 @@ def test_pattern_constructor_rejects_radial_shear():
     us = dirs.astype(complex)            # purely radial: invalid
     with pytest.raises(DimensionMismatch):
         FarFieldPattern(directions=dirs, up_inf=np.zeros(4, complex), us_inf=us)
+
+
+def _farfield_by_directions(problem, mesh, directions):
+    """Reference far field: one kernel batch per direction, as the toolkit
+    once computed it; returns ``(up_inf, us_inf)``."""
+    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+    phi = problem.intensity_on(mesh)
+    m = dirs.shape[0]
+    up = np.empty(m, dtype=complex)
+    us = np.empty((m, 2), dtype=complex)
+    for i, xhat in enumerate(dirs):
+        p_scal, s_mat = farfield_kernels_batch(xhat, mesh.nodes, problem.medium)
+        up[i] = -np.sum(mesh.weights * p_scal * (phi @ xhat))
+        us[i] = -np.einsum("k,kij,kj->i", mesh.weights, s_mat, phi)
+        us[i] -= (us[i] @ xhat) * xhat   # scrub quadrature round-off radially
+    return up, us
+
+
+def assert_matches_direction_loop(ff, problem, mesh):
+    """``ff`` agrees with the reference loop to 1e-13 of its largest amplitude."""
+    up, us = _farfield_by_directions(problem, mesh, ff.directions)
+    scale = max(np.max(np.abs(up)), np.max(np.abs(us)))
+    assert scale > 0.0
+    assert np.max(np.abs(ff.up_inf - up)) <= 1e-13 * scale
+    assert np.max(np.abs(ff.us_inf - us)) <= 1e-13 * scale
+
+
+def _wavy_phi(p):
+    return np.stack([np.cos(3.0 * p[:, 0]) + 0.5j * p[:, 1],
+                     p[:, 0] * p[:, 1] - 0.2j], axis=1).astype(complex)
+
+
+def _sampled_cell_case():
+    dom = disk(0.4, center=(-0.1, 0.05))
+    mesh = volume_mesh(dom, h=0.04)
+    vals = np.random.default_rng(7).standard_normal((mesh.nodes.shape[0], 4))
+    field = SampledVectorField(nodes=mesh.nodes, values=vals[:, :2] + 1j * vals[:, 2:],
+                               mesh_ref=mesh.mesh_id)
+    return SourceProblem(dom, MED, field), mesh, directions_circle(64)
+
+
+_OFF_ELLIPSE = ellipse(0.4, 0.25, center=(0.3, -0.2))
+FARFIELD_CASES = {
+    "disk-gauss": lambda: (SourceProblem(disk(0.5), MED, _wavy_phi),
+                           gauss_mesh(disk(0.5), 32, 64), directions_circle(256)),
+    "off-centre-ellipse": lambda: (SourceProblem(_OFF_ELLIPSE, MED, _wavy_phi),
+                                   volume_mesh(_OFF_ELLIPSE, h=0.03), directions_circle(97)),
+    "sampled-cell-field": _sampled_cell_case,
+    "single-direction": lambda: (SourceProblem(disk(0.5), MED, _wavy_phi),
+                                 gauss_mesh(disk(0.5), 24, 48), np.array([[0.6, -0.8]])),
+}
+
+
+@pytest.mark.parametrize("name", list(FARFIELD_CASES))
+def test_farfield_matches_direction_loop(name):
+    problem, mesh, dirs = FARFIELD_CASES[name]()
+    assert_matches_direction_loop(farfield_of_source(problem, mesh, dirs), problem, mesh)
+
+
+def test_farfield_matches_direction_loop_over_ragged_blocks(monkeypatch):
+    problem, mesh, _ = FARFIELD_CASES["disk-gauss"]()
+    # 7 directions per block: 53 directions make 7 full blocks and one of 4
+    monkeypatch.setattr(source, "_PHASE_BLOCK", 7 * mesh.nodes.shape[0] + 3)
+    ff = farfield_of_source(problem, mesh, directions_circle(53))
+    assert_matches_direction_loop(ff, problem, mesh)
+
+
+@pytest.mark.parametrize("directions, error", [
+    ([[2.0, 0.0]], InvalidDirection),
+    ([[0.0, 0.0]], InvalidDirection),
+    ([[np.nan, 0.0]], InvalidDirection),
+    (np.zeros((1, 3)), DimensionMismatch),
+    (np.zeros((0, 2)), DimensionMismatch),
+])
+def test_farfield_rejects_bad_directions(directions, error):
+    mesh = gauss_mesh(disk(0.5), n_radial=8, n_angular=16)
+    prob = SourceProblem(disk(0.5), MED, const_phi([1.0, 0.0]))
+    with pytest.raises(error):
+        farfield_of_source(prob, mesh, directions)
 
 
 # ---------------------------------------------------------------------------
