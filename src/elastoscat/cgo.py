@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bumps import Bump
-from .elastic import FieldJet, GridSpec, LameMedium, traction
+from .elastic import FieldJet, GridSpec, LameMedium, _lame_stencil, traction
 from .errors import (
     BoundaryConditionViolated,
     DegenerateModuli,
@@ -162,31 +162,11 @@ def cgo_residual(probe: CgoProbe, medium: LameMedium, grid: GridSpec) -> float:
             f"dynamic range exp({span:.0f}) across grid; shrink the grid")
     U = probe.field(nodes, center=center).reshape(grid.shape + (n,))
 
-    def dkk(a, k):
-        sl = [slice(1, -1)] * n
-        lo, hi = sl.copy(), sl.copy()
-        lo[k], hi[k] = slice(0, -2), slice(2, None)
-        return (a[tuple(hi)] - 2.0 * a[tuple(sl)] + a[tuple(lo)]) / h ** 2
+    def shifted(o):
+        return U[tuple(slice(1 + k, m - 1 + k) for k, m in zip(o, grid.shape))]
 
-    def dkj(a, k, j):
-        sl = [slice(1, -1)] * n
-        pp, pm, mp, mm = sl.copy(), sl.copy(), sl.copy(), sl.copy()
-        pp[k], pp[j] = slice(2, None), slice(2, None)
-        pm[k], pm[j] = slice(2, None), slice(0, -2)
-        mp[k], mp[j] = slice(0, -2), slice(2, None)
-        mm[k], mm[j] = slice(0, -2), slice(0, -2)
-        return (a[tuple(pp)] - a[tuple(pm)] - a[tuple(mp)] + a[tuple(mm)]) / (4.0 * h ** 2)
-
-    def second(a, k, j):
-        return dkk(a, k) if k == j else dkj(a, k, j)
-
-    lap = sum(dkk(U, k) for k in range(n))
-    grad_div = np.stack(
-        [sum(second(U[..., j], k, j) for j in range(n)) for k in range(n)],
-        axis=-1)
+    res = _lame_stencil(shifted, medium, h, order=2)
     inner = tuple([slice(1, -1)] * n)
-    res = medium.mu * lap + (medium.lam + medium.mu) * grad_div \
-        + medium.omega ** 2 * U[inner]
     denom = probe.tau ** 2 * np.linalg.norm(U[inner], axis=-1)
     return float(np.max(np.linalg.norm(res, axis=-1) / denom))
 
@@ -449,12 +429,13 @@ def integral_identity_check(domain: DomainGeometry, bump: Bump, probe: CgoProbe,
     col_cap = _column_integral(xi2, np.minimum(gamma(xs2), b), b)
     i2 = front * np.sum(ws2 * np.exp(xi1 * xs2) * (col_parab - col_cap))
 
-    # I3: -int_cap u0 . (phi(x) - phi(0))
+    # I3: -int_cap u0 . (phi(x) - phi(0)); its x1 rule over the lid width,
+    # split at 0, is also the rule of I4
+    x_half, w_half = zip(_gl_panels(-w_cap, 0.0, osc, factor=refine),
+                         _gl_panels(0.0, w_cap, osc, factor=refine))
+    xs3 = np.concatenate(x_half)
+    ws3 = np.concatenate(w_half)
     xg, wg = np.polynomial.legendre.leggauss(int(math.ceil(32 * refine)))
-    xs3a, ws3a = _gl_panels(-w_cap, 0.0, osc, factor=refine)
-    xs3b, ws3b = _gl_panels(0.0, w_cap, osc, factor=refine)
-    xs3 = np.concatenate([xs3a, xs3b])
-    ws3 = np.concatenate([ws3a, ws3b])
     glo = gamma(xs3)
     depth = np.maximum(b - glo, 0.0)
     ys = glo[:, None] + 0.5 * depth[:, None] * (xg[None, :] + 1.0)
@@ -471,19 +452,15 @@ def integral_identity_check(domain: DomainGeometry, bump: Bump, probe: CgoProbe,
 
     # I4: lid boundary term with outward normal (0, 1)
     nu = np.array([0.0, 1.0])
-    xs4a, ws4a = _gl_panels(-w_cap, 0.0, osc, factor=refine)
-    xs4b, ws4b = _gl_panels(0.0, w_cap, osc, factor=refine)
-    xs4 = np.concatenate([xs4a, xs4b])
-    ws4 = np.concatenate([ws4a, ws4b])
-    lid_pts = np.stack([xs4, np.full_like(xs4, b)], axis=1)
-    vals = np.zeros(xs4.size, dtype=complex)
+    lid_pts = np.stack([xs3, np.full_like(xs3, b)], axis=1)
+    vals = np.zeros(xs3.size, dtype=complex)
     for k, p in enumerate(lid_pts):
         jet_u = bump.jet(p)
         t_u = traction(jet_u, nu, medium)
         jet_0 = probe.jet(p)
         t_0 = traction(jet_0, nu, medium)
         vals[k] = jet_0.value @ t_u - jet_u.value @ t_0
-    i4 = complex(np.sum(ws4 * vals))
+    i4 = complex(np.sum(ws3 * vals))
 
     total = i1 + i2 + i3 + i4
     res = abs(lhs - total)

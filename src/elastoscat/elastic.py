@@ -42,6 +42,9 @@ _UNIT_NORMAL_TOL = 1.0e-12
 # Candidate pairs per block of holder_seminorm; bounds its index and
 # difference arrays whatever the number of nodes.
 _PAIR_BLOCK = 1 << 20
+# Fourth-order first-difference weights, times -12 h: the mixed second
+# derivative of order 4 is their tensor product over 144 h^2.
+_FD4_FIRST = ((2, 1.0), (1, -8.0), (-1, 8.0), (-2, -1.0))
 
 
 @dataclass(frozen=True)
@@ -278,40 +281,58 @@ def _check_holder_exponent(delta: float, dim: int) -> None:
             f"Holder exponent must lie in (0, {hi}] for dim={dim}, got {delta}")
 
 
-def lame_operator_fd(u_callable, x: np.ndarray, medium: LameMedium,
-                     step: float, order: int = 4) -> np.ndarray:
-    """Finite-difference ``L u + omega^2 u`` at one point.
+def _lame_stencil(shifted, medium: LameMedium, step: float, order: int):
+    """Centered differences of ``mu Lap u + (lam + mu) grad div u + omega^2 u``.
 
-    ``u_callable`` maps a point to a length-n complex vector; stencils are
-    centered of the requested order (2 or 4).  Used by residual self-checks
-    and by source generators that lack analytic derivatives.
+    ``shifted(o)`` returns the field, shape ``(..., n)``, at the integer
+    offset ``o`` (in units of ``step``) from every evaluation point.  Order 2
+    reaches one step along and across the axes, order 4 two steps; a NaN
+    neighbour makes that point's result NaN.
     """
     n = medium.dim
-    x = np.asarray(x, dtype=float)
+
+    def at(*moves):
+        o = [0] * n
+        for axis, count in moves:
+            o[axis] += count
+        return shifted(tuple(o))
 
     def second(i, j):
-        ei = np.zeros(n); ei[i] = step
-        ej = np.zeros(n); ej[j] = step
         if i == j:
             if order == 2:
-                return (u_callable(x + ei) - 2.0 * u_callable(x) + u_callable(x - ei)) / step ** 2
-            return (-u_callable(x + 2 * ei) + 16.0 * u_callable(x + ei)
-                    - 30.0 * u_callable(x) + 16.0 * u_callable(x - ei)
-                    - u_callable(x - 2 * ei)) / (12.0 * step ** 2)
+                return (at((i, 1)) - 2.0 * at() + at((i, -1))) / step ** 2
+            return (-at((i, 2)) + 16.0 * at((i, 1)) - 30.0 * at()
+                    + 16.0 * at((i, -1)) - at((i, -2))) / (12.0 * step ** 2)
         if order == 2:
-            return (u_callable(x + ei + ej) - u_callable(x + ei - ej)
-                    - u_callable(x - ei + ej) + u_callable(x - ei - ej)) / (4.0 * step ** 2)
-        val = np.zeros_like(np.asarray(u_callable(x), dtype=complex))
-        for a, ca in ((2, 1.0), (1, -8.0), (-1, 8.0), (-2, -1.0)):
-            for b, cb in ((2, 1.0), (1, -8.0), (-1, 8.0), (-2, -1.0)):
-                val = val + ca * cb * np.asarray(u_callable(x + a * ei + b * ej), dtype=complex)
+            return (at((i, 1), (j, 1)) - at((i, 1), (j, -1))
+                    - at((i, -1), (j, 1)) + at((i, -1), (j, -1))) / (4.0 * step ** 2)
+        val = 0j
+        for a, ca in _FD4_FIRST:
+            for b, cb in _FD4_FIRST:
+                val = val + ca * cb * np.asarray(at((i, a), (j, b)), dtype=complex)
         return val / (144.0 * step ** 2)
 
     lap = sum(second(i, i) for i in range(n))
     # grad(div u)_k = sum_j d_k d_j u_j
-    grad_div = np.array([sum(second(k, j)[j] for j in range(n)) for k in range(n)])
-    u0 = np.asarray(u_callable(x), dtype=complex)
+    grad_div = np.stack([sum(second(k, j)[..., j] for j in range(n))
+                         for k in range(n)], axis=-1)
+    u0 = np.asarray(at(), dtype=complex)
     return medium.mu * lap + (medium.lam + medium.mu) * grad_div + medium.omega ** 2 * u0
+
+
+def lame_operator_fd(u_callable, x: np.ndarray, medium: LameMedium,
+                     step: float, order: int = 4) -> np.ndarray:
+    """Finite-difference ``L u + omega^2 u`` at the points ``x``, shape ``(..., n)``.
+
+    ``u_callable`` maps points of shape ``(..., n)`` to complex vectors of
+    the same shape; stencils are centered of the requested order (2 or 4).
+    Used by residual self-checks and by source generators that lack
+    analytic derivatives.
+    """
+    x = np.asarray(x, dtype=float)
+
+    return _lame_stencil(lambda o: u_callable(x + step * np.asarray(o)),
+                         medium, step, order)
 
 
 def content_id(*arrays: np.ndarray) -> str:

@@ -62,23 +62,15 @@ def hankel0_first_kind(z):
     return h0, -h1
 
 
-def lower_incomplete_gamma(t: float, c) -> complex:
-    """Lower incomplete gamma ``gamma(c, t) = int_0^t e^{-x} x^{c-1} dx``.
-
-    Real ``c`` takes the fast regularized route; complex ``c`` (Re c > 0)
-    falls back to arbitrary-precision evaluation.
-    """
+def lower_incomplete_gamma(t: float, c: float) -> complex:
+    """Lower incomplete gamma ``gamma(c, t) = int_0^t e^{-x} x^{c-1} dx``
+    for real ``c > 0``, through the regularized library function."""
     if t < 0.0 or not np.isfinite(t):
         raise NonpositiveArgument(f"t must be finite and >= 0, got {t}")
     c = complex(c)
-    if c.real <= 0.0:
-        raise InvalidParameter(f"need Re(c) > 0, got c = {c}")
-    if c.imag == 0.0:
-        a = c.real
-        return complex(_gamma(a) * _reg_lower_gamma(a, t))
-    import mpmath
-    val = mpmath.gammainc(mpmath.mpc(c), 0, t)
-    return complex(val)
+    if c.imag != 0.0 or c.real <= 0.0:
+        raise InvalidParameter(f"need real c > 0, got c = {c}")
+    return complex(_gamma(c.real) * _reg_lower_gamma(c.real, t))
 
 
 def helmholtz_fundamental(x: np.ndarray, y: np.ndarray, kappa: float, dim: int) -> complex:

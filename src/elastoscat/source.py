@@ -307,8 +307,7 @@ def make_nonradiating(domain: DomainGeometry, bump, medium: LameMedium,
     if analytic:
         phi = np.asarray(bump.source_density(mesh.nodes, medium), dtype=complex)
     else:
-        phi = np.stack([lame_operator_fd(uval, x, medium, step=1e-3, order=4)
-                        for x in mesh.nodes])
+        phi = lame_operator_fd(uval, mesh.nodes, medium, step=1e-3, order=4)
     phi_field = SampledVectorField(nodes=mesh.nodes, values=phi,
                                    mesh_ref=mesh.mesh_id)
 

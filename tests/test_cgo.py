@@ -159,6 +159,59 @@ def test_residual_decays_at_second_order():
     assert abs(slope - 2.0) < 0.1
 
 
+def _cgo_residual_by_slices(probe, medium, grid):
+    """Reference: the dkk/dkj slice stencils cgo_residual once had."""
+    n = probe.dim
+    h = grid.spacing
+    nodes = grid.nodes()
+    U = probe.field(nodes, center=nodes.mean(axis=0)).reshape(grid.shape + (n,))
+
+    def dkk(a, k):
+        sl = [slice(1, -1)] * n
+        lo, hi = sl.copy(), sl.copy()
+        lo[k], hi[k] = slice(0, -2), slice(2, None)
+        return (a[tuple(hi)] - 2.0 * a[tuple(sl)] + a[tuple(lo)]) / h ** 2
+
+    def dkj(a, k, j):
+        sl = [slice(1, -1)] * n
+        pp, pm, mp, mm = sl.copy(), sl.copy(), sl.copy(), sl.copy()
+        pp[k], pp[j] = slice(2, None), slice(2, None)
+        pm[k], pm[j] = slice(2, None), slice(0, -2)
+        mp[k], mp[j] = slice(0, -2), slice(2, None)
+        mm[k], mm[j] = slice(0, -2), slice(0, -2)
+        return (a[tuple(pp)] - a[tuple(pm)] - a[tuple(mp)] + a[tuple(mm)]) / (4.0 * h ** 2)
+
+    def second(a, k, j):
+        return dkk(a, k) if k == j else dkj(a, k, j)
+
+    lap = sum(dkk(U, k) for k in range(n))
+    grad_div = np.stack(
+        [sum(second(U[..., j], k, j) for j in range(n)) for k in range(n)],
+        axis=-1)
+    inner = tuple([slice(1, -1)] * n)
+    res = medium.mu * lap + (medium.lam + medium.mu) * grad_div \
+        + medium.omega ** 2 * U[inner]
+    denom = probe.tau ** 2 * np.linalg.norm(U[inner], axis=-1)
+    return float(np.max(np.linalg.norm(res, axis=-1) / denom))
+
+
+@pytest.mark.parametrize("medium", [MED, MED3], ids=["2d", "3d"])
+@pytest.mark.parametrize("ratio", [1.5, 4.0, 30.0])
+def test_residual_matches_slice_stencils(medium, ratio):
+    tau = ratio * medium.kappa_s
+    osc = math.sqrt(medium.kappa_s ** 2 + tau ** 2)
+    tilted = np.zeros(medium.dim)
+    tilted[:2] = (0.6, -0.8)
+    perp = np.zeros(medium.dim)
+    perp[:2] = (0.8, 0.6)
+    for p in (down_probe(tau, medium), make_cgo(tilted, perp, tau, medium)):
+        for ppw, side in ((14.0, 5), (40.0, 8)):
+            grid = probe_grid(p, 2.0 * math.pi / (osc * ppw), side,
+                              center=np.full(medium.dim, 0.1))
+            assert cgo_residual(p, medium, grid) == \
+                _cgo_residual_by_slices(p, medium, grid)
+
+
 def test_residual_rejects_coarse_grid():
     p = down_probe(8.0)
     osc = math.sqrt(MED.kappa_s ** 2 + 64.0)

@@ -439,13 +439,23 @@ def test_unknown_subcommand_is_usage_error(tmp_path):
 
 def test_impossible_tolerance_fails_validation_and_writes_nothing(tmp_path,
                                                                   capsys):
-    # a 1e-30 tolerance makes the refinement self-check unsatisfiable
-    cfg_path = write_cfg(tmp_path, "tight.json", sweep_cfg(tolerance=1e-30))
+    # on a 2x4 Gauss mesh the coarse and refined far fields differ by about
+    # 1.5e-10 relative (a converged mesh leaves only round-off), so a 1e-30
+    # tolerance makes the refinement self-check fail for a real reason
+    mesh = {"n_radial": 2, "n_angular": 4}
+    cfg_path = write_cfg(tmp_path, "tight.json",
+                         sweep_cfg(tolerance=1e-30, mesh=mesh))
     prefix = tmp_path / "fail" / "run"
     rc = cli.main(["sweep-small", "--config", cfg_path, "--out", str(prefix)])
     assert rc == 3
     assert "numerical validation failed" in capsys.readouterr().err
     assert not (tmp_path / "fail").exists()
+    # the same config passes at a reachable tolerance
+    cfg_path = write_cfg(tmp_path, "loose.json",
+                         sweep_cfg(tolerance=1e-6, mesh=mesh))
+    rc = cli.main(["sweep-small", "--config", cfg_path,
+                   "--out", str(tmp_path / "ok" / "run")])
+    assert rc == 0
 
 
 def test_toolkit_errors_map_to_exit_3(tmp_path, capsys):

@@ -32,10 +32,11 @@ from elastoscat import (
 from elastoscat import scattering
 from elastoscat.greens import kupradze_batch
 from elastoscat.elastic import content_id
-from elastoscat.geometry import QuadratureMesh
+from elastoscat.geometry import QuadratureMesh, signed_distance
 from elastoscat.source import potential_row
 from elastoscat.errors import (
     CoincidentPoints,
+    DimensionMismatch,
     InvalidDirection,
     InvalidParameter,
     MeshMismatch,
@@ -180,6 +181,74 @@ def test_lattice_residual_needs_cell_mesh():
     vals = np.zeros((smooth.nodes.shape[0], 2), dtype=complex)
     with pytest.raises(MeshMismatch):
         lattice_pde_residual(sc, smooth, vals)
+
+
+def _lattice_residual_by_nodes(scatterer, mesh, u_total_values, margin_cells=6):
+    """Reference: the per-node loop over a dict of lattice neighbours that
+    lattice_pde_residual once ran."""
+    nodes = mesh.nodes
+    ut = np.asarray(u_total_values)
+    h = mesh.h
+    med = scatterer.medium
+    lam, mu, omega = med.lam, med.mu, med.omega
+    keys = np.round((nodes - nodes.min(axis=0)) / h).astype(int)
+    index = {(int(k[0]), int(k[1])): i for i, k in enumerate(keys)}
+    offsets = [(1, 0), (-1, 0), (0, 1), (0, -1),
+               (1, 1), (1, -1), (-1, 1), (-1, -1)]
+    rels = []
+    vvals = scatterer.contrast_on(nodes)
+    for i, k in enumerate(keys):
+        if signed_distance(scatterer.domain, nodes[i]) > -margin_cells * h:
+            continue
+        nb = [index.get((int(k[0]) + dx, int(k[1]) + dy)) for dx, dy in offsets]
+        if any(j is None for j in nb):
+            continue
+        ip, im, jp, jm, pp, pm, mp_, mm = nb
+        u0 = ut[i]
+        d11 = (ut[ip] - 2.0 * u0 + ut[im]) / h ** 2
+        d22 = (ut[jp] - 2.0 * u0 + ut[jm]) / h ** 2
+        d12 = (ut[pp] - ut[pm] - ut[mp_] + ut[mm]) / (4.0 * h ** 2)
+        grad_div = np.array([d11[0] + d12[1], d12[0] + d22[1]])
+        res = mu * (d11 + d22) + (lam + mu) * grad_div \
+            + omega ** 2 * (1.0 + vvals[i]) * u0
+        rels.append(np.linalg.norm(res) / (omega ** 2 * np.linalg.norm(u0)))
+    rels = np.asarray(rels)
+    return float(rels.max()), float(np.median(rels)), int(rels.size)
+
+
+LATTICE_CASES = {
+    "disk-h0.03": (lambda: scatterer(), 0.03, False),
+    "disk-h0.05": (lambda: scatterer(), 0.05, False),
+    "offset-ellipse": (lambda: MediumScatterer(
+        domain=ellipse(0.5, 0.3, center=(0.1, -0.05)), medium=MED,
+        contrast=smooth_disk_contrast((0.1, -0.05), 0.5, 0.4)), 0.03, False),
+    "wrong-field": (lambda: scatterer(), 0.03, True),
+}
+
+
+@pytest.mark.parametrize("name", list(LATTICE_CASES))
+def test_lattice_residual_matches_node_loop(name):
+    # the array stencil takes the mixed difference in the other order and
+    # adds the contrast term separately, so last bits move
+    make, h, wrong = LATTICE_CASES[name]
+    sc = make()
+    mesh = volume_mesh(sc.domain, h=h)
+    inc = make_incident("pressure-plane", {"direction": (1.0, 0.0)}, MED)
+    u = inc(mesh.nodes) if wrong else solve_medium(sc, inc, mesh).u_total.values
+    worst, median, count = lattice_pde_residual(sc, mesh, u)
+    want_worst, want_median, want_count = _lattice_residual_by_nodes(sc, mesh, u)
+    assert count == want_count > 0
+    assert worst == pytest.approx(want_worst, rel=1e-12, abs=0.0)
+    assert median == pytest.approx(want_median, rel=1e-12, abs=0.0)
+
+
+def test_lattice_residual_rejects_non_finite_field():
+    sc = scatterer()
+    mesh = volume_mesh(sc.domain, h=0.05)
+    vals = np.ones((mesh.nodes.shape[0], 2), dtype=complex)
+    vals[3, 1] = np.nan
+    with pytest.raises(DimensionMismatch):
+        lattice_pde_residual(sc, mesh, vals)
 
 
 def test_series_diverges_for_strong_contrast():
