@@ -48,6 +48,8 @@ from .greens import lower_incomplete_gamma
 
 RESIDUAL_MIN_PPW = 12.0
 _ORTHO_TOL = 1.0e-12
+# the 24-point Gauss-Legendre rule on [-1, 1] behind every _gl_panels panel
+_PANEL_RULE = np.polynomial.legendre.leggauss(24)
 
 
 @dataclass(frozen=True)
@@ -323,14 +325,15 @@ def zeta_default(alpha: float, varsigma: float, dim: int) -> float:
 # integral identity
 # ---------------------------------------------------------------------------
 
-def _gl_panels(a: float, bnd: float, osc: float, per_panel: int = 24,
-               min_panels: int = 2, factor: float = 1.0):
-    """Composite Gauss-Legendre nodes/weights resolving oscillation ``osc``."""
+def _gl_panels(a: float, bnd: float, osc: float, min_panels: int = 2,
+               factor: float = 1.0):
+    """Composite Gauss-Legendre nodes/weights resolving oscillation ``osc``,
+    ``_PANEL_RULE`` on each panel."""
     length = bnd - a
     periods = osc * length / (2.0 * math.pi)
     n_pan = max(int(math.ceil(min_panels * factor)),
                 int(math.ceil(2.0 * periods * factor)))
-    xg, wg = np.polynomial.legendre.leggauss(per_panel)
+    xg, wg = _PANEL_RULE
     edges = np.linspace(a, bnd, n_pan + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)

@@ -31,6 +31,7 @@ from .errors import (
     InsufficientSamples,
     InvalidExponent,
     InvalidFrequency,
+    InvalidParameter,
     MeshMismatch,
     StrongConvexityViolated,
     UnsupportedDimension,
@@ -327,8 +328,10 @@ def lame_operator_fd(u_callable, x: np.ndarray, medium: LameMedium,
     ``u_callable`` maps points of shape ``(..., n)`` to complex vectors of
     the same shape; stencils are centered of the requested order (2 or 4).
     Used by residual self-checks and by source generators that lack
-    analytic derivatives.
+    analytic derivatives.  Any other ``order`` raises ``InvalidParameter``.
     """
+    if order not in (2, 4):
+        raise InvalidParameter(f"finite-difference order must be 2 or 4, got {order!r}")
     x = np.asarray(x, dtype=float)
 
     return _lame_stencil(lambda o: u_callable(x + step * np.asarray(o)),

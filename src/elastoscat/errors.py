@@ -83,7 +83,7 @@ class SeriesDiverges(ToolkitError):
 
 
 class SingularSystem(ToolkitError):
-    """Dense collocation matrix is numerically singular."""
+    """Collocation system is numerically singular: its solve misses the residual gate."""
 
 
 class InvalidDirection(ToolkitError):

@@ -5,8 +5,12 @@ solution ``u_i`` according to ``u_t + omega^2 P(V u_t) = u_i`` where ``P``
 maps a source to its outgoing solution (``P f = -G * f`` with the kernel
 normalized against ``-delta``); the scattered field is ``u = u_t - u_i`` and
 its far field is the pattern of the equivalent source ``-omega^2 V u_t``.
-The dense collocation solve works for any contrast; the Neumann-series mode
-exists to exercise the contraction regime and its a-priori bounds.
+The equation is collocated at the nodes of a cell mesh on one h-lattice,
+where the volume potential is block Toeplitz and is applied by FFT on a
+padded grid; GMRES solves the collocated system for any contrast, and the
+Neumann-series mode exists to exercise the contraction regime and its
+a-priori bounds.  Meshes off a single lattice (caps, unions on offset
+lattices) are rejected with ``MeshMismatch``.
 """
 from __future__ import annotations
 
@@ -17,6 +21,7 @@ import numpy as np
 
 from .elastic import LameMedium, SampledVectorField, _lame_stencil, lame_operator_fd
 from .errors import (
+    CoincidentPoints,
     DimensionMismatch,
     InvalidDirection,
     InvalidParameter,
@@ -38,12 +43,23 @@ from .greens import kupradze_batch, singular_cell_integral
 from .source import (
     FarFieldPattern,
     SourceProblem,
-    coincident_nodes,
     directions_circle,
     farfield_of_source,
 )
 
 _SERIES_MAX_TERMS = 200
+_GMRES_RTOL = 1e-12
+_GMRES_RESTART = 50
+_GMRES_MAX_CYCLES = 20      # restart cycles: at most 1,000 matvecs
+# nodes may sit off the h-lattice by this fraction of h (round-off of the
+# cell-centre coordinates is about 1e-14)
+_LATTICE_TOL = 1e-9
+# memory of a solve: the peak while the kernel table is built, per cell of
+# the padded FFT grid (about 460 bytes measured), plus GMRES's Krylov basis,
+# restart + 1 vectors of 2N complex entries
+_GRID_BYTES_PER_CELL = 512
+_BASIS_BYTES_PER_NODE = (_GMRES_RESTART + 1) * 2 * 16
+_SOLVE_BUDGET = 1 << 30
 # uniform points in the domain's bounding box that MediumScatterer.v_sup draws
 _V_SUP_SAMPLES = 4096
 _V_SUP_SEED = 7
@@ -160,53 +176,87 @@ def _bounding_box(domain: DomainGeometry):
     return np.min(los, axis=0), np.max(his, axis=0)
 
 
-def _potential_matrix(mesh: QuadratureMesh, medium: LameMedium) -> np.ndarray:
-    """Dense discretization of the volume potential on the mesh nodes.
+def _fast_length(m: int) -> int:
+    """Smallest ``2^a 3^b 5^c >= m``: a length that ``np.fft`` transforms fast."""
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
 
-    Row pair ``i`` is :func:`potential_row` at node ``y_i``, bit for bit:
-    block ``(i, k)`` is ``w_k G(y_i, y_k)`` and a block whose nodes coincide
-    is the analytic singular-cell integral; requires a cell-style mesh.
 
-    The kernel depends on the node pair only through ``y_i - y_k``, and a
-    cell mesh has few distinct differences (2,993 of 65,536 pairs on a disk
-    at N = 256), so it is evaluated once per distinct difference and gathered.
-    Each difference is the same per-axis float subtraction as in
-    :func:`potential_row`, taken between the distinct coordinates.
+def _lattice_potential(mesh: QuadratureMesh, medium: LameMedium) -> Callable:
+    """The volume-potential quadrature on the mesh nodes, applied by FFT.
+
+    Returns ``apply``, mapping an (N, 2) array ``x`` to ``P x`` with row ``i``
+    equal to :func:`potential_row` at node ``y_i`` times ``x``: block
+    ``(i, k)`` is ``h^2 G(y_i - y_k)``, and the singular-cell integral when
+    ``i = k``.  On a cell mesh whose nodes lie on one h-lattice with weights
+    ``h^2`` that block depends only on the integer offset ``key_i - key_k``,
+    so ``P`` is block Toeplitz.  Its kernel table over the
+    ``(2nx - 1) x (2ny - 1)`` offsets is evaluated once, embedded in a
+    circulant padded to fast FFT lengths, and applied by ``fft2`` (Vainikko
+    2000).
+
+    Meshes that are not lattice subsets (cap columns, unions whose
+    components sit on offset lattices) raise ``MeshMismatch``; repeated
+    lattice keys raise ``CoincidentPoints``; a padded grid that would need
+    more than ``_SOLVE_BUDGET`` bytes with the solver's Krylov basis raises
+    ``QuadratureBudgetExceeded``.
     """
     if mesh.style != "cell":
         raise MeshMismatch("potential collocation needs a cell-style mesh")
-    n = mesh.nodes.shape[0]
-    nbytes = (2 * n) ** 2 * 16
-    if nbytes > 1_073_741_824:
+    h = mesh.h
+    scaled = (mesh.nodes - mesh.nodes.min(axis=0)) / h
+    keys = np.round(scaled).astype(int)
+    on_lattice = np.max(np.abs(scaled - keys)) <= _LATTICE_TOL
+    if not on_lattice or not np.allclose(mesh.weights, h * h, rtol=1e-12, atol=0.0):
+        raise MeshMismatch(
+            "the medium solve needs a cell mesh on one h-lattice with weights "
+            "h^2 (a disk, an ellipse, or a union whose components share a "
+            "lattice); caps and unions on offset lattices wait for "
+            "ROADMAP item 10")
+    nx, ny = keys.max(axis=0) + 1
+    mx, my = _fast_length(2 * nx - 1), _fast_length(2 * ny - 1)
+    nbytes = mx * my * _GRID_BYTES_PER_CELL + keys.shape[0] * _BASIS_BYTES_PER_NODE
+    if nbytes > _SOLVE_BUDGET:
         raise QuadratureBudgetExceeded(
-            f"dense potential matrix would take {nbytes / 2**30:.1f} GiB "
-            f"({n} nodes); coarsen the mesh")
-    # per axis: the distinct coordinate differences and each pair's id in them
-    values, pair_ids = [], []
-    for coord in mesh.nodes.T:
-        coords, at = np.unique(coord, return_inverse=True)
-        at = at.reshape(n)
-        d, d_id = np.unique(np.subtract.outer(coords, coords), return_inverse=True)
-        values.append(d)
-        pair_ids.append(d_id.reshape(coords.size, coords.size)[np.ix_(at, at)])
-    ny = values[1].size
-    codes, inv = np.unique(pair_ids[0] * ny + pair_ids[1], return_inverse=True)
-    inv = inv.reshape(n, n)
-    del pair_ids
-    diffs = np.stack([values[0][codes // ny], values[1][codes % ny]], axis=1)
-    hit = coincident_nodes(np.hypot(diffs[:, 0], diffs[:, 1])[inv], mesh)
-    live = np.ones(codes.size, dtype=bool)
-    live[inv[hit]] = False
-    table = np.zeros((codes.size, 2, 2), dtype=complex)
-    table[live] = kupradze_batch(diffs[live], medium)
-    mat = np.empty((2 * n, 2 * n), dtype=complex)
-    blocks = mat.reshape(n, 2, n, 2)
-    for a in range(2):
-        for b in range(2):
-            np.multiply(table[:, a, b][inv], mesh.weights, out=blocks[:, a, :, b])
-    rows, cols = np.nonzero(hit)
-    blocks[rows, :, cols, :] = singular_cell_integral(medium, mesh.h)
-    return mat
+            f"a solve on the {mx} x {my} FFT grid ({keys.shape[0]} nodes) would "
+            f"take {nbytes / 2**30:.1f} GiB; coarsen the mesh or bring its "
+            f"components closer")
+    _, first, counts = np.unique(keys[:, 0] * ny + keys[:, 1],
+                                 return_index=True, return_counts=True)
+    if counts.size < keys.shape[0]:
+        crowded = np.argmax(counts > 1)
+        raise CoincidentPoints(
+            f"mesh node {first[crowded]} coincides with {counts[crowded]} mesh nodes")
+    # kernel table over the offsets; the origin is the singular cell
+    ox, oy = np.meshgrid(np.arange(1 - nx, nx), np.arange(1 - ny, ny), indexing="ij")
+    offsets = np.stack([ox.ravel(), oy.ravel()], axis=1)
+    origin = (nx - 1) * (2 * ny - 1) + ny - 1
+    live = np.arange(offsets.shape[0]) != origin
+    kernel = np.empty((offsets.shape[0], 2, 2), dtype=complex)
+    kernel[live] = kupradze_batch(offsets[live] * h, medium) * (h * h)
+    kernel[origin] = singular_cell_integral(medium, h)
+    # circulant: offset o at index o mod m, in a grid padded to fast FFT lengths
+    spectrum = np.zeros((2, 2, mx, my), dtype=complex)
+    spectrum[:, :, ox % mx, oy % my] = np.moveaxis(
+        kernel.reshape(ox.shape + (2, 2)), (2, 3), (0, 1))
+    del kernel
+    spectrum = np.fft.fft2(spectrum)
+    at = (keys[:, 0], keys[:, 1])
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        grid = np.zeros((2, mx, my), dtype=complex)
+        grid[(slice(None),) + at] = x.T
+        src = np.fft.fft2(grid)
+        out = np.fft.ifft2(spectrum[:, 0] * src[0] + spectrum[:, 1] * src[1])
+        return out[(slice(None),) + at].T
+
+    return apply
 
 
 def solve_medium(scatterer: MediumScatterer, incident: IncidentWave,
@@ -214,11 +264,23 @@ def solve_medium(scatterer: MediumScatterer, incident: IncidentWave,
                  directions=None, series_tol: float = 1e-12) -> MediumSolve:
     """Solve the volume integral equation on the mesh.
 
-    ``direct-dense`` assembles and factors the 2N x 2N collocation system
-    ``(I + omega^2 P V) u_t = u_i``; ``neumann-series`` iterates the fixed
-    point ``u_t <- u_i - omega^2 P(V u_t)`` and reports the observed
-    contraction ratio, refusing to continue when successive corrections grow.
-    The far field is radiated by the equivalent source ``-omega^2 V u_t``.
+    Both modes apply the collocated operator ``omega^2 P V`` through the FFT
+    lattice potential (:func:`_lattice_potential`), so the mesh must be a
+    cell mesh on one h-lattice with weights ``h^2``: a disk, an ellipse, or
+    a union whose components share a lattice.  Other meshes raise
+    ``MeshMismatch``.  Memory grows with the padded FFT grid (about 5N
+    cells for a disk of N nodes) and the GMRES basis; a solve that would
+    need more than 1 GiB raises ``QuadratureBudgetExceeded``, which allows
+    about 250,000 nodes on a disk.
+
+    ``direct-dense`` (the name is historical) solves the 2N x 2N system
+    ``(I + omega^2 P V) u_t = u_i`` by restarted GMRES and raises
+    ``SingularSystem`` unless the true relative residual is at most 1e-8;
+    its contraction estimate is a power-iteration estimate of the operator
+    2-norm.  ``neumann-series`` iterates the fixed point
+    ``u_t <- u_i - omega^2 P(V u_t)`` and reports the observed contraction
+    ratio, refusing to continue when successive corrections grow.  The far
+    field is radiated by the equivalent source ``-omega^2 V u_t``.
     """
     if scatterer.medium.dim != 2:
         raise UnsupportedDimension("medium solves are 2-D only")
@@ -230,40 +292,43 @@ def solve_medium(scatterer: MediumScatterer, incident: IncidentWave,
     med = scatterer.medium
     nodes = mesh.nodes
     n = nodes.shape[0]
-    vvals = scatterer.contrast_on(nodes)
+    potential = _lattice_potential(mesh, med)
+    vvals = scatterer.contrast_on(nodes)[:, None]
     ui = incident(nodes)
-    vdiag = np.repeat(vvals, 2)
-    # P = -(kernel quadrature), so omega^2 P V collocates to -omega^2 pot V;
-    # scaled in place, the same two products in the same order
-    op = _potential_matrix(mesh, med)
-    op *= -med.omega ** 2
-    op *= vdiag[None, :]
+    scale = -med.omega ** 2
 
+    # omega^2 P V collocates to -omega^2 pot V, on node-major flat vectors
+    def op(x):
+        return (scale * potential(vvals * x.reshape(n, 2))).ravel()
+
+    def op_adjoint(x):
+        # pot is complex symmetric, so pot^H x = conj(pot conj(x))
+        return (np.conj(vvals) * scale
+                * np.conj(potential(np.conj(x).reshape(n, 2)))).ravel()
+
+    b = ui.ravel()
     terms = 1
-    contraction = 0.0
     if mode == "direct-dense":
-        sys = op.copy()
-        sys[np.diag_indices(2 * n)] += 1.0
-        b = ui.ravel()
-        try:
-            ut_flat = np.linalg.solve(sys, b)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(str(exc)) from None
-        resid = float(np.linalg.norm(sys @ ut_flat - b) / max(np.linalg.norm(b), 1e-300))
-        del sys
+        from scipy.sparse.linalg import LinearOperator, gmres
+
+        system = LinearOperator((2 * n, 2 * n), matvec=lambda x: x + op(x),
+                                dtype=complex)
+        ut_flat, info = gmres(system, b, rtol=_GMRES_RTOL, atol=0.0,
+                              restart=_GMRES_RESTART, maxiter=_GMRES_MAX_CYCLES)
+        resid = float(np.linalg.norm(system.matvec(ut_flat) - b)
+                      / max(np.linalg.norm(b), 1e-300))
         if not np.isfinite(resid) or resid > 1e-8:
-            raise SingularSystem(f"collocation residual {resid:.2e}")
-        ut = ut_flat.reshape(n, 2)
-        contraction = _spectral_norm_estimate(op)
+            raise SingularSystem(f"collocation residual {resid:.2e} "
+                                 f"(GMRES info {info})")
+        contraction = _norm_estimate(op, op_adjoint, 2 * n)
     else:
-        b = ui.ravel()
         ut_flat = b.copy()
         term = b.copy()
         base = float(np.linalg.norm(b))
         prev = base
         ratios = []
         while True:
-            term = -(op @ term)
+            term = -op(term)
             cur = float(np.linalg.norm(term))
             if cur <= series_tol * base:
                 break                       # next term negligible: not counted
@@ -277,13 +342,13 @@ def solve_medium(scatterer: MediumScatterer, incident: IncidentWave,
             terms += 1
             if terms > _SERIES_MAX_TERMS:
                 raise SeriesDiverges(f"no convergence within {_SERIES_MAX_TERMS} terms")
-        ut = ut_flat.reshape(n, 2)
         contraction = float(max(ratios)) if ratios else 0.0
+    ut = ut_flat.reshape(n, 2)
 
     u_sc = ut - ui
     if directions is None:
         directions = _default_directions(med, scatterer.domain)
-    equivalent = -med.omega ** 2 * vdiag.reshape(n, 2) * ut
+    equivalent = scale * vvals * ut
     problem = SourceProblem(domain=scatterer.domain, medium=med,
                             phi=SampledVectorField(nodes=nodes, values=equivalent,
                                                    mesh_ref=mesh.mesh_id))
@@ -294,14 +359,15 @@ def solve_medium(scatterer: MediumScatterer, incident: IncidentWave,
         farfield=ff, series_terms_used=terms, contraction_estimate=contraction)
 
 
-def _spectral_norm_estimate(op: np.ndarray, iters: int = 12, seed: int = 3) -> float:
+def _norm_estimate(op: Callable, op_adjoint: Callable, size: int,
+                   iters: int = 12, seed: int = 3) -> float:
     """Power-iteration estimate of the operator 2-norm (diagnostic only)."""
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(op.shape[1]) + 1j * rng.standard_normal(op.shape[1])
+    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     v /= np.linalg.norm(v)
     sigma = 0.0
     for _ in range(iters):
-        w = (op.T @ (op @ v).conj()).conj()   # op^H op v without copying op
+        w = op_adjoint(op(v))
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
             return 0.0

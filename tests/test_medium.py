@@ -30,10 +30,10 @@ from elastoscat import (
     volume_mesh,
 )
 from elastoscat import scattering
-from elastoscat.greens import kupradze_batch
+from elastoscat.greens import kupradze_batch, singular_cell_integral
 from elastoscat.elastic import content_id
 from elastoscat.geometry import QuadratureMesh, signed_distance
-from elastoscat.source import potential_row
+from elastoscat.source import coincident_nodes, farfield_of_source, potential_row
 from elastoscat.errors import (
     CoincidentPoints,
     DimensionMismatch,
@@ -43,6 +43,7 @@ from elastoscat.errors import (
     OutOfRegime,
     QuadratureBudgetExceeded,
     SeriesDiverges,
+    SingularSystem,
 )
 from test_source import assert_matches_direction_loop
 
@@ -267,88 +268,126 @@ def test_point_source_must_sit_outside():
         solve_medium(sc, inc, mesh)
 
 
-# Golden values: the solved fields pinned bit for bit, so a change to the
-# volume-potential quadrature or the solvers that reorders floating-point
-# operations shows up here.  The disk, mesh and contrast profile are those of
-# the medium-sweep benchmark at v0 = 0.2 (256 nodes).  The LU solve's last
-# bits depend on the BLAS thread count, so the values are computed in a child
-# process with one BLAS thread (run this file as a script to print them).
-# The far-field hashes are those of the blocked phase-matrix products, whose
-# agreement with the per-direction reference loop is checked below.
-GOLDEN_INCIDENTS = {
-    "pressure": ("pressure-plane", {"direction": (1.0, 0.0)}),
-    "point": ("point-source", {"origin": (1.0, 0.0)}),
-}
-GOLDEN_MEDIUM = {
-    "pressure/direct-dense": ["fbc01aa54bf30ce6", "5f6a62766639ff36", 1,
-                              "0.03634893637737824"],
-    "pressure/neumann-series": ["f6752fd3f57cfe9e", "77a2baec6b4ff5a6", 8,
-                                "0.028306675632410492"],
-    "point/direct-dense": ["ed0f94ab5a71e7db", "751185d04dc4fe0b", 1,
-                           "0.03634893637737824"],
-    "point/neumann-series": ["90a8b16d67a4ee0c", "7db22fe5b9bd1e8b", 8,
-                             "0.028244625596182425"],
-}
+# ---------------------------------------------------------------------------
+# dense reference path: the collocation matrix, LU solve and power iteration
+# that solve_medium ran before the FFT lattice operator
+# ---------------------------------------------------------------------------
+
+def _potential_matrix(mesh, medium):
+    """Dense discretization of the volume potential on the mesh nodes.
+
+    Row pair ``i`` is :func:`potential_row` at node ``y_i``, bit for bit:
+    block ``(i, k)`` is ``w_k G(y_i, y_k)`` and a block whose nodes coincide
+    is the analytic singular-cell integral; requires a cell-style mesh.
+
+    The kernel depends on the node pair only through ``y_i - y_k``, and a
+    cell mesh has few distinct differences (2,993 of 65,536 pairs on a disk
+    at N = 256), so it is evaluated once per distinct difference and gathered.
+    Each difference is the same per-axis float subtraction as in
+    :func:`potential_row`, taken between the distinct coordinates.
+    """
+    if mesh.style != "cell":
+        raise MeshMismatch("potential collocation needs a cell-style mesh")
+    n = mesh.nodes.shape[0]
+    nbytes = (2 * n) ** 2 * 16
+    if nbytes > 1_073_741_824:
+        raise QuadratureBudgetExceeded(
+            f"dense potential matrix would take {nbytes / 2**30:.1f} GiB "
+            f"({n} nodes); coarsen the mesh")
+    # per axis: the distinct coordinate differences and each pair's id in them
+    values, pair_ids = [], []
+    for coord in mesh.nodes.T:
+        coords, at = np.unique(coord, return_inverse=True)
+        at = at.reshape(n)
+        d, d_id = np.unique(np.subtract.outer(coords, coords), return_inverse=True)
+        values.append(d)
+        pair_ids.append(d_id.reshape(coords.size, coords.size)[np.ix_(at, at)])
+    ny = values[1].size
+    codes, inv = np.unique(pair_ids[0] * ny + pair_ids[1], return_inverse=True)
+    inv = inv.reshape(n, n)
+    del pair_ids
+    diffs = np.stack([values[0][codes // ny], values[1][codes % ny]], axis=1)
+    hit = coincident_nodes(np.hypot(diffs[:, 0], diffs[:, 1])[inv], mesh)
+    live = np.ones(codes.size, dtype=bool)
+    live[inv[hit]] = False
+    table = np.zeros((codes.size, 2, 2), dtype=complex)
+    table[live] = kupradze_batch(diffs[live], medium)
+    mat = np.empty((2 * n, 2 * n), dtype=complex)
+    blocks = mat.reshape(n, 2, n, 2)
+    for a in range(2):
+        for b in range(2):
+            np.multiply(table[:, a, b][inv], mesh.weights, out=blocks[:, a, :, b])
+    rows, cols = np.nonzero(hit)
+    blocks[rows, :, cols, :] = singular_cell_integral(medium, mesh.h)
+    return mat
 
 
-def _golden_medium_solves():
-    sc = scatterer(v0=0.2, radius=0.45)
-    mesh = volume_mesh(sc.domain, h=0.05)
-    assert mesh.nodes.shape[0] == 256
-    for name, (kind, params) in GOLDEN_INCIDENTS.items():
-        inc = make_incident(kind, params, MED)
-        for mode in ("direct-dense", "neumann-series"):
-            yield f"{name}/{mode}", sc, mesh, solve_medium(sc, inc, mesh, mode=mode)
+def _spectral_norm_estimate(op, iters=12, seed=3):
+    """Power-iteration estimate of the operator 2-norm (diagnostic only)."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(op.shape[1]) + 1j * rng.standard_normal(op.shape[1])
+    v /= np.linalg.norm(v)
+    sigma = 0.0
+    for _ in range(iters):
+        w = (op.T @ (op @ v).conj()).conj()   # op^H op v without copying op
+        nw = float(np.linalg.norm(w))
+        if nw == 0.0:
+            return 0.0
+        sigma = np.sqrt(nw)
+        v = w / nw
+    return float(sigma)
 
 
-def _golden_medium_values():
-    return {key: [content_id(sol.u_total.values),
-                  content_id(sol.farfield.up_inf, sol.farfield.us_inf),
-                  sol.series_terms_used, repr(sol.contraction_estimate)]
-            for key, _, _, sol in _golden_medium_solves()}
-
-
-def test_golden_medium_farfields_match_direction_loop():
-    # the pinned far-field hashes are those of the blocked phase-matrix
-    # products; on the same four solves they agree with the per-direction
-    # reference loop to round-off
-    for _, sc, mesh, sol in _golden_medium_solves():
-        n = mesh.nodes.shape[0]
-        vdiag = np.repeat(sc.contrast_on(mesh.nodes), 2)
-        equivalent = -MED.omega ** 2 * vdiag.reshape(n, 2) * sol.u_total.values
-        problem = SourceProblem(domain=sc.domain, medium=MED,
-                                phi=SampledVectorField(nodes=mesh.nodes, values=equivalent,
-                                                       mesh_ref=mesh.mesh_id))
-        assert_matches_direction_loop(sol.farfield, problem, mesh)
-
-
-def test_golden_medium_solves():
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
-    run = subprocess.run([sys.executable, __file__], env=env, check=True,
-                         capture_output=True, text=True, timeout=300)
-    assert json.loads(run.stdout) == GOLDEN_MEDIUM
-
-
-def test_duplicate_mesh_node_is_rejected():
-    sc = scatterer()
-    nodes = np.array([[0.0, 0.0], [0.05, 0.0], [0.0, 0.05], [0.05, 0.0]])
-    dup = QuadratureMesh(nodes=nodes, weights=np.full(4, 2.5e-3), h=0.05,
-                         style="cell", mesh_id="repeated-node")
-    inc = make_incident("pressure-plane", {"direction": (1.0, 0.0)}, MED)
-    with pytest.raises(CoincidentPoints, match="coincides with 2 mesh nodes"):
-        solve_medium(sc, inc, dup)
-
-
-def test_dense_matrix_budget_guard():
-    sc = scatterer()
-    n = 5000
-    nodes = np.random.default_rng(0).uniform(-0.3, 0.3, size=(n, 2))
-    fake = QuadratureMesh(nodes=nodes, weights=np.full(n, 1e-5), h=0.01,
-                          style="cell", mesh_id="too-big")
-    inc = make_incident("pressure-plane", {"direction": (1.0, 0.0)}, MED)
-    with pytest.raises(QuadratureBudgetExceeded):
-        solve_medium(sc, inc, fake)
+def _solve_medium_dense(sc, incident, mesh, mode="direct-dense", series_tol=1e-12):
+    """Reference: solve_medium on the dense (2N, 2N) matrix, by LU in
+    ``direct-dense`` mode and by dense matvecs in ``neumann-series`` mode."""
+    med = sc.medium
+    nodes = mesh.nodes
+    n = nodes.shape[0]
+    vvals = sc.contrast_on(nodes)
+    ui = incident(nodes)
+    vdiag = np.repeat(vvals, 2)
+    op = _potential_matrix(mesh, med)
+    op *= -med.omega ** 2
+    op *= vdiag[None, :]
+    terms = 1
+    b = ui.ravel()
+    if mode == "direct-dense":
+        sys_ = op.copy()
+        sys_[np.diag_indices(2 * n)] += 1.0
+        ut_flat = np.linalg.solve(sys_, b)
+        resid = float(np.linalg.norm(sys_ @ ut_flat - b) / np.linalg.norm(b))
+        if resid > 1e-8:
+            raise SingularSystem(f"collocation residual {resid:.2e}")
+        contraction = _spectral_norm_estimate(op)
+    else:
+        ut_flat = b.copy()
+        term = b.copy()
+        base = prev = float(np.linalg.norm(b))
+        ratios = []
+        while True:
+            term = -(op @ term)
+            cur = float(np.linalg.norm(term))
+            if cur <= series_tol * base:
+                break
+            if prev > 0.0:
+                ratios.append(cur / prev)
+            ut_flat = ut_flat + term
+            prev = cur
+            terms += 1
+        contraction = float(max(ratios)) if ratios else 0.0
+    ut = ut_flat.reshape(n, 2)
+    equivalent = -med.omega ** 2 * vdiag.reshape(n, 2) * ut
+    problem = SourceProblem(domain=sc.domain, medium=med,
+                            phi=SampledVectorField(nodes=nodes, values=equivalent,
+                                                   mesh_ref=mesh.mesh_id))
+    ff = farfield_of_source(problem, mesh,
+                            scattering._default_directions(med, sc.domain))
+    return scattering.MediumSolve(
+        u_total=SampledVectorField(nodes=nodes, values=ut, mesh_ref=mesh.mesh_id),
+        u_scattered=SampledVectorField(nodes=nodes, values=ut - ui,
+                                       mesh_ref=mesh.mesh_id),
+        farfield=ff, series_terms_used=terms, contraction_estimate=contraction)
 
 
 def _potential_matrix_by_rows(mesh, medium):
@@ -378,22 +417,215 @@ def test_potential_matrix_matches_row_loop(name):
     make, h = POTENTIAL_MESHES[name]
     mesh = volume_mesh(make(), h=h)
     assert mesh.nodes.shape[0] <= 710
-    assert np.array_equal(scattering._potential_matrix(mesh, MED),
+    assert np.array_equal(_potential_matrix(mesh, MED),
                           _potential_matrix_by_rows(mesh, MED))
 
 
 def test_potential_matrix_evaluates_each_distinct_difference_once(monkeypatch):
     rows = []
+    real = kupradze_batch
 
     def counting(diffs, medium):
         rows.append(diffs.shape[0])
-        return kupradze_batch(diffs, medium)
+        return real(diffs, medium)
 
-    monkeypatch.setattr(scattering, "kupradze_batch", counting)
+    monkeypatch.setitem(globals(), "kupradze_batch", counting)
     mesh = volume_mesh(disk(0.45), h=0.03)
     n = mesh.nodes.shape[0]
-    scattering._potential_matrix(mesh, MED)
+    _potential_matrix(mesh, MED)
     assert 0 < sum(rows) < n * n / 20
+
+
+# ---------------------------------------------------------------------------
+# the FFT lattice operator and GMRES against the dense reference
+# ---------------------------------------------------------------------------
+
+# cell meshes on one h-lattice: the components of "two-disks" share it
+LATTICE_MESHES = {
+    "disk": (lambda: disk(0.45), 0.03),
+    "offset-disk": (lambda: disk(0.4, center=(0.15, -0.1)), 0.04),
+    "ellipse": (lambda: ellipse(0.5, 0.3, center=(0.1, -0.05)), 0.03),
+    "two-disks": (lambda: union(disk(0.2, center=(-0.3, 0.0)),
+                                disk(0.2, center=(0.3, 0.1))), 0.02),
+}
+
+
+@pytest.mark.parametrize("name", list(LATTICE_MESHES))
+def test_lattice_potential_matches_dense_matrix(name):
+    make, h = LATTICE_MESHES[name]
+    mesh = volume_mesh(make(), h=h)
+    n = mesh.nodes.shape[0]
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    want = (_potential_matrix(mesh, MED) @ x.ravel()).reshape(n, 2)
+    got = scattering._lattice_potential(mesh, MED)(x)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("mode", ["direct-dense", "neumann-series"])
+@pytest.mark.parametrize("name", list(LATTICE_MESHES))
+def test_solve_medium_matches_dense_reference(name, mode):
+    # the contrast's phase varies in space, so the adjoint in the contraction
+    # estimate must conjugate V
+    make, h = LATTICE_MESHES[name]
+    profile = smooth_disk_contrast((0.0, 0.0), 0.8, 0.3)
+    sc = MediumScatterer(domain=make(), medium=MED,
+                         contrast=lambda pts: profile(pts) * np.exp(2j * pts[..., 0]))
+    mesh = volume_mesh(sc.domain, h=h)
+
+    def rel(a, b):
+        return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+    for kind, params in GOLDEN_INCIDENTS.values():
+        inc = make_incident(kind, params, MED)
+        got = solve_medium(sc, inc, mesh, mode=mode)
+        want = _solve_medium_dense(sc, inc, mesh, mode=mode)
+        assert rel(got.u_total.values, want.u_total.values) <= 1e-10
+        assert rel(got.farfield.up_inf, want.farfield.up_inf) <= 1e-10
+        assert rel(got.farfield.us_inf, want.farfield.us_inf) <= 1e-10
+        assert got.series_terms_used == want.series_terms_used
+        assert got.contraction_estimate == pytest.approx(
+            want.contraction_estimate, rel=0.0, abs=1e-12)
+
+
+def test_solve_medium_beyond_the_dense_size_limit():
+    # about 20k nodes: the dense matrix would take 98 GiB
+    sc = scatterer(v0=0.2)
+    mesh = volume_mesh(sc.domain, h=0.0056)
+    assert mesh.nodes.shape[0] > 20_000
+    inc = make_incident("pressure-plane", {"direction": (1.0, 0.0)}, MED)
+    sol = solve_medium(sc, inc, mesh)
+    worst, _, count = lattice_pde_residual(sc, mesh, sol.u_total.values)
+    assert count > 15_000
+    assert worst < 1e-3
+
+
+def test_gmres_residual_gate_raises_singular_system(monkeypatch):
+    # two GMRES steps leave a residual far above the 1e-8 gate
+    monkeypatch.setattr(scattering, "_GMRES_RESTART", 2)
+    monkeypatch.setattr(scattering, "_GMRES_MAX_CYCLES", 1)
+    sc = scatterer(v0=2.0)
+    mesh = volume_mesh(sc.domain, h=0.05)
+    inc = make_incident("pressure-plane", {"direction": (1.0, 0.0)}, MED)
+    with pytest.raises(SingularSystem, match="collocation residual"):
+        solve_medium(sc, inc, mesh)
+
+
+def test_non_lattice_meshes_are_rejected():
+    inc = make_incident("pressure-plane", {"direction": (1.0, 0.0)}, MED)
+    cap = make_cap_domain(10.0, 3.0, 4.0, 0.9)
+    offset_union = union(disk(0.2, center=(-0.3, 0.0)), disk(0.15, center=(0.3, 0.1)))
+    for domain, h in ((cap, 0.01), (offset_union, 0.02)):
+        sc = MediumScatterer(domain=domain, medium=MED,
+                             contrast=smooth_disk_contrast((0.0, 0.0), 0.6, 0.2))
+        with pytest.raises(MeshMismatch, match="ROADMAP item 10"):
+            solve_medium(sc, inc, volume_mesh(domain, h=h))
+
+
+def test_lattice_grid_budget_guard():
+    # two 3x3 clusters of lattice nodes, 8,000 cells apart along each axis:
+    # a lattice mesh, but its padded FFT grid would need 16,000^2 cells
+    sc = scatterer()
+    h = 0.01
+    block = np.stack(np.meshgrid(np.arange(3), np.arange(3)), axis=-1).reshape(-1, 2)
+    nodes = h * np.concatenate([block, block + 8000])
+    fake = QuadratureMesh(nodes=nodes, weights=np.full(nodes.shape[0], h * h), h=h,
+                          style="cell", mesh_id="far-apart")
+    inc = make_incident("pressure-plane", {"direction": (1.0, 0.0)}, MED)
+    with pytest.raises(QuadratureBudgetExceeded, match="FFT grid"):
+        solve_medium(sc, inc, fake)
+
+
+def test_duplicate_mesh_node_is_rejected():
+    sc = scatterer()
+    nodes = np.array([[0.0, 0.0], [0.05, 0.0], [0.0, 0.05], [0.05, 0.0]])
+    dup = QuadratureMesh(nodes=nodes, weights=np.full(4, 2.5e-3), h=0.05,
+                         style="cell", mesh_id="repeated-node")
+    inc = make_incident("pressure-plane", {"direction": (1.0, 0.0)}, MED)
+    with pytest.raises(CoincidentPoints, match="coincides with 2 mesh nodes"):
+        solve_medium(sc, inc, dup)
+
+
+# Golden values: the solved fields pinned bit for bit, so a change to the
+# volume-potential quadrature or the solvers that reorders floating-point
+# operations shows up here.  The disk, mesh and contrast profile are those of
+# the medium-sweep benchmark at v0 = 0.2 (256 nodes).
+#
+# GOLDEN_MEDIUM pins the dense reference path above.  Its LU solve's last
+# bits depend on the BLAS thread count, so it is computed in a child process
+# with one BLAS thread (run this file as a script to print it).
+# GOLDEN_MEDIUM_LATTICE pins solve_medium (FFT lattice operator, GMRES).  At
+# 256 nodes its BLAS calls are too small to be threaded, and it gave the same
+# bits at 1, 2 and 8 OpenBLAS threads, so it runs in-process.
+# The far-field hashes are those of the blocked phase-matrix products, whose
+# agreement with the per-direction reference loop is checked below.
+GOLDEN_INCIDENTS = {
+    "pressure": ("pressure-plane", {"direction": (1.0, 0.0)}),
+    "point": ("point-source", {"origin": (1.0, 0.0)}),
+}
+GOLDEN_MEDIUM = {
+    "pressure/direct-dense": ["fbc01aa54bf30ce6", "5f6a62766639ff36", 1,
+                              "0.03634893637737824"],
+    "pressure/neumann-series": ["f6752fd3f57cfe9e", "77a2baec6b4ff5a6", 8,
+                                "0.028306675632410492"],
+    "point/direct-dense": ["ed0f94ab5a71e7db", "751185d04dc4fe0b", 1,
+                           "0.03634893637737824"],
+    "point/neumann-series": ["90a8b16d67a4ee0c", "7db22fe5b9bd1e8b", 8,
+                             "0.028244625596182425"],
+}
+GOLDEN_MEDIUM_LATTICE = {
+    "pressure/direct-dense": ["910728fcb121e5e0", "0f050c3fcc5e40df", 1,
+                              "0.03634893637737823"],
+    "pressure/neumann-series": ["44040e422145eabb", "7a3a7aee4a73d90b", 8,
+                                "0.028306675632410485"],
+    "point/direct-dense": ["0ad0a783c31f7938", "0ca90ce9d781cb2d", 1,
+                           "0.03634893637737823"],
+    "point/neumann-series": ["29f7c4560726b3be", "624f27fd374827ae", 8,
+                             "0.028244625596182425"],
+}
+
+
+def _golden_medium_solves(solve):
+    sc = scatterer(v0=0.2, radius=0.45)
+    mesh = volume_mesh(sc.domain, h=0.05)
+    assert mesh.nodes.shape[0] == 256
+    for name, (kind, params) in GOLDEN_INCIDENTS.items():
+        inc = make_incident(kind, params, MED)
+        for mode in ("direct-dense", "neumann-series"):
+            yield f"{name}/{mode}", sc, mesh, solve(sc, inc, mesh, mode=mode)
+
+
+def _golden_medium_values(solve):
+    return {key: [content_id(sol.u_total.values),
+                  content_id(sol.farfield.up_inf, sol.farfield.us_inf),
+                  sol.series_terms_used, repr(sol.contraction_estimate)]
+            for key, _, _, sol in _golden_medium_solves(solve)}
+
+
+def test_golden_medium_farfields_match_direction_loop():
+    # the pinned far-field hashes are those of the blocked phase-matrix
+    # products; on the same four solves they agree with the per-direction
+    # reference loop to round-off
+    for _, sc, mesh, sol in _golden_medium_solves(solve_medium):
+        n = mesh.nodes.shape[0]
+        vdiag = np.repeat(sc.contrast_on(mesh.nodes), 2)
+        equivalent = -MED.omega ** 2 * vdiag.reshape(n, 2) * sol.u_total.values
+        problem = SourceProblem(domain=sc.domain, medium=MED,
+                                phi=SampledVectorField(nodes=mesh.nodes, values=equivalent,
+                                                       mesh_ref=mesh.mesh_id))
+        assert_matches_direction_loop(sol.farfield, problem, mesh)
+
+
+def test_golden_medium_solves():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, __file__], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    assert json.loads(run.stdout) == GOLDEN_MEDIUM
+
+
+def test_golden_medium_lattice_solves():
+    assert _golden_medium_values(solve_medium) == GOLDEN_MEDIUM_LATTICE
 
 
 def test_farfield_reciprocity_pressure_channel():
@@ -502,4 +734,6 @@ def test_total_is_incident_plus_scattered():
 
 
 if __name__ == "__main__":
-    print(json.dumps(_golden_medium_values(), indent=1))
+    # GOLDEN_MEDIUM by default; GOLDEN_MEDIUM_LATTICE with the argument "lattice"
+    solve = solve_medium if sys.argv[1:] == ["lattice"] else _solve_medium_dense
+    print(json.dumps(_golden_medium_values(solve), indent=1))

@@ -32,6 +32,7 @@ from elastoscat.errors import (
     CoincidentPoints,
     DimensionMismatch,
     InvalidDirection,
+    InvalidParameter,
     MeshTooCoarse,
     UnsupportedDimension,
 )
@@ -457,6 +458,13 @@ def test_lame_operator_fd_batches_over_leading_axes():
             assert np.array_equal(batched[idx],
                                   lame_operator_fd(u, xs[idx], MED, step=1e-3,
                                                    order=order))
+
+
+@pytest.mark.parametrize("order", [0, 1, 3, 6])
+def test_lame_operator_fd_rejects_unknown_order(order):
+    with pytest.raises(InvalidParameter, match="order must be 2 or 4"):
+        lame_operator_fd(lambda x: np.zeros_like(x, dtype=complex),
+                         np.zeros((1, 2)), MED, step=1e-3, order=order)
 
 
 class _CompactBump:
