@@ -20,6 +20,7 @@ surface with unit normal ``nu`` is
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,9 +41,13 @@ from .errors import (
 # Minimum points per shear wavelength for difference-based mode splitting.
 SPLIT_MIN_PPW = 10.0
 _UNIT_NORMAL_TOL = 1.0e-12
-# Candidate pairs per block of holder_seminorm; bounds its index and
-# difference arrays whatever the number of nodes.
+# Node pairs per block of holder_seminorm, and the most entries of its
+# cell-pair table; bounds its index and difference arrays whatever the
+# number of nodes.
 _PAIR_BLOCK = 1 << 20
+# Relative inflation of holder_seminorm's cell-pair bounds, far above the
+# round-off of the per-pair ratio, so that no pruned pair can hold the max.
+_BOUND_SLACK = 1.0e-12
 # Fourth-order first-difference weights, times -12 h: the mixed second
 # derivative of order 4 is their tensor product over 144 h^2.
 _FD4_FIRST = ((2, 1.0), (1, -8.0), (-1, 8.0), (-2, -1.0))
@@ -151,10 +156,10 @@ def make_medium(lam: float, mu: float, omega: float, dim: int) -> LameMedium:
 
 
 def traction(jet: FieldJet, normal: np.ndarray, medium: LameMedium) -> np.ndarray:
-    """Conormal derivative ``T u`` at a single point.
+    """Conormal derivative ``T u``, batched over the leading axes of the jet.
 
-    ``jet.gradient[i, j]`` must hold ``dj u_i``.  ``normal`` must be a unit
-    vector; the operator is linear in the jet for a fixed normal.
+    ``jet.gradient[..., i, j]`` must hold ``dj u_i``.  ``normal`` must be a
+    unit vector; the operator is linear in the jet for a fixed normal.
     """
     nu = np.asarray(normal, dtype=float)
     n = medium.dim
@@ -163,18 +168,19 @@ def traction(jet: FieldJet, normal: np.ndarray, medium: LameMedium) -> np.ndarra
     if abs(np.dot(nu, nu) - 1.0) > 100.0 * _UNIT_NORMAL_TOL:
         raise DimensionMismatch(f"normal must be unit length, |nu|^2 = {np.dot(nu, nu)}")
     grad = np.asarray(jet.gradient, dtype=complex)
-    if grad.shape != (n, n):
-        raise DimensionMismatch(f"gradient has shape {grad.shape}, expected ({n}, {n})")
+    if grad.shape[-2:] != (n, n):
+        raise DimensionMismatch(
+            f"gradient has shape {grad.shape}, expected (..., {n}, {n})")
 
     dnu = grad @ nu                      # (nu . grad) u
-    divu = np.trace(grad)
+    divu = np.trace(grad, axis1=-2, axis2=-1)[..., None]
     if n == 2:
         nu_perp = np.array([-nu[1], nu[0]])
-        rot = grad[0, 1] - grad[1, 0]    # d2 u1 - d1 u2
+        rot = (grad[..., 0, 1] - grad[..., 1, 0])[..., None]    # d2 u1 - d1 u2
         return 2.0 * medium.mu * dnu + medium.lam * nu * divu + medium.mu * nu_perp * rot
-    curl = np.array([grad[2, 1] - grad[1, 2],
-                     grad[0, 2] - grad[2, 0],
-                     grad[1, 0] - grad[0, 1]])
+    curl = np.stack([grad[..., 2, 1] - grad[..., 1, 2],
+                     grad[..., 0, 2] - grad[..., 2, 0],
+                     grad[..., 1, 0] - grad[..., 0, 1]], axis=-1)
     return 2.0 * medium.mu * dnu + medium.lam * nu * divu + medium.mu * np.cross(nu, curl)
 
 
@@ -238,28 +244,119 @@ def helmholtz_split(fld: SampledVectorField, medium: LameMedium):
 
 
 def holder_seminorm(fld: SampledVectorField, delta: float) -> float:
-    """Holder seminorm ``max |phi(x)-phi(y)| / |x-y|^delta``, exact over all
-    pairs of distinct sample points, taken one block of rows at a time."""
-    _check_holder_exponent(delta, fld.nodes.shape[1])
-    n = fld.nodes.shape[0]
+    """Holder seminorm ``max |phi(x)-phi(y)| / |x-y|^delta``: the exact
+    maximum over all pairs of distinct sample points, found by
+    bound-and-prune.
+
+    The nodes are binned into about ``N / 8`` grid cells.  For cells A and B
+    with mean values ``c``, value radii ``rho = max |u - c|`` and a gap
+    ``dmin`` between their node boxes, every pair across them has ratio at
+    most ``(|c_A - c_B| + rho_A + rho_B) / dmin^delta``.  Cell pairs are
+    visited in decreasing order of that bound, inflated by ``_BOUND_SLACK``
+    against round-off: first every pair whose boxes touch (infinite bound),
+    then the others, in blocks no larger than ``_PAIR_BLOCK`` or that first
+    pass, until the bound falls to the best ratio found.  Each visited node
+    pair is evaluated by ``_max_pair_ratio``, so the result is the maximum
+    of the same per-pair floats over a subset holding the argmax pair:
+    equal, bit for bit, to the maximum over all pairs.
+    """
+    nodes, values = fld.nodes, fld.values
+    _check_holder_exponent(delta, nodes.shape[1])
+    n = nodes.shape[0]
     if n < 2:
         raise InsufficientSamples("need at least two sample points")
-    step = max(1, _PAIR_BLOCK // n)
-    tops = []
-    for start in range(0, n - 1, step):
-        rows = np.arange(start, min(start + step, n))
-        ii, jj = np.nonzero(rows[:, None] < np.arange(n))   # j > i
-        ii += start
-        dist = np.linalg.norm(fld.nodes[ii] - fld.nodes[jj], axis=1)
-        keep = dist > 0.0
-        if not np.any(keep):
-            continue
-        ii, jj, dist = ii[keep], jj[keep], dist[keep]
-        diff = np.linalg.norm(fld.values[ii] - fld.values[jj], axis=1)
-        tops.append(float(np.max(diff / dist ** delta)))
-    if not tops:
+    perm, starts, counts = _holder_cells(nodes)
+    sorted_vals = values[perm]
+    centre = np.add.reduceat(sorted_vals, starts, axis=0) / counts[:, None]
+    radius = np.maximum.reduceat(np.linalg.norm(
+        sorted_vals - np.repeat(centre, counts, axis=0), axis=1), starts)
+    box_lo = np.minimum.reduceat(nodes[perm], starts, axis=0)
+    box_hi = np.maximum.reduceat(nodes[perm], starts, axis=0)
+
+    ca, cb = np.triu_indices(starts.size)
+    gap = np.maximum(np.maximum(box_lo[cb] - box_hi[ca], box_lo[ca] - box_hi[cb]), 0.0)
+    dmin = np.linalg.norm(gap, axis=1)
+    spread = np.linalg.norm(centre[ca] - centre[cb], axis=1) + radius[ca] + radius[cb]
+    bound = np.full(ca.size, np.inf)
+    np.divide(spread * (1.0 + _BOUND_SLACK), (dmin * (1.0 - _BOUND_SLACK)) ** delta,
+              out=bound, where=dmin > 0.0)
+    order = np.argsort(-bound, kind="stable")
+    ca, cb, bound = ca[order], cb[order], bound[order]
+    first = np.concatenate(([0], np.cumsum(counts[ca] * counts[cb])))
+    touching_end = first[np.count_nonzero(bound == np.inf)]
+    # blocks after the touching pairs are no larger than that pass, so the
+    # bound is re-checked soon after the best ratio first rises
+    later_block = min(_PAIR_BLOCK, max(touching_end, 1))
+
+    best = -np.inf
+    k0 = 0
+    while True:
+        if k0 < touching_end:
+            stop, block = touching_end, _PAIR_BLOCK
+        else:   # bounds are sorted downwards: the live cell pairs are a prefix
+            stop, block = first[np.count_nonzero(bound > best)], later_block
+        if k0 >= stop:
+            break
+        k1 = min(k0 + block, stop)
+        k = np.arange(k0, k1)
+        p = np.searchsorted(first, k, side="right") - 1
+        ia, ib = np.divmod(k - first[p], counts[cb[p]])
+        keep = (ca[p] != cb[p]) | (ia < ib)     # each pair within a cell once
+        ii = perm[starts[ca[p]][keep] + ia[keep]]
+        jj = perm[starts[cb[p]][keep] + ib[keep]]
+        top = _max_pair_ratio(nodes, values, ii, jj, delta)
+        if top is not None:
+            best = np.maximum(best, top)
+        k0 = k1
+    if best == -np.inf:
         raise InsufficientSamples("all pairs coincide")
-    return max(tops)
+    return float(best)
+
+
+def _holder_cells(nodes: np.ndarray):
+    """Bin nodes into grid cells over their bounding box, about 8 nodes a
+    cell, and no more cells than keeps the cell-pair table within
+    ``_PAIR_BLOCK`` entries.
+
+    Returns ``(perm, starts, counts)``: ``nodes[perm]`` lists the occupied
+    cells' nodes one cell after another, cell c from ``starts[c]`` with
+    ``counts[c]`` nodes.
+    """
+    n, dim = nodes.shape
+    cap = (math.isqrt(8 * _PAIR_BLOCK + 1) - 1) // 2    # cap (cap + 1) / 2 <= block
+    target = max(1, min(n // 8, cap))
+    lo = nodes.min(axis=0)
+    span = nodes.max(axis=0) - lo
+    # cube side h with prod(span / h) = target over the axes longer than h;
+    # shorter (or flat) axes get one cell
+    h = 1.0
+    live = span > 0.0
+    while np.any(live):
+        h = math.exp((np.sum(np.log(span[live])) - math.log(target)) / np.count_nonzero(live))
+        thin = live & (span < h)
+        if not np.any(thin):
+            break
+        live &= ~thin
+    shape = np.where(live, np.floor(span / h), 1.0).astype(np.intp)
+    scale = np.divide(shape, span, out=np.zeros(dim), where=live)
+    idx = np.minimum(((nodes - lo) * scale).astype(np.intp), shape - 1)
+    cell = np.ravel_multi_index(idx.T, shape)
+    perm = np.argsort(cell, kind="stable")
+    _, starts, counts = np.unique(cell[perm], return_index=True, return_counts=True)
+    return perm, starts, counts
+
+
+def _max_pair_ratio(nodes: np.ndarray, values: np.ndarray, ii: np.ndarray,
+                    jj: np.ndarray, delta: float):
+    """Largest ``|u_i - u_j| / |x_i - x_j|^delta`` over the index pairs
+    ``(ii, jj)`` at positive distance; ``None`` if every pair coincides."""
+    dist = np.linalg.norm(nodes[ii] - nodes[jj], axis=1)
+    keep = dist > 0.0
+    if not np.any(keep):
+        return None
+    ii, jj, dist = ii[keep], jj[keep], dist[keep]
+    diff = np.linalg.norm(values[ii] - values[jj], axis=1)
+    return float(np.max(diff / dist ** delta))
 
 
 def field_norms(fld: SampledVectorField, mesh) -> tuple:

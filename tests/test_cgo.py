@@ -28,6 +28,7 @@ from elastoscat import (
     traction_point_solve,
     zeta_default,
 )
+from elastoscat.cgo import _gl_panels
 from elastoscat.errors import (
     BoundaryConditionViolated,
     DegenerateModuli,
@@ -111,6 +112,18 @@ def test_probe_jet_matches_finite_differences():
         e[j] = h
         fd = (p.field(x + e) - p.field(x - e)) / (2.0 * h)
         assert np.allclose(jet.gradient[:, j], fd, rtol=1e-7, atol=1e-9)
+
+
+def test_probe_jet_batched_matches_single_points():
+    p = down_probe(5.0)
+    x = np.random.default_rng(5).uniform(-0.1, 0.1, size=(6, 1, 2))
+    jet = p.jet(x)
+    assert jet.value.shape == (6, 1, 2) and jet.gradient.shape == (6, 1, 2, 2)
+    assert np.array_equal(jet.value, p.field(x))
+    for k in range(6):
+        single = p.jet(x[k, 0])
+        assert np.array_equal(jet.value[k, 0], single.value)
+        assert np.array_equal(jet.gradient[k, 0], single.gradient)
 
 
 def test_probe_rejects_tau_at_kappa():
@@ -497,6 +510,37 @@ def test_identity_terms_balance(K):
     assert br.nodes_used > 0
     js = br.to_json_dict()
     assert js["K"] == K and "re" in js["lhs"]
+
+
+def _lid_term_by_nodes(dom, bump, probe, refine):
+    """Reference: I4 summed node by node, with one jet and one traction per
+    node and function, on the lid rule of ``integral_identity_check``."""
+    comp = dom.components[0]
+    b, w_cap = comp.chart.b, comp.x1max
+    osc = math.sqrt(probe.kappa_s ** 2 + probe.tau ** 2)
+    left = _gl_panels(-w_cap, 0.0, osc, factor=refine)
+    right = _gl_panels(0.0, w_cap, osc, factor=refine)
+    xs = np.concatenate([left[0], right[0]])
+    ws = np.concatenate([left[1], right[1]])
+    nu = np.array([0.0, 1.0])
+    vals = np.zeros(xs.size, dtype=complex)
+    for k, x1 in enumerate(xs):
+        p = np.array([x1, b])
+        jet_u = bump.jet(p)
+        t_u = traction(jet_u, nu, MED)
+        jet_0 = probe.jet(p)
+        t_0 = traction(jet_0, nu, MED)
+        vals[k] = jet_0.value @ t_u - jet_u.value @ t_0
+    return complex(np.sum(ws * vals))
+
+
+@pytest.mark.parametrize("K", [4.0, 10.0, 30.0, 100.0])
+@pytest.mark.parametrize("refine", [0.25, 1.0])
+def test_identity_lid_term_matches_node_loop(K, refine):
+    dom, bump, probe = identity_case(K)
+    br = integral_identity_check(dom, bump, probe, MED, refine=refine)
+    ref = _lid_term_by_nodes(dom, bump, probe, refine)
+    assert abs(br.i4 - ref) <= 1e-14 * abs(ref)
 
 
 def test_identity_residual_drops_under_refinement():

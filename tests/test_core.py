@@ -21,6 +21,7 @@ from elastoscat import (
 )
 from elastoscat import elastic
 from elastoscat.errors import (
+    DimensionMismatch,
     GridTooCoarse,
     InsufficientSamples,
     InvalidExponent,
@@ -139,6 +140,28 @@ def test_traction_3d_downward_normal_formula():
         lam * (g[0, 0] + g[1, 1]) + (lam + 2 * mu) * g[2, 2],
     ])
     assert np.allclose(t, expected, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_traction_batched_matches_single_points(dim):
+    med = make_medium(2.0, 1.0, 2.0, dim)
+    rng = np.random.default_rng(13)
+    g = rng.standard_normal((4, 3, dim, dim)) + 1j * rng.standard_normal((4, 3, dim, dim))
+    nu = rng.standard_normal(dim)
+    nu /= np.linalg.norm(nu)
+    origin = np.zeros(dim)
+    batch = traction(_jet(origin, origin, g), nu, med)
+    assert batch.shape == (4, 3, dim)
+    for idx in np.ndindex(4, 3):
+        assert np.array_equal(batch[idx], traction(_jet(origin, origin, g[idx]), nu, med))
+
+
+def test_traction_rejects_mismatched_shapes():
+    med = make_medium(2.0, 1.0, 2.0, 2)
+    with pytest.raises(DimensionMismatch):
+        traction(_jet([0, 0], [0, 0], np.zeros((5, 3, 3))), np.array([0.0, 1.0]), med)
+    with pytest.raises(DimensionMismatch):
+        traction(_jet([0, 0], [0, 0], np.zeros((2, 2))), np.array([0.0, 1.0, 0.0]), med)
 
 
 @given(a=st.floats(-5, 5), b=st.floats(-5, 5))
@@ -318,6 +341,129 @@ def test_seminorm_blocks_cover_every_pair(monkeypatch):
     # 6 rows a block: 67 blocks, the last one holding rows 396-399 only
     monkeypatch.setattr(elastic, "_PAIR_BLOCK", 6 * 400)
     assert holder_seminorm(fld, 0.7) == _holder_by_all_pairs(fld, 0.7)
+
+
+def _white_noise_field():
+    # no smoothness at all: every cell's value radius spans the whole range
+    rng = np.random.default_rng(17)
+    nodes = rng.uniform(-1, 1, size=(600, 2))
+    vals = rng.standard_normal((600, 2)) + 1j * rng.standard_normal((600, 2))
+    return SampledVectorField(nodes, vals)
+
+
+def _duplicated_field():
+    # 150 nodes of which 60 are repeated with other values, plus 12 copies
+    # of one isolated point, which fill a cell on their own
+    rng = np.random.default_rng(23)
+    base = rng.uniform(0, 1, size=(150, 2))
+    nodes = np.vstack([base, base[:60], np.full((12, 2), 2.9)])
+    vals = np.hstack([np.cos(2.0 * nodes[:, :1]), nodes[:, 1:] ** 2])
+    vals[150:] += rng.uniform(-0.1, 0.1, size=(72, 2))
+    return SampledVectorField(nodes, vals)
+
+
+def _field_3d():
+    rng = np.random.default_rng(29)
+    nodes = rng.uniform(-1, 1, size=(500, 3))
+    vals = np.stack([np.sin(nodes[:, 0] + nodes[:, 1]), nodes[:, 2] ** 2,
+                     np.exp(-nodes[:, 0] ** 2)], axis=1)
+    return SampledVectorField(nodes, vals)
+
+
+def _spiked_field(*spikes):
+    """Constant field on 400 random nodes, moved at the listed nodes."""
+    nodes = np.random.default_rng(31).uniform(0, 1, size=(400, 2))
+    vals = np.full((400, 2), 0.5 + 0.25j)
+    for k, step in spikes:
+        vals[k] += step
+    return SampledVectorField(nodes, vals)
+
+
+def _spike_field():
+    return _spiked_field((137, 1e-3))
+
+
+def _collinear_field():
+    # zero span across the line: its axis gets a single cell
+    t = np.sort(np.random.default_rng(37).uniform(-1, 1, 300))
+    nodes = np.stack([t, np.full_like(t, 0.3)], axis=1)
+    return SampledVectorField(nodes, np.stack([np.abs(t) ** 0.3, t], axis=1))
+
+
+@pytest.mark.parametrize("make, delta", [
+    (_nonradiating_field, 0.05),    # delta = 1 is the reference test's case
+    *[(make, delta) for make in (_random_field, _white_noise_field,
+                                 _duplicated_field, _spike_field,
+                                 _collinear_field)
+      for delta in (0.05, 1.0)]])
+def test_seminorm_equals_all_pairs_where_pruning_is_weak(make, delta):
+    fld = make()
+    assert holder_seminorm(fld, delta) == _holder_by_all_pairs(fld, delta)
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.5])
+def test_seminorm_equals_all_pairs_in_3d(delta):
+    fld = _field_3d()
+    assert holder_seminorm(fld, delta) == _holder_by_all_pairs(fld, delta)
+
+
+@pytest.mark.parametrize("delta", [0.05, 1.0])
+def test_seminorm_spike_anywhere(delta):
+    # the largest ratio joins the spike to its nearest node, which for some
+    # of these nodes lies in another cell than the spike
+    for k in range(0, 400, 20):
+        fld = _spiked_field((k, 1e-3))
+        assert holder_seminorm(fld, delta) == _holder_by_all_pairs(fld, delta)
+
+
+def test_seminorm_two_distant_spikes():
+    # at delta = 0.05 the opposite spikes give the largest ratio, although
+    # their cells differ only slightly in mean value
+    nodes = _spiked_field().nodes
+    far = (int(np.argmin(nodes.sum(axis=1))), int(np.argmax(nodes.sum(axis=1))))
+    fld = _spiked_field((far[0], 1.0), (far[1], -1.0))
+    assert holder_seminorm(fld, 0.05) == _holder_by_all_pairs(fld, 0.05)
+
+
+def test_seminorm_duplicates_fill_a_cell_of_their_own():
+    fld = _duplicated_field()
+    perm, starts, counts = elastic._holder_cells(fld.nodes)
+    cells = np.split(fld.nodes[perm], starts[1:])
+    assert any(len(c) > 1 and np.all(c == c[0]) for c in cells)
+
+
+def _counting_pairs(monkeypatch):
+    """Record the number of node pairs in each block handed to the pair
+    evaluator."""
+    blocks = []
+    evaluate = elastic._max_pair_ratio
+
+    def spy(nodes, values, ii, jj, delta):
+        blocks.append(ii.size)
+        return evaluate(nodes, values, ii, jj, delta)
+
+    monkeypatch.setattr(elastic, "_max_pair_ratio", spy)
+    return blocks
+
+
+@pytest.mark.parametrize("block", [64, 500])
+def test_seminorm_small_blocks_split_both_passes(monkeypatch, block):
+    # 400 nodes in 9 (block 64) or 25 (block 500) cells: the touching pass
+    # takes 280 or 14 blocks, the later pass 1,084 or 82
+    fld = _random_field()
+    monkeypatch.setattr(elastic, "_PAIR_BLOCK", block)
+    blocks = _counting_pairs(monkeypatch)
+    assert holder_seminorm(fld, 0.7) == _holder_by_all_pairs(fld, 0.7)
+    assert len(blocks) > 10 and max(blocks) <= block
+
+
+def test_seminorm_prunes_most_pairs(monkeypatch):
+    # about 11 % of the 2,096,128 pairs; an all-pairs search fails here
+    fld = _nonradiating_field()
+    n = fld.nodes.shape[0]
+    blocks = _counting_pairs(monkeypatch)
+    assert holder_seminorm(fld, 1.0) == _holder_by_all_pairs(fld, 1.0)
+    assert sum(blocks) <= 0.25 * n * (n - 1) / 2
 
 
 def test_seminorm_skips_coincident_pairs():
