@@ -15,7 +15,6 @@ from .elastic import (
     LameMedium,
     SampledVectorField,
     field_norms,
-    helmholtz_split,
     holder_seminorm,
     lame_operator_fd,
     make_medium,
@@ -60,7 +59,6 @@ from .scattering import (
     contraction_report,
     lattice_pde_residual,
     make_incident,
-    pde_residual_check,
     solve_medium,
     upsilon,
 )
@@ -77,33 +75,27 @@ from .cgo import (
     select_tau,
     shell_integral,
     tail_and_holder_bounds,
-    traction_point_solve,
     zeta_default,
 )
 from .bounds import (
     CalibrationResult,
-    ClassCheckResult,
     CriterionReport,
-    admissible_class_check,
     calibrate_constant,
     calibrate_contraction_scale,
     diameter_lower_bound,
-    epsilon_min_solve,
     kdecay_rhs,
     kpoint_criterion,
     medium_kpoint_criterion,
     medium_small_criterion,
     small_support_criterion,
     small_support_rhs,
-    transmission_bounds,
 )
 
 __all__ = [
     "__version__", "errors",
     # material and fields
     "LameMedium", "GridSpec", "SampledVectorField", "FieldJet", "make_medium",
-    "traction", "helmholtz_split", "holder_seminorm", "field_norms",
-    "lame_operator_fd",
+    "traction", "holder_seminorm", "field_norms", "lame_operator_fd",
     # geometry
     "disk", "ellipse", "union", "make_cap_domain", "inside", "diameter",
     "component_separation", "signed_distance", "volume_mesh", "gauss_mesh",
@@ -118,17 +110,15 @@ __all__ = [
     # media
     "MediumScatterer", "IncidentWave", "MediumSolve", "ContractionReport",
     "make_incident", "solve_medium", "contraction_report", "upsilon",
-    "pde_residual_check", "lattice_pde_residual",
+    "lattice_pde_residual",
     # exponential probes
     "CgoProbe", "IdentityBreakdown", "make_cgo", "probe_grid", "cgo_residual",
     "paraboloid_integral_closed", "paraboloid_integral_mc", "shell_integral",
     "tail_and_holder_bounds", "select_tau", "zeta_default",
-    "integral_identity_check", "boundary_term_bound", "traction_point_solve",
+    "integral_identity_check", "boundary_term_bound",
     # criteria
-    "CriterionReport", "CalibrationResult", "ClassCheckResult",
-    "small_support_rhs", "kdecay_rhs", "small_support_criterion",
-    "diameter_lower_bound", "kpoint_criterion", "medium_small_criterion",
-    "medium_kpoint_criterion", "transmission_bounds", "epsilon_min_solve",
-    "admissible_class_check", "calibrate_constant",
+    "CriterionReport", "CalibrationResult", "small_support_rhs", "kdecay_rhs",
+    "small_support_criterion", "diameter_lower_bound", "kpoint_criterion",
+    "medium_small_criterion", "medium_kpoint_criterion", "calibrate_constant",
     "calibrate_contraction_scale",
 ]

@@ -13,19 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .elastic import _check_holder_exponent
 from .errors import (
-    DegenerateContrast,
     EmptySweep,
     ExponentOutOfRange,
-    IncompleteInputs,
     InvalidParameter,
     KTooSmall,
-    NoRoot,
     NonpositiveArgument,
     OutOfRegime,
     UnsupportedDimension,
@@ -71,15 +68,6 @@ class CalibrationResult:
             "constant_fit": self.constant_fit, "violations": self.violations,
             "sweep_size": self.sweep_size, "fit_method": self.fit_method,
         }
-
-
-@dataclass
-class ClassCheckResult:
-    """Outcome of an admissibility test, item by item."""
-
-    admissible: bool
-    items: dict
-    reasons: list
 
 
 def _finish(name: str, lhs: float, rhs: float, c_fit: float,
@@ -224,90 +212,6 @@ def medium_kpoint_criterion(Vui_at_q: float, K: float, alpha: float,
     return _finish("medium-kpoint", Vui_at_q, rhs, c_fit, echo)
 
 
-def transmission_bounds(kind: str, V_stats: dict, epsilon: Optional[float] = None,
-                        K: Optional[float] = None, delta: Optional[float] = None,
-                        alpha: Optional[float] = None,
-                        varsigma: Optional[float] = None, dim: int = 2,
-                        c_fit: float = 1.0) -> CriterionReport:
-    """Upper bounds for interior eigenfunction boundary data.
-
-    ``kind="small"``: ``(||V|| / inf_boundary |V|) * eps^delta (1+(1+eps)eps^{n/2})``
-    bounds ``sup_boundary |w|`` for a normalized eigenfunction.
-    ``kind="kpoint"``: the K-decay shape bounds ``|w(q)|`` where the contrast
-    does not vanish.  Externally measured boundary data may be passed in
-    ``V_stats`` (``w_sup_boundary`` / ``w_at_q``) to fill the measured side;
-    it defaults to zero, which reports the bound value alone.
-    """
-    if kind == "small":
-        needed = {"v_norm", "v_inf_boundary"}
-        if not needed <= set(V_stats):
-            raise IncompleteInputs(f"missing {sorted(needed - set(V_stats))}")
-        if epsilon is None or delta is None:
-            raise IncompleteInputs("small kind needs epsilon and delta")
-        v_norm = float(V_stats["v_norm"])
-        v_inf = float(V_stats["v_inf_boundary"])
-        if v_inf <= 0.0:
-            raise DegenerateContrast(
-                f"inf_boundary |V| = {v_inf}; bound degenerates")
-        if v_norm < v_inf:
-            raise InvalidParameter("||V|| cannot be below inf |V|")
-        rhs = (v_norm / v_inf) * small_support_rhs(epsilon, delta, dim)
-        lhs = float(V_stats.get("w_sup_boundary", 0.0))
-        echo = {"kind": kind, "epsilon": epsilon, "delta": delta, "dim": dim,
-                "v_norm": v_norm, "v_inf_boundary": v_inf, "c_fit": c_fit}
-        return _finish("transmission-small", lhs, rhs, c_fit, echo)
-    if kind == "kpoint":
-        if "v_at_q" not in V_stats:
-            raise IncompleteInputs("missing ['v_at_q']")
-        if K is None or alpha is None or varsigma is None:
-            raise IncompleteInputs("kpoint kind needs K, alpha, varsigma")
-        v_at_q = float(V_stats["v_at_q"])
-        if v_at_q <= 0.0:
-            raise DegenerateContrast(f"|V(q)| = {v_at_q}; bound degenerates")
-        rhs = kdecay_rhs(K, alpha, varsigma, dim)
-        lhs = float(V_stats.get("w_at_q", 0.0))
-        echo = {"kind": kind, "K": K, "alpha": alpha, "varsigma": varsigma,
-                "dim": dim, "v_at_q": v_at_q, "c_fit": c_fit}
-        return _finish("transmission-kpoint", lhs, rhs, c_fit, echo)
-    raise InvalidParameter(f"unknown kind {kind!r}")
-
-
-def epsilon_min_solve(target_lhs: float, delta: float, dim: int,
-                      C_fit: float, eps_hi: float = 1.0e6,
-                      tol: float = 1.0e-14) -> float:
-    """Invert ``C_fit * eps^delta (1+(1+eps) eps^{n/2}) = target`` by bisection.
-
-    The map is strictly increasing so the root is unique; the search bracket
-    grows geometrically up to ``eps_hi``.
-    """
-    if target_lhs <= 0.0:
-        raise NonpositiveArgument(f"target must be positive, got {target_lhs}")
-    if C_fit <= 0.0:
-        raise NonpositiveArgument(f"C_fit must be positive, got {C_fit}")
-    _check_holder_exponent(delta, dim)
-
-    def f(eps):
-        return C_fit * small_support_rhs(eps, delta, dim) - target_lhs
-
-    hi = 1.0
-    while f(hi) < 0.0:
-        hi *= 2.0
-        if hi > eps_hi:
-            raise NoRoot(f"target {target_lhs} out of range up to eps = {eps_hi}")
-    lo = hi / 2.0 if hi > 1.0 else 0.0
-    while lo > 0.0 and f(lo) > 0.0:
-        lo /= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
-
-
 def calibrate_constant(sweep: Sequence) -> CalibrationResult:
     """Tightest constant making ``lhs <= C * rhs`` hold across the sweep.
 
@@ -374,124 +278,3 @@ def calibrate_contraction_scale(sweep: Sequence) -> CalibrationResult:
     return CalibrationResult(constant_fit=float(s_cap), violations=int(violations),
                              sweep_size=len(entries), fit_method="min-feasible-s")
 
-
-# ---------------------------------------------------------------------------
-# admissible classes
-# ---------------------------------------------------------------------------
-
-def _need(inputs: dict, keys, klass: str) -> None:
-    missing = [k for k in keys if k not in inputs]
-    if missing:
-        raise IncompleteInputs(f"class {klass} needs {missing}")
-
-
-def _exponent_in(value: float, dim: int, closed_half: bool) -> bool:
-    """Range test: (0,1] / (0,1/2] when closed_half, else (0,1) / (1/3,1)."""
-    if closed_half:
-        return 0.0 < value <= (1.0 if dim == 2 else 0.5)
-    if dim == 2:
-        return 0.0 < value < 1.0
-    return 1.0 / 3.0 < value < 1.0
-
-
-def _separation_items(inputs: dict, klass: str, items: dict, reasons: list) -> None:
-    count = int(inputs.get("component_count", 1))
-    if count <= 1:
-        return
-    _need(inputs, ["separation", "epsilon_min", "omega", "max_component_diameter"],
-          klass)
-    floor = 2.0 * inputs["epsilon_min"] / inputs["omega"]
-    ok_sep = inputs["separation"] > floor
-    items["separation"] = ok_sep
-    if not ok_sep:
-        reasons.append(
-            f"separation {inputs['separation']} not above 2*eps_min/omega = {floor}")
-    ok_diam = inputs["max_component_diameter"] <= inputs["epsilon_min"] / inputs["omega"]
-    items["component-size"] = ok_diam
-    if not ok_diam:
-        reasons.append("a component exceeds eps_min/omega in diameter")
-
-
-def admissible_class_check(klass: str, inputs: dict) -> ClassCheckResult:
-    """Conjunction test for the uniqueness-theorem hypotheses.
-
-    ``inputs`` carries exponents, norm caps, criterion reports (item (b) is a
-    report whose regime must be radiating-asserted), and for collections the
-    separation data.  Items are reported individually so a failure names its
-    reason; the test is monotone under strengthening any passing input.
-    """
-    items: dict = {}
-    reasons: list = []
-    if klass == "A":
-        _need(inputs, ["alpha", "dim", "component_reports"], "A")
-        ok = _exponent_in(inputs["alpha"], inputs["dim"], closed_half=True)
-        items["exponent-range"] = ok
-        if not ok:
-            reasons.append(f"exponent range: alpha = {inputs['alpha']}")
-        reports = inputs["component_reports"]
-        if not reports:
-            raise IncompleteInputs("class A needs at least one component report")
-        ok_b = all(r.regime == REGIME_RADIATING for r in reports)
-        items["criterion"] = ok_b
-        if not ok_b:
-            reasons.append("a component's smallness criterion is not asserted")
-        inputs = dict(inputs, component_count=inputs.get(
-            "component_count", len(reports)))
-        _separation_items(inputs, "A", items, reasons)
-    elif klass == "B":
-        _need(inputs, ["alpha", "varsigma", "dim", "norm_max", "norm_cap",
-                       "report"], "B")
-        ok = _exponent_in(min(inputs["alpha"], inputs["varsigma"]),
-                          inputs["dim"], closed_half=False)
-        items["exponent-range"] = ok
-        if not ok:
-            reasons.append(
-                f"exponent range: min(alpha, varsigma) = "
-                f"{min(inputs['alpha'], inputs['varsigma'])}")
-        ok_n = inputs["norm_max"] < inputs["norm_cap"]
-        items["norm-bound"] = ok_n
-        if not ok_n:
-            reasons.append("intensity norms reach the a-priori cap")
-        ok_b = inputs["report"].regime == REGIME_RADIATING
-        items["criterion"] = ok_b
-        if not ok_b:
-            reasons.append("point-intensity lower bound is not asserted")
-    elif klass == "A-prime":
-        _need(inputs, ["delta", "dim", "v_inf_boundary", "v_min_floor",
-                       "v_norm", "v_norm_cap", "report"], "A-prime")
-        ok = _exponent_in(inputs["delta"], inputs["dim"], closed_half=True)
-        items["exponent-range"] = ok
-        if not ok:
-            reasons.append(f"exponent range: delta = {inputs['delta']}")
-        ok_c = (inputs["v_inf_boundary"] >= inputs["v_min_floor"]
-                and inputs["v_norm"] <= inputs["v_norm_cap"])
-        items["contrast-bounds"] = ok_c
-        if not ok_c:
-            reasons.append("contrast floor/cap violated")
-        ok_b = inputs["report"].regime == REGIME_RADIATING
-        items["criterion"] = ok_b
-        if not ok_b:
-            reasons.append("boundary total-field lower bound is not asserted")
-        _separation_items(inputs, "A-prime", items, reasons)
-    elif klass == "B-prime":
-        _need(inputs, ["alpha", "varsigma", "dim", "v_norm", "norm_cap",
-                       "report"], "B-prime")
-        ok = _exponent_in(min(inputs["alpha"], inputs["varsigma"]),
-                          inputs["dim"], closed_half=False)
-        items["exponent-range"] = ok
-        if not ok:
-            reasons.append(
-                f"exponent range: min(alpha, varsigma) = "
-                f"{min(inputs['alpha'], inputs['varsigma'])}")
-        ok_n = inputs["v_norm"] <= inputs["norm_cap"]
-        items["norm-bound"] = ok_n
-        if not ok_n:
-            reasons.append("contrast norms exceed the a-priori cap")
-        ok_b = inputs["report"].regime == REGIME_RADIATING
-        items["criterion"] = ok_b
-        if not ok_b:
-            reasons.append("point total-field lower bound is not asserted")
-    else:
-        raise InvalidParameter(f"unknown admissible class {klass!r}")
-    return ClassCheckResult(admissible=all(items.values()), items=items,
-                            reasons=reasons)

@@ -27,7 +27,6 @@ from .bumps import Bump
 from .elastic import FieldJet, GridSpec, LameMedium, _lame_stencil, traction
 from .errors import (
     BoundaryConditionViolated,
-    DegenerateModuli,
     ExponentOutOfRange,
     GridTooCoarse,
     InvalidCurvatures,
@@ -494,33 +493,3 @@ def boundary_term_bound(tau: float, b: float, K: float, beta: float,
     return math.exp(-tau * b) * K ** (-(beta + (dim + 1) / 2.0)) * (K + tau) \
         * c1beta_norm
 
-
-@dataclass(frozen=True)
-class PointSolveResult:
-    matrix: np.ndarray
-    det: float
-    solution: np.ndarray
-    gradient_is_zero: bool
-
-
-def traction_point_solve(medium: LameMedium, tangential_zero: bool = True
-                         ) -> PointSolveResult:
-    """Solve for the normal derivatives at a flat boundary point.
-
-    With vanishing tangential derivatives and zero traction at a point with
-    inward normal ``e_n`` (outward ``-e_n``), the traction rows reduce to a
-    diagonal system in the unknown normal derivatives with entries
-    ``-mu`` (repeated n-1 times) and ``-(lam + 2 mu)``; invertibility forces
-    the full gradient to vanish.
-    """
-    if not tangential_zero:
-        raise InvalidParameter("hypothesis requires vanishing tangential derivatives")
-    n = medium.dim
-    diag = [-medium.mu] * (n - 1) + [-(medium.lam + 2.0 * medium.mu)]
-    mat = np.diag(diag)
-    det = float(np.linalg.det(mat))
-    if abs(det) < 1e-14:
-        raise DegenerateModuli(f"point system is singular, det = {det}")
-    sol = np.linalg.solve(mat, np.zeros(n))
-    return PointSolveResult(matrix=mat, det=det, solution=sol,
-                            gradient_is_zero=bool(np.allclose(sol, 0.0)))

@@ -21,8 +21,11 @@ Subcommands
     Identity term magnitudes against their structural bounds on a
     (K, zeta) grid, with per-term constant calibration.
 ``medium-demo``
-    Volume-integral-equation solves, contraction diagnostics, and the
-    medium smallness criterion over a contrast-amplitude sweep.
+    Volume-integral-equation solves (GMRES, and the Neumann series where
+    the contraction regime holds), contraction diagnostics and a fitted
+    contraction scale over a contrast-amplitude sweep, guarded by a lattice
+    PDE-residual self-check.  ``criterion.delta`` is only echoed into the
+    summary; no smallness criterion is evaluated.
 ``distinguish``
     Far-field difference of two separated small disk sources against the
     quadrature noise floor.

@@ -1,4 +1,4 @@
-"""Material parameters, traction operator, wave-mode splitting, and norms.
+"""Material parameters, traction operator, Holder seminorm, and norms.
 
 The displacement field of a homogeneous isotropic solid at angular frequency
 ``omega`` satisfies
@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    GridTooCoarse,
     InsufficientSamples,
     InvalidExponent,
     InvalidFrequency,
@@ -38,8 +37,6 @@ from .errors import (
     UnsupportedDimension,
 )
 
-# Minimum points per shear wavelength for difference-based mode splitting.
-SPLIT_MIN_PPW = 10.0
 _UNIT_NORMAL_TOL = 1.0e-12
 # Node pairs per block of holder_seminorm, and the most entries of its
 # cell-pair table; bounds its index and difference arrays whatever the
@@ -89,14 +86,12 @@ class SampledVectorField:
     """Complex vector field sampled at explicit points.
 
     ``values[k]`` is the field at ``nodes[k]``.  ``mesh_ref`` ties the field
-    to the quadrature mesh it was sampled on (if any); ``grid`` is set when
-    the nodes form a regular Cartesian grid.
+    to the quadrature mesh it was sampled on (if any).
     """
 
     nodes: np.ndarray
     values: np.ndarray
     mesh_ref: Optional[str] = None
-    grid: Optional[GridSpec] = None
 
     def __post_init__(self) -> None:
         self.nodes = np.asarray(self.nodes, dtype=float)
@@ -182,65 +177,6 @@ def traction(jet: FieldJet, normal: np.ndarray, medium: LameMedium) -> np.ndarra
                      grad[..., 0, 2] - grad[..., 2, 0],
                      grad[..., 1, 0] - grad[..., 0, 1]], axis=-1)
     return 2.0 * medium.mu * dnu + medium.lam * nu * divu + medium.mu * np.cross(nu, curl)
-
-
-def _grid_values(fld: SampledVectorField) -> np.ndarray:
-    """Reshape flat values to (n1, n2, dim) using the attached grid."""
-    g = fld.grid
-    n1, n2 = g.shape
-    return fld.values.reshape(n1, n2, -1)
-
-
-def helmholtz_split(fld: SampledVectorField, medium: LameMedium):
-    """Split a grid-sampled field into pressure and shear parts.
-
-    Second-order centered differences of
-
-        u_p = -kappa_p^{-2} grad(div u),
-        u_s =  kappa_s^{-2} curl curl u      (2-D scalar-curl convention),
-
-    returned on the grid interior (one layer trimmed per derivative pass,
-    two layers total).  Requires at least ``SPLIT_MIN_PPW`` points per shear
-    wavelength.
-    """
-    if medium.dim != 2:
-        raise UnsupportedDimension("mode splitting implemented for dim=2 only")
-    if fld.grid is None:
-        raise MeshMismatch("helmholtz_split needs a field with regular grid metadata")
-    h = fld.grid.spacing
-    ppw = 2.0 * np.pi / (medium.kappa_s * h)
-    if ppw < SPLIT_MIN_PPW:
-        raise GridTooCoarse(
-            f"{ppw:.2f} points per shear wavelength, need >= {SPLIT_MIN_PPW}")
-    n1, n2 = fld.grid.shape
-    if n1 < 5 or n2 < 5:
-        raise GridTooCoarse("grid must be at least 5x5 for interior second differences")
-
-    u = _grid_values(fld)                # (n1, n2, 2)
-
-    def d1(a):
-        return (a[2:, 1:-1] - a[:-2, 1:-1]) / (2.0 * h)
-
-    def d2(a):
-        return (a[1:-1, 2:] - a[1:-1, :-2]) / (2.0 * h)
-
-    # First pass: div and scalar curl on interior(1).
-    div_u = d1(u[:, :, 0]) + d2(u[:, :, 1])
-    curl_u = d1(u[:, :, 1]) - d2(u[:, :, 0])
-    # Second pass: grad(div) and vector-curl(curl) on interior(2).
-    up = np.stack([-d1(div_u) / medium.kappa_p ** 2,
-                   -d2(div_u) / medium.kappa_p ** 2], axis=-1)
-    us = np.stack([d2(curl_u) / medium.kappa_s ** 2,
-                   -d1(curl_u) / medium.kappa_s ** 2], axis=-1)
-
-    g = fld.grid
-    inner = GridSpec(origin=(g.origin[0] + 2 * h, g.origin[1] + 2 * h),
-                     spacing=h, shape=(n1 - 4, n2 - 4))
-    nodes = inner.nodes()
-    ref = fld.mesh_ref
-    u_p = SampledVectorField(nodes, up.reshape(-1, 2), mesh_ref=ref, grid=inner)
-    u_s = SampledVectorField(nodes, us.reshape(-1, 2), mesh_ref=ref, grid=inner)
-    return u_p, u_s
 
 
 def holder_seminorm(fld: SampledVectorField, delta: float) -> float:

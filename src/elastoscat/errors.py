@@ -124,10 +124,6 @@ class KTooSmall(ToolkitError):
     """Curvature parameter must satisfy K >= e."""
 
 
-class DegenerateModuli(ToolkitError):
-    """Moduli render a point linear system singular."""
-
-
 # --- bound evaluators -------------------------------------------------------
 
 class InvalidExponent(ToolkitError):
@@ -136,18 +132,6 @@ class InvalidExponent(ToolkitError):
 
 class ExponentOutOfRange(ToolkitError):
     """Decay exponent outside the range required in this dimension."""
-
-
-class DegenerateContrast(ToolkitError):
-    """Contrast bound or boundary infimum is degenerate."""
-
-
-class NoRoot(ToolkitError):
-    """Monotone equation has no root in the search interval."""
-
-
-class IncompleteInputs(ToolkitError):
-    """Admissibility check is missing required entries."""
 
 
 class EmptySweep(ToolkitError):

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .elastic import LameMedium, SampledVectorField, _lame_stencil, lame_operator_fd
+from .elastic import LameMedium, SampledVectorField, _lame_stencil
 from .errors import (
     CoincidentPoints,
     DimensionMismatch,
@@ -48,6 +48,10 @@ from .source import (
 )
 
 _SERIES_MAX_TERMS = 200
+# the Neumann series stops before a term below this fraction of |u_i|
+_SERIES_TOL = 1e-12
+# lattice_pde_residual skips nodes within this many cells of the boundary
+_RESIDUAL_MARGIN_CELLS = 6
 _GMRES_RTOL = 1e-12
 _GMRES_RESTART = 50
 _GMRES_MAX_CYCLES = 20      # restart cycles: at most 1,000 matvecs
@@ -261,7 +265,7 @@ def _lattice_potential(mesh: QuadratureMesh, medium: LameMedium) -> Callable:
 
 def solve_medium(scatterer: MediumScatterer, incident: IncidentWave,
                  mesh: QuadratureMesh, mode: str = "direct-dense",
-                 directions=None, series_tol: float = 1e-12) -> MediumSolve:
+                 directions=None) -> MediumSolve:
     """Solve the volume integral equation on the mesh.
 
     Both modes apply the collocated operator ``omega^2 P V`` through the FFT
@@ -330,7 +334,7 @@ def solve_medium(scatterer: MediumScatterer, incident: IncidentWave,
         while True:
             term = -op(term)
             cur = float(np.linalg.norm(term))
-            if cur <= series_tol * base:
+            if cur <= _SERIES_TOL * base:
                 break                       # next term negligible: not counted
             if prev > 0.0:
                 ratios.append(cur / prev)
@@ -416,25 +420,17 @@ def upsilon(eps: float, v_sup: float, s: float = 1.0) -> float:
     return prod / (s - prod)
 
 
-def pde_residual_check(wave: IncidentWave, point, step: float = 1e-3) -> float:
-    """Relative residual of the homogeneous system at one point (oracle hook)."""
-    x = np.asarray(point, dtype=float)[None, :]
-    res = lame_operator_fd(wave, x, wave.medium, step=step, order=4)[0]
-    ref = wave.medium.omega ** 2 * np.linalg.norm(wave(x)[0])
-    return float(np.linalg.norm(res) / ref)
-
-
 def lattice_pde_residual(scatterer: MediumScatterer, mesh: QuadratureMesh,
-                         u_total_values: np.ndarray,
-                         margin_cells: int = 6):
+                         u_total_values: np.ndarray):
     """Discrete PDE residual of a solved total field on its own mesh lattice.
 
     Second differences taken directly between lattice neighbors at the mesh
     spacing measure how well the sampled field satisfies the perturbed system
     (elastic operator plus ``omega^2 (1+V)``).  Nodes whose stencil reaches
-    past the mesh are excluded, and so are nodes within ``margin_cells``
-    cells of the boundary, since the quadrature error concentrates there.  Returns ``(max_rel, median_rel, n_interior)`` with
-    the residual normalized by ``omega^2 |u|`` per node.
+    past the mesh are excluded, and so are nodes within
+    ``_RESIDUAL_MARGIN_CELLS`` cells of the boundary, since the quadrature
+    error concentrates there.  Returns ``(max_rel, median_rel, n_interior)``
+    with the residual normalized by ``omega^2 |u|`` per node.
     """
     if mesh.style != "cell":
         raise MeshMismatch("lattice residual needs a cell-style mesh")
@@ -459,10 +455,10 @@ def lattice_pde_residual(scatterer: MediumScatterer, mesh: QuadratureMesh,
     res = _lame_stencil(shifted, med, mesh.h, order=2) \
         + med.omega ** 2 * scatterer.contrast_on(nodes)[:, None] * ut
     rel = np.linalg.norm(res, axis=1) / (med.omega ** 2 * np.linalg.norm(ut, axis=1))
-    margin = margin_cells * mesh.h
+    margin = _RESIDUAL_MARGIN_CELLS * mesh.h
     rels = rel[[i for i in np.flatnonzero(np.all(np.isfinite(res), axis=1))
                 if signed_distance(scatterer.domain, nodes[i]) <= -margin]]
     if not rels.size:
         raise MeshMismatch(
-            f"no interior lattice nodes beyond {margin_cells} cells; refine the mesh")
+            f"no interior lattice nodes beyond {_RESIDUAL_MARGIN_CELLS} cells; refine the mesh")
     return float(rels.max()), float(np.median(rels)), int(rels.size)

@@ -1,4 +1,4 @@
-"""Criterion evaluators: structural shapes, calibration, admissible classes."""
+"""Criterion evaluators: structural shapes, verdicts and calibration."""
 
 import math
 
@@ -8,18 +8,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from elastoscat import (
-    admissible_class_check,
     calibrate_constant,
     calibrate_contraction_scale,
     diameter_lower_bound,
-    epsilon_min_solve,
     kdecay_rhs,
     kpoint_criterion,
     medium_kpoint_criterion,
     medium_small_criterion,
     small_support_criterion,
     small_support_rhs,
-    transmission_bounds,
 )
 from elastoscat.bounds import (
     REGIME_INDETERMINATE,
@@ -27,14 +24,11 @@ from elastoscat.bounds import (
     REGIME_RADIATING,
 )
 from elastoscat.errors import (
-    DegenerateContrast,
     EmptySweep,
     ExponentOutOfRange,
-    IncompleteInputs,
     InvalidExponent,
     InvalidParameter,
     KTooSmall,
-    NoRoot,
     NonpositiveArgument,
     OutOfRegime,
     UnsupportedDimension,
@@ -198,74 +192,8 @@ def test_medium_kpoint_criterion_structural_side():
 
 
 # ---------------------------------------------------------------------------
-# transmission (interior eigenfunction) bounds
+# calibration
 # ---------------------------------------------------------------------------
-
-def test_transmission_small_bound():
-    rep = transmission_bounds("small", {"v_norm": 1.0, "v_inf_boundary": 1.0},
-                              epsilon=0.01, delta=1.0)
-    assert rep.rhs_structural == pytest.approx(0.010101, rel=1e-12)
-    assert rep.lhs == 0.0
-    scaled = transmission_bounds("small", {"v_norm": 3.0, "v_inf_boundary": 1.5,
-                                           "w_sup_boundary": 0.004},
-                                 epsilon=0.01, delta=1.0)
-    assert scaled.rhs_structural == pytest.approx(2.0 * 0.010101, rel=1e-12)
-    assert scaled.lhs == pytest.approx(0.004)
-
-
-def test_transmission_kpoint_bound():
-    rep = transmission_bounds("kpoint", {"v_at_q": 0.7, "w_at_q": 0.2},
-                              K=math.e, alpha=1.0, varsigma=1.0)
-    assert rep.rhs_structural == pytest.approx(0.6065306597126334, rel=1e-12)
-    assert rep.lhs == pytest.approx(0.2)
-
-
-def test_transmission_bounds_input_guards():
-    with pytest.raises(DegenerateContrast):
-        transmission_bounds("small", {"v_norm": 1.0, "v_inf_boundary": 0.0},
-                            epsilon=0.01, delta=1.0)
-    with pytest.raises(InvalidParameter):
-        transmission_bounds("small", {"v_norm": 0.5, "v_inf_boundary": 1.0},
-                            epsilon=0.01, delta=1.0)
-    with pytest.raises(IncompleteInputs):
-        transmission_bounds("small", {"v_norm": 1.0}, epsilon=0.01, delta=1.0)
-    with pytest.raises(IncompleteInputs):
-        transmission_bounds("small", {"v_norm": 1.0, "v_inf_boundary": 1.0},
-                            delta=1.0)
-    with pytest.raises(DegenerateContrast):
-        transmission_bounds("kpoint", {"v_at_q": 0.0}, K=math.e, alpha=1.0,
-                            varsigma=1.0)
-    with pytest.raises(IncompleteInputs):
-        transmission_bounds("kpoint", {"v_at_q": 0.5}, alpha=1.0, varsigma=1.0)
-    with pytest.raises(InvalidParameter):
-        transmission_bounds("interior", {}, epsilon=0.01, delta=1.0)
-
-
-# ---------------------------------------------------------------------------
-# inversion and calibration
-# ---------------------------------------------------------------------------
-
-def test_support_floor_inverts_the_shape():
-    assert epsilon_min_solve(0.111, 1.0, 2, 1.0) == pytest.approx(0.1, abs=1e-10)
-
-
-@given(eps=st.floats(1e-3, 10.0), delta=st.sampled_from([0.5, 1.0]),
-       c=st.floats(0.1, 10.0))
-@settings(max_examples=120, deadline=None)
-def test_support_floor_round_trip(eps, delta, c):
-    target = c * small_support_rhs(eps, delta, 2)
-    got = epsilon_min_solve(target, delta, 2, c)
-    assert got == pytest.approx(eps, rel=1e-10)
-
-
-def test_support_floor_guards():
-    with pytest.raises(NoRoot):
-        epsilon_min_solve(1e12, 1.0, 2, 1.0, eps_hi=1e3)
-    with pytest.raises(NonpositiveArgument):
-        epsilon_min_solve(0.0, 1.0, 2, 1.0)
-    with pytest.raises(NonpositiveArgument):
-        epsilon_min_solve(0.1, 1.0, 2, 0.0)
-
 
 def test_calibrate_constant_max_ratio():
     sweep = [(0.45, 0.5), (0.9, 1.0), (0.3, 2.0)]
@@ -307,116 +235,3 @@ def test_calibrate_contraction_scale_guards():
         calibrate_contraction_scale([(1.0, 1.0, 100.0, 1.0),
                                      (1.2, 1.0, 0.1, 1.0)])
 
-
-# ---------------------------------------------------------------------------
-# admissible classes
-# ---------------------------------------------------------------------------
-
-def radiating_small_report():
-    return small_support_criterion(5.0, 1.0, 1.0, 0.5, 0.1, 2)
-
-
-def radiating_point_report():
-    return kpoint_criterion(5.0, 0.5, 30.0, 0.9, 1.0, 2)
-
-
-def test_class_a_single_component():
-    res = admissible_class_check("A", {
-        "alpha": 0.5, "dim": 2,
-        "component_reports": [radiating_small_report()],
-    })
-    assert res.admissible
-    assert res.items == {"exponent-range": True, "criterion": True}
-    assert res.reasons == []
-
-
-def test_class_a_collection_needs_separation():
-    rep = radiating_small_report()
-    res = admissible_class_check("A", {
-        "alpha": 0.5, "dim": 2,
-        "component_reports": [rep, rep],
-        "separation": 0.19, "epsilon_min": 0.2, "omega": 2.0,
-        "max_component_diameter": 0.1,
-    })
-    assert not res.admissible
-    assert res.items["separation"] is False
-    assert any("separation" in r for r in res.reasons)
-
-
-def test_class_a_collection_passes_when_separated():
-    rep = radiating_small_report()
-    res = admissible_class_check("A", {
-        "alpha": 0.5, "dim": 2,
-        "component_reports": [rep, rep],
-        "separation": 0.25, "epsilon_min": 0.2, "omega": 2.0,
-        "max_component_diameter": 0.1,
-    })
-    assert res.admissible
-
-
-def test_class_b_excludes_endpoint_exponent():
-    res = admissible_class_check("B", {
-        "alpha": 1.0, "varsigma": 2.0, "dim": 2,
-        "norm_max": 0.5, "norm_cap": 1.0,
-        "report": radiating_point_report(),
-    })
-    assert not res.admissible
-    assert any("exponent range" in r for r in res.reasons)
-
-
-def test_class_b_happy_path():
-    res = admissible_class_check("B", {
-        "alpha": 0.9, "varsigma": 1.0, "dim": 2,
-        "norm_max": 0.5, "norm_cap": 1.0,
-        "report": radiating_point_report(),
-    })
-    assert res.admissible
-
-
-def test_class_a_prime():
-    rep = medium_small_criterion(V_ui_sup=5.0, V_norm=1.0, ui_norm=1.0,
-                                 delta=0.5, epsilon=0.1, eps_max=0.25,
-                                 V_max=2.0, dim=2, s=1.0)
-    assert rep.regime == REGIME_RADIATING
-    res = admissible_class_check("A-prime", {
-        "delta": 0.5, "dim": 2, "v_inf_boundary": 0.5, "v_min_floor": 0.1,
-        "v_norm": 2.0, "v_norm_cap": 5.0, "report": rep,
-    })
-    assert res.admissible
-    bad = admissible_class_check("A-prime", {
-        "delta": 0.5, "dim": 2, "v_inf_boundary": 0.05, "v_min_floor": 0.1,
-        "v_norm": 2.0, "v_norm_cap": 5.0, "report": rep,
-    })
-    assert not bad.admissible
-    assert any("contrast" in r for r in bad.reasons)
-
-
-def test_class_b_prime():
-    rep = medium_kpoint_criterion(Vui_at_q=9.0, K=30.0, alpha=0.9,
-                                  varsigma=1.0, dim=2)
-    res = admissible_class_check("B-prime", {
-        "alpha": 0.9, "varsigma": 1.0, "dim": 2,
-        "v_norm": 1.0, "norm_cap": 2.0, "report": rep,
-    })
-    assert res.admissible
-
-
-def test_class_check_requires_complete_inputs():
-    with pytest.raises(IncompleteInputs):
-        admissible_class_check("B", {"alpha": 0.5, "varsigma": 1.0, "dim": 2,
-                                     "norm_max": 0.5,
-                                     "report": radiating_point_report()})
-    with pytest.raises(IncompleteInputs):
-        admissible_class_check("A", {"alpha": 0.5, "dim": 2,
-                                     "component_reports": []})
-    with pytest.raises(InvalidParameter):
-        admissible_class_check("C", {})
-
-
-def test_nonradiating_report_blocks_class_a():
-    quiet = small_support_criterion(0.0, 1.0, 1.0, 0.5, 0.1, 2)
-    res = admissible_class_check("A", {
-        "alpha": 0.5, "dim": 2, "component_reports": [quiet],
-    })
-    assert not res.admissible
-    assert res.items["criterion"] is False

@@ -25,13 +25,11 @@ from elastoscat import (
     shell_integral,
     tail_and_holder_bounds,
     traction,
-    traction_point_solve,
     zeta_default,
 )
 from elastoscat.cgo import _gl_panels
 from elastoscat.errors import (
     BoundaryConditionViolated,
-    DegenerateModuli,
     ExponentOutOfRange,
     GridTooCoarse,
     InvalidCurvatures,
@@ -601,33 +599,9 @@ def test_boundary_term_bound_formula():
 # flat-point traction system
 # ---------------------------------------------------------------------------
 
-def test_point_solve_2d_matrix():
-    res = traction_point_solve(MED)
-    assert np.allclose(res.matrix, np.diag([-1.0, -4.0]))
-    assert res.det == pytest.approx(4.0, rel=1e-14)
-    assert res.gradient_is_zero
-    assert np.all(res.solution == 0.0)
-
-
-def test_point_solve_3d_matrix():
-    med = make_medium(0.0, 1.0, 2.0, 3)
-    res = traction_point_solve(med)
-    assert np.allclose(res.matrix, np.diag([-1.0, -1.0, -2.0]))
-    assert res.det == pytest.approx(-2.0, rel=1e-14)
-    assert res.gradient_is_zero
-
-
-def test_point_solve_rejects_degenerate_moduli():
-    thin = make_medium(8e-8, 1e-8, 2.0, 2)
-    with pytest.raises(DegenerateModuli):
-        traction_point_solve(thin)
-    with pytest.raises(InvalidParameter):
-        traction_point_solve(MED, tangential_zero=False)
-
-
 def test_graph_vanishing_bump_is_flat_at_contact_point():
-    # the hypothesis behind the point solve, manufactured: zero boundary data
-    # on the graph forces the full gradient to vanish at the contact point
+    # the flat-point hypothesis, manufactured: zero boundary data on the
+    # graph forces the full gradient to vanish at the contact point
     dom = make_cap_domain(K=10.0, L=3.0, M=4.0, varsigma=0.9, cubic=1.5)
     bump = polynomial_bump(dom, amplitude=(1.0, 0.5),
                            linear=[[0.3, -0.2], [0.1, 0.4]],

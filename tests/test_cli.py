@@ -5,9 +5,11 @@ temporary directory, so the suite exercises the same argument parsing,
 schema validation, exit codes, and CSV/JSON writers as the installed
 ``elastoscat`` entry point.
 """
+import ast
 import copy
 import csv
 import importlib.util
+import inspect
 import json
 import re
 import subprocess
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
+import elastoscat
 from elastoscat import cli
 from elastoscat.bounds import REGIME_NONRADIATING
 
@@ -79,6 +82,19 @@ def dist_cfg():
                  "amplitude": [1, 0]},
         "mesh": {"n_radial": 24, "n_angular": 48},
         "directions": 128,
+    }
+
+
+def kpoint_cfg():
+    return {
+        "schema_version": 1,
+        "experiment": "kpoint-decay",
+        "medium": dict(MEDIUM),
+        "seed": 1,
+        "caps": {"K_values": [10, 30], "zeta_values": [0.5],
+                 "L": 3.0, "M": 4.0, "varsigma": 0.9, "cubic": 1.5,
+                 "amplitude": [1.0, 0.5], "alpha": 1.0, "beta": 1.0,
+                 "node_budget": 500000},
     }
 
 
@@ -569,17 +585,7 @@ def test_identity_check_table(tmp_path):
 
 
 def test_kpoint_decay_calibrations(tmp_path):
-    cfg = {
-        "schema_version": 1,
-        "experiment": "kpoint-decay",
-        "medium": dict(MEDIUM),
-        "seed": 1,
-        "caps": {"K_values": [10, 30], "zeta_values": [0.5],
-                 "L": 3.0, "M": 4.0, "varsigma": 0.9, "cubic": 1.5,
-                 "amplitude": [1.0, 0.5], "alpha": 1.0, "beta": 1.0,
-                 "node_budget": 500000},
-    }
-    cfg_path = write_cfg(tmp_path, "kpt.json", cfg)
+    cfg_path = write_cfg(tmp_path, "kpt.json", kpoint_cfg())
     prefix = tmp_path / "out" / "kp"
     assert cli.main(["kpoint-decay", "--config", cfg_path,
                      "--out", str(prefix)]) == 0
@@ -761,3 +767,64 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
                               text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False", module
+
+
+# ---------------------------------------------------------------------------
+# reachability: each public function serves an experiment or a criterion
+# ---------------------------------------------------------------------------
+
+# Public functions that no experiment calls and no acceptance criterion
+# imports, with the reason each stays public.
+KEEP = {
+    "kpoint_criterion": "the paper's high-curvature criterion for a source",
+    "medium_kpoint_criterion": "the paper's high-curvature criterion for a "
+                               "medium, for a cap medium scatterer to report",
+    "union": "builds the multi-component domains of the domain model",
+    "component_separation": "the gap between the components of a domain",
+    "boundary_measure": "the boundary length of a domain",
+    "helmholtz_fundamental": "the scalar kernel that test_greens.py checks "
+                             "the Kupradze tensor against",
+}
+
+# one small config per experiment
+REACH_CONFIGS = {
+    "sweep-small": tiny_sweep_cfg,
+    "nonradiating-audit": CALL_COUNTS["nonradiating-audit"][0],
+    "cgo-verify": cgo_cfg,
+    "identity-check": _identity_cfg,
+    "kpoint-decay": kpoint_cfg,
+    "medium-demo": _medium_cfg,
+    "distinguish": dist_cfg,
+}
+
+
+def _acceptance_imports():
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module.startswith("elastoscat")
+            for alias in node.names}
+
+
+def test_every_public_function_is_reached_or_kept(tmp_path):
+    assert set(REACH_CONFIGS) == set(cli.EXPERIMENTS)
+    # code objects, not names: a function and a method can share a name
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        exits = {name: cli.main([name, "--config",
+                                 write_cfg(tmp_path, f"{name}.json", make()),
+                                 "--workers", "1", "--out", str(tmp_path / name / "x")])
+                 for name, make in REACH_CONFIGS.items()}
+    finally:
+        sys.setprofile(previous)
+    assert set(exits.values()) == {0}, exits
+    unreached = {name for name in elastoscat.__all__
+                 if inspect.isfunction(fn := getattr(elastoscat, name))
+                 and fn.__code__ not in called}
+    assert unreached - _acceptance_imports() == set(KEEP)

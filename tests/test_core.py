@@ -1,4 +1,4 @@
-"""Medium construction, traction algebra, mode splitting, norms."""
+"""Medium construction, traction algebra, norms."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from elastoscat import (
     FieldJet,
-    GridSpec,
     SampledVectorField,
     field_norms,
-    helmholtz_split,
     holder_seminorm,
     make_medium,
     traction,
@@ -22,7 +20,6 @@ from elastoscat import (
 from elastoscat import elastic
 from elastoscat.errors import (
     DimensionMismatch,
-    GridTooCoarse,
     InsufficientSamples,
     InvalidExponent,
     InvalidFrequency,
@@ -178,102 +175,6 @@ def test_traction_linearity(a, b):
     lhs = traction(j12, nu, med)
     rhs = a * traction(j1, nu, med) + b * traction(j2, nu, med)
     assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# helmholtz_split
-# ---------------------------------------------------------------------------
-
-def _plane_wave_grid(med, ppw, extent=2.0):
-    h = 2.0 * np.pi / (med.kappa_s * ppw)
-    n = max(12, int(np.ceil(extent / h)))
-    half = h * (n - 1) / 2.0
-    return GridSpec(origin=(-half, -half), spacing=h, shape=(n, n))
-
-
-def _superposed_wave(med, pts, d, dperp, shear_amp=0.7):
-    up = np.exp(1j * med.kappa_p * (pts @ d))[:, None] * d
-    us = np.exp(1j * med.kappa_s * (pts @ d))[:, None] * dperp
-    return up + shear_amp * us
-
-
-def test_split_pressure_wave_is_curl_free():
-    med = make_medium(2.0, 1.0, 2.0, 2)
-    d = np.array([0.6, 0.8])
-    grid = _plane_wave_grid(med, ppw=40)
-    pts = grid.nodes()
-    u = np.exp(1j * med.kappa_p * (pts @ d))[:, None] * d
-    fld = SampledVectorField(pts, u, grid=grid)
-    up, us = helmholtz_split(fld, med)
-    assert np.max(np.abs(us.values)) < 1e-3 * np.max(np.abs(u))
-    inner = np.exp(1j * med.kappa_p * (up.nodes @ d))[:, None] * d
-    rel = np.linalg.norm(up.values - inner) / np.linalg.norm(inner)
-    assert rel < 5e-3
-
-
-def test_split_shear_wave_is_divergence_free():
-    med = make_medium(2.0, 1.0, 2.0, 2)
-    d = np.array([0.6, 0.8])
-    dperp = np.array([-0.8, 0.6])
-    grid = _plane_wave_grid(med, ppw=40)
-    pts = grid.nodes()
-    u = np.exp(1j * med.kappa_s * (pts @ d))[:, None] * dperp
-    fld = SampledVectorField(pts, u, grid=grid)
-    up, us = helmholtz_split(fld, med)
-    assert np.max(np.abs(up.values)) < 5e-3 * np.max(np.abs(u))
-    inner = np.exp(1j * med.kappa_s * (us.nodes @ d))[:, None] * dperp
-    rel = np.linalg.norm(us.values - inner) / np.linalg.norm(inner)
-    assert rel < 2e-2
-
-
-def test_split_superposition_recovery():
-    med = make_medium(2.0, 1.0, 2.0, 2)
-    d = np.array([0.6, 0.8])
-    dperp = np.array([-0.8, 0.6])
-    grid = _plane_wave_grid(med, ppw=80)
-    pts = grid.nodes()
-    u = _superposed_wave(med, pts, d, dperp)
-    fld = SampledVectorField(pts, u, grid=grid)
-    up, us = helmholtz_split(fld, med)
-    u_in = _superposed_wave(med, up.nodes, d, dperp)
-    rel = np.linalg.norm(u_in - up.values - us.values) / np.linalg.norm(u_in)
-    assert rel < 1e-3
-
-
-def test_split_second_order_convergence():
-    med = make_medium(2.0, 1.0, 2.0, 2)
-    d = np.array([0.6, 0.8])
-    dperp = np.array([-0.8, 0.6])
-    errs, hs = [], []
-    for ppw in (10, 20, 40, 80):
-        grid = _plane_wave_grid(med, ppw)
-        pts = grid.nodes()
-        u = _superposed_wave(med, pts, d, dperp)
-        fld = SampledVectorField(pts, u, grid=grid)
-        up, us = helmholtz_split(fld, med)
-        u_in = _superposed_wave(med, up.nodes, d, dperp)
-        errs.append(np.linalg.norm(u_in - up.values - us.values)
-                    / np.linalg.norm(u_in))
-        hs.append(grid.spacing)
-    slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
-    assert slope >= 1.9
-
-
-def test_split_rejects_coarse_grid():
-    med = make_medium(2.0, 1.0, 2.0, 2)
-    grid = _plane_wave_grid(med, ppw=8)
-    pts = grid.nodes()
-    fld = SampledVectorField(pts, np.ones((pts.shape[0], 2)), grid=grid)
-    with pytest.raises(GridTooCoarse):
-        helmholtz_split(fld, med)
-
-
-def test_split_requires_grid_metadata():
-    med = make_medium(2.0, 1.0, 2.0, 2)
-    pts = np.random.default_rng(0).uniform(-1, 1, size=(30, 2))
-    fld = SampledVectorField(pts, np.ones((30, 2)))
-    with pytest.raises(MeshMismatch):
-        helmholtz_split(fld, med)
 
 
 # ---------------------------------------------------------------------------

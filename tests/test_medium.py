@@ -19,11 +19,11 @@ from elastoscat import (
     field_norms,
     gauss_mesh,
     kupradze_tensor,
+    lame_operator_fd,
     lattice_pde_residual,
     make_cap_domain,
     make_incident,
     make_medium,
-    pde_residual_check,
     solve_medium,
     union,
     upsilon,
@@ -69,20 +69,28 @@ def scatterer(v0=0.4, radius=0.45, center=(0.0, 0.0)):
 # incident waves
 # ---------------------------------------------------------------------------
 
+def pde_residual(wave, point):
+    """Relative order-4 finite-difference residual of the homogeneous system
+    at one point."""
+    x = np.asarray(point, dtype=float)[None, :]
+    res = lame_operator_fd(wave, x, wave.medium, step=1e-3, order=4)[0]
+    return np.linalg.norm(res) / (wave.medium.omega ** 2 * np.linalg.norm(wave(x)[0]))
+
+
 def test_incident_pressure_wave_solves_system():
     inc = make_incident("pressure-plane", {"direction": (0.6, 0.8)}, MED)
     for pt in ([0.3, -0.2], [1.1, 0.7]):
-        assert pde_residual_check(inc, pt) < 1e-8
+        assert pde_residual(inc, pt) < 1e-8
 
 
 def test_incident_shear_wave_solves_system():
     inc = make_incident("shear-plane", {"direction": (1.0, 0.0)}, MED)
-    assert pde_residual_check(inc, [0.2, 0.5]) < 1e-8
+    assert pde_residual(inc, [0.2, 0.5]) < 1e-8
 
 
 def test_incident_point_source_solves_system():
     inc = make_incident("point-source", {"origin": (5.0, 5.0)}, MED)
-    assert pde_residual_check(inc, [0.1, -0.3]) < 1e-8
+    assert pde_residual(inc, [0.1, -0.3]) < 1e-8
 
 
 def test_incident_point_source_matches_per_point_tensor():
