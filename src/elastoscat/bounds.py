@@ -12,7 +12,7 @@ is known independently — never hard-coded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -44,14 +44,6 @@ class CriterionReport:
     rhs_structural: float
     ratio: float
     regime: str
-    inputs_echo: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name, "lhs": self.lhs,
-            "rhs_structural": self.rhs_structural, "ratio": self.ratio,
-            "regime": self.regime, "inputs_echo": dict(self.inputs_echo),
-        }
 
 
 @dataclass
@@ -70,8 +62,7 @@ class CalibrationResult:
         }
 
 
-def _finish(name: str, lhs: float, rhs: float, c_fit: float,
-            echo: dict) -> CriterionReport:
+def _finish(name: str, lhs: float, rhs: float, c_fit: float) -> CriterionReport:
     if not rhs > 0.0:
         raise InvalidParameter(f"structural rhs is {rhs}, must be positive")
     ratio = lhs / rhs
@@ -83,7 +74,7 @@ def _finish(name: str, lhs: float, rhs: float, c_fit: float,
     else:
         regime = REGIME_INDETERMINATE
     return CriterionReport(name=name, lhs=float(lhs), rhs_structural=float(rhs),
-                           ratio=float(ratio), regime=regime, inputs_echo=echo)
+                           ratio=float(ratio), regime=regime)
 
 
 def small_support_rhs(epsilon: float, delta: float, dim: int) -> float:
@@ -136,11 +127,7 @@ def small_support_criterion(sup_boundary_phi: float, holder_seminorm_phi: float,
         raise InvalidParameter("regularity denominator vanishes")
     rhs = small_support_rhs(epsilon, delta, dim)
     lhs = sup_boundary_phi / denom
-    echo = {"sup_boundary_phi": sup_boundary_phi,
-            "holder_seminorm_phi": holder_seminorm_phi, "linf_phi": linf_phi,
-            "delta": delta, "epsilon": epsilon, "dim": dim, "omega": omega,
-            "c_fit": c_fit}
-    return _finish("small-support", lhs, rhs, c_fit, echo)
+    return _finish("small-support", lhs, rhs, c_fit)
 
 
 def diameter_lower_bound(lhs_ratio: float, delta: float, omega: float,
@@ -165,9 +152,7 @@ def kpoint_criterion(phi_at_q: float, norm_max: float, K: float, alpha: float,
         raise NonpositiveArgument("magnitude inputs must be nonnegative")
     rhs = kdecay_rhs(K, alpha, varsigma, dim)
     lhs = phi_at_q / max(1.0, norm_max)
-    echo = {"phi_at_q": phi_at_q, "norm_max": norm_max, "K": K, "alpha": alpha,
-            "varsigma": varsigma, "dim": dim, "c_fit": c_fit}
-    return _finish("kpoint", lhs, rhs, c_fit, echo)
+    return _finish("kpoint", lhs, rhs, c_fit)
 
 
 def medium_small_criterion(V_ui_sup: float, V_norm: float, ui_norm: float,
@@ -194,10 +179,7 @@ def medium_small_criterion(V_ui_sup: float, V_norm: float, ui_norm: float,
     rhs = epsilon ** delta * (
         1.0 + (1.0 + ups) * (1.0 + epsilon) * epsilon ** (dim / 2.0))
     lhs = V_ui_sup / (V_norm * ui_norm)
-    echo = {"V_ui_sup": V_ui_sup, "V_norm": V_norm, "ui_norm": ui_norm,
-            "delta": delta, "epsilon": epsilon, "eps_max": eps_max,
-            "V_max": V_max, "dim": dim, "s": s, "upsilon": ups, "c_fit": c_fit}
-    return _finish("medium-small", lhs, rhs, c_fit, echo)
+    return _finish("medium-small", lhs, rhs, c_fit)
 
 
 def medium_kpoint_criterion(Vui_at_q: float, K: float, alpha: float,
@@ -207,9 +189,7 @@ def medium_kpoint_criterion(Vui_at_q: float, K: float, alpha: float,
     if Vui_at_q < 0.0:
         raise NonpositiveArgument("magnitude input must be nonnegative")
     rhs = kdecay_rhs(K, alpha, varsigma, dim)
-    echo = {"Vui_at_q": Vui_at_q, "K": K, "alpha": alpha,
-            "varsigma": varsigma, "dim": dim, "c_fit": c_fit}
-    return _finish("medium-kpoint", Vui_at_q, rhs, c_fit, echo)
+    return _finish("medium-kpoint", Vui_at_q, rhs, c_fit)
 
 
 def calibrate_constant(sweep: Sequence) -> CalibrationResult:

@@ -49,6 +49,8 @@ RESIDUAL_MIN_PPW = 12.0
 _ORTHO_TOL = 1.0e-12
 # the 24-point Gauss-Legendre rule on [-1, 1] behind every _gl_panels panel
 _PANEL_RULE = np.polynomial.legendre.leggauss(24)
+# paraboloid_integral_mc pools this many batch means into its standard error
+_MC_BATCHES = 32
 
 
 @dataclass(frozen=True)
@@ -94,16 +96,6 @@ class IdentityBreakdown:
     K: float
     tau: float
     nodes_used: int
-
-    def to_json_dict(self) -> dict:
-        def c(z):
-            return {"re": float(np.real(z)), "im": float(np.imag(z))}
-        return {
-            "lhs": c(self.lhs), "i1": c(self.i1), "i2": c(self.i2),
-            "i3": c(self.i3), "i4": c(self.i4),
-            "residual_abs": self.residual_abs, "residual_rel": self.residual_rel,
-            "K": self.K, "tau": self.tau, "nodes_used": self.nodes_used,
-        }
 
 
 def make_cgo(d, d_perp, tau: float, medium: LameMedium) -> CgoProbe:
@@ -199,8 +191,7 @@ def paraboloid_integral_closed(xi: np.ndarray, K: float, dim: int) -> complex:
 
 
 def paraboloid_integral_mc(xi: np.ndarray, K: float, dim: int,
-                           samples: int = 200_000, seed: int = 0,
-                           batches: int = 32) -> tuple:
+                           samples: int = 200_000, seed: int = 0) -> tuple:
     """Monte-Carlo estimate of the paraboloid-region integral.
 
     Validation oracle for :func:`paraboloid_integral_closed`, algorithmically
@@ -220,13 +211,13 @@ def paraboloid_integral_mc(xi: np.ndarray, K: float, dim: int,
         raise InvalidParameter(f"xi must have length {dim}")
     if not xi[-1].real < 0.0:
         raise NonDecaying(f"need Re(xi_n) < 0, got {xi[-1].real}")
-    if batches < 2 or samples < 2 * batches:
-        raise InvalidParameter("need at least two batches of two samples")
+    if samples < 2 * _MC_BATCHES:
+        raise InvalidParameter(f"need at least {2 * _MC_BATCHES} samples, two per batch")
     rng = np.random.default_rng(seed)
     rate = -xi[-1].real
-    per = samples // batches
-    means = np.empty(batches, dtype=complex)
-    for bi in range(batches):
+    per = samples // _MC_BATCHES
+    means = np.empty(_MC_BATCHES, dtype=complex)
+    for bi in range(_MC_BATCHES):
         t = rng.exponential(1.0 / rate, size=per)
         r = np.sqrt(t / K)
         # modulus of exp(xi_n t) cancels against the sampling density
@@ -240,10 +231,10 @@ def paraboloid_integral_mc(xi: np.ndarray, K: float, dim: int,
             ang = 2.0 * np.pi * rng.random(per)
             slice_vol = np.pi * r ** 2
             dot = xi[0] * rad * np.cos(ang) + xi[1] * rad * np.sin(ang)
-        osc = 0.5 * (np.exp(dot) + np.exp(-dot))
+        osc = np.cosh(dot)
         means[bi] = np.mean(weight * slice_vol * osc)
     est = complex(means.mean())
-    stderr = float(np.sqrt((np.var(means.real) + np.var(means.imag)) / batches))
+    stderr = float(np.sqrt((np.var(means.real) + np.var(means.imag)) / _MC_BATCHES))
     return est, stderr
 
 

@@ -764,6 +764,8 @@ def main(argv=None) -> int:
     try:
         as_read, cfg = load_config(args.config, args.experiment)
         seed = args.seed if args.seed is not None else int(cfg["seed"])
+        if seed < 0:
+            raise ConfigInvalid(f"--seed must be a nonnegative integer, got {seed}")
         report = _execute(args.experiment, as_read, cfg, Path(args.out or cfg["output"]),
                           seed, max(1, args.workers))
     except ConfigInvalid as exc:

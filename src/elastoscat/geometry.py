@@ -16,8 +16,10 @@ is admissible when, on a 201-point sample grid,
     K_plus - K_minus <= L * K^(1 - varsigma),
 
 and the remainder ``gamma - K t^2`` stays within the declared cubic
-magnitude.  Everything here is deterministic: identical inputs produce
-bit-identical meshes.
+magnitude.  Disks and ellipses have cell meshes on an h-lattice; a cap has
+none yet (``volume_mesh`` raises ``MeshMismatch``, see ROADMAP item 10), only
+its Gauss and boundary meshes.  Everything here is deterministic: identical
+inputs produce bit-identical meshes.
 """
 from __future__ import annotations
 
@@ -37,6 +39,7 @@ from .errors import (
     DisjointnessViolated,
     InvalidParameter,
     KTooSmall,
+    MeshMismatch,
     MeshTooCoarse,
     SingleComponent,
     UnsupportedDimension,
@@ -498,7 +501,7 @@ class Cap:
 
     def diameter(self):
         pts = self.boundary_sample(_BOUNDARY_SCAN)
-        return _max_cloud_distance(pts, pts)
+        return _cloud_distance(pts, pts, np.max)
 
     def signed_distance(self, x):
         d = self._boundary_distance(x)
@@ -538,24 +541,8 @@ class Cap:
         return float(np.trapezoid(np.maximum(col, 0.0), ts))
 
     def cell_mesh(self, h):
-        gamma, b, w = self.chart.graph.gamma, self.chart.b, self.x1max
-        if h > b:
-            raise MeshTooCoarse(f"h={h} exceeds cap height {b}")
-        n1 = max(int(math.ceil(2.0 * w / h)), 2)
-        d1 = 2.0 * w / n1
-        xs = -w + (np.arange(n1) + 0.5) * d1
-        nodes, weights = [], []
-        for x1 in xs:
-            g = gamma(x1)
-            depth = b - g
-            if depth <= 0:
-                continue
-            n2 = max(int(math.ceil(depth / h)), 1)
-            d2 = depth / n2
-            ys = g + (np.arange(n2) + 0.5) * d2
-            nodes.append(np.stack([np.full(n2, x1), ys], axis=1))
-            weights.append(np.full(n2, d1 * d2))
-        return np.concatenate(nodes, axis=0) + self.center, np.concatenate(weights)
+        raise MeshMismatch(
+            "a cap has no cell mesh on an h-lattice yet; it waits for ROADMAP item 10")
 
     def gauss_mesh(self, n_radial, n_angular):
         gamma, b, w = self.chart.graph.gamma, self.chart.b, self.x1max
@@ -719,29 +706,20 @@ def diameter(domain: DomainGeometry) -> float:
         if isinstance(a, Ball) and isinstance(b, Ball):
             d = np.linalg.norm(a.center - b.center) + a.radius + b.radius
         else:
-            d = _max_cloud_distance(a.boundary_sample(_BOUNDARY_SCAN),
-                                    b.boundary_sample(_BOUNDARY_SCAN))
+            d = _cloud_distance(a.boundary_sample(_BOUNDARY_SCAN),
+                                b.boundary_sample(_BOUNDARY_SCAN), np.max)
         best = max(best, d)
     return best
 
 
-def _max_cloud_distance(a: np.ndarray, b: np.ndarray) -> float:
+def _cloud_distance(a: np.ndarray, b: np.ndarray, pick) -> float:
+    """``pick`` (``np.min`` or ``np.max``) of the distances between two clouds."""
     # chunked O(n^2); clouds are a few thousand points
-    best = 0.0
+    picked = []
     for i in range(0, a.shape[0], 512):
-        blk = a[i:i + 512]
-        d2 = np.sum((blk[:, None, :] - b[None, :, :]) ** 2, axis=2)
-        best = max(best, float(np.sqrt(np.max(d2))))
-    return best
-
-
-def _min_cloud_distance(a: np.ndarray, b: np.ndarray) -> float:
-    best = np.inf
-    for i in range(0, a.shape[0], 512):
-        blk = a[i:i + 512]
-        d2 = np.sum((blk[:, None, :] - b[None, :, :]) ** 2, axis=2)
-        best = min(best, float(np.sqrt(np.min(d2))))
-    return best
+        d2 = np.sum((a[i:i + 512, None, :] - b[None, :, :]) ** 2, axis=2)
+        picked.append(np.sqrt(pick(d2)))
+    return float(pick(picked))
 
 
 def component_separation(domain: DomainGeometry, warn: bool = True) -> float:
@@ -763,7 +741,7 @@ def _pair_separation(a: Shape, b: Shape) -> float:
         return float(np.linalg.norm(a.center - b.center) - a.radius - b.radius)
     pa = a.boundary_sample(_BOUNDARY_SCAN)
     pb = b.boundary_sample(_BOUNDARY_SCAN)
-    d = _min_cloud_distance(pa, pb)
+    d = _cloud_distance(pa, pb, np.min)
     # sampled boundaries of overlapping components can miss penetration;
     # detect overlap via inside-tests of the sampled points
     if np.any(a.inside(pb)) or np.any(b.inside(pa)):
@@ -786,9 +764,10 @@ def signed_distance(domain: DomainGeometry, x: np.ndarray) -> float:
 def volume_mesh(domain: DomainGeometry, h: float) -> QuadratureMesh:
     """Near-uniform cell mesh with square-ish cells of side ``h``.
 
-    Disks and ellipses use Cartesian cell centers (weight ``h^2``); caps use
-    per-column midpoints.  The singular self-cell correction of the potential
-    solvers assumes this style.
+    Disks and ellipses use Cartesian cell centers (weight ``h^2``); a cap
+    raises ``MeshMismatch`` until it has a lattice mesh (ROADMAP item 10).
+    The singular self-cell correction of the potential solvers assumes this
+    style.
     """
     if domain.dim != 2:
         raise UnsupportedDimension("volume meshes are 2-D only")

@@ -45,23 +45,6 @@ EULER_GAMMA = float(np.euler_gamma)
 # scalar special functions
 # ---------------------------------------------------------------------------
 
-def hankel0_first_kind(z):
-    """``(H0^(1)(z), d/dz H0^(1)(z))`` for positive real arguments.
-
-    Backed by the library Bessel implementation (series + asymptotic
-    switching internally, relative accuracy far below 1e-10); the derivative
-    uses ``H0' = -H1``.
-    """
-    z = np.asarray(z, dtype=float)
-    if np.any(z <= 0.0):
-        raise NonpositiveArgument("argument of H0 must be positive")
-    h0 = hankel1(0, z)
-    h1 = hankel1(1, z)
-    if z.ndim == 0:
-        return complex(h0), complex(-h1)
-    return h0, -h1
-
-
 def lower_incomplete_gamma(t: float, c: float) -> complex:
     """Lower incomplete gamma ``gamma(c, t) = int_0^t e^{-x} x^{c-1} dx``
     for real ``c > 0``, through the regularized library function."""
@@ -83,8 +66,7 @@ def helmholtz_fundamental(x: np.ndarray, y: np.ndarray, kappa: float, dim: int) 
     if r == 0.0:
         raise CoincidentPoints("x and y must be distinct")
     if dim == 2:
-        h0, _ = hankel0_first_kind(kappa * r)
-        return 0.25j * h0
+        return 0.25j * complex(hankel1(0, kappa * r))
     return np.exp(1j * kappa * r) / (4.0 * np.pi * r)
 
 

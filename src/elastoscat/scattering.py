@@ -9,8 +9,8 @@ The equation is collocated at the nodes of a cell mesh on one h-lattice,
 where the volume potential is block Toeplitz and is applied by FFT on a
 padded grid; GMRES solves the collocated system for any contrast, and the
 Neumann-series mode exists to exercise the contraction regime and its
-a-priori bounds.  Meshes off a single lattice (caps, unions on offset
-lattices) are rejected with ``MeshMismatch``.
+a-priori bounds.  Meshes off a single lattice (unions on offset lattices)
+are rejected with ``MeshMismatch``.
 """
 from __future__ import annotations
 
@@ -81,7 +81,6 @@ class MediumScatterer:
     domain: DomainGeometry
     medium: LameMedium
     contrast: Callable
-    _v_sup_cache: Optional[float] = None
 
     def contrast_on(self, pts: np.ndarray) -> np.ndarray:
         vals = np.asarray(self.contrast(pts), dtype=complex)
@@ -92,16 +91,13 @@ class MediumScatterer:
 
     def v_sup(self) -> float:
         """Sampled sup of |V| over the domain (dense random + mesh-free)."""
-        if self._v_sup_cache is None:
-            rng = np.random.default_rng(_V_SUP_SEED)
-            lo, hi = _bounding_box(self.domain)
-            pts = rng.uniform(lo, hi, size=(_V_SUP_SAMPLES, self.domain.dim))
-            mask = inside(self.domain, pts)
-            if not np.any(mask):
-                self._v_sup_cache = 0.0
-            else:
-                self._v_sup_cache = float(np.max(np.abs(self.contrast_on(pts[mask]))))
-        return self._v_sup_cache
+        rng = np.random.default_rng(_V_SUP_SEED)
+        lo, hi = _bounding_box(self.domain)
+        pts = rng.uniform(lo, hi, size=(_V_SUP_SAMPLES, self.domain.dim))
+        mask = inside(self.domain, pts)
+        if not np.any(mask):
+            return 0.0
+        return float(np.max(np.abs(self.contrast_on(pts[mask]))))
 
 
 @dataclass(frozen=True)
@@ -205,10 +201,10 @@ def _lattice_potential(mesh: QuadratureMesh, medium: LameMedium) -> Callable:
     circulant padded to fast FFT lengths, and applied by ``fft2`` (Vainikko
     2000).
 
-    Meshes that are not lattice subsets (cap columns, unions whose
-    components sit on offset lattices) raise ``MeshMismatch``; repeated
-    lattice keys raise ``CoincidentPoints``; a padded grid that would need
-    more than ``_SOLVE_BUDGET`` bytes with the solver's Krylov basis raises
+    Meshes that are not lattice subsets (unions whose components sit on
+    offset lattices) raise ``MeshMismatch``; repeated lattice keys raise
+    ``CoincidentPoints``; a padded grid that would need more than
+    ``_SOLVE_BUDGET`` bytes with the solver's Krylov basis raises
     ``QuadratureBudgetExceeded``.
     """
     if mesh.style != "cell":
@@ -221,8 +217,7 @@ def _lattice_potential(mesh: QuadratureMesh, medium: LameMedium) -> Callable:
         raise MeshMismatch(
             "the medium solve needs a cell mesh on one h-lattice with weights "
             "h^2 (a disk, an ellipse, or a union whose components share a "
-            "lattice); caps and unions on offset lattices wait for "
-            "ROADMAP item 10")
+            "lattice); unions on offset lattices wait for ROADMAP item 10")
     nx, ny = keys.max(axis=0) + 1
     mx, my = _fast_length(2 * nx - 1), _fast_length(2 * ny - 1)
     nbytes = mx * my * _GRID_BYTES_PER_CELL + keys.shape[0] * _BASIS_BYTES_PER_NODE

@@ -11,11 +11,11 @@ the boundary and feed its own elastic residual back in as the intensity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
-from .elastic import LameMedium, SampledVectorField, lame_operator_fd
+from .elastic import LameMedium, SampledVectorField
 from .errors import (
     CoincidentPoints,
     DimensionMismatch,
@@ -39,16 +39,11 @@ class SourceProblem:
 
     ``phi`` is either a callable mapping an (N, n) array of points to (N, n)
     intensities or a :class:`SampledVectorField` tied to a quadrature mesh.
-    ``nonzero_near_boundary`` records (without enforcing) whether the
-    intensity is nonvanishing in a neighborhood of the boundary, the standing
-    hypothesis of the support-size criteria; manufactured non-radiating
-    intensities legitimately set it False.
     """
 
     domain: DomainGeometry
     medium: LameMedium
     phi: Union[Callable, SampledVectorField]
-    nonzero_near_boundary: Optional[bool] = None
 
     def intensity_on(self, mesh: QuadratureMesh) -> np.ndarray:
         if callable(self.phi):
@@ -93,10 +88,6 @@ class FarFieldPattern:
         if radial.size and float(np.max(radial)) > _TANGENT_TOL * scale:
             raise DimensionMismatch(
                 f"shear amplitude has a radial part up to {float(np.max(radial)):.2e}")
-
-    def total(self) -> np.ndarray:
-        """Full vector pattern ``up_inf * xhat + us_inf`` per direction."""
-        return self.up_inf[:, None] * self.directions + self.us_inf
 
 
 def directions_circle(count: int) -> np.ndarray:
@@ -275,39 +266,22 @@ def make_nonradiating(domain: DomainGeometry, bump, medium: LameMedium,
 
     Returns ``(phi_field, u_exact)`` where ``phi_field`` samples the
     intensity on the mesh and ``u_exact(points)`` evaluates the interior
-    profile (zero outside).  ``bump`` either carries analytic derivatives
-    (``source_density`` / ``value`` methods) or is a plain callable written
-    against batched ``(..., 2)`` points, in which case fourth-order finite
-    differences supply the residual.
+    profile (zero outside).  ``bump`` is a :class:`~elastoscat.bumps.Bump`:
+    its analytic derivatives give the boundary check of ``u`` and its
+    gradient, and the intensity in closed form.
     """
     bmesh: BoundaryMesh = boundary_mesh(domain, h=mesh.h)
-    analytic = hasattr(bump, "source_density")
-    uval = bump.value if analytic else bump
-
-    bvals = np.abs(np.asarray(uval(bmesh.nodes), dtype=complex))
-    scale = max(float(np.max(np.abs(np.asarray(uval(mesh.nodes), dtype=complex)))), 1.0)
+    bvals = np.abs(bump.value(bmesh.nodes))
+    scale = max(float(np.max(np.abs(bump.value(mesh.nodes)))), 1.0)
     if float(np.max(bvals)) > 1e-8 * scale:
         raise BumpNotVanishing(
             f"profile reaches {float(np.max(bvals)):.2e} on the boundary")
-    if analytic:
-        bgrad = np.abs(bump.gradient(bmesh.nodes))
-    else:
-        step = 1e-5
-        cols = []
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = step
-            cols.append((np.asarray(uval(bmesh.nodes + e)) -
-                         np.asarray(uval(bmesh.nodes - e))) / (2 * step))
-        bgrad = np.abs(np.stack(cols, axis=-1))
+    bgrad = np.abs(bump.gradient(bmesh.nodes))
     if float(np.max(bgrad)) > 1e-8 * scale:
         raise BumpNotVanishing(
             f"profile gradient reaches {float(np.max(bgrad)):.2e} on the boundary")
 
-    if analytic:
-        phi = np.asarray(bump.source_density(mesh.nodes, medium), dtype=complex)
-    else:
-        phi = lame_operator_fd(uval, mesh.nodes, medium, step=1e-3, order=4)
+    phi = np.asarray(bump.source_density(mesh.nodes, medium), dtype=complex)
     phi_field = SampledVectorField(nodes=mesh.nodes, values=phi,
                                    mesh_ref=mesh.mesh_id)
 
@@ -316,7 +290,7 @@ def make_nonradiating(domain: DomainGeometry, bump, medium: LameMedium,
         vals = np.zeros((pts.shape[0], 2), dtype=complex)
         mask = inside(domain, pts)
         if np.any(mask):
-            vals[mask] = np.asarray(uval(pts[mask]), dtype=complex)
+            vals[mask] = np.asarray(bump.value(pts[mask]), dtype=complex)
         return vals
 
     return phi_field, u_exact

@@ -545,6 +545,15 @@ def test_seed_flag_overrides_config_seed(cgo_runs):
             == Path(f"{cgo_runs['reseeded']}_probes.csv").read_bytes())
 
 
+def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, "cgo.json", cgo_cfg())
+    rc = cli.main(["cgo-verify", "--config", cfg_path, "--seed", "-1",
+                   "--out", str(tmp_path / "out" / "c")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cgo.json"]
+
+
 def test_cgo_verify_probe_errors_are_tiny(cgo_runs):
     _, rows = read_table(Path(f"{cgo_runs['w1']}_probes.csv"))
     assert len(rows) == 4
@@ -805,6 +814,13 @@ def _acceptance_imports():
             for alias in node.names}
 
 
+def _method_code(member):
+    """Code object of a class member that is a method, or of a property's
+    getter; None for any other attribute."""
+    fn = member.fget if isinstance(member, property) else getattr(member, "__func__", member)
+    return fn.__code__ if inspect.isfunction(fn) else None
+
+
 def test_every_public_function_is_reached_or_kept(tmp_path):
     assert set(REACH_CONFIGS) == set(cli.EXPERIMENTS)
     # code objects, not names: a function and a method can share a name
@@ -828,3 +844,11 @@ def test_every_public_function_is_reached_or_kept(tmp_path):
                  if inspect.isfunction(fn := getattr(elastoscat, name))
                  and fn.__code__ not in called}
     assert unreached - _acceptance_imports() == set(KEEP)
+    # every public method of an exported class runs too, with no exemptions
+    unreached_methods = {f"{name}.{attr}" for name in elastoscat.__all__
+                         if inspect.isclass(cls := getattr(elastoscat, name))
+                         for attr, member in vars(cls).items()
+                         if not attr.startswith("_")
+                         and (code := _method_code(member)) is not None
+                         and code not in called}
+    assert unreached_methods == set()

