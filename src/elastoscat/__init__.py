@@ -60,7 +60,6 @@ from .scattering import (
     lattice_pde_residual,
     make_incident,
     solve_medium,
-    upsilon,
 )
 from .cgo import (
     CgoProbe,
@@ -89,6 +88,7 @@ from .bounds import (
     medium_small_criterion,
     small_support_criterion,
     small_support_rhs,
+    upsilon,
 )
 
 __all__ = [

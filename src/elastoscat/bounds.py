@@ -27,7 +27,6 @@ from .errors import (
     OutOfRegime,
     UnsupportedDimension,
 )
-from .scattering import upsilon
 
 REGIME_RADIATING = "radiating-asserted"
 REGIME_NONRADIATING = "non-radiating-consistent"
@@ -155,6 +154,18 @@ def kpoint_criterion(phi_at_q: float, norm_max: float, K: float, alpha: float,
     return _finish("kpoint", lhs, rhs, c_fit)
 
 
+def upsilon(eps: float, v_sup: float, s: float = 1.0) -> float:
+    """Smallness ratio ``eps*v/(s - eps*v)``, non-decreasing in both arguments."""
+    if s <= 0.0:
+        raise InvalidParameter(f"s must be positive, got {s}")
+    if eps < 0.0 or v_sup < 0.0:
+        raise InvalidParameter("eps and v_sup must be nonnegative")
+    prod = eps * v_sup
+    if prod >= s:
+        raise OutOfRegime(f"eps*v = {prod} >= s = {s}")
+    return prod / (s - prod)
+
+
 def medium_small_criterion(V_ui_sup: float, V_norm: float, ui_norm: float,
                            delta: float, epsilon: float, eps_max: float,
                            V_max: float, dim: int = 2, s: float = 1.0,
@@ -252,8 +263,8 @@ def calibrate_contraction_scale(sweep: Sequence) -> CalibrationResult:
         prod = eps * v
         if prod == 0.0:
             continue
-        ups = prod / (s_cap - prod)
-        if ratio_u > ups * (1.0 + 1e-12) or ratio_ut > (s_cap / (s_cap - prod)) * (1.0 + 1e-12):
+        if (ratio_u > upsilon(eps, v, s_cap) * (1.0 + 1e-12)
+                or ratio_ut > (s_cap / (s_cap - prod)) * (1.0 + 1e-12)):
             violations += 1
     return CalibrationResult(constant_fit=float(s_cap), violations=int(violations),
                              sweep_size=len(entries), fit_method="min-feasible-s")

@@ -46,8 +46,7 @@ class Bump:
         return term1 + term2
 
     def jet(self, x) -> FieldJet:
-        return FieldJet(point=np.asarray(x, float), value=self.value(x),
-                        gradient=self.gradient(x))
+        return FieldJet(value=self.value(x), gradient=self.gradient(x))
 
     def source_density(self, x, medium: LameMedium):
         """``L u + omega^2 u`` in closed form.
@@ -86,8 +85,11 @@ def polynomial_bump(domain: DomainGeometry, amplitude=(1.0, 0.0),
                     whole_boundary: bool = True) -> Bump:
     """Canonical bump for a single-component 2-D domain.
 
-    ``whole_boundary=False`` on a cap vanishes on the graph part only (the
-    lid stays live), which is what boundary-term experiments need.
+    On a disk or an ellipse the bump vanishes on the whole boundary and
+    ``whole_boundary`` is ignored.  A cap needs ``whole_boundary=False``: its
+    bump vanishes on the graph part only (the lid stays live), which is what
+    boundary-term experiments need, and any other value raises
+    ``InvalidParameter``.
     """
     if len(domain.components) != 1:
         raise UnsupportedDimension("bump factory expects a single component")

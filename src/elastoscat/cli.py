@@ -194,7 +194,7 @@ _BLOCKS = {
         family=_array(_SHAPE), criterion=_CRITERION, mesh=_mesh(40, 80),
         directions=_integer(1, 128), tolerance=_positive(1e-8)),
     # tau = ratio * kappa_s must exceed kappa_s; the residual stencil needs 3
-    # points a side and the Monte Carlo two samples in each of its 32 batches
+    # points a side and the Monte Carlo two samples in each of its batches
     "cgo-verify": dict(
         probes=_obj(tau_ratios=_array(_number(exclusiveMinimum=1), [2.0, 10.0, 100.0]),
                     angles=_array(_number(), [0.0, 0.9, 2.2]),
@@ -202,7 +202,7 @@ _BLOCKS = {
         paraboloid=_obj(default={}, K_values=_array(_positive(), [1.0, 5.0, 20.0]),
                         tau_values=_array(_positive(), [4.0, 12.0, 40.0]),
                         dims=_array({"enum": [2, 3]}, [2, 3]),
-                        samples=_integer(64, 200_000))),
+                        samples=_integer(2 * cgo._MC_BATCHES, 200_000))),
     "identity-check": dict(caps=_caps(zeta=_positive()), tolerance=_positive(1e-2)),
     "kpoint-decay": dict(caps=_caps(zeta_values=_array(_positive(), [0.35, 0.5, 0.65]))),
     "medium-demo": dict(

@@ -109,9 +109,9 @@ class SampledVectorField:
 
 @dataclass(frozen=True)
 class FieldJet:
-    """Pointwise first-order data: value ``u(x)`` and gradient ``G[i, j] = dj u_i``."""
+    """First-order data of a field, batched over leading axes: value ``u``
+    and gradient ``G[..., i, j] = dj u_i``; ``traction`` reads the gradient."""
 
-    point: np.ndarray
     value: np.ndarray
     gradient: np.ndarray
 
@@ -140,10 +140,6 @@ def make_medium(lam: float, mu: float, omega: float, dim: int) -> LameMedium:
     if isinstance(omega, complex) or not np.isfinite(omega) or omega <= 0.0:
         raise InvalidFrequency(f"omega must be real and positive, got {omega!r}")
     omega = float(omega)
-    # lam + 2*mu = (n*lam + 2*mu) - (n-1)*lam can still be <= 0 only if lam < 0
-    # beyond convexity; guard explicitly for the pressure speed.
-    if lam + 2.0 * mu <= 0.0:
-        raise StrongConvexityViolated(f"lam + 2*mu must be positive, got {lam + 2 * mu}")
     kappa_p = omega / np.sqrt(lam + 2.0 * mu)
     kappa_s = omega / np.sqrt(mu)
     return LameMedium(lam=lam, mu=mu, omega=omega, dim=dim,

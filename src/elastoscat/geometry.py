@@ -208,37 +208,6 @@ class CapGraphLevel(LevelFunction):
         return h
 
 
-@dataclass(frozen=True)
-class CapFullLevel(LevelFunction):
-    """q = (x2 - gamma(x1)) (b - x2): vanishes on graph and lid."""
-
-    lower: CapGraphLevel
-    b: float
-
-    def value(self, x):
-        x = np.asarray(x, float)
-        return self.lower.value(x) * (self.b - x[..., 1])
-
-    def gradient(self, x):
-        x = np.asarray(x, float)
-        pv = self.lower.value(x)
-        pg = self.lower.gradient(x)
-        rv = self.b - x[..., 1]
-        g = pg * rv[..., None]
-        g[..., 1] -= pv
-        return g
-
-    def hessian(self, x):
-        x = np.asarray(x, float)
-        pg = self.lower.gradient(x)
-        ph = self.lower.hessian(x)
-        rv = self.b - x[..., 1]
-        rg = np.array([0.0, -1.0])
-        h = ph * rv[..., None, None]
-        h = h + pg[..., :, None] * rg[None, :] + rg[:, None] * pg[..., None, :]
-        return h
-
-
 # ---------------------------------------------------------------------------
 # shapes
 # ---------------------------------------------------------------------------
@@ -281,8 +250,10 @@ class Shape(Protocol):
     def boundary_measure(self) -> float: ...
 
     def level_function(self, whole_boundary: bool = True) -> LevelFunction:
-        """Level function vanishing on the boundary; on a cap with
-        ``whole_boundary=False``, on the graph part only."""
+        """Level function vanishing on the boundary.  A cap has only the
+        profile that vanishes on its graph part: it needs
+        ``whole_boundary=False`` and raises ``InvalidParameter`` otherwise;
+        disks and ellipses ignore the flag."""
 
 
 def _positive(name: str, value) -> float:
@@ -583,8 +554,10 @@ class Cap:
         return float(np.trapezoid(np.sqrt(1.0 + gp ** 2), ts)) + 2.0 * w
 
     def level_function(self, whole_boundary=True):
-        lower = CapGraphLevel(self.chart.graph)
-        return CapFullLevel(lower, self.chart.b) if whole_boundary else lower
+        if whole_boundary:
+            raise InvalidParameter("a cap profile vanishes on the graph only; "
+                                   "pass whole_boundary=False")
+        return CapGraphLevel(self.chart.graph)
 
 
 # ---------------------------------------------------------------------------

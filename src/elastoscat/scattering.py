@@ -19,6 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .bounds import upsilon
 from .elastic import LameMedium, SampledVectorField, _lame_stencil
 from .errors import (
     CoincidentPoints,
@@ -26,7 +27,6 @@ from .errors import (
     InvalidDirection,
     InvalidParameter,
     MeshMismatch,
-    OutOfRegime,
     QuadratureBudgetExceeded,
     SeriesDiverges,
     SingularSystem,
@@ -140,18 +140,17 @@ class MediumSolve:
 class ContractionReport:
     """A-priori smallness diagnostics for the fixed-point argument.
 
-    ``upsilon = eps * v_sup / (s - eps * v_sup)`` bounds the scattered-to-
-    incident ratio and ``bound_ut = s / (s - eps * v_sup)`` the total-to-
-    incident ratio; both blow up as the product approaches ``s`` and the
-    regime flag trips (values still reported) once it is reached.
+    ``upsilon = eps * v_sup / (s - eps * v_sup)`` (``bounds.upsilon``) bounds
+    the scattered-to-incident ratio and ``bound_ut = s / (s - eps * v_sup)``
+    the total-to-incident ratio, for the ``s`` passed to
+    ``contraction_report``; both blow up as the product approaches ``s``,
+    and once it is reached the regime flag trips and both read infinity.
     """
 
     epsilon: float
     v_sup: float
     upsilon: float
-    bound_u: float
     bound_ut: float
-    s_used: float
     out_of_regime: bool
 
 
@@ -188,6 +187,33 @@ def _fast_length(m: int) -> int:
         m += 1
 
 
+def _lattice_keys(mesh: QuadratureMesh) -> np.ndarray:
+    """Integer lattice index ``(N, 2)`` of each node of a cell mesh, counted
+    from the corner of the nodes' bounding box.
+
+    Raises ``MeshMismatch`` unless the nodes lie on one h-lattice with
+    weights ``h^2``, and ``CoincidentPoints`` when two nodes share a key.
+    """
+    if mesh.style != "cell":
+        raise MeshMismatch("the medium solve needs a cell-style mesh")
+    h = mesh.h
+    scaled = (mesh.nodes - mesh.nodes.min(axis=0)) / h
+    keys = np.round(scaled).astype(int)
+    on_lattice = np.max(np.abs(scaled - keys)) <= _LATTICE_TOL
+    if not on_lattice or not np.allclose(mesh.weights, h * h, rtol=1e-12, atol=0.0):
+        raise MeshMismatch(
+            "the medium solve needs a cell mesh on one h-lattice with weights "
+            "h^2 (a disk, an ellipse, or a union whose components share a "
+            "lattice); unions on offset lattices wait for ROADMAP item 10")
+    _, first, counts = np.unique(keys[:, 0] * (keys[:, 1].max() + 1) + keys[:, 1],
+                                 return_index=True, return_counts=True)
+    if counts.size < keys.shape[0]:
+        crowded = np.argmax(counts > 1)
+        raise CoincidentPoints(
+            f"mesh node {first[crowded]} coincides with {counts[crowded]} mesh nodes")
+    return keys
+
+
 def _lattice_potential(mesh: QuadratureMesh, medium: LameMedium) -> Callable:
     """The volume-potential quadrature on the mesh nodes, applied by FFT.
 
@@ -207,17 +233,8 @@ def _lattice_potential(mesh: QuadratureMesh, medium: LameMedium) -> Callable:
     ``_SOLVE_BUDGET`` bytes with the solver's Krylov basis raises
     ``QuadratureBudgetExceeded``.
     """
-    if mesh.style != "cell":
-        raise MeshMismatch("potential collocation needs a cell-style mesh")
     h = mesh.h
-    scaled = (mesh.nodes - mesh.nodes.min(axis=0)) / h
-    keys = np.round(scaled).astype(int)
-    on_lattice = np.max(np.abs(scaled - keys)) <= _LATTICE_TOL
-    if not on_lattice or not np.allclose(mesh.weights, h * h, rtol=1e-12, atol=0.0):
-        raise MeshMismatch(
-            "the medium solve needs a cell mesh on one h-lattice with weights "
-            "h^2 (a disk, an ellipse, or a union whose components share a "
-            "lattice); unions on offset lattices wait for ROADMAP item 10")
+    keys = _lattice_keys(mesh)
     nx, ny = keys.max(axis=0) + 1
     mx, my = _fast_length(2 * nx - 1), _fast_length(2 * ny - 1)
     nbytes = mx * my * _GRID_BYTES_PER_CELL + keys.shape[0] * _BASIS_BYTES_PER_NODE
@@ -226,12 +243,6 @@ def _lattice_potential(mesh: QuadratureMesh, medium: LameMedium) -> Callable:
             f"a solve on the {mx} x {my} FFT grid ({keys.shape[0]} nodes) would "
             f"take {nbytes / 2**30:.1f} GiB; coarsen the mesh or bring its "
             f"components closer")
-    _, first, counts = np.unique(keys[:, 0] * ny + keys[:, 1],
-                                 return_index=True, return_counts=True)
-    if counts.size < keys.shape[0]:
-        crowded = np.argmax(counts > 1)
-        raise CoincidentPoints(
-            f"mesh node {first[crowded]} coincides with {counts[crowded]} mesh nodes")
     # kernel table over the offsets; the origin is the singular cell
     ox, oy = np.meshgrid(np.arange(1 - nx, nx), np.arange(1 - ny, ny), indexing="ij")
     offsets = np.stack([ox.ravel(), oy.ravel()], axis=1)
@@ -395,24 +406,9 @@ def contraction_report(scatterer: MediumScatterer, s: float = 1.0) -> Contractio
     prod = eps * v
     if prod >= s:
         return ContractionReport(epsilon=eps, v_sup=v, upsilon=np.inf,
-                                 bound_u=np.inf, bound_ut=np.inf, s_used=s,
-                                 out_of_regime=True)
-    ups = prod / (s - prod)
-    return ContractionReport(epsilon=eps, v_sup=v, upsilon=ups, bound_u=ups,
-                             bound_ut=s / (s - prod), s_used=s,
-                             out_of_regime=False)
-
-
-def upsilon(eps: float, v_sup: float, s: float = 1.0) -> float:
-    """Smallness ratio ``eps*v/(s - eps*v)``, non-decreasing in both arguments."""
-    if s <= 0.0:
-        raise InvalidParameter(f"s must be positive, got {s}")
-    if eps < 0.0 or v_sup < 0.0:
-        raise InvalidParameter("eps and v_sup must be nonnegative")
-    prod = eps * v_sup
-    if prod >= s:
-        raise OutOfRegime(f"eps*v = {prod} >= s = {s}")
-    return prod / (s - prod)
+                                 bound_ut=np.inf, out_of_regime=True)
+    return ContractionReport(epsilon=eps, v_sup=v, upsilon=upsilon(eps, v, s),
+                             bound_ut=s / (s - prod), out_of_regime=False)
 
 
 def lattice_pde_residual(scatterer: MediumScatterer, mesh: QuadratureMesh,
@@ -425,10 +421,10 @@ def lattice_pde_residual(scatterer: MediumScatterer, mesh: QuadratureMesh,
     past the mesh are excluded, and so are nodes within
     ``_RESIDUAL_MARGIN_CELLS`` cells of the boundary, since the quadrature
     error concentrates there.  Returns ``(max_rel, median_rel, n_interior)``
-    with the residual normalized by ``omega^2 |u|`` per node.
+    with the residual normalized by ``omega^2 |u|`` per node.  The mesh must
+    pass the solve's lattice checks (:func:`_lattice_keys`).
     """
-    if mesh.style != "cell":
-        raise MeshMismatch("lattice residual needs a cell-style mesh")
+    keys = _lattice_keys(mesh) + 1
     nodes = mesh.nodes
     ut = np.asarray(u_total_values)
     if ut.shape != nodes.shape:
@@ -439,7 +435,6 @@ def lattice_pde_residual(scatterer: MediumScatterer, mesh: QuadratureMesh,
     med = scatterer.medium
     # the field scattered into a lattice padded with NaN, so a node whose
     # stencil reaches a missing neighbour gets a NaN residual
-    keys = np.round((nodes - nodes.min(axis=0)) / mesh.h).astype(int) + 1
     lattice = np.full(tuple(keys.max(axis=0) + 2) + (ut.shape[1],), np.nan,
                       dtype=np.result_type(ut, float))
     lattice[tuple(keys.T)] = ut

@@ -615,3 +615,13 @@ def test_graph_vanishing_bump_is_flat_at_contact_point():
         fd = (-bump.value(origin + 2 * e) + 8.0 * bump.value(origin + e)
               - 8.0 * bump.value(origin - e) + bump.value(origin - 2 * e)) / (12.0 * h)
         assert np.max(np.abs(fd)) < 1e-8
+
+
+def test_cap_bump_needs_graph_only_profile():
+    # a cap's level function vanishes on the graph only, so a bump that
+    # would also vanish on the lid is refused
+    dom = make_cap_domain(K=10.0, L=3.0, M=4.0, varsigma=0.9)
+    with pytest.raises(InvalidParameter, match="whole_boundary=False"):
+        polynomial_bump(dom)
+    with pytest.raises(InvalidParameter, match="whole_boundary=False"):
+        polynomial_bump(dom, whole_boundary=True)

@@ -400,6 +400,19 @@ def test_config_schemas_are_valid_and_cover_every_experiment():
         Draft202012Validator.check_schema(schema)
 
 
+def test_cgo_samples_minimum_follows_the_batch_count():
+    # a schema-valid sample count must never fail the Monte Carlo's own
+    # check (exit 3 instead of 2)
+    cgo = elastoscat.cgo
+    least = cli.CONFIG_SCHEMAS["cgo-verify"]["properties"]["paraboloid"][
+        "properties"]["samples"]["minimum"]
+    assert least == 2 * cgo._MC_BATCHES
+    xi = [1j * 4.0, -4.0]
+    cgo.paraboloid_integral_mc(xi, 1.0, 2, samples=least)
+    with pytest.raises(elastoscat.errors.InvalidParameter):
+        cgo.paraboloid_integral_mc(xi, 1.0, 2, samples=least - 1)
+
+
 def test_readme_sweep_example_is_a_valid_config(tmp_path):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     example = re.search(r"\(`sweep\.json`\):\s*```json\n(.*?)```", readme, re.S)

@@ -89,8 +89,7 @@ def test_medium_pressure_slower_than_shear(lam, mu, omega, dim):
 # ---------------------------------------------------------------------------
 
 def _jet(point, value, grad):
-    return FieldJet(point=np.asarray(point, float),
-                    value=np.asarray(value, complex),
+    return FieldJet(value=np.asarray(value, complex),
                     gradient=np.asarray(grad, complex))
 
 

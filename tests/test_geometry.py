@@ -431,3 +431,17 @@ def test_golden_ball_pair():
         "inside": inside(pair, pts).tolist(),
     }
     assert got == GOLDEN["ball_pair"]
+
+
+@pytest.mark.parametrize("comp", [
+    ellipse(0.7, 0.3, center=(0.4, -0.25)).components[0],
+    make_cap_domain(10.0, 3.0, 4.0, 0.9).components[0],
+], ids=["offset-ellipse", "cap"])
+def test_bbox_holds_and_touches_the_boundary(comp):
+    lo, hi = comp.bbox()
+    pts = comp.boundary_sample(2048)
+    slack = 1e-12 * np.max(hi - lo)
+    assert np.all(pts >= lo - slack) and np.all(pts <= hi + slack)
+    # the samples reach every side of the box
+    assert np.allclose(pts.min(axis=0), lo, rtol=0.0, atol=1e-6 * np.max(hi - lo))
+    assert np.allclose(pts.max(axis=0), hi, rtol=0.0, atol=1e-6 * np.max(hi - lo))

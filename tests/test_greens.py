@@ -362,3 +362,21 @@ def test_farfield_batch_matches_single():
         p, s = farfield_kernels(xhat, y, med)
         assert pb[k] == pytest.approx(p, abs=1e-16)
         assert np.allclose(sb[k], s, atol=1e-16)
+
+
+def test_farfield_constants_3d_match_kernel_at_large_radius():
+    """The 3-D amplitudes against the kernel tensor at R xhat - y: the
+    mismatch falls about tenfold per decade of R."""
+    med = make_medium(2.0, 1.0, 2.0, 3)
+    y = np.array([0.13, -0.07, 0.21])
+    for xhat in (np.array([2.0, -1.0, 2.0]) / 3.0, np.array([0.0, 0.0, 1.0]),
+                 np.array([0.6, 0.8, 0.0])):
+        p, s = farfield_kernels_batch(xhat, y[None], med)
+        errs = []
+        for r in (1e4, 1e5):
+            g = kupradze_batch((r * xhat - y)[None], med)[0]
+            want = (np.exp(1j * med.kappa_p * r) * p[0] * np.outer(xhat, xhat)
+                    + np.exp(1j * med.kappa_s * r) * s[0]) / r
+            errs.append(np.linalg.norm(g - want) / np.linalg.norm(g))
+        assert errs[0] <= 2e-4
+        assert errs[1] <= errs[0] / 5.0

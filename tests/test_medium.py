@@ -553,6 +553,17 @@ def test_duplicate_mesh_node_is_rejected():
         solve_medium(sc, inc, dup)
 
 
+def test_lattice_residual_rejects_duplicate_mesh_node():
+    # the residual derives its lattice index with the solve's checks: a
+    # repeated node is an error, not a silent overwrite of its twin
+    nodes = np.array([[0.0, 0.0], [0.05, 0.0], [0.0, 0.05], [0.05, 0.0]])
+    dup = QuadratureMesh(nodes=nodes, weights=np.full(4, 2.5e-3), h=0.05,
+                         style="cell", mesh_id="repeated-node")
+    vals = np.ones((4, 2), dtype=complex)
+    with pytest.raises(CoincidentPoints, match="coincides with 2 mesh nodes"):
+        lattice_pde_residual(scatterer(), dup, vals)
+
+
 # Golden values: the solved fields pinned bit for bit, so a change to the
 # volume-potential quadrature or the solvers that reorders floating-point
 # operations shows up here.  The disk, mesh and contrast profile are those of
