@@ -54,6 +54,7 @@ from .source import (
 from .scattering import (
     ContractionReport,
     IncidentWave,
+    LatticeOperator,
     MediumScatterer,
     MediumSolve,
     contraction_report,
@@ -109,7 +110,7 @@ __all__ = [
     "farfield_norm", "make_nonradiating",
     # media
     "MediumScatterer", "IncidentWave", "MediumSolve", "ContractionReport",
-    "make_incident", "solve_medium", "contraction_report", "upsilon",
+    "LatticeOperator", "make_incident", "solve_medium", "contraction_report", "upsilon",
     "lattice_pde_residual",
     # exponential probes
     "CgoProbe", "IdentityBreakdown", "make_cgo", "probe_grid", "cgo_residual",

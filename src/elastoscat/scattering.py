@@ -7,15 +7,19 @@ normalized against ``-delta``); the scattered field is ``u = u_t - u_i`` and
 its far field is the pattern of the equivalent source ``-omega^2 V u_t``.
 The equation is collocated at the nodes of a cell mesh on one h-lattice,
 where the volume potential is block Toeplitz and is applied by FFT on a
-padded grid; GMRES solves the collocated system for any contrast, and the
+padded grid.  That operator (``LatticeOperator``) depends only on the mesh
+and the medium, so one is built per (mesh, medium) and reused across
+solves.  GMRES solves the collocated system for any contrast, and the
 Neumann-series mode exists to exercise the contraction regime and its
-a-priori bounds.  Meshes off a single lattice (unions on offset lattices)
-are rejected with ``MeshMismatch``.
+a-priori bounds.  The direct mode's power-iteration contraction estimate is
+computed only where it is read.  Meshes off a single lattice (unions on
+offset lattices) are rejected with ``MeshMismatch``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -125,15 +129,28 @@ class IncidentWave:
         return kupradze_batch(pts - self.origin, med)[:, :, 0]
 
 
-@dataclass
 class MediumSolve:
-    """Total/scattered fields on the mesh plus the far field and diagnostics."""
+    """Total/scattered fields on the mesh plus the far field and diagnostics.
 
-    u_total: SampledVectorField
-    u_scattered: SampledVectorField
-    farfield: FarFieldPattern
-    series_terms_used: int
-    contraction_estimate: float
+    ``contraction_estimate`` may be given as a callable: it then runs on the
+    first read and its value is kept, so an estimate that is never read
+    costs nothing.
+    """
+
+    def __init__(self, u_total: SampledVectorField, u_scattered: SampledVectorField,
+                 farfield: FarFieldPattern, series_terms_used: int,
+                 contraction_estimate: Union[float, Callable[[], float]]):
+        self.u_total = u_total
+        self.u_scattered = u_scattered
+        self.farfield = farfield
+        self.series_terms_used = series_terms_used
+        self._contraction = contraction_estimate
+
+    @property
+    def contraction_estimate(self) -> float:
+        if callable(self._contraction):
+            self._contraction = self._contraction()
+        return self._contraction
 
 
 @dataclass(frozen=True)
@@ -214,18 +231,20 @@ def _lattice_keys(mesh: QuadratureMesh) -> np.ndarray:
     return keys
 
 
-def _lattice_potential(mesh: QuadratureMesh, medium: LameMedium) -> Callable:
-    """The volume-potential quadrature on the mesh nodes, applied by FFT.
+class LatticeOperator:
+    """The volume-potential quadrature on the nodes of one cell mesh, applied
+    by FFT; built once per (mesh, medium) and shared by every solve on them.
 
-    Returns ``apply``, mapping an (N, 2) array ``x`` to ``P x`` with row ``i``
-    equal to :func:`potential_row` at node ``y_i`` times ``x``: block
-    ``(i, k)`` is ``h^2 G(y_i - y_k)``, and the singular-cell integral when
-    ``i = k``.  On a cell mesh whose nodes lie on one h-lattice with weights
-    ``h^2`` that block depends only on the integer offset ``key_i - key_k``,
-    so ``P`` is block Toeplitz.  Its kernel table over the
-    ``(2nx - 1) x (2ny - 1)`` offsets is evaluated once, embedded in a
-    circulant padded to fast FFT lengths, and applied by ``fft2`` (Vainikko
-    2000).
+    ``apply`` maps an (N, 2) array ``x`` to ``P x`` with row ``i`` equal to
+    :func:`potential_row` at node ``y_i`` times ``x``: block ``(i, k)`` is
+    ``h^2 G(y_i - y_k)``, and the singular-cell integral when ``i = k``.  On
+    a cell mesh whose nodes lie on one h-lattice with weights ``h^2`` that
+    block depends only on the integer offset ``key_i - key_k`` (``keys``, the
+    nodes' lattice index), so ``P`` is block Toeplitz.  Its kernel table over
+    the ``(2nx - 1) x (2ny - 1)`` offsets is evaluated once, here, embedded
+    in a circulant padded to fast FFT lengths, and applied by ``fft2``
+    (Vainikko 2000).  ``apply`` only reads the table's spectrum, so threads
+    may share one operator.
 
     Meshes that are not lattice subsets (unions whose components sit on
     offset lattices) raise ``MeshMismatch``; repeated lattice keys raise
@@ -233,61 +252,77 @@ def _lattice_potential(mesh: QuadratureMesh, medium: LameMedium) -> Callable:
     ``_SOLVE_BUDGET`` bytes with the solver's Krylov basis raises
     ``QuadratureBudgetExceeded``.
     """
-    h = mesh.h
-    keys = _lattice_keys(mesh)
-    nx, ny = keys.max(axis=0) + 1
-    mx, my = _fast_length(2 * nx - 1), _fast_length(2 * ny - 1)
-    nbytes = mx * my * _GRID_BYTES_PER_CELL + keys.shape[0] * _BASIS_BYTES_PER_NODE
-    if nbytes > _SOLVE_BUDGET:
-        raise QuadratureBudgetExceeded(
-            f"a solve on the {mx} x {my} FFT grid ({keys.shape[0]} nodes) would "
-            f"take {nbytes / 2**30:.1f} GiB; coarsen the mesh or bring its "
-            f"components closer")
-    # kernel table over the offsets; the origin is the singular cell
-    ox, oy = np.meshgrid(np.arange(1 - nx, nx), np.arange(1 - ny, ny), indexing="ij")
-    offsets = np.stack([ox.ravel(), oy.ravel()], axis=1)
-    origin = (nx - 1) * (2 * ny - 1) + ny - 1
-    live = np.arange(offsets.shape[0]) != origin
-    kernel = np.empty((offsets.shape[0], 2, 2), dtype=complex)
-    kernel[live] = kupradze_batch(offsets[live] * h, medium) * (h * h)
-    kernel[origin] = singular_cell_integral(medium, h)
-    # circulant: offset o at index o mod m, in a grid padded to fast FFT lengths
-    spectrum = np.zeros((2, 2, mx, my), dtype=complex)
-    spectrum[:, :, ox % mx, oy % my] = np.moveaxis(
-        kernel.reshape(ox.shape + (2, 2)), (2, 3), (0, 1))
-    del kernel
-    spectrum = np.fft.fft2(spectrum)
-    at = (keys[:, 0], keys[:, 1])
 
-    def apply(x: np.ndarray) -> np.ndarray:
-        grid = np.zeros((2, mx, my), dtype=complex)
-        grid[(slice(None),) + at] = x.T
+    def __init__(self, mesh: QuadratureMesh, medium: LameMedium):
+        h = mesh.h
+        keys = _lattice_keys(mesh)
+        nx, ny = keys.max(axis=0) + 1
+        mx, my = _fast_length(2 * nx - 1), _fast_length(2 * ny - 1)
+        nbytes = mx * my * _GRID_BYTES_PER_CELL + keys.shape[0] * _BASIS_BYTES_PER_NODE
+        if nbytes > _SOLVE_BUDGET:
+            raise QuadratureBudgetExceeded(
+                f"a solve on the {mx} x {my} FFT grid ({keys.shape[0]} nodes) would "
+                f"take {nbytes / 2**30:.1f} GiB; coarsen the mesh or bring its "
+                f"components closer")
+        # kernel table over the offsets; the origin is the singular cell
+        ox, oy = np.meshgrid(np.arange(1 - nx, nx), np.arange(1 - ny, ny), indexing="ij")
+        offsets = np.stack([ox.ravel(), oy.ravel()], axis=1)
+        origin = (nx - 1) * (2 * ny - 1) + ny - 1
+        live = np.arange(offsets.shape[0]) != origin
+        kernel = np.empty((offsets.shape[0], 2, 2), dtype=complex)
+        kernel[live] = kupradze_batch(offsets[live] * h, medium) * (h * h)
+        kernel[origin] = singular_cell_integral(medium, h)
+        # circulant: offset o at index o mod m, in a grid padded to fast FFT lengths
+        spectrum = np.zeros((2, 2, mx, my), dtype=complex)
+        spectrum[:, :, ox % mx, oy % my] = np.moveaxis(
+            kernel.reshape(ox.shape + (2, 2)), (2, 3), (0, 1))
+        del kernel
+        self.mesh_id = mesh.mesh_id
+        self.medium = medium
+        self.keys = keys
+        self._spectrum = np.fft.fft2(spectrum)
+
+    def check(self, mesh: QuadratureMesh, medium: LameMedium) -> None:
+        """Raise ``MeshMismatch`` unless built for this mesh and medium."""
+        if mesh.mesh_id != self.mesh_id or medium != self.medium:
+            raise MeshMismatch("the lattice operator was built for another "
+                               "mesh or medium")
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        spectrum = self._spectrum
+        at = (slice(None), self.keys[:, 0], self.keys[:, 1])
+        grid = np.zeros((2,) + spectrum.shape[2:], dtype=complex)
+        grid[at] = x.T
         src = np.fft.fft2(grid)
         out = np.fft.ifft2(spectrum[:, 0] * src[0] + spectrum[:, 1] * src[1])
-        return out[(slice(None),) + at].T
-
-    return apply
+        return out[at].T
 
 
 def solve_medium(scatterer: MediumScatterer, incident: IncidentWave,
                  mesh: QuadratureMesh, mode: str = "direct-dense",
-                 directions=None) -> MediumSolve:
+                 directions=None, operator: Optional[LatticeOperator] = None
+                 ) -> MediumSolve:
     """Solve the volume integral equation on the mesh.
 
     Both modes apply the collocated operator ``omega^2 P V`` through the FFT
-    lattice potential (:func:`_lattice_potential`), so the mesh must be a
+    lattice potential (:class:`LatticeOperator`), so the mesh must be a
     cell mesh on one h-lattice with weights ``h^2``: a disk, an ellipse, or
     a union whose components share a lattice.  Other meshes raise
-    ``MeshMismatch``.  Memory grows with the padded FFT grid (about 5N
-    cells for a disk of N nodes) and the GMRES basis; a solve that would
-    need more than 1 GiB raises ``QuadratureBudgetExceeded``, which allows
-    about 250,000 nodes on a disk.
+    ``MeshMismatch``.  The operator depends only on the mesh and the
+    medium: pass ``operator`` to reuse one across solves (contrasts,
+    incident waves, modes), or leave it ``None`` to build one.  An operator
+    built for another mesh or medium raises ``MeshMismatch``.  Memory grows
+    with the padded FFT grid (about 5N cells for a disk of N nodes) and the
+    GMRES basis; a solve that would need more than 1 GiB raises
+    ``QuadratureBudgetExceeded``, which allows about 250,000 nodes on a
+    disk.
 
     ``direct-dense`` (the name is historical) solves the 2N x 2N system
     ``(I + omega^2 P V) u_t = u_i`` by restarted GMRES and raises
     ``SingularSystem`` unless the true relative residual is at most 1e-8;
     its contraction estimate is a power-iteration estimate of the operator
-    2-norm.  ``neumann-series`` iterates the fixed point
+    2-norm, run only when ``contraction_estimate`` is first read.
+    ``neumann-series`` iterates the fixed point
     ``u_t <- u_i - omega^2 P(V u_t)`` and reports the observed contraction
     ratio, refusing to continue when successive corrections grow.  The far
     field is radiated by the equivalent source ``-omega^2 V u_t``.
@@ -302,7 +337,10 @@ def solve_medium(scatterer: MediumScatterer, incident: IncidentWave,
     med = scatterer.medium
     nodes = mesh.nodes
     n = nodes.shape[0]
-    potential = _lattice_potential(mesh, med)
+    if operator is None:
+        operator = LatticeOperator(mesh, med)
+    operator.check(mesh, med)
+    potential = operator.apply
     vvals = scatterer.contrast_on(nodes)[:, None]
     ui = incident(nodes)
     scale = -med.omega ** 2
@@ -330,7 +368,7 @@ def solve_medium(scatterer: MediumScatterer, incident: IncidentWave,
         if not np.isfinite(resid) or resid > 1e-8:
             raise SingularSystem(f"collocation residual {resid:.2e} "
                                  f"(GMRES info {info})")
-        contraction = _norm_estimate(op, op_adjoint, 2 * n)
+        contraction = partial(_norm_estimate, op, op_adjoint, 2 * n)
     else:
         ut_flat = b.copy()
         term = b.copy()
@@ -412,7 +450,8 @@ def contraction_report(scatterer: MediumScatterer, s: float = 1.0) -> Contractio
 
 
 def lattice_pde_residual(scatterer: MediumScatterer, mesh: QuadratureMesh,
-                         u_total_values: np.ndarray):
+                         u_total_values: np.ndarray,
+                         operator: Optional[LatticeOperator] = None):
     """Discrete PDE residual of a solved total field on its own mesh lattice.
 
     Second differences taken directly between lattice neighbors at the mesh
@@ -422,9 +461,15 @@ def lattice_pde_residual(scatterer: MediumScatterer, mesh: QuadratureMesh,
     ``_RESIDUAL_MARGIN_CELLS`` cells of the boundary, since the quadrature
     error concentrates there.  Returns ``(max_rel, median_rel, n_interior)``
     with the residual normalized by ``omega^2 |u|`` per node.  The mesh must
-    pass the solve's lattice checks (:func:`_lattice_keys`).
+    pass the solve's lattice checks (:func:`_lattice_keys`); the lattice
+    index is read from ``operator`` when the solve's operator is passed.
     """
-    keys = _lattice_keys(mesh) + 1
+    if operator is None:
+        keys = _lattice_keys(mesh)
+    else:
+        operator.check(mesh, scatterer.medium)
+        keys = operator.keys
+    keys = keys + 1
     nodes = mesh.nodes
     ut = np.asarray(u_total_values)
     if ut.shape != nodes.shape:

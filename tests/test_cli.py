@@ -669,6 +669,58 @@ def test_medium_demo_solves_each_contrast_once_per_mode(tmp_path, monkeypatch):
     assert report["summary"]["lattice_residual_max"] < 0.01
 
 
+# v0 = 0.8 on disk(0.45) with omega = 2 and s = 1 is out of regime:
+# diameter * omega * v_sup = 1.8 * 0.7989 > 1
+MIXED_REGIME_V0 = [0.2, 0.8, 0.05]
+
+
+def test_medium_demo_builds_one_operator_and_estimates_only_reported_rows(
+        tmp_path, monkeypatch):
+    from elastoscat import scattering
+
+    built, estimates = [], []
+    init, estimate = scattering.LatticeOperator.__init__, scattering._norm_estimate
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def counted_estimate(*args, **kwargs):
+        estimates.append(1)
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(scattering.LatticeOperator, "__init__", counted_init)
+    monkeypatch.setattr(scattering, "_norm_estimate", counted_estimate)
+    cfg = _medium_cfg()
+    cfg["scatterer"]["v0_values"] = MIXED_REGIME_V0
+    prefix = tmp_path / "out" / "md"
+    assert cli.main(["medium-demo", "--config", write_cfg(tmp_path, "m.json", cfg),
+                     "--workers", "1", "--out", str(prefix)]) == 0
+    _, rows = read_table(Path(f"{prefix}_medium.csv"))
+    assert [r["out_of_regime"] for r in rows] == ["false", "true", "false"]
+    assert built == [1]
+    # the power iteration runs for the out-of-regime row only
+    assert estimates == [1]
+    # pinned before the operator was shared and the estimate made lazy
+    assert rows[1]["contraction"] == "0.14539574550951292"
+    assert rows[1]["series_terms"] == "1"
+    assert rows[1]["mode_gap"] == "nan"
+
+
+def test_medium_demo_csv_does_not_depend_on_workers(tmp_path):
+    # the threads of --workers 2 share one operator
+    cfg = _medium_cfg()
+    cfg["scatterer"]["v0_values"] = MIXED_REGIME_V0 + [0.3]
+    cfg_path = write_cfg(tmp_path, "m.json", cfg)
+    tables = []
+    for workers in ("1", "2"):
+        prefix = tmp_path / workers / "md"
+        assert cli.main(["medium-demo", "--config", cfg_path,
+                         "--workers", workers, "--out", str(prefix)]) == 0
+        tables.append(Path(f"{prefix}_medium.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
 def test_medium_demo_failed_self_check_writes_nothing(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, "tight.json", _medium_cfg(tolerance=1e-30))
     prefix = tmp_path / "fail" / "md"
@@ -782,8 +834,9 @@ def test_module_entry_point_help(tmp_path):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.linalg would add to the start-up cost of every experiment too
-    for module in ("scipy.optimize", "scipy.linalg"):
+    # scipy.linalg and the GMRES of scipy.sparse.linalg would add to the
+    # start-up cost of every experiment too
+    for module in ("scipy.optimize", "scipy.linalg", "scipy.sparse.linalg"):
         code = f"import sys, elastoscat.cli; print({module!r} in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -465,8 +466,99 @@ def test_lattice_potential_matches_dense_matrix(name):
     rng = np.random.default_rng(11)
     x = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
     want = (_potential_matrix(mesh, MED) @ x.ravel()).reshape(n, 2)
-    got = scattering._lattice_potential(mesh, MED)(x)
+    got = scattering.LatticeOperator(mesh, MED).apply(x)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("mode", ["direct-dense", "neumann-series"])
+def test_solve_with_prebuilt_operator_matches_a_fresh_one(mode):
+    # one operator serves two contrasts and both incident kinds, bit for bit
+    mesh = volume_mesh(disk(0.45), h=0.05)
+    operator = scattering.LatticeOperator(mesh, MED)
+    for v0 in (0.2, 0.35):
+        sc = scatterer(v0=v0)
+        for kind, params in GOLDEN_INCIDENTS.values():
+            inc = make_incident(kind, params, MED)
+            got = solve_medium(sc, inc, mesh, mode=mode, operator=operator)
+            want = solve_medium(sc, inc, mesh, mode=mode)
+            assert np.array_equal(got.u_total.values, want.u_total.values)
+            assert np.array_equal(got.u_scattered.values, want.u_scattered.values)
+            assert np.array_equal(got.farfield.up_inf, want.farfield.up_inf)
+            assert np.array_equal(got.farfield.us_inf, want.farfield.us_inf)
+            assert got.series_terms_used == want.series_terms_used
+            assert got.contraction_estimate == want.contraction_estimate
+
+
+def test_operator_shared_by_threads_applies_as_in_one_thread():
+    # more threads than cores and a short switch interval: apply keeps no
+    # state between calls, so every concurrent product equals the serial one
+    mesh = volume_mesh(disk(0.45), h=0.05)
+    operator = scattering.LatticeOperator(mesh, MED)
+    rng = np.random.default_rng(5)
+    shape = mesh.nodes.shape
+    xs = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+          for _ in range(32)]
+    want = [operator.apply(x) for x in xs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(operator.apply, x) for _ in range(20) for x in xs]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want * 20))
+
+
+def test_operator_for_another_mesh_or_medium_is_rejected():
+    sc = scatterer(v0=0.2)
+    mesh = volume_mesh(sc.domain, h=0.05)
+    inc = make_incident("pressure-plane", {"direction": (1.0, 0.0)}, MED)
+    other_mesh = scattering.LatticeOperator(volume_mesh(sc.domain, h=0.045), MED)
+    other_medium = scattering.LatticeOperator(mesh, make_medium(2.0, 1.0, 2.5, 2))
+    vals = np.ones(mesh.nodes.shape, dtype=complex)
+    for operator in (other_mesh, other_medium):
+        for mode in ("direct-dense", "neumann-series"):
+            with pytest.raises(MeshMismatch, match="another mesh or medium"):
+                solve_medium(sc, inc, mesh, mode=mode, operator=operator)
+        with pytest.raises(MeshMismatch, match="another mesh or medium"):
+            lattice_pde_residual(sc, mesh, vals, operator=operator)
+
+
+def test_lattice_residual_reads_the_operator_keys(monkeypatch):
+    sc = scatterer(v0=0.2)
+    mesh = volume_mesh(sc.domain, h=0.03)
+    inc = make_incident("pressure-plane", {"direction": (1.0, 0.0)}, MED)
+    operator = scattering.LatticeOperator(mesh, MED)
+    sol = solve_medium(sc, inc, mesh, operator=operator)
+    want = lattice_pde_residual(sc, mesh, sol.u_total.values)
+
+    def no_keys(mesh):
+        raise AssertionError("lattice keys derived again")
+
+    monkeypatch.setattr(scattering, "_lattice_keys", no_keys)
+    assert lattice_pde_residual(sc, mesh, sol.u_total.values,
+                                operator=operator) == want
+
+
+def test_direct_contraction_estimate_runs_on_first_read(monkeypatch):
+    calls = []
+    real = scattering._norm_estimate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scattering, "_norm_estimate", counted)
+    sc = scatterer(v0=0.2)
+    mesh = volume_mesh(sc.domain, h=0.05)
+    inc = make_incident("pressure-plane", {"direction": (1.0, 0.0)}, MED)
+    sol = solve_medium(sc, inc, mesh)
+    assert calls == []
+    first = sol.contraction_estimate
+    assert sol.contraction_estimate == first
+    assert calls == [1]
+    assert repr(first) == GOLDEN_MEDIUM_LATTICE["pressure/direct-dense"][3]
 
 
 @pytest.mark.parametrize("mode", ["direct-dense", "neumann-series"])
