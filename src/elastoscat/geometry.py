@@ -30,7 +30,6 @@ from typing import Optional, Protocol
 import warnings
 
 import numpy as np
-from scipy.special import ellipe
 
 from .elastic import content_id
 from .errors import (
@@ -431,6 +430,8 @@ class Ellipse:
         return self.center + pts, nrm, speed * 2.0 * np.pi / n, ["boundary"] * n
 
     def boundary_measure(self):
+        from scipy.special import ellipe
+
         big, small = max(self.a, self.b), min(self.a, self.b)
         ecc2 = 1.0 - (small / big) ** 2
         return 4.0 * big * float(ellipe(ecc2))
@@ -640,10 +641,6 @@ def make_cap_domain(K: float, L: float, M: float, varsigma: float,
 
 def _cap_halfwidth(chart: KCurvatureChart) -> float:
     """Radial extent of the cap: smallest t > 0 with gamma(t) = b."""
-    # imported here, its only use: scipy.optimize (and the scipy.linalg it
-    # pulls in) would otherwise load with every import of the package
-    from scipy.optimize import brentq
-
     f = lambda t: chart.gamma(t) - chart.b
     ts = np.linspace(0.0, chart.rho, 4096)
     vals = f(ts)
@@ -654,7 +651,64 @@ def _cap_halfwidth(chart: KCurvatureChart) -> float:
     i = idx[0] + 1
     if vals[i] == 0.0:
         return float(ts[i])
-    return float(brentq(f, ts[i - 1], ts[i], xtol=1e-15))
+    return _brent(f, ts[i - 1], ts[i])
+
+
+def _brent(f, a, b) -> float:
+    """Root of ``f`` on the sign-changing bracket ``[a, b]`` by Brent's method.
+
+    A step-for-step port of SciPy's ``brentq`` at ``xtol=1e-15`` and its
+    default ``rtol`` (4 eps) and 100 iterations: the same interpolation,
+    extrapolation and bisection steps in the same order, so it returns the
+    same bits, without loading ``scipy.optimize`` and the ``scipy.linalg``
+    it pulls in.
+    """
+    xtol, rtol = 1e-15, 4.0 * math.ulp(1.0)
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise InvalidParameter(f"f has the same sign at {xpre} and {xcur}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if (fpre != 0.0 and fcur != 0.0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                # short enough to trust, else bisect
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = float(f(xcur))
+    raise InvalidParameter(f"no root within 100 Brent steps from [{a}, {b}]")
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,15 @@ with constants derived from the tensor's leading term:
     n = 2:  c_p = e^{i pi/4} sqrt(2/(pi kp)) / (4 (lam + 2 mu)),
             c_s = e^{i pi/4} sqrt(2/(pi ks)) / (4 mu)
     n = 3:  c_p = 1 / (4 pi (lam + 2 mu)),   c_s = 1 / (4 pi mu).
+
+``scipy.special`` is imported inside the functions that call it, so that
+only a 2-D kernel or an incomplete gamma loads it.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.special import gammainc as _reg_lower_gamma
-from scipy.special import gamma as _gamma
-from scipy.special import hankel1
 
 from .elastic import LameMedium
 from .errors import (
@@ -48,12 +48,14 @@ EULER_GAMMA = float(np.euler_gamma)
 def lower_incomplete_gamma(t: float, c: float) -> complex:
     """Lower incomplete gamma ``gamma(c, t) = int_0^t e^{-x} x^{c-1} dx``
     for real ``c > 0``, through the regularized library function."""
+    from scipy.special import gamma, gammainc
+
     if t < 0.0 or not np.isfinite(t):
         raise NonpositiveArgument(f"t must be finite and >= 0, got {t}")
     c = complex(c)
     if c.imag != 0.0 or c.real <= 0.0:
         raise InvalidParameter(f"need real c > 0, got c = {c}")
-    return complex(_gamma(c.real) * _reg_lower_gamma(c.real, t))
+    return complex(gamma(c.real) * gammainc(c.real, t))
 
 
 def helmholtz_fundamental(x: np.ndarray, y: np.ndarray, kappa: float, dim: int) -> complex:
@@ -66,6 +68,8 @@ def helmholtz_fundamental(x: np.ndarray, y: np.ndarray, kappa: float, dim: int) 
     if r == 0.0:
         raise CoincidentPoints("x and y must be distinct")
     if dim == 2:
+        from scipy.special import hankel1
+
         return 0.25j * complex(hankel1(0, kappa * r))
     return np.exp(1j * kappa * r) / (4.0 * np.pi * r)
 
@@ -79,6 +83,8 @@ def _phi_derivs(kappa: float, r, dim: int):
     r = np.asarray(r, dtype=float)
     z = kappa * r
     if dim == 2:
+        from scipy.special import hankel1
+
         h0 = hankel1(0, z)
         h1 = hankel1(1, z)
         phi = 0.25j * h0

@@ -842,6 +842,12 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
                               text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False", module
+    # nor any other SciPy module: each experiment loads the ones it calls
+    code = ("import sys, elastoscat.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -871,6 +877,51 @@ REACH_CONFIGS = {
     "medium-demo": _medium_cfg,
     "distinguish": dist_cfg,
 }
+
+
+# The SciPy subpackages each experiment loads in a fresh interpreter; the
+# experiments not named here load no SciPy module at all.
+SCIPY_LOADED = {"kpoint-decay": {"scipy.special"},
+                "medium-demo": {"scipy.special", "scipy.sparse.linalg"}}
+SCIPY_WATCHED = ("scipy.special", "scipy.sparse.linalg", "scipy.optimize")
+
+
+def _cold_run(tmp_path, name, cfg, workers="1"):
+    """Run one experiment in a fresh interpreter; return the SciPy modules it
+    loaded and its output prefix."""
+    prefix = tmp_path / f"w{workers}" / name
+    code = ("import sys; from elastoscat import cli; "
+            "rc = cli.main(sys.argv[1:]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "sys.exit(rc)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, name, "--config",
+         write_cfg(tmp_path, f"{name}.json", cfg), "--workers", workers,
+         "--out", str(prefix)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1])), prefix
+
+
+@pytest.mark.parametrize("name", list(REACH_CONFIGS))
+def test_each_experiment_loads_only_the_scipy_it_calls(tmp_path, name):
+    loaded, _ = _cold_run(tmp_path, name, REACH_CONFIGS[name]())
+    expected = SCIPY_LOADED.get(name, set())
+    assert {m for m in SCIPY_WATCHED if m in loaded} == expected
+    if not expected:
+        assert loaded == set()
+
+
+def test_medium_demo_first_imports_under_threads(tmp_path):
+    # in a fresh interpreter the two threads of --workers 2 run the first
+    # solves together, and with them the solve path's first SciPy imports;
+    # the in-process worker test runs after pytest has loaded SciPy
+    cfg = _medium_cfg()
+    cfg["scatterer"]["v0_values"] = MIXED_REGIME_V0 + [0.3]
+    tables = []
+    for workers in ("1", "2"):
+        _, prefix = _cold_run(tmp_path, "medium-demo", cfg, workers)
+        tables.append(Path(f"{prefix}_medium.csv").read_bytes())
+    assert tables[0] == tables[1]
 
 
 def _acceptance_imports():

@@ -1,8 +1,13 @@
 """Domains, curvature charts, meshes, and distance computations."""
 
+import importlib.util
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from elastoscat import (
     boundary_measure,
@@ -28,7 +33,8 @@ from elastoscat.errors import (
     MeshTooCoarse,
     SingleComponent,
 )
-from elastoscat.geometry import Ball, Cap, Ellipse
+from elastoscat import geometry
+from elastoscat.geometry import Ball, Cap, CapGraph, Ellipse
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +76,64 @@ def test_cap_graph_between_envelopes():
     assert np.all(g >= ch.K_minus * ts ** 2 - 1e-12)
     assert np.all(g <= ch.K_plus * ts ** 2 + 1e-12)
     assert ch.K_plus - ch.K_minus <= ch.L * ch.K ** (1.0 - ch.varsigma) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the cap's half-width root: geometry._brent against SciPy's brentq
+# ---------------------------------------------------------------------------
+
+def _benchmark_cap_menu():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CAP_K, module.CAPS
+
+
+def _brentq(f, a, b):
+    """The slow reference: SciPy's brentq at the settings _brent ports."""
+    return brentq(f, a, b, xtol=1e-15)
+
+
+def test_brent_matches_brentq_on_every_cap_bracket(monkeypatch):
+    cap_k, caps = _benchmark_cap_menu()
+    charts = [{key: caps[key] for key in ("L", "M", "varsigma", "cubic")},
+              {"L": 1.0, "M": 1.0, "varsigma": 0.5},            # golden "cap"
+              {"L": 3.0, "M": 4.0, "varsigma": 0.9, "cubic": 1.5}]  # "cap_cubic"
+    brackets = []
+    brent = geometry._brent
+
+    def recorded(f, a, b):
+        brackets.append((f, a, b))
+        return brent(f, a, b)
+
+    monkeypatch.setattr(geometry, "_brent", recorded)
+    for K in cap_k:
+        for chart in charts:
+            seen = len(brackets)
+            cap = make_cap_domain(K=K, **chart).components[0]
+            # an exact paraboloid (M = 1) often meets b at the scan's end
+            # and needs no root search
+            if len(brackets) > seen:
+                assert cap.x1max == _brentq(*brackets[-1])
+    assert len(brackets) > 2 * len(cap_k)
+    for f, a, b in brackets:
+        assert brent(f, a, b) == _brentq(f, a, b)
+
+
+def test_brent_matches_brentq_on_random_convex_brackets():
+    rng = np.random.default_rng(20)
+    for _ in range(10_000):
+        graph = CapGraph(rng.uniform(math.e, 200.0), rng.uniform(0.0, 50.0))
+        b = rng.uniform(0.01, 1.0)
+        f = lambda t: graph.gamma(t) - b
+        span = math.sqrt(b / graph.K)   # gamma(span) >= b
+        root = _brentq(f, 0.0, span)
+        width = span * 10.0 ** rng.uniform(-8.0, 0.0)
+        lo = max(0.0, root - width * rng.uniform())
+        hi = lo + width
+        assert f(lo) < 0.0 < f(hi)
+        assert geometry._brent(f, lo, hi) == _brentq(f, lo, hi)
 
 
 # ---------------------------------------------------------------------------
