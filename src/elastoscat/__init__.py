@@ -47,6 +47,7 @@ from .source import (
     SourceProblem,
     directions_circle,
     farfield_norm,
+    farfield_of_disk,
     farfield_of_source,
     make_nonradiating,
     solve_source,
@@ -107,7 +108,7 @@ __all__ = [
     # sources
     "Bump", "polynomial_bump", "SourceProblem", "FarFieldPattern",
     "directions_circle", "solve_source", "farfield_of_source",
-    "farfield_norm", "make_nonradiating",
+    "farfield_of_disk", "farfield_norm", "make_nonradiating",
     # media
     "MediumScatterer", "IncidentWave", "MediumSolve", "ContractionReport",
     "LatticeOperator", "make_incident", "solve_medium", "contraction_report", "upsilon",

@@ -8,7 +8,9 @@ Subcommands
 -----------
 ``sweep-small``
     Far-field norms and small-support criterion reports for an epsilon sweep
-    of constant-intensity disk sources.
+    of constant-intensity disk sources.  The norms come from the closed-form
+    disk pattern; the first radiating disk's quadrature on the configured
+    Gauss mesh must match it within ``tolerance``.
 ``nonradiating-audit``
     Manufactures non-radiating sources, verifies far-field nullity,
     calibrates the smallness constant and audits the diameter lower bound.
@@ -27,8 +29,9 @@ Subcommands
     PDE-residual self-check.  ``criterion.delta`` is only echoed into the
     summary; no smallness criterion is evaluated.
 ``distinguish``
-    Far-field difference of two separated small disk sources against the
-    quadrature noise floor.
+    Far-field difference of two separated small disk sources (closed form)
+    against a noise level: the configured quadrature's miss of the closed
+    form, floored at 64 machine epsilons times the pattern norm.
 
 Configs are JSON validated against the subcommand's schema in
 ``CONFIG_SCHEMAS``, the reference for every key, its type, range and default
@@ -43,14 +46,15 @@ seed and the point index, so worker count does not affect results.
 
 Exit codes: 0 success, 2 invalid config (a schema violation, or a medium
 with 2 lam + 2 mu <= 0), 3 numerical-validation failure
-(including any self-check whose refined recomputation disagrees beyond the
-declared tolerance; partial outputs are removed).
+(including any self-check whose recomputation, refined or by quadrature,
+disagrees beyond the declared tolerance; partial outputs are removed).
 """
 from __future__ import annotations
 
 import argparse
 import copy
 import csv
+import functools
 import json
 import math
 import sys
@@ -93,6 +97,7 @@ from .source import (
     SourceProblem,
     directions_circle,
     farfield_norm,
+    farfield_of_disk,
     farfield_of_source,
     make_nonradiating,
 )
@@ -308,25 +313,33 @@ def _medium_from(cfg: dict):
 
 def _gauss(dom, cfg: dict, refined: bool = False):
     """The config's Gauss mesh on ``dom``, or the refined (n_radial + 16,
-    2 n_angular) mesh that the self-checks compare against."""
+    2 n_angular) mesh that the nullity self-check compares against."""
     nr, na = int(cfg["mesh"]["n_radial"]), int(cfg["mesh"]["n_angular"])
     if refined:
         nr, na = nr + 16, 2 * na
     return gauss_mesh(dom, n_radial=nr, n_angular=na)
 
 
-def _disk_farfield(med, cfg: dict, radius: float, amplitude, center=(0.0, 0.0),
-                   refined: bool = False):
+def _disk_farfield(med, cfg: dict, radius: float, amplitude, center=(0.0, 0.0)):
     """Far field, in the config's directions, of a constant-amplitude disk
-    source on the Gauss mesh that :func:`_gauss` picks."""
+    source by quadrature on the config's Gauss mesh: the self-checks compare
+    it with the closed form :func:`farfield_of_disk`."""
     dom = disk(radius, center)
     vec = np.asarray(amplitude, dtype=complex)
 
     def phi(pts):
         return np.broadcast_to(vec, (pts.shape[0], 2)).copy()
 
-    return farfield_of_source(SourceProblem(dom, med, phi), _gauss(dom, cfg, refined),
+    return farfield_of_source(SourceProblem(dom, med, phi), _gauss(dom, cfg),
                               directions_circle(int(cfg["directions"])))
+
+
+def _pattern_gap(a, b) -> float:
+    """L2 norm of the difference of two patterns over the same directions,
+    with :func:`farfield_norm`'s equal weights."""
+    total = np.sum(np.abs(a.up_inf - b.up_inf) ** 2) \
+        + np.sum(np.abs(a.us_inf - b.us_inf) ** 2)
+    return float(np.sqrt(2.0 * np.pi / len(a.directions) * total))
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +357,7 @@ def run_sweep_small(cfg: dict, seed: int, workers: int) -> dict:
         raise ConfigInvalid("sweep/amplitudes must match sweep/epsilons in length")
     delta = float(cfg["criterion"]["delta"])
     c_fit = float(cfg["criterion"]["c_fit"])
-
-    def ff_norm_for(eps, amp, refined=False):
-        return farfield_norm(_disk_farfield(med, cfg, eps / (2.0 * med.omega), amp,
-                                            refined=refined))
+    dirs = directions_circle(int(cfg["directions"]))
 
     def point(i):
         eps, amp = eps_list[i], amps[i]
@@ -356,21 +366,25 @@ def run_sweep_small(cfg: dict, seed: int, workers: int) -> dict:
         if anorm == 0.0:
             rhs = bounds.small_support_rhs(eps, delta, 2)
             return [i, eps, radius, amp[0], amp[1], 0.0, 0.0, rhs, 0.0,
-                    bounds.REGIME_NONRADIATING]
-        ffn = ff_norm_for(eps, amp)
+                    bounds.REGIME_NONRADIATING], None
+        pattern = farfield_of_disk(med, radius, amp, dirs)
+        ffn = farfield_norm(pattern)
         rep = bounds.small_support_criterion(anorm, 0.0, anorm, delta, eps, 2,
                                              omega=med.omega, c_fit=c_fit)
         return [i, eps, radius, amp[0], amp[1], ffn, rep.lhs,
-                rep.rhs_structural, rep.ratio, rep.regime]
+                rep.rhs_structural, rep.ratio, rep.regime], pattern
 
-    rows = _parallel(point, len(eps_list), workers)
-    # refinement self-check on the first radiating point
-    for row, eps, amp in zip(rows, eps_list, amps):
-        if np.hypot(amp[0], amp[1]) > 0.0:
-            coarse, fine = row[5], ff_norm_for(eps, amp, refined=True)
-            if abs(coarse - fine) > cfg["tolerance"] * max(fine, 1e-300):
+    results = _parallel(point, len(eps_list), workers)
+    rows = [row for row, _ in results]
+    # quadrature self-check on the first radiating point: the configured
+    # Gauss mesh against the closed form
+    for (row, exact), amp in zip(results, amps):
+        if exact is not None:
+            gap = _pattern_gap(_disk_farfield(med, cfg, row[2], amp), exact)
+            if gap > cfg["tolerance"] * max(row[5], 1e-300):
                 raise NumericalValidationFailure(
-                    f"far-field self-check: {coarse} vs refined {fine}")
+                    f"far-field self-check: quadrature misses the closed form "
+                    f"{row[5]} by {gap}")
             break
     header = ["index", "epsilon", "radius", "amp_x", "amp_y", "farfield_norm",
               "criterion_lhs", "criterion_rhs", "ratio", "regime"]
@@ -674,6 +688,10 @@ def run_medium_demo(cfg: dict, seed: int, workers: int) -> dict:
     return {"tables": {"medium": (header, rows)}, "summary": summary}
 
 
+# distinguish's noise floor, relative to the pattern norm
+_NOISE_FLOOR = 64.0 * sys.float_info.epsilon
+
+
 def run_distinguish(cfg: dict, seed: int, workers: int) -> dict:
     """Columns: separation, radius, diff_norm, noise, margin."""
     med = _medium_from(cfg)
@@ -682,18 +700,15 @@ def run_distinguish(cfg: dict, seed: int, workers: int) -> dict:
     sep = float(blk["separation_scale"]) / med.omega
 
     amp = blk["amplitude"]
-    p1 = _disk_farfield(med, cfg, radius, amp, (-sep / 2.0, 0.0))
-    p2 = _disk_farfield(med, cfg, radius, amp, (sep / 2.0, 0.0))
-    p1f = _disk_farfield(med, cfg, radius, amp, (-sep / 2.0, 0.0), refined=True)
-
-    def diff_norm(a, b):
-        dup = a.up_inf - b.up_inf
-        dus = a.us_inf - b.us_inf
-        total = np.sum(np.abs(dup) ** 2) + np.sum(np.abs(dus) ** 2)
-        return float(np.sqrt(2.0 * np.pi / len(a.directions) * total))
-
-    diff = diff_norm(p1, p2)
-    noise = diff_norm(p1, p1f)
+    dirs = directions_circle(int(cfg["directions"]))
+    left, right = (-sep / 2.0, 0.0), (sep / 2.0, 0.0)
+    p1 = farfield_of_disk(med, radius, amp, dirs, left)
+    p2 = farfield_of_disk(med, radius, amp, dirs, right)
+    diff = _pattern_gap(p1, p2)
+    # the configured quadrature's miss of the closed form, floored at a
+    # round-off level so that margin does not swing with the last bits
+    noise = max(_pattern_gap(p1, _disk_farfield(med, cfg, radius, amp, left)),
+                _NOISE_FLOOR * farfield_norm(p1))
     margin = diff / (10.0 * noise) if noise > 0 else float("inf")
     rows = [[sep, radius, diff, noise, margin]]
     return {"tables": {"distinguish": (["separation", "radius", "diff_norm",
@@ -751,7 +766,9 @@ def _execute(experiment: str, as_read: dict, cfg: dict, out_prefix: Path,
     return report_path
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="elastoscat",
         description="Desk-scale elastic scattering experiments")
@@ -765,7 +782,11 @@ def main(argv=None) -> int:
                        help="output prefix (default from config or ./out/<name>)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         as_read, cfg = load_config(args.config, args.experiment)

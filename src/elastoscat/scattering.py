@@ -47,6 +47,8 @@ from .greens import kupradze_batch, singular_cell_integral
 from .source import (
     FarFieldPattern,
     SourceProblem,
+    _check_mesh_resolution,
+    _unit_directions,
     directions_circle,
     farfield_of_source,
 )
@@ -132,19 +134,26 @@ class IncidentWave:
 class MediumSolve:
     """Total/scattered fields on the mesh plus the far field and diagnostics.
 
-    ``contraction_estimate`` may be given as a callable: it then runs on the
-    first read and its value is kept, so an estimate that is never read
-    costs nothing.
+    ``farfield`` and ``contraction_estimate`` may each be given as a
+    callable: it then runs on the first read and its value is kept, so a
+    far field or an estimate that is never read costs nothing.
     """
 
     def __init__(self, u_total: SampledVectorField, u_scattered: SampledVectorField,
-                 farfield: FarFieldPattern, series_terms_used: int,
+                 farfield: Union[FarFieldPattern, Callable[[], FarFieldPattern]],
+                 series_terms_used: int,
                  contraction_estimate: Union[float, Callable[[], float]]):
         self.u_total = u_total
         self.u_scattered = u_scattered
-        self.farfield = farfield
         self.series_terms_used = series_terms_used
+        self._farfield = farfield
         self._contraction = contraction_estimate
+
+    @property
+    def farfield(self) -> FarFieldPattern:
+        if callable(self._farfield):
+            self._farfield = self._farfield()
+        return self._farfield
 
     @property
     def contraction_estimate(self) -> float:
@@ -325,7 +334,9 @@ def solve_medium(scatterer: MediumScatterer, incident: IncidentWave,
     ``neumann-series`` iterates the fixed point
     ``u_t <- u_i - omega^2 P(V u_t)`` and reports the observed contraction
     ratio, refusing to continue when successive corrections grow.  The far
-    field is radiated by the equivalent source ``-omega^2 V u_t``.
+    field is radiated by the equivalent source ``-omega^2 V u_t``; it is
+    computed on the first read of ``farfield``, but ``directions`` and the
+    mesh resolution it needs are checked here.
     """
     if scatterer.medium.dim != 2:
         raise UnsupportedDimension("medium solves are 2-D only")
@@ -335,6 +346,10 @@ def solve_medium(scatterer: MediumScatterer, incident: IncidentWave,
             inside(scatterer.domain, incident.origin[None, :])[0]):
         raise InvalidDirection("point-source origin must lie outside the scatterer")
     med = scatterer.medium
+    if directions is None:
+        directions = _default_directions(med, scatterer.domain)
+    directions = _unit_directions(directions)
+    _check_mesh_resolution(mesh, med)
     nodes = mesh.nodes
     n = nodes.shape[0]
     if operator is None:
@@ -394,17 +409,15 @@ def solve_medium(scatterer: MediumScatterer, incident: IncidentWave,
     ut = ut_flat.reshape(n, 2)
 
     u_sc = ut - ui
-    if directions is None:
-        directions = _default_directions(med, scatterer.domain)
     equivalent = scale * vvals * ut
     problem = SourceProblem(domain=scatterer.domain, medium=med,
                             phi=SampledVectorField(nodes=nodes, values=equivalent,
                                                    mesh_ref=mesh.mesh_id))
-    ff = farfield_of_source(problem, mesh, directions)
     return MediumSolve(
         u_total=SampledVectorField(nodes=nodes, values=ut, mesh_ref=mesh.mesh_id),
         u_scattered=SampledVectorField(nodes=nodes, values=u_sc, mesh_ref=mesh.mesh_id),
-        farfield=ff, series_terms_used=terms, contraction_estimate=contraction)
+        farfield=partial(farfield_of_source, problem, mesh, directions),
+        series_terms_used=terms, contraction_estimate=contraction)
 
 
 def _norm_estimate(op: Callable, op_adjoint: Callable, size: int,

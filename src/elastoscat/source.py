@@ -10,6 +10,7 @@ the boundary and feed its own elastic residual back in as the intensity.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -23,6 +24,8 @@ from .errors import (
     InvalidDirection,
     MeshMismatch,
     MeshTooCoarse,
+    NonpositiveArgument,
+    QuadratureBudgetExceeded,
     UnsupportedDimension,
 )
 from .geometry import BoundaryMesh, DomainGeometry, QuadratureMesh, boundary_mesh, inside
@@ -31,6 +34,7 @@ from .greens import farfield_constants, kupradze_batch, singular_cell_integral
 SOURCE_MIN_PPW = 4.0
 _TANGENT_TOL = 1.0e-12
 _PHASE_BLOCK = 1 << 18   # phase-matrix entries per block of far-field directions
+_J1_MAX_ARG = 6.0e5      # J_1(x)/x takes 32 + ceil(1.5 x) nodes: under a million
 
 
 @dataclass
@@ -175,6 +179,29 @@ def solve_source(problem: SourceProblem, mesh: QuadratureMesh,
     return SampledVectorField(nodes=pts, values=out, mesh_ref=None)
 
 
+def _unit_directions(directions) -> np.ndarray:
+    """``directions`` as the (M, 2) float array of unit vectors that
+    :func:`farfield_of_source` takes, or the error it raises."""
+    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+    if dirs.ndim != 2 or dirs.shape[1] != 2 or dirs.shape[0] < 1:
+        raise DimensionMismatch(
+            f"directions have shape {dirs.shape}, expected (M, 2) with M >= 1")
+    unit = np.abs(np.hypot(dirs[:, 0], dirs[:, 1]) - 1.0) <= 1e-12   # False for NaN
+    if not np.all(unit):
+        k = int(np.flatnonzero(~unit)[0])
+        raise InvalidDirection(f"direction {k} = {dirs[k].tolist()} is not a unit vector")
+    return dirs
+
+
+def _transverse(us: np.ndarray, xhat: np.ndarray) -> np.ndarray:
+    """Project the radial part out of ``us`` in place, then scrub the
+    round-off of that projection (xhat is a unit vector only to 1e-12)
+    radially once more."""
+    for _ in range(2):
+        us -= np.sum(us * xhat, axis=1)[:, None] * xhat
+    return us
+
+
 def _phase_product(kappa: float, dots: np.ndarray, phase: np.ndarray,
                    wphi: np.ndarray) -> np.ndarray:
     """``e^{-i kappa dots} @ wphi``, with the phase matrix written into
@@ -208,14 +235,7 @@ def farfield_of_source(problem: SourceProblem, mesh: QuadratureMesh,
     """
     if problem.medium.dim != 2 or problem.domain.dim != 2:
         raise UnsupportedDimension("far-field quadrature is 2-D only")
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    if dirs.ndim != 2 or dirs.shape[1] != 2 or dirs.shape[0] < 1:
-        raise DimensionMismatch(
-            f"directions have shape {dirs.shape}, expected (M, 2) with M >= 1")
-    unit = np.abs(np.hypot(dirs[:, 0], dirs[:, 1]) - 1.0) <= 1e-12   # False for NaN
-    if not np.all(unit):
-        k = int(np.flatnonzero(~unit)[0])
-        raise InvalidDirection(f"direction {k} = {dirs[k].tolist()} is not a unit vector")
+    dirs = _unit_directions(directions)
     med = problem.medium
     _check_mesh_resolution(mesh, med)
     wphi = mesh.weights[:, None] * problem.intensity_on(mesh)
@@ -232,12 +252,61 @@ def farfield_of_source(problem: SourceProblem, mesh: QuadratureMesh,
         p_amp = _phase_product(med.kappa_p, dots, z, wphi)
         s_amp = _phase_product(med.kappa_s, dots, z, wphi)
         up[lo:lo + step] = -cp * np.sum(p_amp * xhat, axis=1)
-        us_blk = -cs * s_amp
-        # project out the radial part, then scrub the round-off of that
-        # projection (xhat is a unit vector only to 1e-12) radially once more
-        for _ in range(2):
-            us_blk -= np.sum(us_blk * xhat, axis=1)[:, None] * xhat
-        us[lo:lo + step] = us_blk
+        us[lo:lo + step] = _transverse(-cs * s_amp, xhat)
+    return FarFieldPattern(directions=dirs, up_inf=up, us_inf=us)
+
+
+def _j1_over_x(x: float) -> float:
+    """``J_1(x) / x`` for ``0 <= x <= _J1_MAX_ARG`` (1/2 at 0), NumPy only.
+
+    Poisson's integral ``(1/pi) int_0^pi cos(x cos t) sin^2 t dt`` by the
+    trapezoid rule on ``n = 32 + ceil(1.5 x)`` intervals.  The integrand is
+    smooth and, reflected to the whole circle, periodic, so the rule's error
+    is the size of ``J_{2n-2}(x)``, far below round-off for this ``n``; the
+    end nodes carry ``sin^2 t = 0``.  Larger ``x`` raises
+    ``QuadratureBudgetExceeded``.
+    """
+    if not 0.0 <= x <= _J1_MAX_ARG:   # False for NaN
+        raise QuadratureBudgetExceeded(
+            f"J1(x)/x needs 0 <= x <= {_J1_MAX_ARG:g}, got x = {x!r}")
+    n = 32 + math.ceil(1.5 * x)
+    t = np.arange(1, n) * (np.pi / n)
+    return float(np.sum(np.cos(x * np.cos(t)) * np.sin(t) ** 2)) / n
+
+
+def farfield_of_disk(medium: LameMedium, radius: float, amplitude, directions,
+                     center=(0.0, 0.0)) -> FarFieldPattern:
+    """Exact far-field pattern of the constant intensity ``amplitude`` on the
+    disk of ``radius`` about ``center``.
+
+    The pattern :func:`farfield_of_source` approximates, in closed form: the
+    disk's Fourier transform is
+    ``F(kappa) = int_disk e^{-i kappa xhat.y} dy
+    = 2 pi R^2 J_1(kappa R)/(kappa R) e^{-i kappa xhat.c}``, so
+    ``up = -c_p F(kappa_p) (xhat . a)`` and
+    ``us = -c_s F(kappa_s) (I - xhat xhat^T) a``, with the same far-field
+    constants and transverse projection.  ``directions`` is checked as in
+    :func:`farfield_of_source`; ``kappa R`` above ``_J1_MAX_ARG`` raises
+    ``QuadratureBudgetExceeded``.
+    """
+    if medium.dim != 2:
+        raise UnsupportedDimension("the disk far field is 2-D only")
+    if not radius > 0.0:
+        raise NonpositiveArgument(f"radius must be positive, got {radius}")
+    dirs = _unit_directions(directions)
+    amp = np.asarray(amplitude, dtype=complex)
+    if amp.shape != (2,):
+        raise DimensionMismatch(f"amplitude has shape {amp.shape}, expected (2,)")
+    offsets = dirs @ np.asarray(center, dtype=float)
+    cp, cs = farfield_constants(medium)
+
+    def transform(kappa):
+        """The disk's Fourier transform at ``kappa xhat``, per direction."""
+        return (2.0 * np.pi * radius ** 2 * _j1_over_x(kappa * radius)
+                * np.exp(-1j * kappa * offsets))
+
+    up = -cp * transform(medium.kappa_p) * (dirs @ amp)
+    us = _transverse(-cs * transform(medium.kappa_s)[:, None] * amp, dirs)
     return FarFieldPattern(directions=dirs, up_inf=up, us_inf=us)
 
 

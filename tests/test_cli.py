@@ -468,9 +468,9 @@ def test_unknown_subcommand_is_usage_error(tmp_path):
 
 def test_impossible_tolerance_fails_validation_and_writes_nothing(tmp_path,
                                                                   capsys):
-    # on a 2x4 Gauss mesh the coarse and refined far fields differ by about
-    # 1.5e-10 relative (a converged mesh leaves only round-off), so a 1e-30
-    # tolerance makes the refinement self-check fail for a real reason
+    # on a 2x4 Gauss mesh the quadrature misses the closed-form far field by
+    # about 1.5e-10 relative (a converged mesh leaves only round-off), so a
+    # 1e-30 tolerance makes the quadrature self-check fail for a real reason
     mesh = {"n_radial": 2, "n_angular": 4}
     cfg_path = write_cfg(tmp_path, "tight.json",
                          sweep_cfg(tolerance=1e-30, mesh=mesh))
@@ -485,6 +485,36 @@ def test_impossible_tolerance_fails_validation_and_writes_nothing(tmp_path,
     rc = cli.main(["sweep-small", "--config", cfg_path,
                    "--out", str(tmp_path / "ok" / "run")])
     assert rc == 0
+
+
+def test_wrong_closed_form_fails_the_quadrature_check(tmp_path, monkeypatch,
+                                                      capsys):
+    real = cli.farfield_of_disk
+
+    def off(*args, **kwargs):
+        ff = real(*args, **kwargs)
+        return elastoscat.FarFieldPattern(ff.directions, ff.up_inf * (1.0 + 1e-5),
+                                          ff.us_inf * (1.0 + 1e-5))
+
+    monkeypatch.setattr(cli, "farfield_of_disk", off)
+    cfg_path = write_cfg(tmp_path, "sweep.json", tiny_sweep_cfg())
+    rc = cli.main(["sweep-small", "--config", cfg_path,
+                   "--out", str(tmp_path / "fail" / "run")])
+    assert rc == 3
+    assert "quadrature misses the closed form" in capsys.readouterr().err
+    assert not (tmp_path / "fail").exists()
+
+
+def test_disk_beyond_the_closed_form_budget_exits_3(tmp_path, capsys):
+    # schema-valid: epsilons have no upper bound, and only the first
+    # radiating row meets the quadrature check
+    cfg = tiny_sweep_cfg()
+    cfg["sweep"]["epsilons"][1] = 1e7
+    rc = cli.main(["sweep-small", "--config", write_cfg(tmp_path, "huge.json", cfg),
+                   "--out", str(tmp_path / "fail" / "run")])
+    assert rc == 3
+    assert "QuadratureBudgetExceeded" in capsys.readouterr().err
+    assert not (tmp_path / "fail").exists()
 
 
 def test_toolkit_errors_map_to_exit_3(tmp_path, capsys):
@@ -707,6 +737,26 @@ def test_medium_demo_builds_one_operator_and_estimates_only_reported_rows(
     assert rows[1]["mode_gap"] == "nan"
 
 
+def test_medium_demo_radiates_the_direct_solves_only(tmp_path, monkeypatch):
+    from elastoscat import scattering
+
+    calls = []
+    real = scattering.farfield_of_source
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scattering, "farfield_of_source", counted)
+    cfg = _medium_cfg()
+    cfg["scatterer"]["v0_values"] = MIXED_REGIME_V0
+    assert cli.main(["medium-demo", "--config", write_cfg(tmp_path, "m.json", cfg),
+                     "--workers", "1", "--out", str(tmp_path / "out" / "md")]) == 0
+    # three direct solves; the Neumann solves of the two in-regime rows
+    # radiate nothing
+    assert len(calls) == len(MIXED_REGIME_V0)
+
+
 def test_medium_demo_csv_does_not_depend_on_workers(tmp_path):
     # the threads of --workers 2 share one operator
     cfg = _medium_cfg()
@@ -792,8 +842,9 @@ CALL_COUNTS = {
                      "holder_seminorm": len(cfg["family"])}),
     "sweep-small": (
         tiny_sweep_cfg,
-        lambda cfg: {"farfield_of_source": 1 + sum(
-            1 for amp in cfg["sweep"]["amplitudes"] if any(amp))}),
+        lambda cfg: {"farfield_of_disk": sum(1 for amp in cfg["sweep"]["amplitudes"]
+                                             if any(amp)),
+                     "farfield_of_source": 1}),
     "identity-check": (
         _identity_cfg,
         lambda cfg: {"integral_identity_check": len(cfg["caps"]["K_values"]) + 1}),
@@ -822,6 +873,27 @@ def test_self_checks_reuse_the_first_row(tmp_path, monkeypatch, case):
     assert cli.main([case, "--config", cfg_path,
                      "--out", str(tmp_path / "out" / "x")]) == 0
     assert calls == expected
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    seen = []
+    execute = cli._execute
+
+    def record(experiment, as_read, cfg, out_prefix, seed, workers):
+        seen.append((experiment, out_prefix, seed, workers))
+        return execute(experiment, as_read, cfg, out_prefix, seed, workers)
+
+    monkeypatch.setattr(cli, "_execute", record)
+    cli._parser.cache_clear()
+    sweep_prefix, dist_prefix = tmp_path / "sw" / "x", tmp_path / "di" / "x"
+    assert cli.main(["sweep-small", "--config",
+                     write_cfg(tmp_path, "sw.json", tiny_sweep_cfg()),
+                     "--out", str(sweep_prefix), "--seed", "4", "--workers", "2"]) == 0
+    assert cli.main(["distinguish", "--config", write_cfg(tmp_path, "di.json", dist_cfg()),
+                     "--out", str(dist_prefix)]) == 0
+    assert seen == [("sweep-small", sweep_prefix, 4, 2), ("distinguish", dist_prefix, 1, 1)]
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_module_entry_point_help(tmp_path):

@@ -561,6 +561,43 @@ def test_direct_contraction_estimate_runs_on_first_read(monkeypatch):
     assert repr(first) == GOLDEN_MEDIUM_LATTICE["pressure/direct-dense"][3]
 
 
+def test_farfield_is_radiated_on_first_read(monkeypatch):
+    calls = []
+    real = scattering.farfield_of_source
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scattering, "farfield_of_source", counted)
+    sc = scatterer(v0=0.2)
+    mesh = volume_mesh(sc.domain, h=0.05)
+    inc = make_incident("pressure-plane", {"direction": (1.0, 0.0)}, MED)
+    sol = solve_medium(sc, inc, mesh)
+    assert calls == []
+    first = sol.farfield
+    assert sol.farfield is first
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("directions, error", [
+    ([[2.0, 0.0]], InvalidDirection),
+    ([[np.nan, 0.0]], InvalidDirection),
+    (np.zeros((1, 3)), DimensionMismatch),
+])
+def test_solve_medium_rejects_bad_directions_before_solving(monkeypatch,
+                                                           directions, error):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the operator was built")
+
+    monkeypatch.setattr(scattering.LatticeOperator, "__init__", no_solve)
+    sc = scatterer(v0=0.2)
+    mesh = volume_mesh(sc.domain, h=0.05)
+    inc = make_incident("pressure-plane", {"direction": (1.0, 0.0)}, MED)
+    with pytest.raises(error):
+        solve_medium(sc, inc, mesh, directions=directions)
+
+
 @pytest.mark.parametrize("mode", ["direct-dense", "neumann-series"])
 @pytest.mark.parametrize("name", list(LATTICE_MESHES))
 def test_solve_medium_matches_dense_reference(name, mode):

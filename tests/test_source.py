@@ -34,6 +34,8 @@ from elastoscat.errors import (
     InvalidDirection,
     InvalidParameter,
     MeshTooCoarse,
+    NonpositiveArgument,
+    QuadratureBudgetExceeded,
     UnsupportedDimension,
 )
 
@@ -328,6 +330,49 @@ def test_farfield_rejects_bad_directions(directions, error):
     prob = SourceProblem(disk(0.5), MED, const_phi([1.0, 0.0]))
     with pytest.raises(error):
         farfield_of_source(prob, mesh, directions)
+
+
+# ---------------------------------------------------------------------------
+# farfield_of_disk
+# ---------------------------------------------------------------------------
+
+def test_j1_over_x_matches_scipy():
+    from scipy.special import j1
+
+    xs = np.concatenate([[0.0, 1e-300, 1e-12], np.geomspace(1e-9, 1e3, 400),
+                         np.linspace(0.0, 1e3, 4001)[1:]])
+    want = np.array([0.5 if x == 0.0 else j1(x) / x for x in xs])
+    got = np.array([source._j1_over_x(float(x)) for x in xs])
+    assert source._j1_over_x(0.0) == 0.5
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("x", [-1e-3, np.nan, np.inf, 1e6])
+def test_j1_over_x_rejects_arguments_outside_its_range(x):
+    with pytest.raises(QuadratureBudgetExceeded):
+        source._j1_over_x(x)
+
+
+@pytest.mark.parametrize("radius", [0.05, 0.4, 1.2])
+def test_disk_farfield_matches_fine_quadrature(radius):
+    center, amp = (0.7, -0.45), [0.3 + 1.0j, -0.8]
+    dom = disk(radius, center)
+    dirs = directions_circle(96)
+    quad = farfield_of_source(SourceProblem(dom, MED, const_phi(amp)),
+                              gauss_mesh(dom, n_radial=48, n_angular=128), dirs)
+    exact = source.farfield_of_disk(MED, radius, amp, dirs, center)
+    gap = FarFieldPattern(dirs, exact.up_inf - quad.up_inf, exact.us_inf - quad.us_inf)
+    assert farfield_norm(gap) <= 1e-12 * farfield_norm(exact)
+
+
+def test_disk_farfield_rejects_bad_arguments():
+    dirs = directions_circle(8)
+    with pytest.raises(InvalidDirection):
+        source.farfield_of_disk(MED, 0.1, [1.0, 0.0], [[2.0, 0.0]])
+    with pytest.raises(DimensionMismatch):
+        source.farfield_of_disk(MED, 0.1, [1.0, 0.0, 0.0], dirs)
+    with pytest.raises(NonpositiveArgument):
+        source.farfield_of_disk(MED, 0.0, [1.0, 0.0], dirs)
 
 
 # ---------------------------------------------------------------------------
