@@ -5,7 +5,9 @@ on (part of) the boundary and ``A`` is an affine vector amplitude.  Since
 ``u = q^2 A`` and ``grad u = 2 q grad(q) A + q^2 grad(A)``, both vanish
 wherever ``q = 0``, so applying the operator and restricting to the domain
 manufactures a source with vanishing Cauchy data there.  All derivatives are
-analytic, which keeps the source evaluation exact for polynomial data.
+analytic, which keeps the source evaluation exact for polynomial data.  No
+product goes through BLAS (:func:`_affine`, and ``einsum``'s own loops), so
+a point gets the same bits alone or in a batch.
 """
 from __future__ import annotations
 
@@ -19,6 +21,14 @@ from .errors import UnsupportedDimension
 from .geometry import DomainGeometry, LevelFunction
 
 
+def _affine(m, v):
+    """``v @ m.T`` for a (2, 2) matrix ``m``, from elementwise products: a
+    BLAS product rounds one point and a batch of points differently."""
+    v0, v1 = v[..., 0], v[..., 1]
+    return np.stack([m[0, 0] * v0 + m[0, 1] * v1, m[1, 0] * v0 + m[1, 1] * v1],
+                    axis=-1)
+
+
 @dataclass(frozen=True)
 class Bump:
     """u(x) = q(x)^2 (a0 + alin @ x), with full analytic derivatives."""
@@ -29,7 +39,7 @@ class Bump:
 
     def amplitude(self, x):
         x = np.asarray(x, float)
-        return self.a0 + x @ self.alin.T
+        return self.a0 + _affine(self.alin, x)
 
     def value(self, x):
         q = self.level.value(x)
@@ -56,18 +66,15 @@ class Bump:
                         + 2 q (q_j d_k A_i + q_k d_j A_i).
         """
         x = np.asarray(x, float)
-        n = self.a0.shape[0]
         q = np.asarray(self.level.value(x))
         qg = self.level.gradient(x)                      # (..., n)
         qh = np.asarray(self.level.hessian(x))           # (n, n) or (..., n, n)
-        if qh.ndim == 2 and x.ndim > 1:
-            qh = np.broadcast_to(qh, x.shape[:-1] + (n, n))
         A = self.amplitude(x)                            # (..., n)
         gng = np.sum(qg * qg, axis=-1)                   # |grad q|^2
         lapq = np.trace(qh, axis1=-2, axis2=-1)
         # Laplacian of u_i
         lap_u = (2.0 * (gng + q * lapq))[..., None] * A \
-            + 4.0 * q[..., None] * (qg @ self.alin.T)
+            + 4.0 * q[..., None] * _affine(self.alin, qg)
         # grad(div u)_k = sum_j d_k d_j u_j
         t1 = 2.0 * qg * np.sum(qg * A, axis=-1)[..., None]
         t2 = 2.0 * q[..., None] * np.einsum("...kj,...j->...k", qh, A)

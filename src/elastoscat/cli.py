@@ -668,7 +668,7 @@ def run_medium_demo(cfg: dict, seed: int, workers: int) -> dict:
     # PDE self-check: the first direct solve must satisfy the perturbed
     # system on its own lattice
     max_rel, _, _ = lattice_pde_residual(scatterer_for(v0_values[0]), mesh,
-                                         results[0][1], operator=operator)
+                                         results[0][1])
     if max_rel > tol:
         raise NumericalValidationFailure(
             f"lattice residual {max_rel} exceeds {tol} at h={mesh.h}")

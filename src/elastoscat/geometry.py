@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Protocol
 import warnings
@@ -53,14 +54,17 @@ class CapGraph:
     """The cap's lower boundary ``gamma(t) = K t^2 + cubic |t|^3``.
 
     Accepts scalars and arrays alike.  Every cap formula goes through these
-    three methods, so each keeps one fixed operation order.
+    three methods, so each keeps one fixed operation order; they use
+    elementwise products only, so a point gets the same bits alone or in a
+    batch.
     """
 
     K: float
     cubic: float
 
     def gamma(self, t):
-        return self.K * t ** 2 + self.cubic * abs(t) ** 3
+        t2 = t * t
+        return self.K * t2 + self.cubic * (t2 * abs(t))
 
     def dgamma(self, t):
         return 2.0 * self.K * t + 3.0 * self.cubic * abs(t) * t
@@ -86,9 +90,6 @@ class KCurvatureChart:
     @property
     def graph(self) -> CapGraph:
         return CapGraph(self.K, self.cubic)
-
-    def gamma(self, t):
-        return self.graph.gamma(np.asarray(t, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -583,9 +584,7 @@ def union(*domains: DomainGeometry) -> DomainGeometry:
     comps = tuple(c for d in domains for c in d.components)
     geo = DomainGeometry(components=comps, dim=dims.pop())
     if len(comps) > 1:
-        sep = component_separation(geo, warn=False)
-        if sep <= 0.0:
-            warnings.warn("component closures touch or overlap", DisjointnessViolated)
+        component_separation(geo)
     return geo
 
 
@@ -640,75 +639,46 @@ def make_cap_domain(K: float, L: float, M: float, varsigma: float,
 
 
 def _cap_halfwidth(chart: KCurvatureChart) -> float:
-    """Radial extent of the cap: smallest t > 0 with gamma(t) = b."""
-    f = lambda t: chart.gamma(t) - chart.b
+    """Radial extent of the cap: the smallest t > 0 with gamma(t) = b,
+    correctly rounded.
+
+    A scan brackets the first crossing and bisection on floats shrinks the
+    bracket to two adjacent floats.  Round-off in ``gamma`` can leave that
+    pair an ulp or two off the root, so the pair then steps along the sign of
+    the exact rational residual, and the end with the smaller exact residual
+    is returned.
+    """
+    gamma, b = chart.graph.gamma, chart.b
     ts = np.linspace(0.0, chart.rho, 4096)
-    vals = f(ts)
-    idx = np.nonzero(vals[1:] >= 0.0)[0]
+    idx = np.nonzero(gamma(ts[1:]) >= b)[0]
     if idx.size == 0:
         # gamma(rho) >= b is guaranteed by M >= 1 up to roundoff
         return chart.rho
-    i = idx[0] + 1
-    if vals[i] == 0.0:
-        return float(ts[i])
-    return _brent(f, ts[i - 1], ts[i])
-
-
-def _brent(f, a, b) -> float:
-    """Root of ``f`` on the sign-changing bracket ``[a, b]`` by Brent's method.
-
-    A step-for-step port of SciPy's ``brentq`` at ``xtol=1e-15`` and its
-    default ``rtol`` (4 eps) and 100 iterations: the same interpolation,
-    extrapolation and bisection steps in the same order, so it returns the
-    same bits, without loading ``scipy.optimize`` and the ``scipy.linalg``
-    it pulls in.
-    """
-    xtol, rtol = 1e-15, 4.0 * math.ulp(1.0)
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise InvalidParameter(f"f has the same sign at {xpre} and {xcur}")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if (fpre != 0.0 and fcur != 0.0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                # short enough to trust, else bisect
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+    lo, hi = float(ts[idx[0]]), float(ts[idx[0] + 1])
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if gamma(mid) < b:
+            lo = mid
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = float(f(xcur))
-    raise InvalidParameter(f"no root within 100 Brent steps from [{a}, {b}]")
+            hi = mid
+    # gamma(t) - b for t > 0 in exact arithmetic: with K = kn/kd,
+    # cubic = cn/cd, b = bn/bd and t = p/q, over the denominator kd cd bd q^3
+    (kn, kd), (cn, cd), (bn, bd) = (v.as_integer_ratio()
+                                    for v in (chart.K, chart.cubic, b))
+
+    def residual(t):
+        p, q = t.as_integer_ratio()
+        return Fraction((kn * cd * q + cn * kd * p) * bd * p * p - bn * kd * cd * q ** 3,
+                        kd * cd * bd * q ** 3)
+
+    r_lo, r_hi = residual(lo), residual(hi)
+    while r_lo >= 0:
+        lo, hi, r_hi = math.nextafter(lo, 0.0), lo, r_lo
+        r_lo = residual(lo)
+    while r_hi < 0:
+        lo, hi, r_lo = hi, math.nextafter(hi, math.inf), r_hi
+        r_hi = residual(hi)
+    return lo if abs(r_lo) < abs(r_hi) else hi
 
 
 # ---------------------------------------------------------------------------
@@ -749,8 +719,9 @@ def _cloud_distance(a: np.ndarray, b: np.ndarray, pick) -> float:
     return float(pick(picked))
 
 
-def component_separation(domain: DomainGeometry, warn: bool = True) -> float:
-    """Minimum distance between closures of distinct components (0 if touching)."""
+def component_separation(domain: DomainGeometry) -> float:
+    """Minimum distance between closures of distinct components (0 if
+    touching); warns ``DisjointnessViolated`` when closures touch or overlap."""
     comps = domain.components
     if len(comps) < 2:
         raise SingleComponent("separation needs at least two components")
@@ -758,7 +729,7 @@ def component_separation(domain: DomainGeometry, warn: bool = True) -> float:
     for a, b in combinations(comps, 2):
         best = min(best, _pair_separation(a, b))
     best = max(best, 0.0)
-    if warn and best <= 0.0:
+    if best <= 0.0:
         warnings.warn("component closures touch or overlap", DisjointnessViolated)
     return best
 

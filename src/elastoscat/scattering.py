@@ -463,8 +463,7 @@ def contraction_report(scatterer: MediumScatterer, s: float = 1.0) -> Contractio
 
 
 def lattice_pde_residual(scatterer: MediumScatterer, mesh: QuadratureMesh,
-                         u_total_values: np.ndarray,
-                         operator: Optional[LatticeOperator] = None):
+                         u_total_values: np.ndarray):
     """Discrete PDE residual of a solved total field on its own mesh lattice.
 
     Second differences taken directly between lattice neighbors at the mesh
@@ -474,15 +473,9 @@ def lattice_pde_residual(scatterer: MediumScatterer, mesh: QuadratureMesh,
     ``_RESIDUAL_MARGIN_CELLS`` cells of the boundary, since the quadrature
     error concentrates there.  Returns ``(max_rel, median_rel, n_interior)``
     with the residual normalized by ``omega^2 |u|`` per node.  The mesh must
-    pass the solve's lattice checks (:func:`_lattice_keys`); the lattice
-    index is read from ``operator`` when the solve's operator is passed.
+    pass the solve's lattice checks (:func:`_lattice_keys`).
     """
-    if operator is None:
-        keys = _lattice_keys(mesh)
-    else:
-        operator.check(mesh, scatterer.medium)
-        keys = operator.keys
-    keys = keys + 1
+    keys = _lattice_keys(mesh) + 1
     nodes = mesh.nodes
     ut = np.asarray(u_total_values)
     if ut.shape != nodes.shape:

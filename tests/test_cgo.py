@@ -13,6 +13,7 @@ from elastoscat import (
     boundary_term_bound,
     cgo_residual,
     disk,
+    ellipse,
     integral_identity_check,
     make_cap_domain,
     make_cgo,
@@ -625,3 +626,27 @@ def test_cap_bump_needs_graph_only_profile():
         polynomial_bump(dom)
     with pytest.raises(InvalidParameter, match="whole_boundary=False"):
         polynomial_bump(dom, whole_boundary=True)
+
+
+@pytest.mark.parametrize("domain, whole_boundary, box", [
+    (lambda: disk(0.5, center=(0.1, -0.2)), True, [(-0.4, -0.7), (0.6, 0.3)]),
+    (lambda: ellipse(0.4, 0.25), True, [(-0.4, -0.25), (0.4, 0.25)]),
+    (lambda: make_cap_domain(K=10.0, L=3.0, M=4.0, varsigma=0.9, cubic=1.5),
+     False, [(-0.1, 0.0), (0.1, 0.1)]),
+])
+def test_bump_is_independent_of_the_batch(domain, whole_boundary, box):
+    bump = polynomial_bump(domain(), amplitude=(1.0, 0.5),
+                           linear=[[0.3, -0.2], [0.1, 0.4]],
+                           whole_boundary=whole_boundary)
+    x = np.random.default_rng(22).uniform(*box, size=(400, 2))
+    value, gradient = bump.value(x), bump.gradient(x)
+    density = bump.source_density(x, MED)
+    jet = bump.jet(x)
+    assert np.array_equal(jet.value, value) and np.array_equal(jet.gradient, gradient)
+    for k in range(x.shape[0]):
+        assert np.array_equal(bump.value(x[k]), value[k])
+        assert np.array_equal(bump.gradient(x[k]), gradient[k])
+        assert np.array_equal(bump.source_density(x[k], MED), density[k])
+        single = bump.jet(x[k])
+        assert np.array_equal(single.value, value[k])
+        assert np.array_equal(single.gradient, gradient[k])

@@ -2,12 +2,12 @@
 
 import importlib.util
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import brentq
 
 from elastoscat import (
     boundary_measure,
@@ -33,7 +33,6 @@ from elastoscat.errors import (
     MeshTooCoarse,
     SingleComponent,
 )
-from elastoscat import geometry
 from elastoscat.geometry import Ball, Cap, CapGraph, Ellipse
 
 
@@ -72,14 +71,14 @@ def test_cap_graph_between_envelopes():
     dom = make_cap_domain(K=10.0, L=3.0, M=4.0, varsigma=0.9, cubic=1.5)
     ch = dom.chart
     ts = np.linspace(1e-6, ch.rho * 0.999, 100)
-    g = ch.gamma(ts)
+    g = ch.graph.gamma(ts)
     assert np.all(g >= ch.K_minus * ts ** 2 - 1e-12)
     assert np.all(g <= ch.K_plus * ts ** 2 + 1e-12)
     assert ch.K_plus - ch.K_minus <= ch.L * ch.K ** (1.0 - ch.varsigma) + 1e-12
 
 
 # ---------------------------------------------------------------------------
-# the cap's half-width root: geometry._brent against SciPy's brentq
+# the cap's half-width root and the graph's batch independence
 # ---------------------------------------------------------------------------
 
 def _benchmark_cap_menu():
@@ -90,50 +89,35 @@ def _benchmark_cap_menu():
     return module.CAP_K, module.CAPS
 
 
-def _brentq(f, a, b):
-    """The slow reference: SciPy's brentq at the settings _brent ports."""
-    return brentq(f, a, b, xtol=1e-15)
-
-
-def test_brent_matches_brentq_on_every_cap_bracket(monkeypatch):
+def test_cap_halfwidth_is_correctly_rounded():
     cap_k, caps = _benchmark_cap_menu()
     charts = [{key: caps[key] for key in ("L", "M", "varsigma", "cubic")},
               {"L": 1.0, "M": 1.0, "varsigma": 0.5},            # golden "cap"
               {"L": 3.0, "M": 4.0, "varsigma": 0.9, "cubic": 1.5}]  # "cap_cubic"
-    brackets = []
-    brent = geometry._brent
-
-    def recorded(f, a, b):
-        brackets.append((f, a, b))
-        return brent(f, a, b)
-
-    monkeypatch.setattr(geometry, "_brent", recorded)
     for K in cap_k:
         for chart in charts:
-            seen = len(brackets)
-            cap = make_cap_domain(K=K, **chart).components[0]
-            # an exact paraboloid (M = 1) often meets b at the scan's end
-            # and needs no root search
-            if len(brackets) > seen:
-                assert cap.x1max == _brentq(*brackets[-1])
-    assert len(brackets) > 2 * len(cap_k)
-    for f, a, b in brackets:
-        assert brent(f, a, b) == _brentq(f, a, b)
+            dom = make_cap_domain(K=K, **chart)
+            ch, x = dom.chart, dom.components[0].x1max
+
+            def residual(t):        # gamma(t) - b with exact rationals
+                t = Fraction(t)
+                return Fraction(ch.K) * t ** 2 + Fraction(ch.cubic) * t ** 3 - Fraction(ch.b)
+
+            below, above = math.nextafter(x, 0.0), math.nextafter(x, 1.0)
+            r, r_below, r_above = residual(x), residual(below), residual(above)
+            assert r_below < 0 <= r or r <= 0 < r_above, (K, chart)
+            assert abs(r) <= min(abs(r_below), abs(r_above)), (K, chart)
 
 
-def test_brent_matches_brentq_on_random_convex_brackets():
-    rng = np.random.default_rng(20)
-    for _ in range(10_000):
-        graph = CapGraph(rng.uniform(math.e, 200.0), rng.uniform(0.0, 50.0))
-        b = rng.uniform(0.01, 1.0)
-        f = lambda t: graph.gamma(t) - b
-        span = math.sqrt(b / graph.K)   # gamma(span) >= b
-        root = _brentq(f, 0.0, span)
-        width = span * 10.0 ** rng.uniform(-8.0, 0.0)
-        lo = max(0.0, root - width * rng.uniform())
-        hi = lo + width
-        assert f(lo) < 0.0 < f(hi)
-        assert geometry._brent(f, lo, hi) == _brentq(f, lo, hi)
+def test_cap_graph_is_independent_of_the_batch():
+    rng = np.random.default_rng(22)
+    graph = CapGraph(10.0, 1.5)
+    ts = rng.uniform(-0.3, 0.3, 2000)
+    batch = graph.gamma(ts)
+    for t, want in zip(ts, batch):
+        assert graph.gamma(float(t)) == want
+        assert np.array_equal(graph.gamma(np.asarray(t)), want)
+        assert np.array_equal(graph.gamma(np.full((2, 3), t)), np.full((2, 3), want))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +179,7 @@ def test_diameter_cap_matches_boundary_sampling():
     ts = np.linspace(-ch.rho, ch.rho, 4001)
     w = np.sqrt(ch.b / ch.K)
     graph_t = ts[np.abs(ts) <= w + 1e-12]
-    graph = np.stack([graph_t, ch.gamma(np.abs(graph_t))], axis=1)
+    graph = np.stack([graph_t, ch.graph.gamma(np.abs(graph_t))], axis=1)
     lid = np.stack([np.linspace(-w, w, 2001), np.full(2001, ch.b)], axis=1)
     cloud = np.vstack([graph, lid])
     best = 0.0
@@ -318,7 +302,7 @@ def test_signed_distance_cap_matches_brute_force():
     for comp in dom.components:
         w = comp.x1max
     ts = np.linspace(-w, w, 60_001)
-    graph = np.stack([ts, ch.gamma(np.abs(ts))], axis=1)
+    graph = np.stack([ts, ch.graph.gamma(np.abs(ts))], axis=1)
     lid = np.stack([np.linspace(-w, w, 60_001), np.full(60_001, ch.b)], axis=1)
     cloud = np.vstack([graph, lid])
     rng = np.random.default_rng(4)
@@ -374,13 +358,13 @@ GOLDEN = {'cap': {'gauss_mesh': '52cbfbef2ef1dd58',
                                       0.1,
                                       0.013181552550489304,
                                       0.01596316581029693]},
-          'cap_cubic': {'gauss_mesh': '2e258f50f183cc25',
-                        'gauss_measure': 0.01325943630913455,
-                        'boundary_mesh': '42167f95a7e8665a',
-                        'boundary_normals': 'f06f457e92a5d00d',
+          'cap_cubic': {'gauss_mesh': 'b94ce6c4ba634511',
+                        'gauss_measure': 0.013259436309134552,
+                        'boundary_mesh': 'd38572a5a22062cf',
+                        'boundary_normals': 'bb79a0fa63766f11',
                         'boundary_tags': ['graph', 'lid'],
-                        'diameter': 0.19852746775662708,
-                        'boundary_measure': 0.4934072147625942,
+                        'diameter': 0.1985274677566269,
+                        'boundary_measure': 0.49340721476259364,
                         'signed_distance': [-0.049999999466604536,
                                             0.1,
                                             0.013187381781285114,

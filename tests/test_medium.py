@@ -516,29 +516,10 @@ def test_operator_for_another_mesh_or_medium_is_rejected():
     inc = make_incident("pressure-plane", {"direction": (1.0, 0.0)}, MED)
     other_mesh = scattering.LatticeOperator(volume_mesh(sc.domain, h=0.045), MED)
     other_medium = scattering.LatticeOperator(mesh, make_medium(2.0, 1.0, 2.5, 2))
-    vals = np.ones(mesh.nodes.shape, dtype=complex)
     for operator in (other_mesh, other_medium):
         for mode in ("direct-dense", "neumann-series"):
             with pytest.raises(MeshMismatch, match="another mesh or medium"):
                 solve_medium(sc, inc, mesh, mode=mode, operator=operator)
-        with pytest.raises(MeshMismatch, match="another mesh or medium"):
-            lattice_pde_residual(sc, mesh, vals, operator=operator)
-
-
-def test_lattice_residual_reads_the_operator_keys(monkeypatch):
-    sc = scatterer(v0=0.2)
-    mesh = volume_mesh(sc.domain, h=0.03)
-    inc = make_incident("pressure-plane", {"direction": (1.0, 0.0)}, MED)
-    operator = scattering.LatticeOperator(mesh, MED)
-    sol = solve_medium(sc, inc, mesh, operator=operator)
-    want = lattice_pde_residual(sc, mesh, sol.u_total.values)
-
-    def no_keys(mesh):
-        raise AssertionError("lattice keys derived again")
-
-    monkeypatch.setattr(scattering, "_lattice_keys", no_keys)
-    assert lattice_pde_residual(sc, mesh, sol.u_total.values,
-                                operator=operator) == want
 
 
 def test_direct_contraction_estimate_runs_on_first_read(monkeypatch):
