@@ -28,7 +28,7 @@ from elastoscat import (
     traction,
     zeta_default,
 )
-from elastoscat.cgo import _gl_panels
+from elastoscat.cgo import _MC_BATCHES, _gl_panels
 from elastoscat.errors import (
     BoundaryConditionViolated,
     ExponentOutOfRange,
@@ -310,6 +310,104 @@ def test_paraboloid_requires_decay():
         paraboloid_integral_closed(np.array([0.0, -4.0]), 0.0, 2)
     with pytest.raises(UnsupportedDimension):
         paraboloid_integral_closed(np.array([0.0, -4.0, 0.0, -1.0]), 1.0, 4)
+
+
+def _mc_complex_reference(xi, K, dim, samples, seed):
+    """The Monte Carlo in complex arithmetic: same draws, same estimator."""
+    xi = np.asarray(xi, dtype=complex)
+    rng = np.random.default_rng(seed)
+    rate = -xi[-1].real
+    per = samples // _MC_BATCHES
+    means = np.empty(_MC_BATCHES, dtype=complex)
+    for bi in range(_MC_BATCHES):
+        t = rng.exponential(1.0 / rate, size=per)
+        r = np.sqrt(t / K)
+        weight = np.exp((xi[-1] + rate) * t) / rate
+        if dim == 2:
+            xp = r * (2.0 * rng.random(per) - 1.0)
+            slice_vol = 2.0 * r
+            dot = xi[0] * xp
+        else:
+            rad = r * np.sqrt(rng.random(per))
+            ang = 2.0 * np.pi * rng.random(per)
+            slice_vol = np.pi * r ** 2
+            dot = xi[0] * rad * np.cos(ang) + xi[1] * rad * np.sin(ang)
+        means[bi] = np.mean(weight * slice_vol * np.cosh(dot))
+    stderr = np.sqrt((np.var(means.real) + np.var(means.imag)) / _MC_BATCHES)
+    return complex(means.mean()), float(stderr)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_paraboloid_mc_matches_complex_reference(dim):
+    # every pattern of zero and nonzero Re xi_j, Im xi_j (j < n) and Im xi_n;
+    # the CLI only reaches xi = (i s, [0,] -tau)
+    parts = 2 * (dim - 1) + 1
+    for pattern in range(2 ** parts):
+        on = [(pattern >> k) & 1 for k in range(parts)]
+        xi = np.zeros(dim, dtype=complex)
+        for j in range(dim - 1):
+            xi[j] = complex(1.3 * (j + 1) * on[2 * j], 7.0 * on[2 * j + 1])
+        xi[-1] = complex(-5.0, 3.0 * on[-1])
+        for K, seed in ((1.0, 0), (20.0, 97)):
+            est, se = paraboloid_integral_mc(xi, K, dim, samples=32_000, seed=seed)
+            ref, ref_se = _mc_complex_reference(xi, K, dim, 32_000, seed)
+            assert abs(est - ref) <= 1e-13 * abs(ref), (xi, K)
+            assert se == pytest.approx(ref_se, rel=1e-13, abs=0.0), (xi, K)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_paraboloid_mc_keeps_the_bits_on_the_cli_pattern(dim):
+    # on xi = (i s, [0,] -tau) every term and every batch sum equal the complex
+    # loop's bit for bit, so cgo-verify's CSVs keep their bytes
+    xi = np.zeros(dim, dtype=complex)
+    xi[0], xi[-1] = 20.4j, -20.0
+    for K, seed in ((1.0, 3), (5.0, 2401)):
+        assert paraboloid_integral_mc(xi, K, dim, samples=64_000, seed=seed) == \
+            _mc_complex_reference(xi, K, dim, 64_000, seed)
+
+
+@pytest.mark.parametrize("xi, pinned", [
+    ([5j, -4.0], (0.07100924157748821, 0.0011856301777090265)),
+    ([5j, 0.0, -4.0], (0.04449133516952487, 0.0011452725685437153)),
+])
+def test_paraboloid_mc_keeps_its_draws(xi, pinned):
+    # values of the complex-arithmetic loop; reordering the draws moves them
+    # by about one stderr, round-off by about 1e-16
+    est, se = paraboloid_integral_mc(np.array(xi), 2.0, len(xi), samples=6400, seed=7)
+    assert est.real == pytest.approx(pinned[0], rel=1e-13)
+    assert est.imag == 0.0
+    assert se == pytest.approx(pinned[1], rel=1e-13)
+
+
+BAD_PARABOLOID_ARGS = {
+    "K-nan": ([0.0, -4.0], math.nan),
+    "K-inf": ([0.0, -4.0], math.inf),
+    "xi-nan": ([complex(0.0, math.nan), -4.0], 1.0),
+    "xi-inf": ([0.0, -math.inf], 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PARABOLOID_ARGS))
+def test_paraboloid_closed_rejects_non_finite_input(case):
+    xi, K = BAD_PARABOLOID_ARGS[case]
+    with pytest.raises(InvalidParameter):
+        paraboloid_integral_closed(np.array(xi), K, 2)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PARABOLOID_ARGS))
+def test_paraboloid_mc_rejects_non_finite_input(case):
+    xi, K = BAD_PARABOLOID_ARGS[case]
+    with pytest.raises(InvalidParameter):
+        paraboloid_integral_mc(np.array(xi), K, 2, samples=640)
+
+
+@pytest.mark.parametrize("kwargs", [{"seed": -1}, {"seed": 1.5},
+                                    {"samples": 100.0}, {"samples": "640"}],
+                         ids=["seed-negative", "seed-float",
+                              "samples-float", "samples-string"])
+def test_paraboloid_mc_rejects_bad_samples_and_seed(kwargs):
+    with pytest.raises(InvalidParameter):
+        paraboloid_integral_mc(np.array([4j, -4.0]), 1.0, 2, **{"samples": 640, **kwargs})
 
 
 # ---------------------------------------------------------------------------
