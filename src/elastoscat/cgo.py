@@ -42,12 +42,12 @@ from .errors import (
     TauTooSmall,
     UnsupportedDimension,
 )
-from .geometry import Cap, DomainGeometry
+from .geometry import Cap, DomainGeometry, _gauss_legendre, _graph_columns
 from .greens import lower_incomplete_gamma
 
 RESIDUAL_MIN_PPW = 12.0
-# the 24-point Gauss-Legendre rule on [-1, 1] behind every _gl_panels panel
-_PANEL_RULE = np.polynomial.legendre.leggauss(24)
+# the points of the Gauss-Legendre rule on each _gl_panels panel
+_PANEL_POINTS = 24
 # paraboloid_integral_mc pools this many batch means into its standard error
 _MC_BATCHES = 32
 
@@ -348,18 +348,25 @@ def zeta_default(alpha: float, varsigma: float, dim: int) -> float:
 def _gl_panels(a: float, bnd: float, osc: float, min_panels: int = 2,
                factor: float = 1.0):
     """Composite Gauss-Legendre nodes/weights resolving oscillation ``osc``,
-    ``_PANEL_RULE`` on each panel."""
+    ``_PANEL_POINTS`` nodes on each panel."""
     length = bnd - a
     periods = osc * length / (2.0 * math.pi)
     n_pan = max(int(math.ceil(min_panels * factor)),
                 int(math.ceil(2.0 * periods * factor)))
-    xg, wg = _PANEL_RULE
+    xg, wg = _gauss_legendre(_PANEL_POINTS)
     edges = np.linspace(a, bnd, n_pan + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
     xs = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
     ws = (half[:, None] * wg[None, :]).ravel()
     return xs, ws
+
+
+def _gl_cuts(cuts, osc: float, factor: float):
+    """``_gl_panels`` over each pair of consecutive ``cuts``, joined."""
+    xs, ws = zip(*(_gl_panels(a, bnd, osc, factor=factor)
+                   for a, bnd in zip(cuts[:-1], cuts[1:])))
+    return np.concatenate(xs), np.concatenate(ws)
 
 
 def _column_integral(xi2: complex, lo, hi):
@@ -435,37 +442,23 @@ def integral_identity_check(domain: DomainGeometry, bump: Bump, probe: CgoProbe,
     # I2: paraboloid-below-lid minus cap, shared x1 nodes; cut at 0 so the
     # C^2 kink of the cubic graph term sits on a panel edge
     wmax = max(w0, w_cap)
-    xs2, ws2 = [], []
-    cuts = sorted({-wmax, -min(w0, w_cap), 0.0, min(w0, w_cap), wmax})
-    for a_, b_ in zip(cuts[:-1], cuts[1:]):
-        x_, w_ = _gl_panels(a_, b_, osc, factor=refine)
-        xs2.append(x_)
-        ws2.append(w_)
-    xs2 = np.concatenate(xs2)
-    ws2 = np.concatenate(ws2)
+    xs2, ws2 = _gl_cuts(sorted({-wmax, -min(w0, w_cap), 0.0, min(w0, w_cap), wmax}),
+                        osc, refine)
     col_parab = _column_integral(xi2, np.minimum(K * xs2 ** 2, b), b)
     col_cap = _column_integral(xi2, np.minimum(gamma(xs2), b), b)
     i2 = front * np.sum(ws2 * np.exp(xi1 * xs2) * (col_parab - col_cap))
 
     # I3: -int_cap u0 . (phi(x) - phi(0)); its x1 rule over the lid width,
     # split at 0, is also the rule of I4
-    x_half, w_half = zip(_gl_panels(-w_cap, 0.0, osc, factor=refine),
-                         _gl_panels(0.0, w_cap, osc, factor=refine))
-    xs3 = np.concatenate(x_half)
-    ws3 = np.concatenate(w_half)
-    xg, wg = np.polynomial.legendre.leggauss(int(math.ceil(32 * refine)))
-    glo = gamma(xs3)
-    depth = np.maximum(b - glo, 0.0)
-    ys = glo[:, None] + 0.5 * depth[:, None] * (xg[None, :] + 1.0)
-    wsy = 0.5 * depth[:, None] * wg[None, :] * ws3[:, None]
-    pts = np.stack([np.broadcast_to(xs3[:, None], ys.shape), ys], axis=-1)
-    nodes_used = pts.shape[0] * pts.shape[1] + xs2.size + xs.size
+    xs3, ws3 = _gl_cuts((-w_cap, 0.0, w_cap), osc, refine)
+    pts, wsy, _ = _graph_columns(gamma, b, xs3, ws3, int(math.ceil(32 * refine)))
+    nodes_used = wsy.size + xs2.size + xs.size
     if nodes_used > node_budget:
         raise QuadratureBudgetExceeded(f"{nodes_used} nodes exceed budget {node_budget}")
     flat = pts.reshape(-1, 2)
     u0 = probe.field(flat)
     dphi = bump.source_density(flat, medium) - phi0
-    integrand = np.sum(u0 * dphi, axis=-1).reshape(ys.shape)
+    integrand = np.sum(u0 * dphi, axis=-1).reshape(wsy.shape)
     i3 = -complex(np.sum(wsy * integrand))
 
     # I4: lid boundary term with outward normal (0, 1), over all lid nodes

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from typing import Optional, Protocol
 import warnings
@@ -285,10 +286,33 @@ def _lattice_cells(shape: Shape, rx: float, ry: float, h: float):
     return pts, np.full(pts.shape[0], h * h)
 
 
+@cache
+def _gauss_legendre(n: int) -> tuple:
+    """The n-point Gauss-Legendre rule ``(nodes, weights)`` on [-1, 1], built
+    once per n and shared, so both arrays are read-only."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
+def _graph_columns(gamma, b: float, x1: np.ndarray, w1: np.ndarray, n: int) -> tuple:
+    """Columns of the n-point Gauss-Legendre rule from the graph ``gamma`` up
+    to the lid ``b``, over the x1 rule ``(x1, w1)``: nodes (M, n, 2), weights
+    (M, n) and each column's depth, clamped at 0."""
+    xg, wg = _gauss_legendre(n)
+    glo = gamma(x1)
+    depth = np.maximum(b - glo, 0.0)
+    ys = glo[:, None] + 0.5 * depth[:, None] * (xg[None, :] + 1.0)
+    weights = 0.5 * depth[:, None] * wg[None, :] * w1[:, None]
+    nodes = np.stack([np.broadcast_to(x1[:, None], ys.shape), ys], axis=-1)
+    return nodes, weights, depth
+
+
 def _polar_gauss(center: np.ndarray, a: float, b: float, n_radial: int,
                  n_angular: int):
     """Gauss-Legendre in radius times trapezoidal angles on semi-axes (a, b)."""
-    r, wr = np.polynomial.legendre.leggauss(n_radial)
+    r, wr = _gauss_legendre(n_radial)
     r = 0.5 * (r + 1.0)          # (0,1)
     wr = 0.5 * wr
     th = 2.0 * np.pi * np.arange(n_angular) / n_angular
@@ -518,22 +542,12 @@ class Cap:
             "a cap has no cell mesh on an h-lattice yet; it waits for ROADMAP item 10")
 
     def gauss_mesh(self, n_radial, n_angular):
-        gamma, b, w = self.chart.graph.gamma, self.chart.b, self.x1max
-        x1, w1 = np.polynomial.legendre.leggauss(max(n_angular, 16))
-        x1 = w * x1
-        w1 = w * w1
-        x2r, w2r = np.polynomial.legendre.leggauss(max(n_radial, 8))
-        nodes, weights = [], []
-        for xi, wi in zip(x1, w1):
-            g = gamma(xi)
-            depth = b - g
-            if depth <= 0:
-                continue
-            ys = g + 0.5 * depth * (x2r + 1.0)
-            ws = 0.5 * depth * w2r * wi
-            nodes.append(np.stack([np.full(ys.size, xi), ys], axis=1))
-            weights.append(ws)
-        return np.concatenate(nodes, axis=0) + self.center, np.concatenate(weights)
+        x1, w1 = _gauss_legendre(max(n_angular, 16))
+        nodes, weights, depth = _graph_columns(
+            self.chart.graph.gamma, self.chart.b, self.x1max * x1, self.x1max * w1,
+            max(n_radial, 8))
+        live = depth > 0
+        return nodes[live].reshape(-1, 2) + self.center, weights[live].ravel()
 
     def boundary_mesh(self, h):
         graph, w = self.chart.graph, self.x1max

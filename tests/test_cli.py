@@ -215,6 +215,24 @@ def test_distinguish_clears_noise_floor(tmp_path):
     assert float(rows[0]["diff_norm"]) > 10.0 * float(rows[0]["noise"])
 
 
+def _strict_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_distinguish_null_sources_are_not_distinct(tmp_path):
+    cfg = dist_cfg()
+    cfg["pair"]["amplitude"] = [0, 0]
+    prefix = tmp_path / "out" / "d"
+    assert cli.main(["distinguish", "--config", write_cfg(tmp_path, "dist.json", cfg),
+                     "--out", str(prefix)]) == 0
+    report = json.loads(Path(f"{prefix}_report.json").read_text(),
+                        parse_constant=_strict_constant)
+    assert report["summary"]["margin"] == 0.0
+    assert report["summary"]["distinct"] is False
+    _, rows = read_table(Path(f"{prefix}_distinguish.csv"))
+    assert [float(rows[0][k]) for k in ("diff_norm", "noise", "margin")] == [0.0] * 3
+
+
 # ---------------------------------------------------------------------------
 # invalid configs -> exit 2
 # ---------------------------------------------------------------------------
@@ -634,6 +652,23 @@ def test_identity_check_table(tmp_path):
         assert 0 < int(row["nodes_used"]) <= 1000000
     report = json.loads(Path(f"{prefix}_report.json").read_text())
     assert report["summary"]["worst_residual_rel"] < 0.01
+    # the refinement self-check's two values, row 0 at refine 1 and 2
+    summary = report["summary"]
+    assert summary["row0_residual_rel"] == float(rows[0]["residual_rel"])
+    assert 0.0 < summary["row0_refined_residual_rel"] < 1e-12
+
+
+def test_under_resolved_panel_rule_fails_the_refinement_check(tmp_path, monkeypatch,
+                                                              capsys):
+    # 6-point panels leave a residual of 2.4e-7 at K = 10, well inside the
+    # 1e-2 tolerance; the refined audit of that cap reaches 1.9e-12
+    monkeypatch.setattr(cli.cgo, "_PANEL_POINTS", 6)
+    cfg_path = write_cfg(tmp_path, "ident.json", _identity_cfg())
+    rc = cli.main(["identity-check", "--config", cfg_path,
+                   "--out", str(tmp_path / "fail" / "run")])
+    assert rc == 3
+    assert "exceeds 1.5 times its refined value" in capsys.readouterr().err
+    assert not (tmp_path / "fail").exists()
 
 
 def test_kpoint_decay_calibrations(tmp_path):
@@ -920,6 +955,14 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    # the Gauss-Legendre rules are built on first use
+    code = "import sys, elastoscat.cli; print('numpy.polynomial' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

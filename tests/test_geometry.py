@@ -33,7 +33,14 @@ from elastoscat.errors import (
     MeshTooCoarse,
     SingleComponent,
 )
-from elastoscat.geometry import Ball, Cap, CapGraph, Ellipse
+from elastoscat.geometry import (
+    Ball,
+    Cap,
+    CapGraph,
+    Ellipse,
+    _gauss_legendre,
+    _graph_columns,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +486,63 @@ def test_golden_ball_pair():
         "inside": inside(pair, pts).tolist(),
     }
     assert got == GOLDEN["ball_pair"]
+
+
+# ---------------------------------------------------------------------------
+# the shared Gauss-Legendre rule and the cap's column rule
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [6, 8, 24, 32])
+def test_gauss_legendre_is_one_read_only_rule_per_n(n):
+    x, w = _gauss_legendre(n)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    assert _gauss_legendre(n)[0] is x
+    for arr in (x, w):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
+def _cap_columns_by_loop(cap, n_radial, n_angular):
+    """Reference: ``Cap.gauss_mesh`` one column at a time, dropping the
+    columns of zero or negative depth."""
+    gamma, b, w = cap.chart.graph.gamma, cap.chart.b, cap.x1max
+    x1, w1 = np.polynomial.legendre.leggauss(max(n_angular, 16))
+    x1 = w * x1
+    w1 = w * w1
+    x2r, w2r = np.polynomial.legendre.leggauss(max(n_radial, 8))
+    nodes, weights = [], []
+    for xi, wi in zip(x1, w1):
+        g = gamma(xi)
+        depth = b - g
+        if depth <= 0:
+            continue
+        ys = g + 0.5 * depth * (x2r + 1.0)
+        ws = 0.5 * depth * w2r * wi
+        nodes.append(np.stack([np.full(ys.size, xi), ys], axis=1))
+        weights.append(ws)
+    return np.concatenate(nodes, axis=0) + cap.center, np.concatenate(weights)
+
+
+@pytest.mark.parametrize("name", ["cap", "cap_cubic"])
+@pytest.mark.parametrize("widen", [1.0, 1.25])
+def test_graph_columns_match_the_column_loop(name, widen):
+    # widen > 1 pushes the outer columns past the graph-lid crossing, where
+    # their depth clamps at 0 and the mesh drops them
+    cap = GOLDEN_DOMAINS[name][0]().components[0]
+    cap = Cap(cap.chart, widen * cap.x1max, cap.center)
+    for n_radial, n_angular in [(16, 32), (48, 96), (3, 5)]:
+        nodes, weights = cap.gauss_mesh(n_radial, n_angular)
+        ref_nodes, ref_weights = _cap_columns_by_loop(cap, n_radial, n_angular)
+        assert np.array_equal(nodes, ref_nodes)
+        assert np.array_equal(weights, ref_weights)
+        x1, w1 = _gauss_legendre(max(n_angular, 16))
+        _, col_w, depth = _graph_columns(cap.chart.graph.gamma, cap.chart.b,
+                                         cap.x1max * x1, cap.x1max * w1, 8)
+        assert np.all(depth >= 0.0) and np.all(col_w[depth == 0.0] == 0.0)
+        live = np.count_nonzero(depth)
+        assert weights.size == live * max(n_radial, 8)
+        assert (live < depth.size) == (widen > 1.0)
 
 
 @pytest.mark.parametrize("comp", [
