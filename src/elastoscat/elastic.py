@@ -38,11 +38,14 @@ from .errors import (
 )
 
 _UNIT_NORMAL_TOL = 1.0e-12
-# Node pairs per block of holder_seminorm, and the most entries of its
-# cell-pair table; bounds its index and difference arrays whatever the
-# number of nodes.
+# Node pairs per block of holder_seminorm, and the most pairs of kd-tree
+# leaves; bounds its index and difference arrays whatever the number of
+# nodes.
 _PAIR_BLOCK = 1 << 20
-# Relative inflation of holder_seminorm's cell-pair bounds, far above the
+# Most nodes in a leaf of holder_seminorm's kd-tree; at least 2 keeps every
+# leaf nonempty.
+_LEAF_SIZE = 4
+# Relative inflation of holder_seminorm's node-pair bounds, far above the
 # round-off of the per-pair ratio, so that no pruned pair can hold the max.
 _BOUND_SLACK = 1.0e-12
 # Fourth-order first-difference weights, times -12 h: the mixed second
@@ -178,104 +181,120 @@ def traction(jet: FieldJet, normal: np.ndarray, medium: LameMedium) -> np.ndarra
 def holder_seminorm(fld: SampledVectorField, delta: float) -> float:
     """Holder seminorm ``max |phi(x)-phi(y)| / |x-y|^delta``: the exact
     maximum over all pairs of distinct sample points, found by
-    bound-and-prune.
+    bound-and-prune over a kd-tree of the nodes.
 
-    The nodes are binned into about ``N / 8`` grid cells.  For cells A and B
-    with mean values ``c``, value radii ``rho = max |u - c|`` and a gap
-    ``dmin`` between their node boxes, every pair across them has ratio at
-    most ``(|c_A - c_B| + rho_A + rho_B) / dmin^delta``.  Cell pairs are
-    visited in decreasing order of that bound, inflated by ``_BOUND_SLACK``
-    against round-off: first every pair whose boxes touch (infinite bound),
-    then the others, in blocks no larger than ``_PAIR_BLOCK`` or that first
-    pass, until the bound falls to the best ratio found.  Each visited node
-    pair is evaluated by ``_max_pair_ratio``, so the result is the maximum
-    of the same per-pair floats over a subset holding the argmax pair:
-    equal, bit for bit, to the maximum over all pairs.
+    For tree nodes A and B with mean values ``c``, value radii
+    ``rho = max |u - c|`` and a gap ``dmin`` between their node boxes, every
+    pair across them has ratio at most
+    ``(|c_A - c_B| + rho_A + rho_B) / dmin^delta``, inflated by
+    ``_BOUND_SLACK`` against round-off (infinite where the boxes touch).
+    The best ratio starts from every pair within a leaf.  Pairs of tree
+    nodes are then split one level at a time, from (root, root) down to
+    pairs of leaves, and each one whose bound is at most the best ratio is
+    dropped.  The surviving leaf pairs are visited in decreasing order of
+    bound, in blocks of at most ``_PAIR_BLOCK`` node pairs, until the bound
+    falls to the best ratio found.  Each visited node pair is evaluated by
+    ``_max_pair_ratio``, so the result is the maximum of the same per-pair
+    floats over a subset holding the argmax pair: equal, bit for bit, to
+    the maximum over all pairs.
     """
     nodes, values = fld.nodes, fld.values
     _check_holder_exponent(delta, nodes.shape[1])
-    n = nodes.shape[0]
-    if n < 2:
+    if nodes.shape[0] < 2:
         raise InsufficientSamples("need at least two sample points")
-    perm, starts, counts = _holder_cells(nodes)
-    sorted_vals = values[perm]
-    centre = np.add.reduceat(sorted_vals, starts, axis=0) / counts[:, None]
-    radius = np.maximum.reduceat(np.linalg.norm(
-        sorted_vals - np.repeat(centre, counts, axis=0), axis=1), starts)
-    box_lo = np.minimum.reduceat(nodes[perm], starts, axis=0)
-    box_hi = np.maximum.reduceat(nodes[perm], starts, axis=0)
-
-    ca, cb = np.triu_indices(starts.size)
-    gap = np.maximum(np.maximum(box_lo[cb] - box_hi[ca], box_lo[ca] - box_hi[cb]), 0.0)
-    dmin = np.linalg.norm(gap, axis=1)
-    spread = np.linalg.norm(centre[ca] - centre[cb], axis=1) + radius[ca] + radius[cb]
-    bound = np.full(ca.size, np.inf)
-    np.divide(spread * (1.0 + _BOUND_SLACK), (dmin * (1.0 - _BOUND_SLACK)) ** delta,
-              out=bound, where=dmin > 0.0)
+    perm, levels = _kd_tree(nodes)
+    sorted_nodes, sorted_vals = nodes[perm], values[perm]
+    leaves = np.arange(levels[-1][0].size)
+    best = _scan_leaf_pairs(nodes, values, perm, levels[-1], leaves, leaves,
+                            np.full(leaves.size, np.inf), -np.inf, delta)
+    a = b = np.zeros(1, dtype=np.intp)
+    bound = np.full(1, np.inf)
+    for starts, counts in levels[1:]:
+        # the children of (a, b) pair up their halves; (a, a) has three
+        a, b = 2 * a[:, None] + (0, 0, 1, 1), 2 * b[:, None] + (0, 1, 0, 1)
+        a, b = a[a <= b], b[a <= b]
+        bound = _pair_bounds(sorted_nodes, sorted_vals, starts, counts, a, b, delta)
+        live = bound > best
+        a, b, bound = a[live], b[live], bound[live]
     order = np.argsort(-bound, kind="stable")
-    ca, cb, bound = ca[order], cb[order], bound[order]
-    first = np.concatenate(([0], np.cumsum(counts[ca] * counts[cb])))
-    touching_end = first[np.count_nonzero(bound == np.inf)]
-    # blocks after the touching pairs are no larger than that pass, so the
-    # bound is re-checked soon after the best ratio first rises
-    later_block = min(_PAIR_BLOCK, max(touching_end, 1))
-
-    best = -np.inf
-    k0 = 0
-    while True:
-        if k0 < touching_end:
-            stop, block = touching_end, _PAIR_BLOCK
-        else:   # bounds are sorted downwards: the live cell pairs are a prefix
-            stop, block = first[np.count_nonzero(bound > best)], later_block
-        if k0 >= stop:
-            break
-        k1 = min(k0 + block, stop)
-        k = np.arange(k0, k1)
-        p = np.searchsorted(first, k, side="right") - 1
-        ia, ib = np.divmod(k - first[p], counts[cb[p]])
-        keep = (ca[p] != cb[p]) | (ia < ib)     # each pair within a cell once
-        ii = perm[starts[ca[p]][keep] + ia[keep]]
-        jj = perm[starts[cb[p]][keep] + ib[keep]]
-        top = _max_pair_ratio(nodes, values, ii, jj, delta)
-        if top is not None:
-            best = np.maximum(best, top)
-        k0 = k1
+    order = order[a[order] != b[order]]     # pairs within a leaf are done
+    best = _scan_leaf_pairs(nodes, values, perm, levels[-1], a[order], b[order],
+                            bound[order], best, delta)
     if best == -np.inf:
         raise InsufficientSamples("all pairs coincide")
     return float(best)
 
 
-def _holder_cells(nodes: np.ndarray):
-    """Bin nodes into grid cells over their bounding box, about 8 nodes a
-    cell, and no more cells than keeps the cell-pair table within
-    ``_PAIR_BLOCK`` entries.
+def _kd_tree(nodes: np.ndarray):
+    """Balanced kd-tree over the nodes: each level splits every tree node at
+    half its size along the longer axis of its box, down to leaves of at
+    most ``_LEAF_SIZE`` nodes, or fewer levels when the pairs of leaves
+    would outnumber ``_PAIR_BLOCK``.
 
-    Returns ``(perm, starts, counts)``: ``nodes[perm]`` lists the occupied
-    cells' nodes one cell after another, cell c from ``starts[c]`` with
-    ``counts[c]`` nodes.
+    Returns ``(perm, levels)``: ``levels[l] = (starts, counts)`` lists the
+    ``2**l`` tree nodes of depth ``l``, node ``t`` being ``nodes[perm]``
+    from ``starts[t]`` with ``counts[t]`` nodes and its children being
+    ``2 t`` and ``2 t + 1`` one level down.
     """
-    n, dim = nodes.shape
+    n = nodes.shape[0]
     cap = (math.isqrt(8 * _PAIR_BLOCK + 1) - 1) // 2    # cap (cap + 1) / 2 <= block
-    target = max(1, min(n // 8, cap))
-    lo = nodes.min(axis=0)
-    span = nodes.max(axis=0) - lo
-    # cube side h with prod(span / h) = target over the axes longer than h;
-    # shorter (or flat) axes get one cell
-    h = 1.0
-    live = span > 0.0
-    while np.any(live):
-        h = math.exp((np.sum(np.log(span[live])) - math.log(target)) / np.count_nonzero(live))
-        thin = live & (span < h)
-        if not np.any(thin):
-            break
-        live &= ~thin
-    shape = np.where(live, np.floor(span / h), 1.0).astype(np.intp)
-    scale = np.divide(shape, span, out=np.zeros(dim), where=live)
-    idx = np.minimum(((nodes - lo) * scale).astype(np.intp), shape - 1)
-    cell = np.ravel_multi_index(idx.T, shape)
-    perm = np.argsort(cell, kind="stable")
-    _, starts, counts = np.unique(cell[perm], return_index=True, return_counts=True)
-    return perm, starts, counts
+    depth = min(((n - 1) // _LEAF_SIZE).bit_length(), cap.bit_length() - 1)
+    perm = np.arange(n)
+    starts, counts = np.zeros(1, dtype=np.intp), np.array([n])
+    levels = [(starts, counts)]
+    for _ in range(depth):
+        pts = nodes[perm]
+        seg = np.repeat(np.arange(starts.size), counts)
+        axis = np.argmax(np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts),
+                         axis=1)
+        perm = perm[np.lexsort((pts[np.arange(n), axis[seg]], seg))]
+        half = counts // 2
+        starts = np.column_stack((starts, starts + half)).ravel()
+        counts = np.column_stack((half, counts - half)).ravel()
+        levels.append((starts, counts))
+    return perm, levels
+
+
+def _pair_bounds(sorted_nodes: np.ndarray, sorted_vals: np.ndarray, starts: np.ndarray,
+                 counts: np.ndarray, a: np.ndarray, b: np.ndarray, delta: float):
+    """Bound of every node pair's ratio across the tree nodes ``a`` and
+    ``b`` of one level (see ``holder_seminorm``)."""
+    centre = np.add.reduceat(sorted_vals, starts, axis=0) / counts[:, None]
+    radius = np.maximum.reduceat(np.linalg.norm(
+        sorted_vals - np.repeat(centre, counts, axis=0), axis=1), starts)
+    box_lo = np.minimum.reduceat(sorted_nodes, starts, axis=0)
+    box_hi = np.maximum.reduceat(sorted_nodes, starts, axis=0)
+    gap = np.maximum(np.maximum(box_lo[b] - box_hi[a], box_lo[a] - box_hi[b]), 0.0)
+    dmin = np.linalg.norm(gap, axis=1)
+    spread = np.linalg.norm(centre[a] - centre[b], axis=1) + radius[a] + radius[b]
+    bound = np.full(a.size, np.inf)
+    return np.divide(spread * (1.0 + _BOUND_SLACK), (dmin * (1.0 - _BOUND_SLACK)) ** delta,
+                     out=bound, where=dmin > 0.0)
+
+
+def _scan_leaf_pairs(nodes, values, perm, leaves, ca, cb, bound, best, delta):
+    """Best ratio after visiting the node pairs across leaf pairs
+    ``(ca, cb)``, listed by decreasing bound, in blocks of at most
+    ``_PAIR_BLOCK``, until the bound falls to the best ratio; a leaf paired
+    with itself gives each of its pairs once."""
+    starts, counts = leaves
+    first = np.concatenate(([0], np.cumsum(counts[ca] * counts[cb])))
+    k0 = 0
+    while True:     # bounds are sorted downwards: the live leaf pairs are a prefix
+        stop = first[np.count_nonzero(bound > best)]
+        if k0 >= stop:
+            return best
+        k1 = min(k0 + _PAIR_BLOCK, stop)
+        k = np.arange(k0, k1)
+        p = np.searchsorted(first, k, side="right") - 1
+        ia, ib = np.divmod(k - first[p], counts[cb[p]])
+        keep = (ca[p] != cb[p]) | (ia < ib)
+        ii = perm[starts[ca[p]][keep] + ia[keep]]
+        jj = perm[starts[cb[p]][keep] + ib[keep]]
+        top = _max_pair_ratio(nodes, values, ii, jj, delta)
+        if top is not None:
+            best = max(best, top)
+        k0 = k1
 
 
 def _max_pair_ratio(nodes: np.ndarray, values: np.ndarray, ii: np.ndarray,

@@ -474,6 +474,28 @@ def test_benchmark_configs_load(tmp_path):
         cli.load_config(write_cfg(tmp_path, f"{i}.json", cfg), cfg["experiment"])
 
 
+def test_benchmark_traced_functions_exist(monkeypatch):
+    # the benchmark's tracer reports a function it cannot find, or a counter
+    # whose arguments no longer bind, as absent rather than failing
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)   # for its dataclass
+    spec.loader.exec_module(tracer)
+    for qual in tracer.COUNTERS:
+        mod_name, fn_name = qual.split(".")
+        module = importlib.import_module(f"{tracer.PACKAGE}.{mod_name}")
+        assert callable(getattr(module, fn_name, None)), qual
+    corners = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    fld = elastoscat.SampledVectorField(corners, corners)
+    bound = inspect.signature(elastoscat.holder_seminorm).bind(fld, 1.0)
+    bound.apply_defaults()
+    result = elastoscat.holder_seminorm(fld, 1.0)
+    counters = tracer.COUNTERS["elastic.holder_seminorm"]
+    assert {name: count(bound.arguments, result) for name, count in counters.items()} \
+        == {"pairs": 3, "all_pairs": 3}
+
+
 def test_unknown_subcommand_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate", "--config", str(tmp_path / "x.json")])

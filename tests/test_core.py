@@ -238,7 +238,7 @@ def test_seminorm_equals_all_pairs_reference(make, delta):
 
 def test_seminorm_blocks_cover_every_pair(monkeypatch):
     fld = _random_field()
-    # 6 rows a block: 67 blocks, the last one holding rows 396-399 only
+    # 2,400 pairs a block: 64 leaves of 6 or 7 nodes, 9 blocks in all
     monkeypatch.setattr(elastic, "_PAIR_BLOCK", 6 * 400)
     assert holder_seminorm(fld, 0.7) == _holder_by_all_pairs(fld, 0.7)
 
@@ -253,7 +253,7 @@ def _white_noise_field():
 
 def _duplicated_field():
     # 150 nodes of which 60 are repeated with other values, plus 12 copies
-    # of one isolated point, which fill a cell on their own
+    # of one isolated point, which fill leaves of their own
     rng = np.random.default_rng(23)
     base = rng.uniform(0, 1, size=(150, 2))
     nodes = np.vstack([base, base[:60], np.full((12, 2), 2.9)])
@@ -284,7 +284,7 @@ def _spike_field():
 
 
 def _collinear_field():
-    # zero span across the line: its axis gets a single cell
+    # zero span across the line: every split of the tree runs along it
     t = np.sort(np.random.default_rng(37).uniform(-1, 1, 300))
     nodes = np.stack([t, np.full_like(t, 0.3)], axis=1)
     return SampledVectorField(nodes, np.stack([np.abs(t) ** 0.3, t], axis=1))
@@ -325,11 +325,57 @@ def test_seminorm_two_distant_spikes():
     assert holder_seminorm(fld, 0.05) == _holder_by_all_pairs(fld, 0.05)
 
 
-def test_seminorm_duplicates_fill_a_cell_of_their_own():
+def test_seminorm_duplicates_fill_a_leaf_of_their_own():
+    # the copies are the largest nodes along both axes, so every split
+    # leaves them at the end of its upper half
     fld = _duplicated_field()
-    perm, starts, counts = elastic._holder_cells(fld.nodes)
-    cells = np.split(fld.nodes[perm], starts[1:])
-    assert any(len(c) > 1 and np.all(c == c[0]) for c in cells)
+    perm, levels = elastic._kd_tree(fld.nodes)
+    starts, counts = levels[-1]
+    leaves = np.split(fld.nodes[perm], starts[1:])
+    assert any(len(leaf) > 1 and np.all(leaf == 2.9) for leaf in leaves)
+    assert holder_seminorm(fld, 1.0) == _holder_by_all_pairs(fld, 1.0)
+
+
+@st.composite
+def _small_cloud(draw):
+    """Up to five leaves' worth of nodes on a coarse grid, so that nodes
+    repeat; or all on one line, or all at one point."""
+    dim = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(2, 5 * elastic._LEAF_SIZE))
+    grid = st.lists(st.integers(0, 3), min_size=n * dim, max_size=n * dim)
+    nodes = np.reshape(draw(grid), (n, dim)) / 3.0
+    layout = draw(st.sampled_from(("grid", "line", "point")))
+    if layout == "line":
+        nodes[:, 1:] = 0.5
+    elif layout == "point":
+        nodes[:] = nodes[0]
+    part = st.floats(-1.0, 1.0, allow_subnormal=False)
+    parts = np.reshape(draw(st.lists(part, min_size=2 * n * dim, max_size=2 * n * dim)),
+                       (2, n, dim))
+    return SampledVectorField(nodes, parts[0] + 1j * parts[1])
+
+
+@given(fld=_small_cloud(), at_cap=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_seminorm_small_clouds_equal_all_pairs(fld, at_cap):
+    # 2 to 20 nodes give trees of depth 0 (at most 4 nodes), 1 and 2, and
+    # halves of odd size; delta at either end of its range
+    dim = fld.nodes.shape[1]
+    delta = (1.0 if dim == 2 else 0.5) if at_cap else 1e-3
+    if np.all(fld.nodes == fld.nodes[0]):
+        with pytest.raises(InsufficientSamples):
+            holder_seminorm(fld, delta)
+    else:
+        assert holder_seminorm(fld, delta) == _holder_by_all_pairs(fld, delta)
+
+
+def test_seminorm_tree_depth_follows_leaf_size():
+    nodes = np.random.default_rng(41).uniform(0, 1, size=(21, 2))
+    for n, depth in [(2, 0), (4, 0), (5, 1), (8, 1), (9, 2), (21, 3)]:
+        perm, levels = elastic._kd_tree(nodes[:n])
+        counts = levels[-1][1]
+        assert len(levels) == depth + 1 and np.sort(perm).tolist() == list(range(n))
+        assert counts.sum() == n and counts.min() >= 1 and counts.max() <= elastic._LEAF_SIZE
 
 
 def _counting_pairs(monkeypatch):
@@ -348,8 +394,9 @@ def _counting_pairs(monkeypatch):
 
 @pytest.mark.parametrize("block", [64, 500])
 def test_seminorm_small_blocks_split_both_passes(monkeypatch, block):
-    # 400 nodes in 9 (block 64) or 25 (block 500) cells: the touching pass
-    # takes 280 or 14 blocks, the later pass 1,084 or 82
+    # 400 nodes in 8 leaves of 50 (block 64) or 16 of 25 (block 500): the
+    # pass over the pairs within each leaf and the pass over the surviving
+    # pairs of leaves take 1,329 or 130 blocks in all
     fld = _random_field()
     monkeypatch.setattr(elastic, "_PAIR_BLOCK", block)
     blocks = _counting_pairs(monkeypatch)
@@ -358,12 +405,12 @@ def test_seminorm_small_blocks_split_both_passes(monkeypatch, block):
 
 
 def test_seminorm_prunes_most_pairs(monkeypatch):
-    # about 11 % of the 2,096,128 pairs; an all-pairs search fails here
+    # about 1.1 % of the 2,096,128 pairs; an all-pairs search fails here
     fld = _nonradiating_field()
     n = fld.nodes.shape[0]
     blocks = _counting_pairs(monkeypatch)
     assert holder_seminorm(fld, 1.0) == _holder_by_all_pairs(fld, 1.0)
-    assert sum(blocks) <= 0.25 * n * (n - 1) / 2
+    assert sum(blocks) <= 0.05 * n * (n - 1) / 2
 
 
 def test_seminorm_skips_coincident_pairs():
