@@ -18,7 +18,8 @@ offset lattices) are rejected with ``MeshMismatch``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from threading import Lock
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -51,6 +52,7 @@ from .source import (
     _unit_directions,
     directions_circle,
     farfield_of_source,
+    farfield_phases,
 )
 
 _SERIES_MAX_TERMS = 200
@@ -97,9 +99,7 @@ class MediumScatterer:
 
     def v_sup(self) -> float:
         """Sampled sup of |V| over the domain (dense random + mesh-free)."""
-        rng = np.random.default_rng(_V_SUP_SEED)
-        lo, hi = _bounding_box(self.domain)
-        pts = rng.uniform(lo, hi, size=(_V_SUP_SAMPLES, self.domain.dim))
+        pts = _v_sup_points(*map(tuple, _bounding_box(self.domain)), self.domain.dim)
         mask = inside(self.domain, pts)
         if not np.any(mask):
             return 0.0
@@ -129,6 +129,13 @@ class IncidentWave:
             return phase[:, None] * dperp
         # point-source: Green-tensor column against the unit force e_1
         return kupradze_batch(pts - self.origin, med)[:, :, 0]
+
+    def sample(self, mesh: QuadratureMesh) -> SampledVectorField:
+        """The wave at the mesh nodes, read-only and tied to the mesh: the
+        ``incident_values`` that every :func:`solve_medium` on it can share."""
+        values = self(mesh.nodes)
+        values.flags.writeable = False
+        return SampledVectorField(nodes=mesh.nodes, values=values, mesh_ref=mesh.mesh_id)
 
 
 class MediumSolve:
@@ -201,6 +208,15 @@ def _bounding_box(domain: DomainGeometry):
     return np.min(los, axis=0), np.max(his, axis=0)
 
 
+@cache
+def _v_sup_points(lo: tuple, hi: tuple, dim: int) -> np.ndarray:
+    """The seeded uniform draw in the box ``[lo, hi]`` that
+    ``MediumScatterer.v_sup`` reads, made once per box and read-only."""
+    pts = np.random.default_rng(_V_SUP_SEED).uniform(lo, hi, size=(_V_SUP_SAMPLES, dim))
+    pts.flags.writeable = False
+    return pts
+
+
 def _fast_length(m: int) -> int:
     """Smallest ``2^a 3^b 5^c >= m``: a length that ``np.fft`` transforms fast."""
     while True:
@@ -253,7 +269,9 @@ class LatticeOperator:
     the ``(2nx - 1) x (2ny - 1)`` offsets is evaluated once, here, embedded
     in a circulant padded to fast FFT lengths, and applied by ``fft2``
     (Vainikko 2000).  ``apply`` only reads the table's spectrum, so threads
-    may share one operator.
+    may share one operator.  ``farfield_phases`` builds the far-field phase
+    pair of a set of directions on first use, under a lock so that threads
+    build it once, and keeps it as long as the operator.
 
     Meshes that are not lattice subsets (unions whose components sit on
     offset lattices) raise ``MeshMismatch``; repeated lattice keys raise
@@ -290,12 +308,23 @@ class LatticeOperator:
         self.medium = medium
         self.keys = keys
         self._spectrum = np.fft.fft2(spectrum)
+        self.nodes = mesh.nodes
+        self._phases = {}
+        self._phases_lock = Lock()
 
     def check(self, mesh: QuadratureMesh, medium: LameMedium) -> None:
         """Raise ``MeshMismatch`` unless built for this mesh and medium."""
         if mesh.mesh_id != self.mesh_id or medium != self.medium:
             raise MeshMismatch("the lattice operator was built for another "
                                "mesh or medium")
+
+    def farfield_phases(self, dirs: np.ndarray) -> Optional[np.ndarray]:
+        """:func:`~elastoscat.source.farfield_phases` of the unit ``dirs`` on
+        the operator's mesh and medium, built on first use and then kept."""
+        with self._phases_lock:
+            if (key := dirs.tobytes()) not in self._phases:
+                self._phases[key] = farfield_phases(self.medium, self.nodes, dirs)
+            return self._phases[key]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         spectrum = self._spectrum
@@ -309,7 +338,8 @@ class LatticeOperator:
 
 def solve_medium(scatterer: MediumScatterer, incident: IncidentWave,
                  mesh: QuadratureMesh, mode: str = "direct-dense",
-                 directions=None, operator: Optional[LatticeOperator] = None
+                 directions=None, operator: Optional[LatticeOperator] = None,
+                 incident_values: Optional[SampledVectorField] = None
                  ) -> MediumSolve:
     """Solve the volume integral equation on the mesh.
 
@@ -325,6 +355,17 @@ def solve_medium(scatterer: MediumScatterer, incident: IncidentWave,
     GMRES basis; a solve that would need more than 1 GiB raises
     ``QuadratureBudgetExceeded``, which allows about 250,000 nodes on a
     disk.
+
+    What every solve on one mesh shares is passed in, not rebuilt:
+    ``incident_values``, the wave at the nodes (``incident.sample(mesh)``,
+    read-only; values tied to another mesh raise ``MeshMismatch``, and the
+    point-source origin is still checked on ``incident``), and, through
+    ``operator``, the far field's phase pair ``e^{-i kappa_p xhat.y}``,
+    ``e^{-i kappa_s xhat.y}`` for ``directions``, built on the first far
+    field read.  The operator keeps that pair only when its M N entries fit
+    one ``source._PHASE_BLOCK`` block, where the far field has the same bits
+    with it as without; a larger far field forms its phases block by block
+    on each read.
 
     ``direct-dense`` (the name is historical) solves the 2N x 2N system
     ``(I + omega^2 P V) u_t = u_i`` by restarted GMRES and raises
@@ -350,24 +391,25 @@ def solve_medium(scatterer: MediumScatterer, incident: IncidentWave,
         directions = _default_directions(med, scatterer.domain)
     directions = _unit_directions(directions)
     _check_mesh_resolution(mesh, med)
+    if incident_values is not None and incident_values.mesh_ref != mesh.mesh_id:
+        raise MeshMismatch("the incident values are tied to another mesh")
     nodes = mesh.nodes
     n = nodes.shape[0]
     if operator is None:
         operator = LatticeOperator(mesh, med)
     operator.check(mesh, med)
-    potential = operator.apply
     vvals = scatterer.contrast_on(nodes)[:, None]
-    ui = incident(nodes)
+    ui = incident(nodes) if incident_values is None else incident_values.values
     scale = -med.omega ** 2
 
     # omega^2 P V collocates to -omega^2 pot V, on node-major flat vectors
     def op(x):
-        return (scale * potential(vvals * x.reshape(n, 2))).ravel()
+        return (scale * operator.apply(vvals * x.reshape(n, 2))).ravel()
 
     def op_adjoint(x):
         # pot is complex symmetric, so pot^H x = conj(pot conj(x))
         return (np.conj(vvals) * scale
-                * np.conj(potential(np.conj(x).reshape(n, 2)))).ravel()
+                * np.conj(operator.apply(np.conj(x).reshape(n, 2)))).ravel()
 
     b = ui.ravel()
     terms = 1
@@ -416,7 +458,8 @@ def solve_medium(scatterer: MediumScatterer, incident: IncidentWave,
     return MediumSolve(
         u_total=SampledVectorField(nodes=nodes, values=ut, mesh_ref=mesh.mesh_id),
         u_scattered=SampledVectorField(nodes=nodes, values=u_sc, mesh_ref=mesh.mesh_id),
-        farfield=partial(farfield_of_source, problem, mesh, directions),
+        farfield=lambda: farfield_of_source(
+            problem, mesh, directions, operator.farfield_phases(directions)),
         series_terms_used=terms, contraction_estimate=contraction)
 
 

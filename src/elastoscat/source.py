@@ -202,19 +202,35 @@ def _transverse(us: np.ndarray, xhat: np.ndarray) -> np.ndarray:
     return us
 
 
-def _phase_product(kappa: float, dots: np.ndarray, phase: np.ndarray,
-                   wphi: np.ndarray) -> np.ndarray:
-    """``e^{-i kappa dots} @ wphi``, with the phase matrix written into
-    ``phase``: cos and sin in place take half the time of ``np.exp`` on a
-    (256, 2048) block and give the same bits."""
+def _phase_matrix(kappa: float, dots: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """``e^{-i kappa dots}``, written into ``phase`` and returned: cos and
+    sin in place take half the time of ``np.exp`` on a (256, 2048) block and
+    give the same bits."""
     arg = -kappa * dots
     np.cos(arg, out=phase.real)
     np.sin(arg, out=phase.imag)
-    return phase @ wphi
+    return phase
+
+
+def farfield_phases(medium: LameMedium, nodes: np.ndarray, dirs: np.ndarray):
+    """The read-only (2, M, N) phase pair ``e^{-i kappa_p xhat_j.y_k}`` and
+    ``e^{-i kappa_s xhat_j.y_k}`` of the unit ``dirs`` on the ``nodes``, for
+    :func:`farfield_of_source`'s ``phases``; ``None`` when its M N entries
+    exceed one ``_PHASE_BLOCK`` block.  Within one block the far field forms
+    ``dots`` by one product over all directions, as here, so a pattern
+    radiated with the stored pair has the same bits as one without."""
+    if dirs.shape[0] * nodes.shape[0] > _PHASE_BLOCK:
+        return None
+    dots = dirs @ nodes.T
+    pair = np.empty((2,) + dots.shape, dtype=complex)
+    for kappa, phase in zip((medium.kappa_p, medium.kappa_s), pair):
+        _phase_matrix(kappa, dots, phase)
+    pair.flags.writeable = False
+    return pair
 
 
 def farfield_of_source(problem: SourceProblem, mesh: QuadratureMesh,
-                       directions) -> FarFieldPattern:
+                       directions, phases=None) -> FarFieldPattern:
     """Far-field pattern of the outgoing solution, by direct quadrature.
 
     The sign matches :func:`solve_source`: this is the pattern of the field
@@ -232,6 +248,9 @@ def farfield_of_source(problem: SourceProblem, mesh: QuadratureMesh,
     block of directions forms the two (block, N) phase matrices and applies
     them to ``w phi`` as matrix products; a block holds about
     ``_PHASE_BLOCK`` phase entries, which bounds memory for any M and N.
+    ``phases``, the pair :func:`farfield_phases` built for this mesh's nodes,
+    the medium and ``directions``, replaces the phase matrices (one block);
+    a pair whose shape is not (2, M, N) raises ``MeshMismatch``.
     """
     if problem.medium.dim != 2 or problem.domain.dim != 2:
         raise UnsupportedDimension("far-field quadrature is 2-D only")
@@ -241,16 +260,21 @@ def farfield_of_source(problem: SourceProblem, mesh: QuadratureMesh,
     wphi = mesh.weights[:, None] * problem.intensity_on(mesh)
     cp, cs = farfield_constants(med)
     m, n = dirs.shape[0], mesh.nodes.shape[0]
-    step = min(m, max(1, _PHASE_BLOCK // max(n, 1)))
-    phase = np.empty((step, n), dtype=complex)
+    if phases is not None and phases.shape != (2, m, n):
+        raise MeshMismatch("the far-field phases do not fit the directions and nodes")
+    step = m if phases is not None else min(m, max(1, _PHASE_BLOCK // max(n, 1)))
+    phase = np.empty((step, n), dtype=complex) if phases is None else None
     up = np.empty(m, dtype=complex)
     us = np.empty((m, 2), dtype=complex)
     for lo in range(0, m, step):
         xhat = dirs[lo:lo + step]
-        dots = xhat @ mesh.nodes.T
-        z = phase[:xhat.shape[0]]
-        p_amp = _phase_product(med.kappa_p, dots, z, wphi)
-        s_amp = _phase_product(med.kappa_s, dots, z, wphi)
+        if phases is None:
+            dots = xhat @ mesh.nodes.T
+            z = phase[:xhat.shape[0]]
+            p_amp = _phase_matrix(med.kappa_p, dots, z) @ wphi
+            s_amp = _phase_matrix(med.kappa_s, dots, z) @ wphi
+        else:
+            p_amp, s_amp = phases @ wphi
         up[lo:lo + step] = -cp * np.sum(p_amp * xhat, axis=1)
         us[lo:lo + step] = _transverse(-cs * s_amp, xhat)
     return FarFieldPattern(directions=dirs, up_inf=up, us_inf=us)

@@ -794,6 +794,40 @@ def test_medium_demo_builds_one_operator_and_estimates_only_reported_rows(
     assert rows[1]["mode_gap"] == "nan"
 
 
+POINT_SOURCE = {"kind": "point-source", "origin": [1.0, 0.0]}
+
+
+def test_medium_demo_evaluates_the_incident_and_builds_the_phases_once(
+        tmp_path, monkeypatch):
+    from elastoscat import scattering
+
+    evaluated, built = [], []
+    call, phases = scattering.IncidentWave.__call__, scattering.farfield_phases
+
+    def counted_call(self, pts):
+        evaluated.append(1)
+        return call(self, pts)
+
+    def counted_phases(*args):
+        pair = phases(*args)
+        built.append(pair is not None)
+        return pair
+
+    monkeypatch.setattr(scattering.IncidentWave, "__call__", counted_call)
+    monkeypatch.setattr(scattering, "farfield_phases", counted_phases)
+    cfg = _medium_cfg()
+    cfg["scatterer"].update(v0_values=MIXED_REGIME_V0, incident=POINT_SOURCE)
+    prefix = tmp_path / "out" / "md"
+    assert cli.main(["medium-demo", "--config", write_cfg(tmp_path, "m.json", cfg),
+                     "--workers", "1", "--out", str(prefix)]) == 0
+    _, rows = read_table(Path(f"{prefix}_medium.csv"))
+    assert len(rows) == len(MIXED_REGIME_V0)
+    # five solves and three far fields, one point-source evaluation and one
+    # phase pair (64 directions on 256 nodes fit one block, so it is kept)
+    assert evaluated == [1]
+    assert built == [True]
+
+
 def test_medium_demo_radiates_the_direct_solves_only(tmp_path, monkeypatch):
     from elastoscat import scattering
 
@@ -818,6 +852,21 @@ def test_medium_demo_csv_does_not_depend_on_workers(tmp_path):
     # the threads of --workers 2 share one operator
     cfg = _medium_cfg()
     cfg["scatterer"]["v0_values"] = MIXED_REGIME_V0 + [0.3]
+    cfg_path = write_cfg(tmp_path, "m.json", cfg)
+    tables = []
+    for workers in ("1", "2"):
+        prefix = tmp_path / workers / "md"
+        assert cli.main(["medium-demo", "--config", cfg_path,
+                         "--workers", workers, "--out", str(prefix)]) == 0
+        tables.append(Path(f"{prefix}_medium.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
+def test_point_source_medium_demo_csv_does_not_depend_on_workers(tmp_path):
+    # the threads of --workers 2 share one operator, its far-field phases
+    # and one sample of the incident wave
+    cfg = _medium_cfg()
+    cfg["scatterer"].update(v0_values=MIXED_REGIME_V0 + [0.3], incident=POINT_SOURCE)
     cfg_path = write_cfg(tmp_path, "m.json", cfg)
     tables = []
     for workers in ("1", "2"):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -33,8 +34,15 @@ from elastoscat import (
 from elastoscat import scattering
 from elastoscat.greens import kupradze_batch, singular_cell_integral
 from elastoscat.elastic import content_id
-from elastoscat.geometry import QuadratureMesh, signed_distance
-from elastoscat.source import coincident_nodes, farfield_of_source, potential_row
+from elastoscat.geometry import QuadratureMesh, inside, signed_distance
+from elastoscat.source import (
+    _PHASE_BLOCK,
+    coincident_nodes,
+    directions_circle,
+    farfield_of_source,
+    farfield_phases,
+    potential_row,
+)
 from elastoscat.errors import (
     CoincidentPoints,
     DimensionMismatch,
@@ -487,6 +495,155 @@ def test_solve_with_prebuilt_operator_matches_a_fresh_one(mode):
             assert np.array_equal(got.farfield.us_inf, want.farfield.us_inf)
             assert got.series_terms_used == want.series_terms_used
             assert got.contraction_estimate == want.contraction_estimate
+
+
+SHARED_INCIDENTS = {
+    "pressure": ("pressure-plane", {"direction": (1.0, 0.0)}),
+    "shear": ("shear-plane", {"direction": (0.6, 0.8)}),
+    "point": ("point-source", {"origin": (1.0, 0.0)}),
+}
+
+
+@pytest.mark.parametrize("mode", ["direct-dense", "neumann-series"])
+@pytest.mark.parametrize("name", list(SHARED_INCIDENTS))
+def test_solve_with_shared_incident_and_phases_matches_unshared(monkeypatch, name, mode):
+    # the run-wide incident sample and the operator's kept phase pair give
+    # the bits of a solve that evaluates the wave itself, and the far field
+    # the bits of farfield_of_source forming its phases block by block
+    sc = scatterer(v0=0.2)
+    mesh = volume_mesh(sc.domain, h=0.05)
+    inc = make_incident(*SHARED_INCIDENTS[name], MED)
+    want = solve_medium(sc, inc, mesh, mode=mode)
+    equivalent = -MED.omega ** 2 * sc.contrast_on(mesh.nodes)[:, None] * want.u_total.values
+    problem = SourceProblem(domain=sc.domain, medium=MED,
+                            phi=SampledVectorField(nodes=mesh.nodes, values=equivalent,
+                                                   mesh_ref=mesh.mesh_id))
+    blocks = farfield_of_source(problem, mesh, want.farfield.directions)
+    built = []
+    real = scattering.farfield_phases
+
+    def counted(*args):
+        built.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(scattering, "farfield_phases", counted)
+    operator = scattering.LatticeOperator(mesh, MED)
+    shared = inc.sample(mesh)
+    for _ in range(2):
+        got = solve_medium(sc, inc, mesh, mode=mode, operator=operator,
+                           incident_values=shared)
+        assert (got.u_total.values == want.u_total.values).all()
+        assert (got.u_scattered.values == want.u_scattered.values).all()
+        assert got.series_terms_used == want.series_terms_used
+        for pattern in (got.farfield, want.farfield):
+            assert repr(pattern) == repr(blocks)
+            assert content_id(pattern.up_inf, pattern.us_inf) \
+                == content_id(blocks.up_inf, blocks.us_inf)
+    # the second far field read the pair the first one built
+    assert built == [1]
+
+
+def test_phases_asked_for_by_many_threads_are_built_once(monkeypatch):
+    # more threads than cores and a short switch interval: every thread gets
+    # the one kept pair, and it was built once (the build sleeps, so that
+    # threads would meet inside it without the lock)
+    built = []
+    real = scattering.farfield_phases
+
+    def counted(*args):
+        built.append(1)
+        time.sleep(0.05)
+        return real(*args)
+
+    monkeypatch.setattr(scattering, "farfield_phases", counted)
+    mesh = volume_mesh(disk(0.45), h=0.05)
+    operator = scattering.LatticeOperator(mesh, MED)
+    dirs = directions_circle(64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(operator.farfield_phases, dirs.copy()) for _ in range(64)]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert built == [1]
+    assert all(pair is got[0] for pair in got)
+    assert np.array_equal(got[0], real(MED, mesh.nodes, dirs))
+
+
+def test_far_field_larger_than_one_block_keeps_no_phases():
+    # 1,100 directions on 256 nodes exceed _PHASE_BLOCK entries: nothing is
+    # kept and the far field takes its blocks, with the same bits
+    sc = scatterer(v0=0.2)
+    mesh = volume_mesh(sc.domain, h=0.05)
+    dirs = directions_circle(1100)
+    assert dirs.shape[0] * mesh.nodes.shape[0] > _PHASE_BLOCK
+    operator = scattering.LatticeOperator(mesh, MED)
+    assert operator.farfield_phases(dirs) is None
+    inc = make_incident("point-source", {"origin": (1.0, 0.0)}, MED)
+    got = solve_medium(sc, inc, mesh, directions=dirs, operator=operator,
+                       incident_values=inc.sample(mesh))
+    want = solve_medium(sc, inc, mesh, directions=dirs)
+    assert np.array_equal(got.farfield.up_inf, want.farfield.up_inf)
+    assert np.array_equal(got.farfield.us_inf, want.farfield.us_inf)
+
+
+def test_shared_values_or_phases_from_another_mesh_are_rejected(monkeypatch):
+    sc = scatterer(v0=0.2)
+    mesh = volume_mesh(sc.domain, h=0.05)
+    other = volume_mesh(sc.domain, h=0.045)
+    inc = make_incident("point-source", {"origin": (1.0, 0.0)}, MED)
+    foreign = inc.sample(other)
+
+    def no_operator(*args, **kwargs):
+        raise AssertionError("the operator was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scattering.LatticeOperator, "__init__", no_operator)
+        for mode in ("direct-dense", "neumann-series"):
+            with pytest.raises(MeshMismatch, match="another mesh"):
+                solve_medium(sc, inc, mesh, mode=mode, incident_values=foreign)
+    # an operator, and so its phases, built for another mesh
+    with pytest.raises(MeshMismatch, match="another mesh or medium"):
+        solve_medium(sc, inc, mesh, operator=scattering.LatticeOperator(other, MED),
+                     incident_values=inc.sample(mesh))
+    # a pair for another mesh's nodes or other directions, given directly
+    n = mesh.nodes.shape[0]
+    problem = SourceProblem(domain=sc.domain, medium=MED,
+                            phi=SampledVectorField(nodes=mesh.nodes, values=np.ones((n, 2)),
+                                                   mesh_ref=mesh.mesh_id))
+    dirs = directions_circle(64)
+    for pair in (farfield_phases(MED, other.nodes, dirs),
+                 farfield_phases(MED, mesh.nodes, directions_circle(65))):
+        with pytest.raises(MeshMismatch, match="do not fit"):
+            farfield_of_source(problem, mesh, dirs, phases=pair)
+
+
+def test_shared_arrays_are_read_only():
+    sc = scatterer(v0=0.2)
+    mesh = volume_mesh(sc.domain, h=0.05)
+    for kind, params in SHARED_INCIDENTS.values():
+        values = make_incident(kind, params, MED).sample(mesh).values
+        with pytest.raises(ValueError, match="read-only"):
+            values[0, 0] = 0.0
+    pair = scattering.LatticeOperator(mesh, MED).farfield_phases(directions_circle(64))
+    with pytest.raises(ValueError, match="read-only"):
+        pair[0, 0, 0] = 0.0
+    lo, hi = scattering._bounding_box(sc.domain)
+    with pytest.raises(ValueError, match="read-only"):
+        scattering._v_sup_points(tuple(lo), tuple(hi), 2)[0, 0] = 0.0
+
+
+def test_v_sup_reads_the_shared_draw_with_the_same_bits():
+    # the draw every row used to make for itself, once per call
+    for sc in (scatterer(v0=0.4), scatterer(v0=0.3, radius=0.3, center=(0.2, -0.1))):
+        lo, hi = scattering._bounding_box(sc.domain)
+        rng = np.random.default_rng(scattering._V_SUP_SEED)
+        pts = rng.uniform(lo, hi, size=(scattering._V_SUP_SAMPLES, 2))
+        want = float(np.max(np.abs(sc.contrast_on(pts[inside(sc.domain, pts)]))))
+        assert sc.v_sup() == want
+        assert sc.v_sup() == want
 
 
 def test_operator_shared_by_threads_applies_as_in_one_thread():
