@@ -40,8 +40,11 @@ Subcommands
 Configs are JSON validated against the subcommand's schema in
 ``CONFIG_SCHEMAS``, the reference for every key, its type, range and default
 (``schema_version`` must be 1, ``experiment`` must match the subcommand and
-unknown keys are rejected).  Every run writes ``<prefix>_<table>.csv`` tables
-(RFC 4180, ``\\r\\n`` line endings, floats at 17 significant digits, fixed
+unknown keys are rejected).  A small checker of the schema keywords used
+there accepts a valid config and fills its defaults; jsonschema is imported
+only for a config that the checker rejects, to name the offending value, and
+it has the last word: a config that it accepts runs.  Every run writes
+``<prefix>_<table>.csv`` tables (RFC 4180, ``\\r\\n`` line endings, floats at 17 significant digits, fixed
 column order documented per runner) plus ``<prefix>_report.json`` echoing the
 config as read and with its defaults filled in, seed, artifact version,
 summary statistics, and wall clock.  Replaying a config with the same seed
@@ -61,14 +64,12 @@ import csv
 import functools
 import json
 import math
+import operator
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator, validators
-from jsonschema.exceptions import best_match
 
 from . import __version__, bounds, cgo
 from .bumps import polynomial_bump
@@ -92,6 +93,7 @@ from .geometry import (
 from .scattering import (
     LatticeOperator,
     MediumScatterer,
+    _v_sup_sample,
     contraction_report,
     lattice_pde_residual,
     make_incident,
@@ -230,19 +232,79 @@ CONFIG_SCHEMAS = {name: _experiment(name, **blocks) for name, blocks in _BLOCKS.
 EXPERIMENTS = tuple(CONFIG_SCHEMAS)
 
 
-def _fill_defaults(validator, properties, instance, schema):
-    """The ``properties`` keyword, after setting each absent key's default."""
-    if validator.is_type(instance, "object"):
-        for key, sub in properties.items():
-            if "default" in sub and key not in instance:
-                instance[key] = copy.deepcopy(sub["default"])
-    yield from Draft202012Validator.VALIDATORS["properties"](
-        validator, properties, instance, schema)
+def _is_type(value, name: str) -> bool:
+    """JSON Schema's ``type``: a bool is no number, and ``integer`` admits 8.0."""
+    if name in ("number", "integer"):
+        return type(value) in (int, float) and (name == "number" or value % 1 == 0)
+    return isinstance(value, {"object": dict, "array": list, "string": str}[name])
 
 
-# built directly: ``jsonschema.validate`` would re-check the metaschema on
-# every call (the schemas themselves are checked in the tests)
-_Validator = validators.extend(Draft202012Validator, {"properties": _fill_defaults})
+_LIMITS = {"minimum": operator.ge, "exclusiveMinimum": operator.gt, "maximum": operator.le,
+           "minItems": operator.ge, "maxItems": operator.le}
+
+
+def _conforms(schema: dict, value) -> bool:
+    """Whether ``value`` satisfies ``schema``, filling in each absent key's
+    ``default`` before checking ``properties``, as :func:`_jsonschema_check`
+    does.  It knows only the keywords of ``CONFIG_SCHEMAS`` and walks them in
+    the schema's order, as jsonschema does; ``then`` and ``else`` belong to
+    ``if``, and ``default`` and ``$schema`` check nothing."""
+    is_obj, is_list = isinstance(value, dict), isinstance(value, list)
+    for key, arg in schema.items():
+        if key == "type":
+            ok = _is_type(value, arg)
+        elif key in ("const", "enum"):  # of scalars, where a bool equals only a bool
+            ok = any(isinstance(value, bool) == isinstance(each, bool) and value == each
+                     for each in (arg if key == "enum" else [arg]))
+        elif key in ("minItems", "maxItems"):
+            ok = not is_list or _LIMITS[key](len(value), arg)
+        elif key in _LIMITS:
+            ok = not _is_type(value, "number") or _LIMITS[key](value, arg)
+        elif key == "items":
+            ok = not is_list or all(_conforms(arg, item) for item in value)
+        elif key == "properties":
+            for name, sub in arg.items() if is_obj else ():
+                if "default" in sub and name not in value:
+                    value[name] = copy.deepcopy(sub["default"])
+            ok = not is_obj or all(_conforms(sub, value[name])
+                                   for name, sub in arg.items() if name in value)
+        elif key == "required":
+            ok = not is_obj or all(name in value for name in arg)
+        elif key == "additionalProperties":  # always false in CONFIG_SCHEMAS
+            ok = not is_obj or set(value) <= set(schema.get("properties", ()))
+        elif key == "if":
+            ok = _conforms(schema.get("then" if _conforms(arg, value) else "else", {}),
+                           value)
+        elif key in ("then", "else", "default", "$schema"):
+            continue
+        else:
+            raise ValueError(f"the config checker lacks the schema keyword {key!r}")
+        if not ok:
+            return False
+    return True
+
+
+def _jsonschema_check(schema: dict, as_read):
+    """The reference check: jsonschema's Draft 2020-12 validator, extended to
+    fill defaults.  Returns its most relevant error (None when the config
+    conforms) and its filled copy of ``as_read``."""
+    from jsonschema import Draft202012Validator, validators
+    from jsonschema.exceptions import best_match
+
+    def fill_defaults(validator, properties, instance, schema):
+        """The ``properties`` keyword, after setting each absent key's default."""
+        if validator.is_type(instance, "object"):
+            for key, sub in properties.items():
+                if "default" in sub and key not in instance:
+                    instance[key] = copy.deepcopy(sub["default"])
+        yield from Draft202012Validator.VALIDATORS["properties"](
+            validator, properties, instance, schema)
+
+    # built directly: ``jsonschema.validate`` would re-check the metaschema
+    # on every call (the schemas themselves are checked in the tests)
+    validator = validators.extend(Draft202012Validator, {"properties": fill_defaults})
+    effective = copy.deepcopy(as_read)
+    return best_match(validator(schema).iter_errors(effective)), effective
 
 
 def _reject_constant(name: str):
@@ -268,11 +330,15 @@ def load_config(path: str, experiment: str) -> tuple:
     found = as_read.get("experiment") if isinstance(as_read, dict) else None
     if found not in (None, experiment):
         raise ConfigInvalid(f"config is for {found!r}, not {experiment!r}")
+    schema = CONFIG_SCHEMAS[experiment]
     effective = copy.deepcopy(as_read)
-    error = best_match(_Validator(CONFIG_SCHEMAS[experiment]).iter_errors(effective))
-    if error is not None:
-        where = "/".join(str(p) for p in error.absolute_path) or "top level"
-        raise ConfigInvalid(f"config rejected by schema at {where}: {error.message}")
+    if not _conforms(schema, effective):
+        # jsonschema explains the rejection, and stays the reference: a
+        # config that it accepts runs
+        error, effective = _jsonschema_check(schema, as_read)
+        if error is not None:
+            where = "/".join(str(p) for p in error.absolute_path) or "top level"
+            raise ConfigInvalid(f"config rejected by schema at {where}: {error.message}")
     return as_read, effective
 
 
@@ -302,6 +368,9 @@ def _parallel(fn, count: int, workers: int):
     """Evaluate fn(i) for i in range(count), results ordered by index."""
     if workers <= 1 or count <= 1:
         return [fn(i) for i in range(count)]
+    # imported here: concurrent.futures loads logging
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(count)))
 
@@ -639,6 +708,8 @@ def run_medium_demo(cfg: dict, seed: int, workers: int) -> dict:
         raise ConfigInvalid("scatterer/incident/origin: point-source origin must "
                             "lie outside the scatterer")
     tol = float(cfg["tolerance"])
+    # the contrasts share one domain, and with it the points v_sup reads
+    v_sup_sample = _v_sup_sample(dom)
 
     def scatterer_for(v0):
         def contrast(pts):
@@ -646,7 +717,7 @@ def run_medium_demo(cfg: dict, seed: int, workers: int) -> dict:
             vals = np.where(r2 < radius ** 2,
                             v0 * (1.0 - r2 / radius ** 2) ** 2, 0.0)
             return vals.astype(complex)
-        return MediumScatterer(dom, med, contrast)
+        return MediumScatterer(dom, med, contrast, v_sup_sample)
 
     # one FFT operator (with its far-field phases) and one sample of the
     # incident wave for every solve of the run; threads share them

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from typing import Optional, Protocol
@@ -677,6 +676,8 @@ def _cap_halfwidth(chart: KCurvatureChart) -> float:
             hi = mid
     # gamma(t) - b for t > 0 in exact arithmetic: with K = kn/kd,
     # cubic = cn/cd, b = bn/bd and t = p/q, over the denominator kd cd bd q^3
+    from fractions import Fraction  # here, to keep it out of the package import
+
     (kn, kd), (cn, cd), (bn, bd) = (v.as_integer_ratio()
                                     for v in (chart.K, chart.cubic, b))
 

@@ -22,7 +22,10 @@ with constants derived from the tensor's leading term:
     n = 3:  c_p = 1 / (4 pi (lam + 2 mu)),   c_s = 1 / (4 pi mu).
 
 ``scipy.special`` is imported inside the functions that call it, so that
-only a 2-D kernel or an incomplete gamma loads it.
+only a 2-D kernel loads it.  The lower incomplete gamma function needs only
+``math``: its power series below ``t = c + 1``, and the complete gamma minus
+the upper function's continued fraction above (W. Gautschi, "A computational
+procedure for incomplete gamma functions", ACM TOMS 5, 1979).
 """
 from __future__ import annotations
 
@@ -47,15 +50,37 @@ EULER_GAMMA = float(np.euler_gamma)
 
 def lower_incomplete_gamma(t: float, c: float) -> complex:
     """Lower incomplete gamma ``gamma(c, t) = int_0^t e^{-x} x^{c-1} dx``
-    for real ``c > 0``, through the regularized library function."""
-    from scipy.special import gamma, gammainc
-
+    for real ``c > 0``, to a few units of round-off."""
     if t < 0.0 or not np.isfinite(t):
         raise NonpositiveArgument(f"t must be finite and >= 0, got {t}")
     c = complex(c)
     if c.imag != 0.0 or c.real <= 0.0:
         raise InvalidParameter(f"need real c > 0, got c = {c}")
-    return complex(gamma(c.real) * gammainc(c.real, t))
+    c, eps = c.real, np.finfo(float).eps
+    try:
+        if t < c + 1.0:
+            # t^c e^{-t} sum_n t^n / (c (c+1) ... (c+n)), of positive terms
+            term = total = 1.0 / c
+            n = c
+            while term > eps * total:
+                n += 1.0
+                term *= t / n
+                total += term
+            return complex(t ** c * math.exp(-t) * total)
+        # Gamma(c) - t^c e^{-t} / (t + 1 - c - 1 (1 - c) / (t + 3 - c - ...)),
+        # the continued fraction evaluated forward by the modified Lentz method
+        tiny, b = 1e-300, t + 1.0 - c
+        C, D, i = 1.0 / tiny, 1.0 / b, 0
+        frac = D
+        while abs(C * D - 1.0) > eps:
+            i += 1
+            a, b = -i * (i - c), b + 2.0
+            D = 1.0 / ((a * D + b) or tiny)
+            C = (b + a / C) or tiny
+            frac *= C * D
+        return complex(math.gamma(c) - math.exp(c * math.log(t) - t) * frac)
+    except OverflowError:  # for c beyond about 171, where Gamma(c) leaves the floats
+        return complex(math.inf)
 
 
 def helmholtz_fundamental(x: np.ndarray, y: np.ndarray, kappa: float, dim: int) -> complex:

@@ -17,7 +17,7 @@ offset lattices) are rejected with ``MeshMismatch``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, partial
 from threading import Lock
 from typing import Callable, Optional, Union
@@ -89,6 +89,9 @@ class MediumScatterer:
     domain: DomainGeometry
     medium: LameMedium
     contrast: Callable
+    # the points of the v_sup draw inside the domain, when the caller has
+    # them (``_v_sup_sample``); drawn and masked on every call when absent
+    v_sup_sample: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def contrast_on(self, pts: np.ndarray) -> np.ndarray:
         vals = np.asarray(self.contrast(pts), dtype=complex)
@@ -99,11 +102,10 @@ class MediumScatterer:
 
     def v_sup(self) -> float:
         """Sampled sup of |V| over the domain (dense random + mesh-free)."""
-        pts = _v_sup_points(*map(tuple, _bounding_box(self.domain)), self.domain.dim)
-        mask = inside(self.domain, pts)
-        if not np.any(mask):
+        pts = _v_sup_sample(self.domain) if self.v_sup_sample is None else self.v_sup_sample
+        if not len(pts):
             return 0.0
-        return float(np.max(np.abs(self.contrast_on(pts[mask]))))
+        return float(np.max(np.abs(self.contrast_on(pts))))
 
 
 @dataclass(frozen=True)
@@ -213,6 +215,15 @@ def _v_sup_points(lo: tuple, hi: tuple, dim: int) -> np.ndarray:
     """The seeded uniform draw in the box ``[lo, hi]`` that
     ``MediumScatterer.v_sup`` reads, made once per box and read-only."""
     pts = np.random.default_rng(_V_SUP_SEED).uniform(lo, hi, size=(_V_SUP_SAMPLES, dim))
+    pts.flags.writeable = False
+    return pts
+
+
+def _v_sup_sample(domain: DomainGeometry) -> np.ndarray:
+    """The points of the seeded draw in the bounding box of ``domain`` that
+    lie inside it, read-only: the sample ``MediumScatterer.v_sup`` reads."""
+    pts = _v_sup_points(*map(tuple, _bounding_box(domain)), domain.dim)
+    pts = pts[inside(domain, pts)]
     pts.flags.writeable = False
     return pts
 

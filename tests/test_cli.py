@@ -848,6 +848,32 @@ def test_medium_demo_radiates_the_direct_solves_only(tmp_path, monkeypatch):
     assert len(calls) == len(MIXED_REGIME_V0)
 
 
+def test_medium_demo_masks_the_v_sup_draw_once(tmp_path, monkeypatch):
+    from elastoscat import scattering
+
+    masked = []
+    sample = scattering._v_sup_sample
+
+    def counted(domain):
+        masked.append(1)
+        return sample(domain)
+
+    # the runner's own mask is the only one; a scatterer masking for itself
+    # would call the module's
+    monkeypatch.setattr(cli, "_v_sup_sample", counted)
+    monkeypatch.setattr(scattering, "_v_sup_sample", None)
+    cfg = _medium_cfg()
+    cfg["scatterer"]["v0_values"] = MIXED_REGIME_V0
+    prefix = tmp_path / "out" / "md"
+    assert cli.main(["medium-demo", "--config", write_cfg(tmp_path, "m.json", cfg),
+                     "--workers", "1", "--out", str(prefix)]) == 0
+    assert masked == [1]
+    # pinned before the mask was shared
+    _, rows = read_table(Path(f"{prefix}_medium.csv"))
+    assert [r["v_sup"] for r in rows] == ["0.1997264747751423", "0.79890589910056919",
+                                          "0.049931618693785575"]
+
+
 def test_medium_demo_csv_does_not_depend_on_workers(tmp_path):
     # the threads of --workers 2 share one operator
     cfg = _medium_cfg()
@@ -1036,6 +1062,16 @@ def test_cli_import_leaves_numpy_polynomial_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_jsonschema_fractions_and_futures_unloaded():
+    # jsonschema explains rejected configs, fractions serves one cap routine
+    # and concurrent.futures (which loads logging) runs --workers 2 and more
+    modules = ("jsonschema", "fractions", "concurrent.futures", "logging")
+    code = f"import sys, elastoscat.cli; print([m in sys.modules for m in {modules!r}])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str([False] * len(modules))
+
+
 # ---------------------------------------------------------------------------
 # reachability: each public function serves an experiment or a criterion
 # ---------------------------------------------------------------------------
@@ -1067,34 +1103,139 @@ REACH_CONFIGS = {
 
 # The SciPy subpackages each experiment loads in a fresh interpreter; the
 # experiments not named here load no SciPy module at all.
-SCIPY_LOADED = {"kpoint-decay": {"scipy.special"},
-                "medium-demo": {"scipy.special", "scipy.sparse.linalg"}}
+SCIPY_LOADED = {"medium-demo": {"scipy.special", "scipy.sparse.linalg"}}
 SCIPY_WATCHED = ("scipy.special", "scipy.sparse.linalg", "scipy.optimize")
 
 
-def _cold_run(tmp_path, name, cfg, workers="1"):
+def _cold_run(tmp_path, name, cfg, workers="1", returncode=0):
     """Run one experiment in a fresh interpreter; return the SciPy modules it
-    loaded and its output prefix."""
+    loaded, whether it loaded jsonschema, its output prefix and its stderr."""
     prefix = tmp_path / f"w{workers}" / name
     code = ("import sys; from elastoscat import cli; "
             "rc = cli.main(sys.argv[1:]); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "print('jsonschema' in sys.modules); "
             "sys.exit(rc)")
     proc = subprocess.run(
         [sys.executable, "-c", code, name, "--config",
          write_cfg(tmp_path, f"{name}.json", cfg), "--workers", workers,
          "--out", str(prefix)], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    return set(ast.literal_eval(proc.stdout.splitlines()[-1])), prefix
+    assert proc.returncode == returncode, proc.stderr
+    scipy_line, jsonschema_line = proc.stdout.splitlines()[-2:]
+    return (set(ast.literal_eval(scipy_line)), jsonschema_line == "True", prefix,
+            proc.stderr)
 
 
 @pytest.mark.parametrize("name", list(REACH_CONFIGS))
 def test_each_experiment_loads_only_the_scipy_it_calls(tmp_path, name):
-    loaded, _ = _cold_run(tmp_path, name, REACH_CONFIGS[name]())
+    loaded, jsonschema_loaded, _, _ = _cold_run(tmp_path, name, REACH_CONFIGS[name]())
     expected = SCIPY_LOADED.get(name, set())
     assert {m for m in SCIPY_WATCHED if m in loaded} == expected
     if not expected:
         assert loaded == set()
+    # a valid config needs no jsonschema
+    assert not jsonschema_loaded
+
+
+@pytest.mark.parametrize("case", ["misspelt-key", "ellipse-without-b"])
+def test_rejected_config_loads_jsonschema_for_its_message(tmp_path, case):
+    make, path, value, where = EXIT_2_CASES[case]
+    cfg = edit(make(), path, value)
+    _, jsonschema_loaded, prefix, err = _cold_run(tmp_path, cfg["experiment"], cfg,
+                                                  returncode=2)
+    assert jsonschema_loaded
+    assert err.startswith("config error: config rejected by schema") and where in err
+    assert not prefix.parent.exists()
+
+
+def _edit_once(data, cfg) -> None:
+    """One bad edit of ``cfg`` in place: a wrong value, a misspelt key or a
+    deleted key, at a drawn path."""
+    path = data.draw(st.sampled_from(list(_value_paths(cfg))))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    how = data.draw(st.sampled_from(["value", "misspell", "delete"])) \
+        if isinstance(parent, dict) else "value"
+    if how == "misspell":
+        parent[path[-1] + data.draw(st.sampled_from(["s", "_", "x"]))] = \
+            parent.pop(path[-1])
+    elif how == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(_WRONG_VALUES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_config_checker_agrees_with_jsonschema(data):
+    name = data.draw(st.sampled_from(list(REACH_CONFIGS)))
+    cfg = REACH_CONFIGS[name]()
+    for _ in range(data.draw(st.integers(1, 2))):
+        _edit_once(data, cfg)
+    schema = cli.CONFIG_SCHEMAS[name]
+    error, reference = cli._jsonschema_check(schema, cfg)
+    filled = copy.deepcopy(cfg)
+    assert cli._conforms(schema, filled) == (error is None)
+    if error is None:
+        assert filled == reference
+
+
+@pytest.mark.parametrize("name", list(REACH_CONFIGS))
+def test_config_checker_fills_the_defaults_jsonschema_fills(name):
+    cfg = REACH_CONFIGS[name]()
+    schema = cli.CONFIG_SCHEMAS[name]
+    error, reference = cli._jsonschema_check(schema, cfg)
+    filled = copy.deepcopy(cfg)
+    assert error is None and cli._conforms(schema, filled)
+    assert filled == reference != cfg
+
+
+def _subschemas(schema):
+    yield schema
+    for key, arg in schema.items():
+        if key == "properties":
+            for sub in arg.values():
+                yield from _subschemas(sub)
+        elif key in ("items", "if", "then", "else"):
+            yield from _subschemas(arg)
+
+
+def test_config_checker_knows_every_schema_keyword():
+    # a keyword the checker lacks raises rather than passing unchecked; each
+    # one in CONFIG_SCHEMAS, alone, must be one it knows
+    for schema in cli.CONFIG_SCHEMAS.values():
+        for sub in _subschemas(schema):
+            for key, arg in sub.items():
+                for probe in (None, 0, "x", [], {}):
+                    cli._conforms({key: arg}, probe)
+                if key in ("const", "enum"):
+                    # _equal compares scalars only
+                    assert all(isinstance(v, (str, int, float))
+                               for v in (arg if key == "enum" else [arg]))
+    with pytest.raises(ValueError, match="pattern"):
+        cli._conforms({"pattern": "^a"}, "a")
+
+
+def test_config_rejected_by_the_checker_but_not_jsonschema_runs(tmp_path, monkeypatch):
+    # jsonschema has the last word: with the checker rejecting everything,
+    # valid runs write the same bytes
+    configs = {"sweep-small": tiny_sweep_cfg(), "distinguish": dist_cfg(),
+               "nonradiating-audit": nonradiating_cfg()}
+    outputs = []
+    for reject in (False, True):
+        if reject:
+            monkeypatch.setattr(cli, "_conforms", lambda schema, value: False)
+        written = {}
+        for name, cfg in configs.items():
+            prefix = tmp_path / str(reject) / name
+            assert cli.main([name, "--config", write_cfg(tmp_path, f"{name}.json", cfg),
+                             "--out", str(prefix)]) == 0
+            report = json.loads(Path(f"{prefix}_report.json").read_text())
+            written[name] = (report["config_effective"], [
+                path.read_bytes() for path in sorted(prefix.parent.glob("*.csv"))])
+        outputs.append(written)
+    assert outputs[0] == outputs[1]
 
 
 def test_medium_demo_first_imports_under_threads(tmp_path):
@@ -1105,7 +1246,7 @@ def test_medium_demo_first_imports_under_threads(tmp_path):
     cfg["scatterer"]["v0_values"] = MIXED_REGIME_V0 + [0.3]
     tables = []
     for workers in ("1", "2"):
-        _, prefix = _cold_run(tmp_path, "medium-demo", cfg, workers)
+        _, _, prefix, _ = _cold_run(tmp_path, "medium-demo", cfg, workers)
         tables.append(Path(f"{prefix}_medium.csv").read_bytes())
     assert tables[0] == tables[1]
 

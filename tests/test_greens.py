@@ -186,6 +186,27 @@ def test_gamma_rejects_complex_exponent():
     assert lower_incomplete_gamma(2.0, 2.5 + 0j) == lower_incomplete_gamma(2.0, 2.5)
 
 
+@pytest.mark.parametrize("c", [0.5, 1.0, 1.5, 2.0, 2.5, 7.3])
+def test_gamma_matches_the_library_function(c):
+    from scipy.special import gamma, gammainc
+
+    # both sides of the series / continued-fraction switch at t = c + 1
+    ts = list(np.geomspace(1e-6, 2000.0, 120)) + [
+        np.nextafter(c + 1.0, 0.0), c + 1.0, np.nextafter(c + 1.0, np.inf)]
+    for t in ts:
+        want = gamma(c) * gammainc(c, t)
+        got = lower_incomplete_gamma(t, c)
+        assert got.imag == 0.0
+        assert abs(got.real - want) <= 1e-13 * want, t
+    assert lower_incomplete_gamma(0.0, c) == 0.0
+
+
+def test_gamma_beyond_the_float_range_is_infinite():
+    # as the library's gamma * gammainc reads it
+    for t in (150.0, 300.0):
+        assert lower_incomplete_gamma(t, 200.0) == math.inf
+
+
 def test_gamma_rejects_bad_arguments():
     with pytest.raises(InvalidParameter):
         lower_incomplete_gamma(1.0, -0.5)

@@ -646,6 +646,20 @@ def test_v_sup_reads_the_shared_draw_with_the_same_bits():
         assert sc.v_sup() == want
 
 
+def test_v_sup_reads_a_given_sample_with_the_same_bits():
+    # a caller with many contrasts on one domain masks the draw once
+    for sc in (scatterer(v0=0.4), scatterer(v0=0.3, radius=0.3, center=(0.2, -0.1))):
+        sample = scattering._v_sup_sample(sc.domain)
+        with pytest.raises(ValueError, match="read-only"):
+            sample[0, 0] = 0.0
+        given = scattering.MediumScatterer(sc.domain, sc.medium, sc.contrast, sample)
+        assert given.v_sup() == sc.v_sup()
+    # a domain the draw misses reads 0
+    far = scattering.MediumScatterer(disk(0.1), MED, lambda pts: np.ones(len(pts)),
+                                     np.zeros((0, 2)))
+    assert far.v_sup() == 0.0
+
+
 def test_operator_shared_by_threads_applies_as_in_one_thread():
     # more threads than cores and a short switch interval: apply keeps no
     # state between calls, so every concurrent product equals the serial one
