@@ -62,6 +62,7 @@ from .scattering import (
     lattice_pde_residual,
     make_incident,
     solve_medium,
+    solve_medium_sweep,
 )
 from .cgo import (
     CgoProbe,
@@ -111,8 +112,8 @@ __all__ = [
     "farfield_of_disk", "farfield_norm", "make_nonradiating",
     # media
     "MediumScatterer", "IncidentWave", "MediumSolve", "ContractionReport",
-    "LatticeOperator", "make_incident", "solve_medium", "contraction_report", "upsilon",
-    "lattice_pde_residual",
+    "LatticeOperator", "make_incident", "solve_medium", "solve_medium_sweep",
+    "contraction_report", "upsilon", "lattice_pde_residual",
     # exponential probes
     "CgoProbe", "IdentityBreakdown", "make_cgo", "probe_grid", "cgo_residual",
     "paraboloid_integral_closed", "paraboloid_integral_mc", "shell_integral",

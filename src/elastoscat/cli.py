@@ -27,7 +27,8 @@ Subcommands
     (K, zeta) grid, with per-term constant calibration.
 ``medium-demo``
     Volume-integral-equation solves (GMRES, and the Neumann series where
-    the contraction regime holds), contraction diagnostics and a fitted
+    the contraction regime holds; each mode runs one Krylov sweep over
+    every contrast amplitude), contraction diagnostics and a fitted
     contraction scale over a contrast-amplitude sweep, guarded by a lattice
     PDE-residual self-check.  ``criterion.delta`` is only echoed into the
     summary; no smallness criterion is evaluated.
@@ -97,7 +98,7 @@ from .scattering import (
     contraction_report,
     lattice_pde_residual,
     make_incident,
-    solve_medium,
+    solve_medium_sweep,
 )
 from .source import (
     SourceProblem,
@@ -724,34 +725,38 @@ def run_medium_demo(cfg: dict, seed: int, workers: int) -> dict:
     ui = incident.sample(mesh)
     shared = dict(operator=LatticeOperator(mesh, med), incident_values=ui)
     sup_i = float(np.max(np.linalg.norm(ui.values, axis=1)))
+    scatterers = [scatterer_for(v0) for v0 in v0_values]
+    reports = [contraction_report(sc, s=float(blk["s"])) for sc in scatterers]
+    # every contrast is v0 times one profile: one Krylov sweep per mode
+    profile = scatterer_for(1.0)
+    direct = solve_medium_sweep(profile, v0_values, incident, mesh, "direct-dense", **shared)
+    in_regime = [i for i, rep in enumerate(reports) if not rep.out_of_regime]
+    series = dict(zip(in_regime, solve_medium_sweep(
+        profile, [v0_values[i] for i in in_regime], incident, mesh, "neumann-series",
+        **shared)))
 
     def point(i):
-        v0 = v0_values[i]
-        sc = scatterer_for(v0)
-        sol = solve_medium(sc, incident, mesh, mode="direct-dense", **shared)
+        sol, rep = direct[i], reports[i]
         sup_s = float(np.max(np.linalg.norm(sol.u_scattered.values, axis=1)))
         sup_t = float(np.max(np.linalg.norm(sol.u_total.values, axis=1)))
-        rep = contraction_report(sc, s=float(blk["s"]))
         mode_gap = float("nan")
         if rep.out_of_regime:
             # the direct solve's power iteration runs only for these rows
             terms, contraction = sol.series_terms_used, sol.contraction_estimate
         else:
-            sol_n = solve_medium(sc, incident, mesh, mode="neumann-series", **shared)
+            sol_n = series[i]
             num = np.linalg.norm(sol_n.u_total.values - sol.u_total.values)
             mode_gap = float(num / np.linalg.norm(sol.u_total.values))
             terms, contraction = sol_n.series_terms_used, sol_n.contraction_estimate
         ffn = farfield_norm(sol.farfield)
-        return ([i, abs(v0), rep.epsilon, rep.v_sup, rep.upsilon,
-                 sup_s / sup_i, sup_t / sup_i, ffn, terms, contraction,
-                 mode_gap, rep.out_of_regime], sol.u_total.values)
+        return [i, abs(v0_values[i]), rep.epsilon, rep.v_sup, rep.upsilon,
+                sup_s / sup_i, sup_t / sup_i, ffn, terms, contraction,
+                mode_gap, rep.out_of_regime]
 
-    results = _parallel(point, len(v0_values), workers)
-    rows = [row for row, _ in results]
+    rows = _parallel(point, len(v0_values), workers)
     # PDE self-check: the first direct solve must satisfy the perturbed
     # system on its own lattice
-    max_rel, _, _ = lattice_pde_residual(scatterer_for(v0_values[0]), mesh,
-                                         results[0][1])
+    max_rel, _, _ = lattice_pde_residual(scatterers[0], mesh, direct[0].u_total.values)
     if max_rel > tol:
         raise NumericalValidationFailure(
             f"lattice residual {max_rel} exceeds {tol} at h={mesh.h}")

@@ -11,9 +11,14 @@ padded grid.  That operator (``LatticeOperator``) depends only on the mesh
 and the medium, so one is built per (mesh, medium) and reused across
 solves.  GMRES solves the collocated system for any contrast, and the
 Neumann-series mode exists to exercise the contraction regime and its
-a-priori bounds.  The direct mode's power-iteration contraction estimate is
-computed only where it is read.  Meshes off a single lattice (unions on
-offset lattices) are rejected with ``MeshMismatch``.
+a-priori bounds.  A sweep over the amplitudes ``a`` of one contrast profile
+``q`` (``solve_medium_sweep``) shares one Krylov space: the systems
+``(I + a A) u_t = u_i``, ``A = omega^2 P diag(q)``, all have the space of
+``A`` from ``u_i``, so one Arnoldi process serves every amplitude's GMRES
+and one sequence of powers ``(-A)^k u_i`` every amplitude's Neumann series.
+The direct mode's power-iteration contraction estimate is computed only
+where it is read.  Meshes off a single lattice (unions on offset lattices)
+are rejected with ``MeshMismatch``.
 """
 from __future__ import annotations
 
@@ -347,6 +352,124 @@ class LatticeOperator:
         return out[at].T
 
 
+def _medium_setup(scatterer: MediumScatterer, incident: IncidentWave,
+                  mesh: QuadratureMesh, mode: str, directions,
+                  operator: Optional[LatticeOperator],
+                  incident_values: Optional[SampledVectorField]):
+    """The argument checks of :func:`solve_medium` and
+    :func:`solve_medium_sweep`, and what both solve with: the operator
+    (built when ``None``), the contrast at the nodes (N, 1), the incident
+    wave at the nodes as a flat vector, and
+    ``finish(vvals, ut_flat, terms, contraction)``, the :class:`MediumSolve`
+    of a total field for the contrast values ``vvals``."""
+    if scatterer.medium.dim != 2:
+        raise UnsupportedDimension("medium solves are 2-D only")
+    if mode not in ("direct-dense", "neumann-series"):
+        raise InvalidParameter(f"unknown mode {mode!r}")
+    if incident.kind == "point-source" and bool(
+            inside(scatterer.domain, incident.origin[None, :])[0]):
+        raise InvalidDirection("point-source origin must lie outside the scatterer")
+    med = scatterer.medium
+    if directions is None:
+        directions = _default_directions(med, scatterer.domain)
+    directions = _unit_directions(directions)
+    _check_mesh_resolution(mesh, med)
+    if incident_values is not None and incident_values.mesh_ref != mesh.mesh_id:
+        raise MeshMismatch("the incident values are tied to another mesh")
+    nodes = mesh.nodes
+    if operator is None:
+        operator = LatticeOperator(mesh, med)
+    operator.check(mesh, med)
+    contrast = scatterer.contrast_on(nodes)[:, None]
+    ui = incident(nodes) if incident_values is None else incident_values.values
+
+    def finish(vvals, ut_flat, terms, contraction):
+        ut = ut_flat.reshape(nodes.shape)
+        equivalent = -med.omega ** 2 * vvals * ut
+        problem = SourceProblem(domain=scatterer.domain, medium=med,
+                                phi=SampledVectorField(nodes=nodes, values=equivalent,
+                                                       mesh_ref=mesh.mesh_id))
+        return MediumSolve(
+            u_total=SampledVectorField(nodes=nodes, values=ut, mesh_ref=mesh.mesh_id),
+            u_scattered=SampledVectorField(nodes=nodes, values=ut - ui,
+                                           mesh_ref=mesh.mesh_id),
+            farfield=lambda: farfield_of_source(
+                problem, mesh, directions, operator.farfield_phases(directions)),
+            series_terms_used=terms, contraction_estimate=contraction)
+
+    return operator, contrast, ui.ravel(), finish
+
+
+def _contrast_ops(operator: LatticeOperator, vvals: np.ndarray):
+    """``omega^2 P V`` and its adjoint for the contrast values ``vvals``
+    (N, 1), on node-major flat vectors."""
+    n = vvals.shape[0]
+    scale = -operator.medium.omega ** 2
+
+    # omega^2 P V collocates to -omega^2 pot V
+    def op(x):
+        return (scale * operator.apply(vvals * x.reshape(n, 2))).ravel()
+
+    def op_adjoint(x):
+        # pot is complex symmetric, so pot^H x = conj(pot conj(x))
+        return (np.conj(vvals) * scale
+                * np.conj(operator.apply(np.conj(x).reshape(n, 2)))).ravel()
+
+    return op, op_adjoint
+
+
+def _gmres(op: Callable, b: np.ndarray, x: Optional[np.ndarray], cycles: int,
+           info: int = 0) -> np.ndarray:
+    """SciPy's restarted GMRES on ``(I + op) x = b`` from ``x``, at most
+    ``cycles`` restart cycles (none for 0), then the gate: ``SingularSystem``
+    unless the true relative residual is at most 1e-8."""
+    if cycles:
+        from scipy.sparse.linalg import LinearOperator, gmres
+
+        system = LinearOperator((b.size, b.size), matvec=lambda v: v + op(v),
+                                dtype=complex)
+        x, info = gmres(system, b, x0=x, rtol=_GMRES_RTOL, atol=0.0,
+                        restart=_GMRES_RESTART, maxiter=cycles)
+    resid = float(np.linalg.norm(x + op(x) - b) / max(np.linalg.norm(b), 1e-300))
+    if not np.isfinite(resid) or resid > 1e-8:
+        raise SingularSystem(f"collocation residual {resid:.2e} "
+                             f"(GMRES info {info})")
+    return x
+
+
+class _Series:
+    """A Neumann series ``u_i + sum of terms`` under its stopping rule,
+    divergence test and term cap."""
+
+    def __init__(self, b: np.ndarray):
+        self.total = b.copy()
+        self.base = self.prev = float(np.linalg.norm(b))
+        self.ratios = []
+        self.terms = 1
+
+    def add(self, term: np.ndarray) -> bool:
+        """Add the next term; ``False``, adding nothing, once it is below
+        ``_SERIES_TOL`` times ``|u_i|``."""
+        cur = float(np.linalg.norm(term))
+        if cur <= _SERIES_TOL * self.base:
+            return False                    # next term negligible: not counted
+        if self.prev > 0.0:
+            self.ratios.append(cur / self.prev)
+        if len(self.ratios) >= 2 and min(self.ratios[-2:]) >= 1.0:
+            raise SeriesDiverges(f"correction ratio {self.ratios[-1]:.3f} >= 1 "
+                                 f"at term {self.terms + 1}")
+        self.total = self.total + term
+        self.prev = cur
+        self.terms += 1
+        if self.terms > _SERIES_MAX_TERMS:
+            raise SeriesDiverges(f"no convergence within {_SERIES_MAX_TERMS} terms")
+        return True
+
+    def result(self):
+        """The sum, its term count and the largest correction ratio."""
+        return self.total, self.terms, float(max(self.ratios, default=0.0))
+
+
 def solve_medium(scatterer: MediumScatterer, incident: IncidentWave,
                  mesh: QuadratureMesh, mode: str = "direct-dense",
                  directions=None, operator: Optional[LatticeOperator] = None,
@@ -390,88 +513,110 @@ def solve_medium(scatterer: MediumScatterer, incident: IncidentWave,
     computed on the first read of ``farfield``, but ``directions`` and the
     mesh resolution it needs are checked here.
     """
-    if scatterer.medium.dim != 2:
-        raise UnsupportedDimension("medium solves are 2-D only")
-    if mode not in ("direct-dense", "neumann-series"):
-        raise InvalidParameter(f"unknown mode {mode!r}")
-    if incident.kind == "point-source" and bool(
-            inside(scatterer.domain, incident.origin[None, :])[0]):
-        raise InvalidDirection("point-source origin must lie outside the scatterer")
-    med = scatterer.medium
-    if directions is None:
-        directions = _default_directions(med, scatterer.domain)
-    directions = _unit_directions(directions)
-    _check_mesh_resolution(mesh, med)
-    if incident_values is not None and incident_values.mesh_ref != mesh.mesh_id:
-        raise MeshMismatch("the incident values are tied to another mesh")
-    nodes = mesh.nodes
-    n = nodes.shape[0]
-    if operator is None:
-        operator = LatticeOperator(mesh, med)
-    operator.check(mesh, med)
-    vvals = scatterer.contrast_on(nodes)[:, None]
-    ui = incident(nodes) if incident_values is None else incident_values.values
-    scale = -med.omega ** 2
-
-    # omega^2 P V collocates to -omega^2 pot V, on node-major flat vectors
-    def op(x):
-        return (scale * operator.apply(vvals * x.reshape(n, 2))).ravel()
-
-    def op_adjoint(x):
-        # pot is complex symmetric, so pot^H x = conj(pot conj(x))
-        return (np.conj(vvals) * scale
-                * np.conj(operator.apply(np.conj(x).reshape(n, 2)))).ravel()
-
-    b = ui.ravel()
-    terms = 1
+    operator, vvals, b, finish = _medium_setup(scatterer, incident, mesh, mode,
+                                               directions, operator, incident_values)
+    op, op_adjoint = _contrast_ops(operator, vvals)
     if mode == "direct-dense":
-        from scipy.sparse.linalg import LinearOperator, gmres
+        ut_flat = _gmres(op, b, None, _GMRES_MAX_CYCLES)
+        return finish(vvals, ut_flat, 1, partial(_norm_estimate, op, op_adjoint, b.size))
+    series = _Series(b)
+    term = b
+    while series.add(term := -op(term)):
+        pass
+    return finish(vvals, *series.result())
 
-        system = LinearOperator((2 * n, 2 * n), matvec=lambda x: x + op(x),
-                                dtype=complex)
-        ut_flat, info = gmres(system, b, rtol=_GMRES_RTOL, atol=0.0,
-                              restart=_GMRES_RESTART, maxiter=_GMRES_MAX_CYCLES)
-        resid = float(np.linalg.norm(system.matvec(ut_flat) - b)
-                      / max(np.linalg.norm(b), 1e-300))
-        if not np.isfinite(resid) or resid > 1e-8:
-            raise SingularSystem(f"collocation residual {resid:.2e} "
-                                 f"(GMRES info {info})")
-        contraction = partial(_norm_estimate, op, op_adjoint, 2 * n)
-    else:
-        ut_flat = b.copy()
-        term = b.copy()
-        base = float(np.linalg.norm(b))
-        prev = base
-        ratios = []
-        while True:
-            term = -op(term)
-            cur = float(np.linalg.norm(term))
-            if cur <= _SERIES_TOL * base:
-                break                       # next term negligible: not counted
-            if prev > 0.0:
-                ratios.append(cur / prev)
-            if len(ratios) >= 2 and ratios[-1] >= 1.0 and ratios[-2] >= 1.0:
-                raise SeriesDiverges(
-                    f"correction ratio {ratios[-1]:.3f} >= 1 at term {terms + 1}")
-            ut_flat = ut_flat + term
-            prev = cur
-            terms += 1
-            if terms > _SERIES_MAX_TERMS:
-                raise SeriesDiverges(f"no convergence within {_SERIES_MAX_TERMS} terms")
-        contraction = float(max(ratios)) if ratios else 0.0
-    ut = ut_flat.reshape(n, 2)
 
-    u_sc = ut - ui
-    equivalent = scale * vvals * ut
-    problem = SourceProblem(domain=scatterer.domain, medium=med,
-                            phi=SampledVectorField(nodes=nodes, values=equivalent,
-                                                   mesh_ref=mesh.mesh_id))
-    return MediumSolve(
-        u_total=SampledVectorField(nodes=nodes, values=ut, mesh_ref=mesh.mesh_id),
-        u_scattered=SampledVectorField(nodes=nodes, values=u_sc, mesh_ref=mesh.mesh_id),
-        farfield=lambda: farfield_of_source(
-            problem, mesh, directions, operator.farfield_phases(directions)),
-        series_terms_used=terms, contraction_estimate=contraction)
+def solve_medium_sweep(scatterer: MediumScatterer, amplitudes, incident: IncidentWave,
+                       mesh: QuadratureMesh, mode: str, directions=None,
+                       operator: Optional[LatticeOperator] = None,
+                       incident_values: Optional[SampledVectorField] = None
+                       ) -> list[MediumSolve]:
+    """:func:`solve_medium` for the contrasts ``a * scatterer.contrast``, one
+    :class:`MediumSolve` per amplitude ``a`` of ``amplitudes``, in order.
+
+    The arguments and their checks are those of :func:`solve_medium`.  With
+    ``A = omega^2 P diag(q)`` for the scatterer's contrast ``q``, every
+    system ``(I + a A) u_t = u_i`` has the Krylov space of ``A`` from
+    ``u_i``, so the sweep runs one Krylov process for all amplitudes
+    (shifted GMRES, Frommer and Glaessner 1998).  ``direct-dense`` runs one
+    Arnoldi cycle (:func:`_shifted_gmres`); an amplitude whose residual is
+    still above ``_GMRES_RTOL |u_i|`` after ``_GMRES_RESTART`` steps
+    continues with SciPy's restarted GMRES from its iterate, within the
+    same cycle budget, and each amplitude keeps the 1e-8 gate on its true
+    residual and its own lazy power-iteration estimate.  ``neumann-series``
+    forms the powers ``(-A)^k u_i`` once, one at a time, and each amplitude
+    adds ``a^k`` times each power under :func:`solve_medium`'s stopping
+    rule, divergence test and term cap.  The sweep raises ``SingularSystem``
+    or ``SeriesDiverges`` where :func:`solve_medium` raises it for any
+    amplitude.
+    """
+    operator, q, b, finish = _medium_setup(scatterer, incident, mesh, mode,
+                                           directions, operator, incident_values)
+    op = _contrast_ops(operator, q)[0]
+    if mode == "neumann-series":
+        series = [_Series(b) for _ in amplitudes]
+        power, k, live = b, 0, list(range(len(amplitudes)))
+        while live:
+            power, k = -op(power), k + 1
+            live = [i for i in live if series[i].add(amplitudes[i] ** k * power)]
+        return [finish(a * q, *sum_.result()) for a, sum_ in zip(amplitudes, series)]
+    solves = []
+    for a, (ut_flat, info) in zip(amplitudes, _shifted_gmres(op, b, amplitudes)):
+        op_a, op_a_adjoint = _contrast_ops(operator, a * q)
+        # an amplitude that one cycle left unsolved restarts from its iterate
+        ut_flat = _gmres(op_a, b, ut_flat, info and _GMRES_MAX_CYCLES - 1, info)
+        solves.append(finish(a * q, ut_flat, 1,
+                             partial(_norm_estimate, op_a, op_a_adjoint, b.size)))
+    return solves
+
+
+def _shifted_gmres(op: Callable, b: np.ndarray, amps: list):
+    """One GMRES cycle for every system ``(I + a op) x = b``, ``a`` in ``amps``.
+
+    One Arnoldi process (modified Gram-Schmidt) builds the basis ``V`` and
+    the Hessenberg matrix ``H`` of ``op`` from ``b``, with
+    ``op V_j = V_{j+1} H_j``.  Each amplitude minimizes
+    ``| |b| e_1 - (I_j + a H_j) y |`` by its own Givens rotations, updated
+    one column per step as GMRES does, and stops at the first step whose
+    residual is at most ``_GMRES_RTOL |b|``.  Returns ``(V y, info)`` per
+    amplitude after at most ``_GMRES_RESTART`` steps, ``info`` 0 if it
+    stopped there and 1 if not.
+    """
+    amps = np.asarray(amps, dtype=complex)
+    beta = float(np.linalg.norm(b))
+    basis = np.empty((_GMRES_RESTART + 1, b.size), dtype=complex)
+    basis[0] = b / beta
+    rot_f, rot_e = (np.empty((amps.size, _GMRES_RESTART), dtype=complex) for _ in "fe")
+    tri = np.zeros((amps.size, _GMRES_RESTART, _GMRES_RESTART), dtype=complex)
+    g = np.zeros((amps.size, _GMRES_RESTART + 1), dtype=complex)
+    g[:, 0] = beta
+    stop = np.zeros(amps.size, dtype=int)      # the step each amplitude stopped at
+    j = 0
+    while j < _GMRES_RESTART and not stop.all():
+        w = op(basis[j])
+        h = np.zeros(j + 2, dtype=complex)
+        for k in range(j + 1):
+            h[k] = np.vdot(basis[k], w)
+            w -= h[k] * basis[k]
+        h[j + 1] = np.linalg.norm(w)
+        basis[j + 1] = w / h[j + 1]
+        col = amps[:, None] * h
+        col[:, j] += 1.0
+        for k in range(j):
+            f, e = col[:, k], col[:, k + 1]
+            col[:, k], col[:, k + 1] = (rot_f[:, k] * f + rot_e[:, k] * e,
+                                        np.conj(rot_f[:, k]) * e - np.conj(rot_e[:, k]) * f)
+        # the unitary [[f*, e*], [-e, f]] / |(f, e)| zeroes the subdiagonal e
+        f, e = col[:, j], col[:, j + 1]
+        d = np.hypot(np.abs(f), np.abs(e))
+        rot_f[:, j], rot_e[:, j] = np.conj(f) / d, np.conj(e) / d
+        col[:, j] = d
+        tri[:, :j + 1, j] = col[:, :j + 1]
+        g[:, j], g[:, j + 1] = rot_f[:, j] * g[:, j], -e / d * g[:, j]
+        j += 1
+        stop[(stop == 0) & (np.abs(g[:, j]) <= _GMRES_RTOL * beta)] = j
+    return [(np.einsum("k,kn->n", np.linalg.solve(tri[i, :m, :m], g[i, :m]), basis[:m]),
+             int(stop[i] == 0)) for i, m in enumerate(np.where(stop > 0, stop, j))]
 
 
 def _norm_estimate(op: Callable, op_adjoint: Callable, size: int,

@@ -738,20 +738,24 @@ def test_medium_demo_table(tmp_path):
 
 
 def test_medium_demo_solves_each_contrast_once_per_mode(tmp_path, monkeypatch):
-    modes = []
-    solve_medium = cli.solve_medium
+    sweeps = []
+    sweep = cli.solve_medium_sweep
 
-    def counted(*args, **kwargs):
-        modes.append(kwargs["mode"])
-        return solve_medium(*args, **kwargs)
+    def counted(scatterer, amplitudes, incident, mesh, mode, **kwargs):
+        sweeps.append((mode, list(amplitudes)))
+        return sweep(scatterer, amplitudes, incident, mesh, mode, **kwargs)
 
-    monkeypatch.setattr(cli, "solve_medium", counted)
-    cfg_path = write_cfg(tmp_path, "med.json", _medium_cfg())
+    monkeypatch.setattr(cli, "solve_medium_sweep", counted)
+    cfg = _medium_cfg()
+    cfg["scatterer"]["v0_values"] = MIXED_REGIME_V0
+    cfg_path = write_cfg(tmp_path, "med.json", cfg)
     prefix = tmp_path / "out" / "md"
     assert cli.main(["medium-demo", "--config", cfg_path,
                      "--out", str(prefix)]) == 0
-    # the PDE self-check reads the first point's own direct solve
-    assert modes == ["direct-dense", "neumann-series"]
+    # one direct sweep over every contrast, one Neumann sweep over the
+    # in-regime ones; the PDE self-check reads the first direct solve
+    assert sweeps == [("direct-dense", [0.2, 0.8, 0.05]),
+                      ("neumann-series", [0.2, 0.05])]
     report = json.loads(Path(f"{prefix}_report.json").read_text())
     assert report["summary"]["lattice_residual_max"] < 0.01
 
@@ -1103,7 +1107,7 @@ REACH_CONFIGS = {
 
 # The SciPy subpackages each experiment loads in a fresh interpreter; the
 # experiments not named here load no SciPy module at all.
-SCIPY_LOADED = {"medium-demo": {"scipy.special", "scipy.sparse.linalg"}}
+SCIPY_LOADED = {"medium-demo": {"scipy.special"}}
 SCIPY_WATCHED = ("scipy.special", "scipy.sparse.linalg", "scipy.optimize")
 
 

@@ -9,6 +9,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elastoscat import (
     MediumScatterer,
@@ -27,6 +29,7 @@ from elastoscat import (
     make_incident,
     make_medium,
     solve_medium,
+    solve_medium_sweep,
     union,
     upsilon,
     volume_mesh,
@@ -797,6 +800,143 @@ def test_gmres_residual_gate_raises_singular_system(monkeypatch):
     inc = make_incident("pressure-plane", {"direction": (1.0, 0.0)}, MED)
     with pytest.raises(SingularSystem, match="collocation residual"):
         solve_medium(sc, inc, mesh)
+
+
+# ---------------------------------------------------------------------------
+# contrast sweeps: one Krylov process for every amplitude of one profile
+# ---------------------------------------------------------------------------
+
+SWEEP_INCIDENTS = {
+    "pressure": ("pressure-plane", {"direction": (1.0, 0.0)}),
+    "shear": ("shear-plane", {"direction": (0.6, 0.8)}),
+    "point": ("point-source", {"origin": (0.5, 0.2)}),
+}
+
+
+def _sweep_case(radius=0.3):
+    profile = scatterer(v0=1.0, radius=radius)
+    return profile, volume_mesh(profile.domain, h=0.05)
+
+
+def _scaled(profile, a):
+    return MediumScatterer(domain=profile.domain, medium=MED,
+                           contrast=lambda pts: a * profile.contrast(pts))
+
+
+def _solve_each(profile, amplitudes, inc, mesh, mode):
+    """Each amplitude's own solve, or the first error one of them raises."""
+    try:
+        return [solve_medium(_scaled(profile, a), inc, mesh, mode=mode)
+                for a in amplitudes]
+    except (SingularSystem, SeriesDiverges) as exc:
+        return type(exc)
+
+
+# 0, in-regime, out-of-regime and (for the series) diverging amplitudes:
+# on disk(0.3) the regime ends at |a| = 0.83 and the series at about 12
+AMPLITUDE = st.one_of(st.sampled_from([0.0, 0.2, 0.8, 3.0, 40.0]),
+                      st.floats(-12.0, 12.0),
+                      st.builds(complex, st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)))
+
+
+@given(amplitudes=st.lists(AMPLITUDE, min_size=1, max_size=12),
+       kind=st.sampled_from(sorted(SWEEP_INCIDENTS)),
+       mode=st.sampled_from(["direct-dense", "neumann-series"]))
+@settings(max_examples=40, deadline=None)
+def test_sweep_matches_one_solve_per_amplitude(amplitudes, kind, mode):
+    profile, mesh = _sweep_case()
+    inc = make_incident(*SWEEP_INCIDENTS[kind], MED)
+    want = _solve_each(profile, amplitudes, inc, mesh, mode)
+    if isinstance(want, type):
+        with pytest.raises(want):
+            solve_medium_sweep(profile, amplitudes, inc, mesh, mode)
+        return
+    got = solve_medium_sweep(profile, amplitudes, inc, mesh, mode)
+    assert len(got) == len(want)
+    for sweep, one in zip(got, want):
+        diff = np.linalg.norm(sweep.u_total.values - one.u_total.values)
+        assert diff <= 1e-10 * np.linalg.norm(one.u_total.values)
+        assert sweep.series_terms_used == one.series_terms_used
+
+
+def test_sweep_restarts_an_amplitude_that_one_cycle_leaves_unsolved(monkeypatch):
+    # two Arnoldi steps solve only a = 0; the others continue in SciPy's
+    # restarted GMRES from their iterates
+    monkeypatch.setattr(scattering, "_GMRES_RESTART", 2)
+    cycles = []
+    gmres = scattering._gmres
+
+    def counted(op, b, x, restart_cycles, info=0):
+        cycles.append(restart_cycles)
+        return gmres(op, b, x, restart_cycles, info)
+
+    monkeypatch.setattr(scattering, "_gmres", counted)
+    profile, mesh = _sweep_case()
+    inc = make_incident("pressure-plane", {"direction": (1.0, 0.0)}, MED)
+    amplitudes = [0.0, 0.5, 2.0j, -1.5 + 0.5j]
+    got = solve_medium_sweep(profile, amplitudes, inc, mesh, "direct-dense")
+    assert cycles == [0] + [scattering._GMRES_MAX_CYCLES - 1] * 3
+    for a, sweep in zip(amplitudes, got):
+        want = _solve_medium_dense(_scaled(profile, a), inc, mesh)
+        diff = np.linalg.norm(sweep.u_total.values - want.u_total.values)
+        assert diff <= 1e-10 * np.linalg.norm(want.u_total.values)
+
+
+@pytest.mark.parametrize("mode, amplitudes, cycles, error", [
+    ("direct-dense", [0.0, 2.0], 1, SingularSystem),
+    ("direct-dense", [0.0], 1, None),
+    ("neumann-series", [0.2, 40.0, 0.0], None, SeriesDiverges),
+    ("neumann-series", [0.2, 3.0, 0.0], None, None),
+])
+def test_sweep_raises_where_a_single_solve_raises(monkeypatch, mode, amplitudes,
+                                                  cycles, error):
+    if cycles is not None:
+        # one cycle of two steps leaves a = 2 far above the 1e-8 gate
+        monkeypatch.setattr(scattering, "_GMRES_RESTART", 2)
+        monkeypatch.setattr(scattering, "_GMRES_MAX_CYCLES", cycles)
+    profile, mesh = _sweep_case()
+    inc = make_incident("pressure-plane", {"direction": (1.0, 0.0)}, MED)
+    want = _solve_each(profile, amplitudes, inc, mesh, mode)
+    if error is None:
+        assert len(solve_medium_sweep(profile, amplitudes, inc, mesh, mode)) == len(want)
+    else:
+        assert want is error
+        with pytest.raises(error):
+            solve_medium_sweep(profile, amplitudes, inc, mesh, mode)
+
+
+def test_sweep_applies_the_operator_for_its_largest_amplitude_only(monkeypatch):
+    # the medium-sweep benchmark's disk and point source, 12 contrasts
+    profile, mesh = _sweep_case(radius=0.45)
+    inc = make_incident("point-source", {"origin": (1.0, 0.0)}, MED)
+    operator = scattering.LatticeOperator(mesh, MED)
+    amplitudes = [0.02 * k for k in range(1, 13)]
+    applies = []
+    apply = scattering.LatticeOperator.apply
+
+    def counted(self, x):
+        applies.append(1)
+        return apply(self, x)
+
+    monkeypatch.setattr(scattering.LatticeOperator, "apply", counted)
+
+    def count(solve, *args):
+        applies.clear()
+        result = solve(*args, operator=operator)
+        return len(applies), result
+
+    direct, _ = count(solve_medium_sweep, profile, amplitudes, inc, mesh, "direct-dense")
+    series, sols = count(solve_medium_sweep, profile, amplitudes, inc, mesh,
+                         "neumann-series")
+    # one solve of the largest contrast: its Krylov steps, SciPy's closing
+    # residual and the gate; then each power of the series once
+    single, _ = count(solve_medium, _scaled(profile, amplitudes[-1]), inc, mesh,
+                      "direct-dense")
+    assert direct <= single - 2 + len(amplitudes)
+    assert series == max(sol.series_terms_used for sol in sols)
+    separate = sum(count(solve_medium, _scaled(profile, a), inc, mesh, mode)[0]
+                   for a in amplitudes for mode in ("direct-dense", "neumann-series"))
+    assert 4 * (direct + series) < separate
 
 
 def test_non_lattice_meshes_are_rejected():
