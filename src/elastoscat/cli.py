@@ -2,7 +2,9 @@
 
 Usage::
 
-    elastoscat <subcommand> --config cfg.json [--out PREFIX] [--seed N] [--workers K]
+    elastoscat <subcommand> --config cfg.json [--out PREFIX] [--seed N]
+
+``--workers K`` is accepted and ignored: every run is one thread.
 
 Subcommands
 -----------
@@ -50,7 +52,7 @@ column order documented per runner) plus ``<prefix>_report.json`` echoing the
 config as read and with its defaults filled in, seed, artifact version,
 summary statistics, and wall clock.  Replaying a config with the same seed
 reproduces the CSV bytes exactly; per-point seeds derive from the master
-seed and the point index, so worker count does not affect results.
+seed and the point index.
 
 Exit codes: 0 success, 2 invalid config (a schema violation, or a medium
 with 2 lam + 2 mu <= 0), 3 numerical-validation failure
@@ -365,17 +367,6 @@ def _point_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence([master, index]).generate_state(1)[0])
 
 
-def _parallel(fn, count: int, workers: int):
-    """Evaluate fn(i) for i in range(count), results ordered by index."""
-    if workers <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    # imported here: concurrent.futures loads logging
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def _medium_from(cfg: dict):
     m = cfg["medium"]
     try:
@@ -420,7 +411,7 @@ def _pattern_gap(a, b) -> float:
 # runners
 # ---------------------------------------------------------------------------
 
-def run_sweep_small(cfg: dict, seed: int, workers: int) -> dict:
+def run_sweep_small(cfg: dict, seed: int) -> dict:
     """Columns: index, epsilon, radius, amp_x, amp_y, farfield_norm,
     criterion_lhs, criterion_rhs, ratio, regime."""
     med = _medium_from(cfg)
@@ -448,7 +439,7 @@ def run_sweep_small(cfg: dict, seed: int, workers: int) -> dict:
         return [i, eps, radius, amp[0], amp[1], ffn, rep.lhs,
                 rep.rhs_structural, rep.ratio, rep.regime], pattern
 
-    results = _parallel(point, len(eps_list), workers)
+    results = [point(i) for i in range(len(eps_list))]
     rows = [row for row, _ in results]
     # quadrature self-check on the first radiating point: the configured
     # Gauss mesh against the closed form
@@ -473,7 +464,7 @@ def _domain_from_spec(spec: dict):
     return ellipse(float(spec["a"]), float(spec["b"]), center)
 
 
-def run_nonradiating_audit(cfg: dict, seed: int, workers: int) -> dict:
+def run_nonradiating_audit(cfg: dict, seed: int) -> dict:
     """Columns: index, kind, diameter, epsilon, phi_l2, farfield_norm,
     nullity, criterion_lhs, criterion_rhs, ratio, diameter_bound."""
     med = _medium_from(cfg)
@@ -509,7 +500,7 @@ def run_nonradiating_audit(cfg: dict, seed: int, workers: int) -> dict:
         return [i, family[i]["kind"], d, eps, phi_l2, ffn,
                 ffn / phi_l2, rep.lhs, rep.rhs_structural, rep.ratio]
 
-    rows = _parallel(point, len(family), workers)
+    rows = [point(i) for i in range(len(family))]
     # nullity self-check: the first configuration must stay null when refined
     _, _, mesh_f, phi_f, ffn_f = null_source(0, refined=True)
     nullity, nullity_f = rows[0][6], ffn_f / field_norms(phi_f, mesh_f)[0]
@@ -533,7 +524,7 @@ def run_nonradiating_audit(cfg: dict, seed: int, workers: int) -> dict:
                         "diameter_violations": diam_violations}}
 
 
-def run_cgo_verify(cfg: dict, seed: int, workers: int) -> dict:
+def run_cgo_verify(cfg: dict, seed: int) -> dict:
     """Tables: probes (tau_ratio, angle, tau, xi_xi_err, xi_eta_err,
     residual) and paraboloid (dim, K, tau, closed_re, closed_im, mc_re,
     mc_im, stderr, z)."""
@@ -588,7 +579,7 @@ def run_cgo_verify(cfg: dict, seed: int, workers: int) -> dict:
         return [dim, K, tau, closed.real, closed.imag, est.real, est.imag,
                 se, z]
 
-    para_rows = _parallel(para_point, len(grid), workers)
+    para_rows = [para_point(i) for i in range(len(grid))]
     worst_z = max((r[8] for r in para_rows), default=0.0)
     return {"tables": {
                 "probes": (["tau_ratio", "angle", "tau", "xi_xi_err",
@@ -618,7 +609,7 @@ def _identity_point(med, caps: dict, K: float, zeta: float, refine: float = 1.0)
     return tau, dom, bd
 
 
-def run_identity_check(cfg: dict, seed: int, workers: int) -> dict:
+def run_identity_check(cfg: dict, seed: int) -> dict:
     """Columns: K, zeta, tau, lhs_abs, i1_abs, i2_abs, i3_abs, i4_abs,
     residual_abs, residual_rel, nodes_used."""
     med = _medium_from(cfg)
@@ -639,7 +630,7 @@ def run_identity_check(cfg: dict, seed: int, workers: int) -> dict:
                 abs(bd.i3), abs(bd.i4), bd.residual_abs, bd.residual_rel,
                 bd.nodes_used]
 
-    rows = _parallel(point, len(k_values), workers)
+    rows = [point(i) for i in range(len(k_values))]
     # refinement self-check: row 0's cap audited at twice every quadrature
     # density; an under-resolved configured rule misses it by far more
     configured = rows[0][9]
@@ -656,7 +647,7 @@ def run_identity_check(cfg: dict, seed: int, workers: int) -> dict:
                         "row0_refined_residual_rel": refined}}
 
 
-def run_kpoint_decay(cfg: dict, seed: int, workers: int) -> dict:
+def run_kpoint_decay(cfg: dict, seed: int) -> dict:
     """Columns: K, zeta, tau, i2_abs, i2_bound, i3_abs, i3_bound, i4_abs,
     i4_bound, lhs_abs."""
     med = _medium_from(cfg)
@@ -677,7 +668,7 @@ def run_kpoint_decay(cfg: dict, seed: int, workers: int) -> dict:
         return [K, zeta, tau, abs(bd.i2), i2_bound, abs(bd.i3), i3_bound,
                 abs(bd.i4), i4_bound, abs(bd.lhs)]
 
-    rows = _parallel(point, len(grid), workers)
+    rows = [point(i) for i in range(len(grid))]
     summary = {}
     for label, (col_meas, col_bound) in {"i2": (3, 4), "i3": (5, 6),
                                          "i4": (7, 8)}.items():
@@ -689,7 +680,7 @@ def run_kpoint_decay(cfg: dict, seed: int, workers: int) -> dict:
     return {"tables": {"decay": (header, rows)}, "summary": summary}
 
 
-def run_medium_demo(cfg: dict, seed: int, workers: int) -> dict:
+def run_medium_demo(cfg: dict, seed: int) -> dict:
     """Columns: index, v0, epsilon, v_sup, upsilon, ratio_scattered,
     ratio_total, farfield_norm, series_terms, contraction, mode_gap,
     out_of_regime."""
@@ -721,7 +712,7 @@ def run_medium_demo(cfg: dict, seed: int, workers: int) -> dict:
         return MediumScatterer(dom, med, contrast, v_sup_sample)
 
     # one FFT operator (with its far-field phases) and one sample of the
-    # incident wave for every solve of the run; threads share them
+    # incident wave for every solve of the run
     ui = incident.sample(mesh)
     shared = dict(operator=LatticeOperator(mesh, med), incident_values=ui)
     sup_i = float(np.max(np.linalg.norm(ui.values, axis=1)))
@@ -753,7 +744,7 @@ def run_medium_demo(cfg: dict, seed: int, workers: int) -> dict:
                 sup_s / sup_i, sup_t / sup_i, ffn, terms, contraction,
                 mode_gap, rep.out_of_regime]
 
-    rows = _parallel(point, len(v0_values), workers)
+    rows = [point(i) for i in range(len(v0_values))]
     # PDE self-check: the first direct solve must satisfy the perturbed
     # system on its own lattice
     max_rel, _, _ = lattice_pde_residual(scatterers[0], mesh, direct[0].u_total.values)
@@ -776,7 +767,7 @@ def run_medium_demo(cfg: dict, seed: int, workers: int) -> dict:
     return {"tables": {"medium": (header, rows)}, "summary": summary}
 
 
-def run_distinguish(cfg: dict, seed: int, workers: int) -> dict:
+def run_distinguish(cfg: dict, seed: int) -> dict:
     """Columns: separation, radius, diff_norm, noise, margin."""
     med = _medium_from(cfg)
     blk = cfg["pair"]
@@ -814,9 +805,9 @@ RUNNERS = {
 
 
 def _execute(experiment: str, as_read: dict, cfg: dict, out_prefix: Path,
-             seed: int, workers: int) -> Path:
+             seed: int) -> Path:
     started = time.monotonic()
-    result = RUNNERS[experiment](cfg, seed, workers)
+    result = RUNNERS[experiment](cfg, seed)
     written = []
     try:
         out_prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -862,7 +853,7 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--workers", type=int, default=1,
-                       help="concurrent sweep points (default 1)")
+                       help="ignored: accepted so that older command lines still run")
         p.add_argument("--out", default=None,
                        help="output prefix (default from config or ./out/<name>)")
         p.add_argument("--seed", type=int, default=None,
@@ -878,8 +869,7 @@ def main(argv=None) -> int:
         seed = args.seed if args.seed is not None else int(cfg["seed"])
         if seed < 0:
             raise ConfigInvalid(f"--seed must be a nonnegative integer, got {seed}")
-        report = _execute(args.experiment, as_read, cfg, Path(args.out or cfg["output"]),
-                          seed, max(1, args.workers))
+        report = _execute(args.experiment, as_read, cfg, Path(args.out or cfg["output"]), seed)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -11,20 +11,22 @@ padded grid.  That operator (``LatticeOperator``) depends only on the mesh
 and the medium, so one is built per (mesh, medium) and reused across
 solves.  GMRES solves the collocated system for any contrast, and the
 Neumann-series mode exists to exercise the contraction regime and its
-a-priori bounds.  A sweep over the amplitudes ``a`` of one contrast profile
-``q`` (``solve_medium_sweep``) shares one Krylov space: the systems
+a-priori bounds.  Every solve is a sweep over the amplitudes ``a`` of one
+contrast profile ``q`` (``solve_medium_sweep``; ``solve_medium`` is the
+sweep over ``a = 1``), and a sweep shares one Krylov space: the systems
 ``(I + a A) u_t = u_i``, ``A = omega^2 P diag(q)``, all have the space of
 ``A`` from ``u_i``, so one Arnoldi process serves every amplitude's GMRES
 and one sequence of powers ``(-A)^k u_i`` every amplitude's Neumann series.
-The direct mode's power-iteration contraction estimate is computed only
-where it is read.  Meshes off a single lattice (unions on offset lattices)
-are rejected with ``MeshMismatch``.
+The same Arnoldi process, run on the residual, restarts an amplitude that
+one cycle leaves unsolved.  The direct mode's power-iteration contraction
+estimate is made once per sweep, on ``A``, and only where it is read.
+Meshes off a single lattice (unions on offset lattices) are rejected with
+``MeshMismatch``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, partial
-from threading import Lock
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -67,7 +69,7 @@ _SERIES_TOL = 1e-12
 _RESIDUAL_MARGIN_CELLS = 6
 _GMRES_RTOL = 1e-12
 _GMRES_RESTART = 50
-_GMRES_MAX_CYCLES = 20      # restart cycles: at most 1,000 matvecs
+_GMRES_MAX_CYCLES = 20      # restart cycles: at most 20 x 51 matvecs
 # nodes may sit off the h-lattice by this fraction of h (round-off of the
 # cell-centre coordinates is about 1e-14)
 _LATTICE_TOL = 1e-9
@@ -284,10 +286,8 @@ class LatticeOperator:
     nodes' lattice index), so ``P`` is block Toeplitz.  Its kernel table over
     the ``(2nx - 1) x (2ny - 1)`` offsets is evaluated once, here, embedded
     in a circulant padded to fast FFT lengths, and applied by ``fft2``
-    (Vainikko 2000).  ``apply`` only reads the table's spectrum, so threads
-    may share one operator.  ``farfield_phases`` builds the far-field phase
-    pair of a set of directions on first use, under a lock so that threads
-    build it once, and keeps it as long as the operator.
+    (Vainikko 2000).  ``farfield_phases`` builds the far-field phase pair of
+    a set of directions on first use and keeps it as long as the operator.
 
     Meshes that are not lattice subsets (unions whose components sit on
     offset lattices) raise ``MeshMismatch``; repeated lattice keys raise
@@ -326,7 +326,6 @@ class LatticeOperator:
         self._spectrum = np.fft.fft2(spectrum)
         self.nodes = mesh.nodes
         self._phases = {}
-        self._phases_lock = Lock()
 
     def check(self, mesh: QuadratureMesh, medium: LameMedium) -> None:
         """Raise ``MeshMismatch`` unless built for this mesh and medium."""
@@ -337,10 +336,9 @@ class LatticeOperator:
     def farfield_phases(self, dirs: np.ndarray) -> Optional[np.ndarray]:
         """:func:`~elastoscat.source.farfield_phases` of the unit ``dirs`` on
         the operator's mesh and medium, built on first use and then kept."""
-        with self._phases_lock:
-            if (key := dirs.tobytes()) not in self._phases:
-                self._phases[key] = farfield_phases(self.medium, self.nodes, dirs)
-            return self._phases[key]
+        if (key := dirs.tobytes()) not in self._phases:
+            self._phases[key] = farfield_phases(self.medium, self.nodes, dirs)
+        return self._phases[key]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         spectrum = self._spectrum
@@ -356,10 +354,9 @@ def _medium_setup(scatterer: MediumScatterer, incident: IncidentWave,
                   mesh: QuadratureMesh, mode: str, directions,
                   operator: Optional[LatticeOperator],
                   incident_values: Optional[SampledVectorField]):
-    """The argument checks of :func:`solve_medium` and
-    :func:`solve_medium_sweep`, and what both solve with: the operator
-    (built when ``None``), the contrast at the nodes (N, 1), the incident
-    wave at the nodes as a flat vector, and
+    """The argument checks of :func:`solve_medium_sweep`, and what it solves
+    with: the operator (built when ``None``), the contrast at the nodes
+    (N, 1), the incident wave at the nodes as a flat vector, and
     ``finish(vvals, ut_flat, terms, contraction)``, the :class:`MediumSolve`
     of a total field for the contrast values ``vvals``."""
     if scatterer.medium.dim != 2:
@@ -418,19 +415,22 @@ def _contrast_ops(operator: LatticeOperator, vvals: np.ndarray):
     return op, op_adjoint
 
 
-def _gmres(op: Callable, b: np.ndarray, x: Optional[np.ndarray], cycles: int,
+def _gmres(op: Callable, b: np.ndarray, x: np.ndarray, cycles: int,
            info: int = 0) -> np.ndarray:
-    """SciPy's restarted GMRES on ``(I + op) x = b`` from ``x``, at most
-    ``cycles`` restart cycles (none for 0), then the gate: ``SingularSystem``
-    unless the true relative residual is at most 1e-8."""
-    if cycles:
-        from scipy.sparse.linalg import LinearOperator, gmres
-
-        system = LinearOperator((b.size, b.size), matvec=lambda v: v + op(v),
-                                dtype=complex)
-        x, info = gmres(system, b, x0=x, rtol=_GMRES_RTOL, atol=0.0,
-                        restart=_GMRES_RESTART, maxiter=cycles)
-    resid = float(np.linalg.norm(x + op(x) - b) / max(np.linalg.norm(b), 1e-300))
+    """Restarted GMRES on ``(I + op) x = b`` from ``x``: while the true
+    residual is above ``_GMRES_RTOL |b|``, at most ``cycles`` more cycles
+    (none for 0), each one :func:`_shifted_gmres` cycle on the residual
+    system; then the gate: ``SingularSystem`` unless the true relative
+    residual is at most 1e-8."""
+    scale = max(float(np.linalg.norm(b)), 1e-300)
+    for cycle in range(cycles + 1):
+        r = b - (x + op(x))
+        resid = float(np.linalg.norm(r)) / scale
+        # a NaN residual stops here too, and fails the gate
+        if cycle == cycles or not resid > _GMRES_RTOL:
+            break
+        [(dx, info)] = _shifted_gmres(op, r, [1.0])
+        x = x + dx
     if not np.isfinite(resid) or resid > 1e-8:
         raise SingularSystem(f"collocation residual {resid:.2e} "
                              f"(GMRES info {info})")
@@ -512,18 +512,11 @@ def solve_medium(scatterer: MediumScatterer, incident: IncidentWave,
     field is radiated by the equivalent source ``-omega^2 V u_t``; it is
     computed on the first read of ``farfield``, but ``directions`` and the
     mesh resolution it needs are checked here.
+
+    This is :func:`solve_medium_sweep` over the one amplitude 1.
     """
-    operator, vvals, b, finish = _medium_setup(scatterer, incident, mesh, mode,
-                                               directions, operator, incident_values)
-    op, op_adjoint = _contrast_ops(operator, vvals)
-    if mode == "direct-dense":
-        ut_flat = _gmres(op, b, None, _GMRES_MAX_CYCLES)
-        return finish(vvals, ut_flat, 1, partial(_norm_estimate, op, op_adjoint, b.size))
-    series = _Series(b)
-    term = b
-    while series.add(term := -op(term)):
-        pass
-    return finish(vvals, *series.result())
+    return solve_medium_sweep(scatterer, [1.0], incident, mesh, mode, directions,
+                              operator, incident_values)[0]
 
 
 def solve_medium_sweep(scatterer: MediumScatterer, amplitudes, incident: IncidentWave,
@@ -541,18 +534,20 @@ def solve_medium_sweep(scatterer: MediumScatterer, amplitudes, incident: Inciden
     (shifted GMRES, Frommer and Glaessner 1998).  ``direct-dense`` runs one
     Arnoldi cycle (:func:`_shifted_gmres`); an amplitude whose residual is
     still above ``_GMRES_RTOL |u_i|`` after ``_GMRES_RESTART`` steps
-    continues with SciPy's restarted GMRES from its iterate, within the
-    same cycle budget, and each amplitude keeps the 1e-8 gate on its true
-    residual and its own lazy power-iteration estimate.  ``neumann-series``
-    forms the powers ``(-A)^k u_i`` once, one at a time, and each amplitude
-    adds ``a^k`` times each power under :func:`solve_medium`'s stopping
-    rule, divergence test and term cap.  The sweep raises ``SingularSystem``
-    or ``SeriesDiverges`` where :func:`solve_medium` raises it for any
-    amplitude.
+    restarts from its iterate (:func:`_gmres`), within the same cycle
+    budget, and each amplitude keeps the 1e-8 gate on its true residual.
+    Amplitude ``a`` reports ``|a|`` times one power-iteration estimate on
+    ``A``, made on the first read of any amplitude's
+    ``contraction_estimate``: the power iteration on ``a A`` takes the same
+    steps.  ``neumann-series`` forms the powers ``(-A)^k u_i`` once, one at
+    a time, and each amplitude adds ``a^k`` times each power under its own
+    stopping rule, divergence test and term cap.  The sweep raises
+    ``SingularSystem`` or ``SeriesDiverges`` where the sweep of any one of
+    its amplitudes raises it.
     """
     operator, q, b, finish = _medium_setup(scatterer, incident, mesh, mode,
                                            directions, operator, incident_values)
-    op = _contrast_ops(operator, q)[0]
+    op, op_adjoint = _contrast_ops(operator, q)
     if mode == "neumann-series":
         series = [_Series(b) for _ in amplitudes]
         power, k, live = b, 0, list(range(len(amplitudes)))
@@ -560,13 +555,13 @@ def solve_medium_sweep(scatterer: MediumScatterer, amplitudes, incident: Inciden
             power, k = -op(power), k + 1
             live = [i for i in live if series[i].add(amplitudes[i] ** k * power)]
         return [finish(a * q, *sum_.result()) for a, sum_ in zip(amplitudes, series)]
+    estimate = cache(partial(_norm_estimate, op, op_adjoint, b.size))
     solves = []
     for a, (ut_flat, info) in zip(amplitudes, _shifted_gmres(op, b, amplitudes)):
-        op_a, op_a_adjoint = _contrast_ops(operator, a * q)
         # an amplitude that one cycle left unsolved restarts from its iterate
-        ut_flat = _gmres(op_a, b, ut_flat, info and _GMRES_MAX_CYCLES - 1, info)
-        solves.append(finish(a * q, ut_flat, 1,
-                             partial(_norm_estimate, op_a, op_a_adjoint, b.size)))
+        ut_flat = _gmres(_contrast_ops(operator, a * q)[0], b, ut_flat,
+                         info and _GMRES_MAX_CYCLES - 1, info)
+        solves.append(finish(a * q, ut_flat, 1, lambda a=a: float(abs(a)) * estimate()))
     return solves
 
 
@@ -578,9 +573,11 @@ def _shifted_gmres(op: Callable, b: np.ndarray, amps: list):
     ``op V_j = V_{j+1} H_j``.  Each amplitude minimizes
     ``| |b| e_1 - (I_j + a H_j) y |`` by its own Givens rotations, updated
     one column per step as GMRES does, and stops at the first step whose
-    residual is at most ``_GMRES_RTOL |b|``.  Returns ``(V y, info)`` per
-    amplitude after at most ``_GMRES_RESTART`` steps, ``info`` 0 if it
-    stopped there and 1 if not.
+    residual is at most ``_GMRES_RTOL |b|``.  A zero ``H[j + 1, j]`` means
+    the space is invariant under ``op``: every residual is then 0, and the
+    process stops there.  Returns ``(V y, info)`` per amplitude after at
+    most ``_GMRES_RESTART`` steps, ``info`` 0 if it stopped there and 1 if
+    not.
     """
     amps = np.asarray(amps, dtype=complex)
     beta = float(np.linalg.norm(b))
@@ -591,15 +588,17 @@ def _shifted_gmres(op: Callable, b: np.ndarray, amps: list):
     g = np.zeros((amps.size, _GMRES_RESTART + 1), dtype=complex)
     g[:, 0] = beta
     stop = np.zeros(amps.size, dtype=int)      # the step each amplitude stopped at
-    j = 0
-    while j < _GMRES_RESTART and not stop.all():
+    j, invariant = 0, False
+    while j < _GMRES_RESTART and not stop.all() and not invariant:
         w = op(basis[j])
         h = np.zeros(j + 2, dtype=complex)
         for k in range(j + 1):
             h[k] = np.vdot(basis[k], w)
             w -= h[k] * basis[k]
         h[j + 1] = np.linalg.norm(w)
-        basis[j + 1] = w / h[j + 1]
+        invariant = not h[j + 1]
+        if not invariant:
+            basis[j + 1] = w / h[j + 1]
         col = amps[:, None] * h
         col[:, j] += 1.0
         for k in range(j):

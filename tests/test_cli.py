@@ -127,7 +127,6 @@ def cgo_runs(tmp_path_factory):
     cfg_path = write_cfg(root, "cgo.json", cgo_cfg())
     runs = {}
     for tag, extra in (("w1", ["--workers", "1"]),
-                       ("w6", ["--workers", "6"]),
                        ("reseeded", ["--workers", "2", "--seed", "123"])):
         prefix = root / tag / "run"
         rc = cli.main(["cgo-verify", "--config", cfg_path,
@@ -601,20 +600,8 @@ def test_failed_csv_write_leaves_no_partial_file(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# determinism: workers and seeds
+# determinism: seeds
 # ---------------------------------------------------------------------------
-
-def test_worker_count_does_not_change_output_bytes(cgo_runs):
-    for table in ("probes", "paraboloid"):
-        one = Path(f"{cgo_runs['w1']}_{table}.csv").read_bytes()
-        six = Path(f"{cgo_runs['w6']}_{table}.csv").read_bytes()
-        assert one == six
-    rep1 = json.loads(Path(f"{cgo_runs['w1']}_report.json").read_text())
-    rep6 = json.loads(Path(f"{cgo_runs['w6']}_report.json").read_text())
-    rep1.pop("wall_clock_sec")
-    rep6.pop("wall_clock_sec")
-    assert rep1 == rep6
-
 
 def test_seed_flag_overrides_config_seed(cgo_runs):
     report = json.loads(Path(f"{cgo_runs['reseeded']}_report.json").read_text())
@@ -878,35 +865,6 @@ def test_medium_demo_masks_the_v_sup_draw_once(tmp_path, monkeypatch):
                                           "0.049931618693785575"]
 
 
-def test_medium_demo_csv_does_not_depend_on_workers(tmp_path):
-    # the threads of --workers 2 share one operator
-    cfg = _medium_cfg()
-    cfg["scatterer"]["v0_values"] = MIXED_REGIME_V0 + [0.3]
-    cfg_path = write_cfg(tmp_path, "m.json", cfg)
-    tables = []
-    for workers in ("1", "2"):
-        prefix = tmp_path / workers / "md"
-        assert cli.main(["medium-demo", "--config", cfg_path,
-                         "--workers", workers, "--out", str(prefix)]) == 0
-        tables.append(Path(f"{prefix}_medium.csv").read_bytes())
-    assert tables[0] == tables[1]
-
-
-def test_point_source_medium_demo_csv_does_not_depend_on_workers(tmp_path):
-    # the threads of --workers 2 share one operator, its far-field phases
-    # and one sample of the incident wave
-    cfg = _medium_cfg()
-    cfg["scatterer"].update(v0_values=MIXED_REGIME_V0 + [0.3], incident=POINT_SOURCE)
-    cfg_path = write_cfg(tmp_path, "m.json", cfg)
-    tables = []
-    for workers in ("1", "2"):
-        prefix = tmp_path / workers / "md"
-        assert cli.main(["medium-demo", "--config", cfg_path,
-                         "--workers", workers, "--out", str(prefix)]) == 0
-        tables.append(Path(f"{prefix}_medium.csv").read_bytes())
-    assert tables[0] == tables[1]
-
-
 def test_medium_demo_failed_self_check_writes_nothing(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, "tight.json", _medium_cfg(tolerance=1e-30))
     prefix = tmp_path / "fail" / "md"
@@ -1015,9 +973,9 @@ def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
     seen = []
     execute = cli._execute
 
-    def record(experiment, as_read, cfg, out_prefix, seed, workers):
-        seen.append((experiment, out_prefix, seed, workers))
-        return execute(experiment, as_read, cfg, out_prefix, seed, workers)
+    def record(experiment, as_read, cfg, out_prefix, seed):
+        seen.append((experiment, out_prefix, seed))
+        return execute(experiment, as_read, cfg, out_prefix, seed)
 
     monkeypatch.setattr(cli, "_execute", record)
     cli._parser.cache_clear()
@@ -1027,7 +985,8 @@ def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
                      "--out", str(sweep_prefix), "--seed", "4", "--workers", "2"]) == 0
     assert cli.main(["distinguish", "--config", write_cfg(tmp_path, "di.json", dist_cfg()),
                      "--out", str(dist_prefix)]) == 0
-    assert seen == [("sweep-small", sweep_prefix, 4, 2), ("distinguish", dist_prefix, 1, 1)]
+    # --workers is accepted and ignored
+    assert seen == [("sweep-small", sweep_prefix, 4), ("distinguish", dist_prefix, 1)]
     info = cli._parser.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
@@ -1042,8 +1001,8 @@ def test_module_entry_point_help(tmp_path):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.linalg and the GMRES of scipy.sparse.linalg would add to the
-    # start-up cost of every experiment too
+    # scipy.linalg and scipy.sparse.linalg would add to the start-up cost of
+    # every experiment too
     for module in ("scipy.optimize", "scipy.linalg", "scipy.sparse.linalg"):
         code = f"import sys, elastoscat.cli; print({module!r} in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -1058,6 +1017,19 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_no_module_imports_scipy_sparse():
+    # the package's one Krylov solver is its own shifted GMRES
+    for path in sorted((ROOT / "src" / "elastoscat").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+        names |= {f"{node.module}.{alias.name}" for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module
+                  for alias in node.names}
+        assert not {name for name in names
+                    if name == "scipy.sparse" or name.startswith("scipy.sparse.")}, path.name
+
+
 def test_cli_import_leaves_numpy_polynomial_unloaded():
     # the Gauss-Legendre rules are built on first use
     code = "import sys, elastoscat.cli; print('numpy.polynomial' in sys.modules)"
@@ -1067,8 +1039,8 @@ def test_cli_import_leaves_numpy_polynomial_unloaded():
 
 
 def test_cli_import_leaves_jsonschema_fractions_and_futures_unloaded():
-    # jsonschema explains rejected configs, fractions serves one cap routine
-    # and concurrent.futures (which loads logging) runs --workers 2 and more
+    # jsonschema explains rejected configs, fractions serves one cap routine,
+    # and nothing needs concurrent.futures (which loads logging)
     modules = ("jsonschema", "fractions", "concurrent.futures", "logging")
     code = f"import sys, elastoscat.cli; print([m in sys.modules for m in {modules!r}])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -1111,10 +1083,10 @@ SCIPY_LOADED = {"medium-demo": {"scipy.special"}}
 SCIPY_WATCHED = ("scipy.special", "scipy.sparse.linalg", "scipy.optimize")
 
 
-def _cold_run(tmp_path, name, cfg, workers="1", returncode=0):
+def _cold_run(tmp_path, name, cfg, returncode=0):
     """Run one experiment in a fresh interpreter; return the SciPy modules it
     loaded, whether it loaded jsonschema, its output prefix and its stderr."""
-    prefix = tmp_path / f"w{workers}" / name
+    prefix = tmp_path / "out" / name
     code = ("import sys; from elastoscat import cli; "
             "rc = cli.main(sys.argv[1:]); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
@@ -1122,8 +1094,8 @@ def _cold_run(tmp_path, name, cfg, workers="1", returncode=0):
             "sys.exit(rc)")
     proc = subprocess.run(
         [sys.executable, "-c", code, name, "--config",
-         write_cfg(tmp_path, f"{name}.json", cfg), "--workers", workers,
-         "--out", str(prefix)], capture_output=True, text=True)
+         write_cfg(tmp_path, f"{name}.json", cfg), "--out", str(prefix)],
+        capture_output=True, text=True)
     assert proc.returncode == returncode, proc.stderr
     scipy_line, jsonschema_line = proc.stdout.splitlines()[-2:]
     return (set(ast.literal_eval(scipy_line)), jsonschema_line == "True", prefix,
@@ -1240,19 +1212,6 @@ def test_config_rejected_by_the_checker_but_not_jsonschema_runs(tmp_path, monkey
                 path.read_bytes() for path in sorted(prefix.parent.glob("*.csv"))])
         outputs.append(written)
     assert outputs[0] == outputs[1]
-
-
-def test_medium_demo_first_imports_under_threads(tmp_path):
-    # in a fresh interpreter the two threads of --workers 2 run the first
-    # solves together, and with them the solve path's first SciPy imports;
-    # the in-process worker test runs after pytest has loaded SciPy
-    cfg = _medium_cfg()
-    cfg["scatterer"]["v0_values"] = MIXED_REGIME_V0 + [0.3]
-    tables = []
-    for workers in ("1", "2"):
-        _, _, prefix, _ = _cold_run(tmp_path, "medium-demo", cfg, workers)
-        tables.append(Path(f"{prefix}_medium.csv").read_bytes())
-    assert tables[0] == tables[1]
 
 
 def _acceptance_imports():
