@@ -21,9 +21,7 @@ from .elastic import (
     traction,
 )
 from .geometry import (
-    boundary_measure,
     boundary_mesh,
-    component_separation,
     diameter,
     disk,
     ellipse,
@@ -31,7 +29,6 @@ from .geometry import (
     inside,
     make_cap_domain,
     signed_distance,
-    union,
     volume_mesh,
 )
 from .greens import (
@@ -100,9 +97,8 @@ __all__ = [
     "LameMedium", "GridSpec", "SampledVectorField", "FieldJet", "make_medium",
     "traction", "holder_seminorm", "field_norms", "lame_operator_fd",
     # geometry
-    "disk", "ellipse", "union", "make_cap_domain", "inside", "diameter",
-    "component_separation", "signed_distance", "volume_mesh", "gauss_mesh",
-    "boundary_mesh", "boundary_measure",
+    "disk", "ellipse", "make_cap_domain", "inside", "diameter",
+    "signed_distance", "volume_mesh", "gauss_mesh", "boundary_mesh",
     # kernels
     "helmholtz_fundamental", "kupradze_tensor", "singular_cell_integral",
     "farfield_kernels", "lower_incomplete_gamma",

@@ -90,7 +90,7 @@ class Bump:
 def polynomial_bump(domain: DomainGeometry, amplitude=(1.0, 0.0),
                     linear: Optional[np.ndarray] = None,
                     whole_boundary: bool = True) -> Bump:
-    """Canonical bump for a single-component 2-D domain.
+    """Canonical bump for a 2-D domain.
 
     On a disk or an ellipse the bump vanishes on the whole boundary and
     ``whole_boundary`` is ignored.  A cap needs ``whole_boundary=False``: its
@@ -98,12 +98,9 @@ def polynomial_bump(domain: DomainGeometry, amplitude=(1.0, 0.0),
     boundary-term experiments need, and any other value raises
     ``InvalidParameter``.
     """
-    if len(domain.components) != 1:
-        raise UnsupportedDimension("bump factory expects a single component")
-    comp = domain.components[0]
     n = domain.dim
     if n != 2:
         raise UnsupportedDimension("bumps are 2-D")
     a0 = np.asarray(amplitude, dtype=float)
     alin = np.zeros((n, n)) if linear is None else np.asarray(linear, dtype=float)
-    return Bump(level=comp.level_function(whole_boundary), a0=a0, alin=alin)
+    return Bump(level=domain.shape.level_function(whole_boundary), a0=a0, alin=alin)

@@ -395,9 +395,9 @@ def integral_identity_check(domain: DomainGeometry, bump: Bump, probe: CgoProbe,
         raise InvalidParameter(f"refine must be positive, got {refine}")
     if domain.dim != 2:
         raise UnsupportedDimension("identity check is 2-D")
-    if len(domain.components) != 1 or not isinstance(domain.components[0], Cap):
-        raise UnsupportedDimension("identity check needs a single cap component")
-    comp = domain.components[0]
+    comp = domain.shape
+    if not isinstance(comp, Cap):
+        raise UnsupportedDimension("identity check needs a cap domain")
     if np.linalg.norm(comp.center) > 0.0:
         raise InvalidDirection("cap must sit at the origin in the canonical frame")
     if np.linalg.norm(probe.d - np.array([0.0, -1.0])) > 1e-12:

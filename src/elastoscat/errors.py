@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the toolkit.
+"""Exception types shared across the toolkit.
 
 Every validation failure raises a named subclass of :class:`ToolkitError` so
 callers (and the CLI) can distinguish bad inputs (exit code 2) from numerical
@@ -42,10 +42,6 @@ class ChartInvalid(ToolkitError):
     """Curvature chart violates one of its defining inequalities."""
 
 
-class SingleComponent(ToolkitError):
-    """Operation requires at least two domain components."""
-
-
 class MeshTooCoarse(ToolkitError):
     """Requested spacing cannot resolve the smallest domain feature."""
 
@@ -56,10 +52,6 @@ class CoincidentPoints(ToolkitError):
 
 class UnsupportedDimension(ToolkitError):
     """Operation implemented for a restricted set of ambient dimensions."""
-
-
-class DisjointnessViolated(UserWarning):
-    """Closures of distinct domain components touch or overlap."""
 
 
 # --- special functions / kernels -------------------------------------------

@@ -1,11 +1,11 @@
 """Domain catalog, curvature charts, and quadrature meshes.
 
-A domain is a union of disjoint components.  Each component is one of three
-frozen shape classes implementing the :class:`Shape` protocol: ``Ball`` (a
-disk in 2-D, a ball in 3-D), the axis-aligned ``Ellipse``, and the
-paraboloid-like boundary ``Cap``.  The module-level functions only combine
-the components' answers.  A cap is the planar region between a convex graph
-``x2 = gamma(|x1|)`` and the flat lid ``x2 = b``:
+A domain is one shape, an instance of one of three frozen classes
+implementing the :class:`Shape` protocol: ``Ball`` (a disk in 2-D, a ball in
+3-D), the axis-aligned ``Ellipse``, and the paraboloid-like boundary ``Cap``.
+The module-level functions pass each query to the domain's shape.  A cap is
+the planar region between a convex graph ``x2 = gamma(|x1|)`` and the flat
+lid ``x2 = b``:
 
     cap = { x : gamma(|x1|) < x2 < b },     gamma(t) = K t^2 + c3 |t|^3,
 
@@ -26,9 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
 from typing import Optional, Protocol
-import warnings
 
 import numpy as np
 
@@ -36,12 +34,10 @@ from .elastic import content_id
 from .errors import (
     ChartInvalid,
     DimensionMismatch,
-    DisjointnessViolated,
     InvalidParameter,
     KTooSmall,
     MeshMismatch,
     MeshTooCoarse,
-    SingleComponent,
     UnsupportedDimension,
 )
 
@@ -94,11 +90,18 @@ class KCurvatureChart:
 
 @dataclass(frozen=True)
 class DomainGeometry:
-    """Union of disjoint components, optionally carrying a curvature chart."""
+    """One shape in ``dim`` dimensions, optionally carrying a curvature chart."""
 
-    components: tuple
+    shape: Shape
     dim: int
     chart: Optional[KCurvatureChart] = None
+
+    @property
+    def components(self) -> tuple:
+        """``(shape,)``, read-only: acceptance criterion 6
+        (``tests/test_acceptance.py``) reads ``dom.components[0]`` and stays
+        unedited."""
+        return (self.shape,)
 
 
 @dataclass(frozen=True)
@@ -213,20 +216,16 @@ class CapGraphLevel(LevelFunction):
 # ---------------------------------------------------------------------------
 
 class Shape(Protocol):
-    """One connected piece of a scattering domain, anchored at ``center``.
+    """A connected scattering domain, anchored at ``center``.
 
     ``inside``, ``bbox``, ``diameter`` and ``signed_distance`` work in the
-    shape's own dimension; the boundary sample, measures, meshes and level
-    function are 2-D.
+    shape's own dimension; the measure, meshes and level function are 2-D.
     """
 
     center: np.ndarray
 
     def inside(self, pts: np.ndarray) -> np.ndarray:
         """Mask of the (N, n) points that lie strictly inside."""
-
-    def boundary_sample(self, n: int) -> np.ndarray:
-        """``n`` boundary points for distance and diameter scans."""
 
     def bbox(self) -> tuple:
         """``(lo, hi)`` corners of the axis-aligned bounding box."""
@@ -246,8 +245,6 @@ class Shape(Protocol):
 
     def boundary_mesh(self, h: float) -> tuple:
         """``(nodes, outward normals, weights, tags)``, one tag per node."""
-
-    def boundary_measure(self) -> float: ...
 
     def level_function(self, whole_boundary: bool = True) -> LevelFunction:
         """Level function vanishing on the boundary.  A cap has only the
@@ -324,6 +321,16 @@ def _polar_gauss(center: np.ndarray, a: float, b: float, n_radial: int,
             np.broadcast_to(W, R.shape).ravel().copy())
 
 
+def _cloud_diameter(pts: np.ndarray) -> float:
+    """Largest distance between two points of the cloud."""
+    # chunked O(n^2); clouds are a few thousand points
+    picked = []
+    for i in range(0, pts.shape[0], 512):
+        d2 = np.sum((pts[i:i + 512, None, :] - pts[None, :, :]) ** 2, axis=2)
+        picked.append(np.sqrt(np.max(d2)))
+    return float(np.max(picked))
+
+
 @dataclass(frozen=True)
 class Ball:
     """Disk (2-D) or ball (3-D) of the given radius."""
@@ -337,10 +344,6 @@ class Ball:
 
     def inside(self, pts):
         return np.linalg.norm(pts - self.center, axis=1) < self.radius
-
-    def boundary_sample(self, n):
-        th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        return self.center + self.radius * np.stack([np.cos(th), np.sin(th)], axis=1)
 
     def bbox(self):
         return self.center - self.radius, self.center + self.radius
@@ -367,9 +370,6 @@ class Ball:
         nrm = np.stack([np.cos(th), np.sin(th)], axis=1)
         weights = np.full(n, 2.0 * np.pi * r / n)
         return self.center + r * nrm, nrm, weights, ["boundary"] * n
-
-    def boundary_measure(self):
-        return 2.0 * math.pi * self.radius
 
     def level_function(self, whole_boundary=True):
         return DiskLevel(self.radius, self.center)
@@ -453,13 +453,6 @@ class Ellipse:
         nrm[flip] *= -1.0
         return self.center + pts, nrm, speed * 2.0 * np.pi / n, ["boundary"] * n
 
-    def boundary_measure(self):
-        from scipy.special import ellipe
-
-        big, small = max(self.a, self.b), min(self.a, self.b)
-        ecc2 = 1.0 - (small / big) ** 2
-        return 4.0 * big * float(ellipe(ecc2))
-
     def level_function(self, whole_boundary=True):
         return EllipseLevel(self.a, self.b, self.center)
 
@@ -496,8 +489,7 @@ class Cap:
         return self.center + np.array([-w, 0.0]), self.center + np.array([w, b])
 
     def diameter(self):
-        pts = self.boundary_sample(_BOUNDARY_SCAN)
-        return _cloud_distance(pts, pts, np.max)
+        return _cloud_diameter(self.boundary_sample(_BOUNDARY_SCAN))
 
     def signed_distance(self, x):
         d = self._boundary_distance(x)
@@ -562,12 +554,6 @@ class Cap:
         weights = np.concatenate([speed * d1, np.full(n, d1)])
         return self.center + nodes, normals, weights, ["graph"] * n + ["lid"] * n
 
-    def boundary_measure(self):
-        w = self.x1max
-        ts = np.linspace(-w, w, 20001)
-        gp = self.chart.graph.dgamma(ts)
-        return float(np.trapezoid(np.sqrt(1.0 + gp ** 2), ts)) + 2.0 * w
-
     def level_function(self, whole_boundary=True):
         if whole_boundary:
             raise InvalidParameter("a cap profile vanishes on the graph only; "
@@ -583,22 +569,11 @@ def disk(radius: float, center=(0.0, 0.0), dim: int = 2) -> DomainGeometry:
     ball = Ball(radius, center)
     if ball.center.shape != (dim,):
         raise DimensionMismatch(f"center must have length {dim}")
-    return DomainGeometry(components=(ball,), dim=dim)
+    return DomainGeometry(shape=ball, dim=dim)
 
 
 def ellipse(a: float, b: float, center=(0.0, 0.0)) -> DomainGeometry:
-    return DomainGeometry(components=(Ellipse(a, b, center),), dim=2)
-
-
-def union(*domains: DomainGeometry) -> DomainGeometry:
-    dims = {d.dim for d in domains}
-    if len(dims) != 1:
-        raise UnsupportedDimension("all components must share one ambient dimension")
-    comps = tuple(c for d in domains for c in d.components)
-    geo = DomainGeometry(components=comps, dim=dims.pop())
-    if len(comps) > 1:
-        component_separation(geo)
-    return geo
+    return DomainGeometry(shape=Ellipse(a, b, center), dim=2)
 
 
 def make_cap_domain(K: float, L: float, M: float, varsigma: float,
@@ -648,7 +623,7 @@ def make_cap_domain(K: float, L: float, M: float, varsigma: float,
     chart = KCurvatureChart(K=K, K_minus=k_minus, K_plus=k_plus, L=L, M=M,
                             varsigma=varsigma, rho=rho, b=b, cubic=c3)
     cap = Cap(chart=chart, x1max=_cap_halfwidth(chart), center=np.zeros(2))
-    return DomainGeometry(components=(cap,), dim=2, chart=chart)
+    return DomainGeometry(shape=cap, dim=2, chart=chart)
 
 
 def _cap_halfwidth(chart: KCurvatureChart) -> float:
@@ -697,77 +672,28 @@ def _cap_halfwidth(chart: KCurvatureChart) -> float:
 
 
 # ---------------------------------------------------------------------------
-# union queries and metric quantities
+# queries
 # ---------------------------------------------------------------------------
 
 def inside(domain: DomainGeometry, pts) -> np.ndarray:
-    """Boolean mask: which points lie strictly inside any component."""
+    """Boolean mask: which of the points lie strictly inside the domain."""
     x = np.atleast_2d(np.asarray(pts, dtype=float))
-    mask = np.zeros(x.shape[0], dtype=bool)
-    for comp in domain.components:
-        mask |= comp.inside(x)
-    return mask
+    if x.ndim != 2 or x.shape[1] != domain.dim:
+        raise UnsupportedDimension(f"points must have length {domain.dim}")
+    return domain.shape.inside(x)
 
 
 def diameter(domain: DomainGeometry) -> float:
-    """Diameter of the union: largest pairwise point distance of the closure."""
-    best = 0.0
-    for comp in domain.components:
-        best = max(best, comp.diameter())
-    for a, b in combinations(domain.components, 2):
-        if isinstance(a, Ball) and isinstance(b, Ball):
-            d = np.linalg.norm(a.center - b.center) + a.radius + b.radius
-        else:
-            d = _cloud_distance(a.boundary_sample(_BOUNDARY_SCAN),
-                                b.boundary_sample(_BOUNDARY_SCAN), np.max)
-        best = max(best, d)
-    return best
-
-
-def _cloud_distance(a: np.ndarray, b: np.ndarray, pick) -> float:
-    """``pick`` (``np.min`` or ``np.max``) of the distances between two clouds."""
-    # chunked O(n^2); clouds are a few thousand points
-    picked = []
-    for i in range(0, a.shape[0], 512):
-        d2 = np.sum((a[i:i + 512, None, :] - b[None, :, :]) ** 2, axis=2)
-        picked.append(np.sqrt(pick(d2)))
-    return float(pick(picked))
-
-
-def component_separation(domain: DomainGeometry) -> float:
-    """Minimum distance between closures of distinct components (0 if
-    touching); warns ``DisjointnessViolated`` when closures touch or overlap."""
-    comps = domain.components
-    if len(comps) < 2:
-        raise SingleComponent("separation needs at least two components")
-    best = np.inf
-    for a, b in combinations(comps, 2):
-        best = min(best, _pair_separation(a, b))
-    best = max(best, 0.0)
-    if best <= 0.0:
-        warnings.warn("component closures touch or overlap", DisjointnessViolated)
-    return best
-
-
-def _pair_separation(a: Shape, b: Shape) -> float:
-    if isinstance(a, Ball) and isinstance(b, Ball):
-        return float(np.linalg.norm(a.center - b.center) - a.radius - b.radius)
-    pa = a.boundary_sample(_BOUNDARY_SCAN)
-    pb = b.boundary_sample(_BOUNDARY_SCAN)
-    d = _cloud_distance(pa, pb, np.min)
-    # sampled boundaries of overlapping components can miss penetration;
-    # detect overlap via inside-tests of the sampled points
-    if np.any(a.inside(pb)) or np.any(b.inside(pa)):
-        return 0.0
-    return float(d)
+    """Largest pairwise point distance of the closure."""
+    return domain.shape.diameter()
 
 
 def signed_distance(domain: DomainGeometry, x: np.ndarray) -> float:
-    """Signed distance to the union boundary, negative inside."""
+    """Signed distance to the boundary, negative inside."""
     x = np.asarray(x, dtype=float)
     if x.shape != (domain.dim,):
         raise UnsupportedDimension(f"point must have length {domain.dim}")
-    return float(min(comp.signed_distance(x) for comp in domain.components))
+    return domain.shape.signed_distance(x)
 
 
 # ---------------------------------------------------------------------------
@@ -784,16 +710,14 @@ def volume_mesh(domain: DomainGeometry, h: float) -> QuadratureMesh:
     """
     if domain.dim != 2:
         raise UnsupportedDimension("volume meshes are 2-D only")
-    if h <= 0:
-        raise MeshTooCoarse("h must be positive")
-    nodes_l, weights_l = zip(*(comp.cell_mesh(h) for comp in domain.components))
-    nodes = np.concatenate(nodes_l, axis=0)
-    weights = np.concatenate(weights_l)
+    if not h > 0:
+        raise MeshTooCoarse(f"h must be positive, got {h}")
+    nodes, weights = domain.shape.cell_mesh(h)
     if nodes.shape[0] == 0:
         raise MeshTooCoarse(f"h={h} produced an empty mesh")
     mesh = QuadratureMesh(nodes=nodes, weights=weights, h=float(h), style="cell",
                           mesh_id=content_id(nodes, weights),
-                          measure=_measure(domain))
+                          measure=domain.shape.measure())
     _check_measure(mesh)
     return mesh
 
@@ -808,36 +732,22 @@ def gauss_mesh(domain: DomainGeometry, n_radial: int = 48,
     """
     if domain.dim != 2:
         raise UnsupportedDimension("gauss meshes are 2-D only")
-    nodes_l, weights_l = zip(*(comp.gauss_mesh(n_radial, n_angular)
-                               for comp in domain.components))
-    nodes = np.concatenate(nodes_l, axis=0)
-    weights = np.concatenate(weights_l)
+    nodes, weights = domain.shape.gauss_mesh(n_radial, n_angular)
     h_eff = float(np.sqrt(np.median(weights)))
     return QuadratureMesh(nodes=nodes, weights=weights, h=h_eff, style="smooth",
                           mesh_id=content_id(nodes, weights),
-                          measure=_measure(domain))
+                          measure=domain.shape.measure())
 
 
 def boundary_mesh(domain: DomainGeometry, h: float) -> BoundaryMesh:
     """Boundary quadrature with outward unit normals and per-part tags."""
     if domain.dim != 2:
         raise UnsupportedDimension("boundary meshes are 2-D only")
-    if h <= 0:
-        raise MeshTooCoarse("h must be positive")
-    comps = domain.components
-    nodes_l, normals_l, weights_l, tags_l = zip(*(c.boundary_mesh(h) for c in comps))
-    labels = [f"c{ci}" if len(comps) > 1 else "" for ci in range(len(comps))]
-    nodes = np.concatenate(nodes_l, axis=0)
-    weights = np.concatenate(weights_l)
-    return BoundaryMesh(nodes=nodes, normals=np.concatenate(normals_l, axis=0),
-                        weights=weights, h=float(h),
-                        tags=tuple(lab + t for lab, tags in zip(labels, tags_l)
-                                   for t in tags),
-                        mesh_id=content_id(nodes, weights))
-
-
-def _measure(domain: DomainGeometry) -> float:
-    return sum(comp.measure() for comp in domain.components)
+    if not h > 0:
+        raise MeshTooCoarse(f"h must be positive, got {h}")
+    nodes, normals, weights, tags = domain.shape.boundary_mesh(h)
+    return BoundaryMesh(nodes=nodes, normals=normals, weights=weights, h=float(h),
+                        tags=tuple(tags), mesh_id=content_id(nodes, weights))
 
 
 def _check_measure(mesh: QuadratureMesh) -> None:
@@ -847,9 +757,3 @@ def _check_measure(mesh: QuadratureMesh) -> None:
             f"quadrature weight {total:.6g} deviates from measure "
             f"{mesh.measure:.6g} by more than 1%")
 
-
-def boundary_measure(domain: DomainGeometry) -> float:
-    """Analytic (or densely integrated) boundary length of the union."""
-    if domain.dim != 2:
-        raise UnsupportedDimension("boundary measures are 2-D only")
-    return sum(comp.boundary_measure() for comp in domain.components)

@@ -20,7 +20,7 @@ and one sequence of powers ``(-A)^k u_i`` every amplitude's Neumann series.
 The same Arnoldi process, run on the residual, restarts an amplitude that
 one cycle leaves unsolved.  The direct mode's power-iteration contraction
 estimate is made once per sweep, on ``A``, and only where it is read.
-Meshes off a single lattice (unions on offset lattices) are rejected with
+Meshes whose nodes are not on one h-lattice are rejected with
 ``MeshMismatch``.
 """
 from __future__ import annotations
@@ -212,11 +212,6 @@ def make_incident(kind: str, params: dict, medium: LameMedium) -> IncidentWave:
     raise InvalidDirection(f"unknown incident kind {kind!r}")
 
 
-def _bounding_box(domain: DomainGeometry):
-    los, his = zip(*(comp.bbox() for comp in domain.components))
-    return np.min(los, axis=0), np.max(his, axis=0)
-
-
 @cache
 def _v_sup_points(lo: tuple, hi: tuple, dim: int) -> np.ndarray:
     """The seeded uniform draw in the box ``[lo, hi]`` that
@@ -229,7 +224,7 @@ def _v_sup_points(lo: tuple, hi: tuple, dim: int) -> np.ndarray:
 def _v_sup_sample(domain: DomainGeometry) -> np.ndarray:
     """The points of the seeded draw in the bounding box of ``domain`` that
     lie inside it, read-only: the sample ``MediumScatterer.v_sup`` reads."""
-    pts = _v_sup_points(*map(tuple, _bounding_box(domain)), domain.dim)
+    pts = _v_sup_points(*map(tuple, domain.shape.bbox()), domain.dim)
     pts = pts[inside(domain, pts)]
     pts.flags.writeable = False
     return pts
@@ -263,8 +258,7 @@ def _lattice_keys(mesh: QuadratureMesh) -> np.ndarray:
     if not on_lattice or not np.allclose(mesh.weights, h * h, rtol=1e-12, atol=0.0):
         raise MeshMismatch(
             "the medium solve needs a cell mesh on one h-lattice with weights "
-            "h^2 (a disk, an ellipse, or a union whose components share a "
-            "lattice); unions on offset lattices wait for ROADMAP item 10")
+            "h^2, such as the volume mesh of a disk or an ellipse")
     _, first, counts = np.unique(keys[:, 0] * (keys[:, 1].max() + 1) + keys[:, 1],
                                  return_index=True, return_counts=True)
     if counts.size < keys.shape[0]:
@@ -289,10 +283,9 @@ class LatticeOperator:
     (Vainikko 2000).  ``farfield_phases`` builds the far-field phase pair of
     a set of directions on first use and keeps it as long as the operator.
 
-    Meshes that are not lattice subsets (unions whose components sit on
-    offset lattices) raise ``MeshMismatch``; repeated lattice keys raise
-    ``CoincidentPoints``; a padded grid that would need more than
-    ``_SOLVE_BUDGET`` bytes with the solver's Krylov basis raises
+    Meshes that are not lattice subsets raise ``MeshMismatch``; repeated
+    lattice keys raise ``CoincidentPoints``; a padded grid that would need
+    more than ``_SOLVE_BUDGET`` bytes with the solver's Krylov basis raises
     ``QuadratureBudgetExceeded``.
     """
 
@@ -306,7 +299,7 @@ class LatticeOperator:
             raise QuadratureBudgetExceeded(
                 f"a solve on the {mx} x {my} FFT grid ({keys.shape[0]} nodes) would "
                 f"take {nbytes / 2**30:.1f} GiB; coarsen the mesh or bring its "
-                f"components closer")
+                f"nodes closer together")
         # kernel table over the offsets; the origin is the singular cell
         ox, oy = np.meshgrid(np.arange(1 - nx, nx), np.arange(1 - ny, ny), indexing="ij")
         offsets = np.stack([ox.ravel(), oy.ravel()], axis=1)
@@ -479,11 +472,11 @@ def solve_medium(scatterer: MediumScatterer, incident: IncidentWave,
 
     Both modes apply the collocated operator ``omega^2 P V`` through the FFT
     lattice potential (:class:`LatticeOperator`), so the mesh must be a
-    cell mesh on one h-lattice with weights ``h^2``: a disk, an ellipse, or
-    a union whose components share a lattice.  Other meshes raise
-    ``MeshMismatch``.  The operator depends only on the mesh and the
-    medium: pass ``operator`` to reuse one across solves (contrasts,
-    incident waves, modes), or leave it ``None`` to build one.  An operator
+    cell mesh on one h-lattice with weights ``h^2``, such as the volume mesh
+    of a disk or an ellipse.  Other meshes raise ``MeshMismatch``.  The
+    operator depends only on the mesh and the medium: pass ``operator`` to
+    reuse one across solves (contrasts, incident waves, modes), or leave it
+    ``None`` to build one.  An operator
     built for another mesh or medium raises ``MeshMismatch``.  Memory grows
     with the padded FFT grid (about 5N cells for a disk of N nodes) and the
     GMRES basis; a solve that would need more than 1 GiB raises

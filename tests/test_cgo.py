@@ -610,7 +610,7 @@ def test_identity_terms_balance(K):
 def _lid_term_by_nodes(dom, bump, probe, refine):
     """Reference: I4 summed node by node, with one jet and one traction per
     node and function, on the lid rule of ``integral_identity_check``."""
-    comp = dom.components[0]
+    comp = dom.shape
     b, w_cap = comp.chart.b, comp.x1max
     osc = math.sqrt(probe.kappa_s ** 2 + probe.tau ** 2)
     left = _gl_panels(-w_cap, 0.0, osc, factor=refine)

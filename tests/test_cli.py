@@ -1058,9 +1058,6 @@ KEEP = {
     "kpoint_criterion": "the paper's high-curvature criterion for a source",
     "medium_kpoint_criterion": "the paper's high-curvature criterion for a "
                                "medium, for a cap medium scatterer to report",
-    "union": "builds the multi-component domains of the domain model",
-    "component_separation": "the gap between the components of a domain",
-    "boundary_measure": "the boundary length of a domain",
     "helmholtz_fundamental": "the scalar kernel that test_greens.py checks "
                              "the Kupradze tensor against",
 }

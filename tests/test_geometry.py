@@ -10,9 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from elastoscat import (
-    boundary_measure,
     boundary_mesh,
-    component_separation,
     diameter,
     disk,
     ellipse,
@@ -20,18 +18,16 @@ from elastoscat import (
     inside,
     make_cap_domain,
     signed_distance,
-    union,
     volume_mesh,
 )
 from elastoscat.elastic import content_id
 from elastoscat.errors import (
     ChartInvalid,
     DimensionMismatch,
-    DisjointnessViolated,
     InvalidParameter,
     KTooSmall,
     MeshTooCoarse,
-    SingleComponent,
+    UnsupportedDimension,
 )
 from elastoscat.geometry import (
     Ball,
@@ -104,7 +100,7 @@ def test_cap_halfwidth_is_correctly_rounded():
     for K in cap_k:
         for chart in charts:
             dom = make_cap_domain(K=K, **chart)
-            ch, x = dom.chart, dom.components[0].x1max
+            ch, x = dom.chart, dom.shape.x1max
 
             def residual(t):        # gamma(t) - b with exact rationals
                 t = Fraction(t)
@@ -170,11 +166,6 @@ def test_diameter_single_disk():
     assert diameter(disk(0.5)) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_diameter_two_disk_union():
-    pair = union(disk(0.5, center=(0.0, 0.0)), disk(0.5, center=(3.0, 0.0)))
-    assert diameter(pair) == pytest.approx(4.0, rel=1e-12)
-
-
 def test_diameter_ellipse_major_axis():
     assert diameter(ellipse(2.0, 0.5)) == pytest.approx(4.0, rel=1e-12)
 
@@ -201,48 +192,6 @@ def test_diameter_scales_linearly(scale):
     assert diameter(disk(scale * 0.5)) == pytest.approx(scale * 1.0, rel=1e-12)
     assert diameter(ellipse(scale, 0.3 * scale)) == pytest.approx(
         2.0 * scale, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# separation
-# ---------------------------------------------------------------------------
-
-def test_separation_two_disks():
-    pair = union(disk(0.5, center=(0.0, 0.0)), disk(0.5, center=(3.0, 0.0)))
-    assert component_separation(pair) == pytest.approx(2.0, rel=1e-12)
-
-
-def test_separation_touching_closures_warns():
-    with pytest.warns(DisjointnessViolated):
-        pair = union(disk(0.5, center=(0.0, 0.0)), disk(0.5, center=(1.0, 0.0)))
-    with pytest.warns(DisjointnessViolated):
-        sep = component_separation(pair)
-    assert sep == pytest.approx(0.0, abs=1e-12)
-
-
-def test_separation_single_component_rejected():
-    with pytest.raises(SingleComponent):
-        component_separation(disk(1.0))
-
-
-def test_separation_three_components_minimum():
-    trio = union(disk(0.3, center=(0.0, 0.0)),
-                 disk(0.3, center=(2.0, 0.0)),
-                 disk(0.3, center=(0.0, 5.0)))
-    got = component_separation(trio)
-    assert got == pytest.approx(2.0 - 0.6, rel=1e-12)
-
-    # brute-force oracle over dense boundary samples
-    th = np.linspace(0.0, 2.0 * np.pi, 2000, endpoint=False)
-    ring = 0.3 * np.stack([np.cos(th), np.sin(th)], axis=1)
-    clouds = [ring + c for c in ([0.0, 0.0], [2.0, 0.0], [0.0, 5.0])]
-    brute = np.inf
-    for i in range(3):
-        for j in range(i + 1, 3):
-            d2 = np.sum((clouds[i][:, None, :] - clouds[j][None, :, :]) ** 2,
-                        axis=-1)
-            brute = min(brute, float(np.sqrt(d2.min())))
-    assert got == pytest.approx(brute, rel=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +235,20 @@ def test_volume_mesh_rejects_coarse_spacing():
         volume_mesh(disk(0.05), h=0.2)
 
 
+@pytest.mark.parametrize("build", [volume_mesh, boundary_mesh])
+@pytest.mark.parametrize("make", [
+    lambda: disk(1.0),
+    lambda: make_cap_domain(K=10.0, L=1.0, M=1.0, varsigma=0.5),
+], ids=["disk", "cap"])
+def test_meshes_reject_nan_spacing(build, make):
+    with pytest.raises(MeshTooCoarse, match="h must be positive"):
+        build(make(), float("nan"))
+
+
 def test_boundary_measure_matches_mesh():
-    assert boundary_measure(disk(2.0)) == pytest.approx(4.0 * np.pi, rel=1e-12)
+    # a disk's boundary mesh spreads the exact perimeter over its nodes
+    bm = boundary_mesh(disk(2.0), h=0.05)
+    assert float(np.sum(bm.weights)) == pytest.approx(4.0 * np.pi, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +265,8 @@ def test_signed_distance_disk_values():
 def test_signed_distance_cap_matches_brute_force():
     dom = make_cap_domain(K=10.0, L=3.0, M=4.0, varsigma=0.9, cubic=1.5)
     ch = dom.chart
-    w = None
+    w = dom.shape.x1max
     # dense boundary cloud for the oracle
-    for comp in dom.components:
-        w = comp.x1max
     ts = np.linspace(-w, w, 60_001)
     graph = np.stack([ts, ch.graph.gamma(np.abs(ts))], axis=1)
     lid = np.stack([np.linspace(-w, w, 60_001), np.full(60_001, ch.b)], axis=1)
@@ -318,6 +277,19 @@ def test_signed_distance_cap_matches_brute_force():
         want = float(np.min(np.linalg.norm(cloud - x, axis=1)))
         got = abs(signed_distance(dom, x))
         assert got == pytest.approx(want, abs=1e-6)
+
+
+@pytest.mark.parametrize("make, pts", [
+    (lambda: disk(1.0), np.zeros((4, 3))),
+    (lambda: disk(1.0), [0.1, 0.2, 0.3]),
+    (lambda: ellipse(0.5, 0.3), np.zeros((2, 1))),
+    (lambda: make_cap_domain(K=10.0, L=1.0, M=1.0, varsigma=0.5), np.zeros((3, 3))),
+    (lambda: disk(1.0, center=(0.0, 0.0, 0.0), dim=3), np.zeros((4, 2))),
+], ids=["disk-3d-points", "disk-3d-point", "ellipse-1d-points", "cap-3d-points",
+        "ball-2d-points"])
+def test_inside_rejects_points_of_the_wrong_length(make, pts):
+    with pytest.raises(UnsupportedDimension, match="points must have length"):
+        inside(make(), pts)
 
 
 def test_signed_distance_sign_convention_cap():
@@ -346,12 +318,6 @@ GOLDEN_DOMAINS = {
     "cap_cubic": (lambda: make_cap_domain(K=10.0, L=3.0, M=4.0, varsigma=0.9,
                                           cubic=1.5), 0.01,
                   [(0.0, 0.05), (0.05, 0.2), (-0.02, -0.01), (-0.09, 0.05)]),
-    "two_disks": (lambda: union(disk(0.3, center=(-0.5, 0.0)),
-                                disk(0.25, center=(0.5, 0.1))), 0.02,
-                  [(-0.5, 0.0), (0.0, 0.05), (0.6, 0.4)]),
-    "disk_ellipse": (lambda: union(disk(0.3, center=(-0.6, 0.0)),
-                                   ellipse(0.4, 0.2, center=(0.5, 0.1))), 0.02,
-                     [(-0.6, 0.0), (0.0, 0.05), (0.5, 0.35), (0.85, 0.1)]),
 }
 
 GOLDEN = {'cap': {'gauss_mesh': '52cbfbef2ef1dd58',
@@ -360,7 +326,6 @@ GOLDEN = {'cap': {'gauss_mesh': '52cbfbef2ef1dd58',
                   'boundary_normals': '0f9af0e4488206b5',
                   'boundary_tags': ['graph', 'lid'],
                   'diameter': 0.2,
-                  'boundary_measure': 0.49578857180706193,
                   'signed_distance': [-0.05,
                                       0.1,
                                       0.013181552550489304,
@@ -371,7 +336,6 @@ GOLDEN = {'cap': {'gauss_mesh': '52cbfbef2ef1dd58',
                         'boundary_normals': 'bb79a0fa63766f11',
                         'boundary_tags': ['graph', 'lid'],
                         'diameter': 0.1985274677566269,
-                        'boundary_measure': 0.49340721476259364,
                         'signed_distance': [-0.049999999466604536,
                                             0.1,
                                             0.013187381781285114,
@@ -384,22 +348,7 @@ GOLDEN = {'cap': {'gauss_mesh': '52cbfbef2ef1dd58',
                    'boundary_normals': 'a4761e10f0d3cbc2',
                    'boundary_tags': ['boundary'],
                    'diameter': 0.8,
-                   'boundary_measure': 2.5132741228718345,
                    'signed_distance': [-0.4, 0.5055385138137417, 0.00311288741492749]},
-          'disk_ellipse': {'volume_mesh': '87d126290125365a',
-                           'volume_measure': 0.5340707511102649,
-                           'gauss_mesh': '5630b6f3cd35ea8f',
-                           'gauss_measure': 0.5340707511102649,
-                           'boundary_mesh': '74ef5e6fde7b8a86',
-                           'boundary_normals': 'b79153e75700d190',
-                           'boundary_tags': ['c0boundary', 'c1boundary'],
-                           'diameter': 1.8035667955468895,
-                           'boundary_measure': 3.822645236263411,
-                           'signed_distance': [-0.3,
-                                               0.10612182770393087,
-                                               0.04999999999999993,
-                                               -0.050000000000000044],
-                           'separation': 0.4062241588657146},
           'disk_offset': {'volume_mesh': '5aebbb38cb16293b',
                           'volume_measure': 0.2827433388230814,
                           'gauss_mesh': '4d73747c45be575f',
@@ -408,7 +357,6 @@ GOLDEN = {'cap': {'gauss_mesh': '52cbfbef2ef1dd58',
                           'boundary_normals': '618b78a44355c0fa',
                           'boundary_tags': ['boundary'],
                           'diameter': 0.6,
-                          'boundary_measure': 1.8849555921538759,
                           'signed_distance': [-0.3,
                                               0.4280109889280517,
                                               -0.030741759643274802]},
@@ -420,30 +368,13 @@ GOLDEN = {'cap': {'gauss_mesh': '52cbfbef2ef1dd58',
                       'boundary_normals': 'db4b7af6a7c350cb',
                       'boundary_tags': ['boundary'],
                       'diameter': 1.0,
-                      'boundary_measure': 2.552699886339813,
                       'signed_distance': [-0.3,
                                           0.4118258667806177,
                                           -0.022916413435094717,
                                           0.04999999999999999]},
-          'two_disks': {'volume_mesh': '24e17efbc4b06200',
-                        'volume_measure': 0.47909287967244346,
-                        'gauss_mesh': '02e3439ce6ea87a6',
-                        'gauss_measure': 0.47909287967244346,
-                        'boundary_mesh': '66f29ef528e0dd3e',
-                        'boundary_normals': '31ac47ed8aaf5ee9',
-                        'boundary_tags': ['c0boundary', 'c1boundary'],
-                        'diameter': 1.554987562112089,
-                        'boundary_measure': 3.4557519189487724,
-                        'signed_distance': [-0.3,
-                                            0.2024937810560445,
-                                            0.06622776601683794],
-                        'separation': 0.4549875621120889},
-          'ball_pair': {'diameter': 1.64564392373896,
-                        'separation': 0.64564392373896,
-                        'signed_distance': [-0.19999999999999998,
-                                            -0.05000000000000002,
-                                            0.23851648071345039],
-                        'inside': [True, True, False]}}
+          'ball_pair': {'signed_distance': [-0.19999999999999998,
+                                            -0.05000000000000002],
+                        'inside': [True, True]}}
 
 
 def _golden_values(name):
@@ -458,15 +389,12 @@ def _golden_values(name):
         "boundary_normals": content_id(bm.normals),
         "boundary_tags": sorted(set(bm.tags)),
         "diameter": diameter(dom),
-        "boundary_measure": boundary_measure(dom),
         "signed_distance": [signed_distance(dom, np.array(p)) for p in points],
     }
     # a cap has no cell mesh until ROADMAP item 10
-    if not isinstance(dom.components[0], Cap):
+    if not isinstance(dom.shape, Cap):
         vm = volume_mesh(dom, h)
         out.update(volume_mesh=vm.mesh_id, volume_measure=vm.measure)
-    if len(dom.components) > 1:
-        out["separation"] = component_separation(dom)
     return out
 
 
@@ -476,14 +404,13 @@ def test_golden_geometry_values(name):
 
 
 def test_golden_ball_pair():
-    pair = union(disk(0.3, center=(0.0, 0.0, 0.0), dim=3),
-                 disk(0.2, center=(1.0, 0.5, -0.25), dim=3))
-    pts = np.array([[0.1, 0.0, 0.0], [1.0, 0.5, -0.1], [0.5, 0.2, 0.0]])
+    # two 3-D balls, each asked about a point inside it
+    balls = (disk(0.3, center=(0.0, 0.0, 0.0), dim=3),
+             disk(0.2, center=(1.0, 0.5, -0.25), dim=3))
+    pts = np.array([[0.1, 0.0, 0.0], [1.0, 0.5, -0.1]])
     got = {
-        "diameter": diameter(pair),
-        "separation": component_separation(pair),
-        "signed_distance": [signed_distance(pair, p) for p in pts],
-        "inside": inside(pair, pts).tolist(),
+        "signed_distance": [signed_distance(b, p) for b, p in zip(balls, pts)],
+        "inside": [bool(inside(b, p)[0]) for b, p in zip(balls, pts)],
     }
     assert got == GOLDEN["ball_pair"]
 
@@ -529,7 +456,7 @@ def _cap_columns_by_loop(cap, n_radial, n_angular):
 def test_graph_columns_match_the_column_loop(name, widen):
     # widen > 1 pushes the outer columns past the graph-lid crossing, where
     # their depth clamps at 0 and the mesh drops them
-    cap = GOLDEN_DOMAINS[name][0]().components[0]
+    cap = GOLDEN_DOMAINS[name][0]().shape
     cap = Cap(cap.chart, widen * cap.x1max, cap.center)
     for n_radial, n_angular in [(16, 32), (48, 96), (3, 5)]:
         nodes, weights = cap.gauss_mesh(n_radial, n_angular)
@@ -546,8 +473,8 @@ def test_graph_columns_match_the_column_loop(name, widen):
 
 
 @pytest.mark.parametrize("comp", [
-    ellipse(0.7, 0.3, center=(0.4, -0.25)).components[0],
-    make_cap_domain(10.0, 3.0, 4.0, 0.9).components[0],
+    ellipse(0.7, 0.3, center=(0.4, -0.25)).shape,
+    make_cap_domain(10.0, 3.0, 4.0, 0.9).shape,
 ], ids=["offset-ellipse", "cap"])
 def test_bbox_holds_and_touches_the_boundary(comp):
     lo, hi = comp.bbox()

@@ -29,7 +29,6 @@ from elastoscat import (
     make_medium,
     solve_medium,
     solve_medium_sweep,
-    union,
     upsilon,
     volume_mesh,
 )
@@ -435,13 +434,25 @@ def _potential_matrix_by_rows(mesh, medium):
     return mat
 
 
+def _two_disk_mesh(radius: float) -> QuadratureMesh:
+    """The cell meshes (h = 0.02) of two disjoint disks, of radii 0.2 and
+    ``radius``, as one node set with a gap: on one h-lattice when the radii
+    are equal, on offset lattices when they are not."""
+    parts = [volume_mesh(disk(0.2, center=(-0.3, 0.0)), h=0.02),
+             volume_mesh(disk(radius, center=(0.3, 0.1)), h=0.02)]
+    nodes = np.concatenate([m.nodes for m in parts])
+    weights = np.concatenate([m.weights for m in parts])
+    return QuadratureMesh(nodes=nodes, weights=weights, h=0.02, style="cell",
+                          mesh_id=content_id(nodes, weights),
+                          measure=sum(m.measure for m in parts))
+
+
 POTENTIAL_MESHES = {
-    "disk-h0.03": (lambda: disk(0.45), 0.03),
-    "disk-h0.05": (lambda: disk(0.45), 0.05),
-    "offset-disk": (lambda: disk(0.4, center=(0.15, -0.1)), 0.04),
-    "ellipse": (lambda: ellipse(0.4, 0.25), 0.03),
-    "two-disks": (lambda: union(disk(0.2, center=(-0.3, 0.0)),
-                                disk(0.15, center=(0.3, 0.1))), 0.02),
+    "disk-h0.03": lambda: volume_mesh(disk(0.45), h=0.03),
+    "disk-h0.05": lambda: volume_mesh(disk(0.45), h=0.05),
+    "offset-disk": lambda: volume_mesh(disk(0.4, center=(0.15, -0.1)), h=0.04),
+    "ellipse": lambda: volume_mesh(ellipse(0.4, 0.25), h=0.03),
+    "two-disks": lambda: _two_disk_mesh(0.15),
 }
 
 
@@ -449,8 +460,7 @@ POTENTIAL_MESHES = {
 def test_potential_matrix_matches_row_loop(name):
     # array_equal, not a tolerance: the table gather repeats the row loop's
     # arithmetic exactly (it counts -0.0 and 0.0 as equal)
-    make, h = POTENTIAL_MESHES[name]
-    mesh = volume_mesh(make(), h=h)
+    mesh = POTENTIAL_MESHES[name]()
     assert mesh.nodes.shape[0] <= 710
     assert np.array_equal(_potential_matrix(mesh, MED),
                           _potential_matrix_by_rows(mesh, MED))
@@ -475,20 +485,23 @@ def test_potential_matrix_evaluates_each_distinct_difference_once(monkeypatch):
 # the FFT lattice operator and GMRES against the dense reference
 # ---------------------------------------------------------------------------
 
-# cell meshes on one h-lattice: the components of "two-disks" share it
+def _meshed(domain, h):
+    return domain, volume_mesh(domain, h=h)
+
+
+# a domain and a cell mesh on one h-lattice: the two disks of "two-disks"
+# share it, and the disk around them holds both
 LATTICE_MESHES = {
-    "disk": (lambda: disk(0.45), 0.03),
-    "offset-disk": (lambda: disk(0.4, center=(0.15, -0.1)), 0.04),
-    "ellipse": (lambda: ellipse(0.5, 0.3, center=(0.1, -0.05)), 0.03),
-    "two-disks": (lambda: union(disk(0.2, center=(-0.3, 0.0)),
-                                disk(0.2, center=(0.3, 0.1))), 0.02),
+    "disk": lambda: _meshed(disk(0.45), 0.03),
+    "offset-disk": lambda: _meshed(disk(0.4, center=(0.15, -0.1)), 0.04),
+    "ellipse": lambda: _meshed(ellipse(0.5, 0.3, center=(0.1, -0.05)), 0.03),
+    "two-disks": lambda: (disk(0.55), _two_disk_mesh(0.2)),
 }
 
 
 @pytest.mark.parametrize("name", list(LATTICE_MESHES))
 def test_lattice_potential_matches_dense_matrix(name):
-    make, h = LATTICE_MESHES[name]
-    mesh = volume_mesh(make(), h=h)
+    _, mesh = LATTICE_MESHES[name]()
     n = mesh.nodes.shape[0]
     rng = np.random.default_rng(11)
     x = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
@@ -620,7 +633,7 @@ def test_shared_arrays_are_read_only():
     pair = scattering.LatticeOperator(mesh, MED).farfield_phases(directions_circle(64))
     with pytest.raises(ValueError, match="read-only"):
         pair[0, 0, 0] = 0.0
-    lo, hi = scattering._bounding_box(sc.domain)
+    lo, hi = sc.domain.shape.bbox()
     with pytest.raises(ValueError, match="read-only"):
         scattering._v_sup_points(tuple(lo), tuple(hi), 2)[0, 0] = 0.0
 
@@ -628,7 +641,7 @@ def test_shared_arrays_are_read_only():
 def test_v_sup_reads_the_shared_draw_with_the_same_bits():
     # the draw every row used to make for itself, once per call
     for sc in (scatterer(v0=0.4), scatterer(v0=0.3, radius=0.3, center=(0.2, -0.1))):
-        lo, hi = scattering._bounding_box(sc.domain)
+        lo, hi = sc.domain.shape.bbox()
         rng = np.random.default_rng(scattering._V_SUP_SEED)
         pts = rng.uniform(lo, hi, size=(scattering._V_SUP_SAMPLES, 2))
         want = float(np.max(np.abs(sc.contrast_on(pts[inside(sc.domain, pts)]))))
@@ -724,11 +737,10 @@ def test_solve_medium_rejects_bad_directions_before_solving(monkeypatch,
 def test_solve_medium_matches_dense_reference(name, mode):
     # the contrast's phase varies in space, so the adjoint in the contraction
     # estimate must conjugate V
-    make, h = LATTICE_MESHES[name]
+    domain, mesh = LATTICE_MESHES[name]()
     profile = smooth_disk_contrast((0.0, 0.0), 0.8, 0.3)
-    sc = MediumScatterer(domain=make(), medium=MED,
+    sc = MediumScatterer(domain=domain, medium=MED,
                          contrast=lambda pts: profile(pts) * np.exp(2j * pts[..., 0]))
-    mesh = volume_mesh(sc.domain, h=h)
 
     def rel(a, b):
         return np.linalg.norm(a - b) / np.linalg.norm(b)
@@ -912,13 +924,15 @@ def test_sweep_applies_the_operator_for_its_largest_amplitude_only(monkeypatch):
 
 def test_non_lattice_meshes_are_rejected():
     inc = make_incident("pressure-plane", {"direction": (1.0, 0.0)}, MED)
-    cap = make_cap_domain(10.0, 3.0, 4.0, 0.9)
-    offset_union = union(disk(0.2, center=(-0.3, 0.0)), disk(0.15, center=(0.3, 0.1)))
-    for domain, h in ((cap, 0.01), (offset_union, 0.02)):
-        sc = MediumScatterer(domain=domain, medium=MED,
-                             contrast=smooth_disk_contrast((0.0, 0.0), 0.6, 0.2))
-        with pytest.raises(MeshMismatch, match="ROADMAP item 10"):
-            solve_medium(sc, inc, volume_mesh(domain, h=h))
+    contrast = smooth_disk_contrast((0.0, 0.0), 0.6, 0.2)
+    cap = MediumScatterer(domain=make_cap_domain(10.0, 3.0, 4.0, 0.9), medium=MED,
+                          contrast=contrast)
+    with pytest.raises(MeshMismatch, match="ROADMAP item 10"):
+        solve_medium(cap, inc, volume_mesh(cap.domain, h=0.01))
+    # two disks whose cell meshes sit on offset lattices
+    pair = MediumScatterer(domain=disk(0.55), medium=MED, contrast=contrast)
+    with pytest.raises(MeshMismatch, match="one h-lattice"):
+        solve_medium(pair, inc, _two_disk_mesh(0.15))
 
 
 def test_lattice_grid_budget_guard():
