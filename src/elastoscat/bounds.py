@@ -78,7 +78,7 @@ def _finish(name: str, lhs: float, rhs: float, c_fit: float) -> CriterionReport:
 
 def small_support_rhs(epsilon: float, delta: float, dim: int) -> float:
     """``eps^delta (1 + (1+eps) eps^{n/2})``, strictly increasing in eps."""
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise NonpositiveArgument(f"epsilon must be positive, got {epsilon}")
     _check_holder_exponent(delta, dim)
     return epsilon ** delta * (1.0 + (1.0 + epsilon) * epsilon ** (dim / 2.0))
@@ -89,7 +89,7 @@ def kdecay_rhs(K: float, alpha: float, varsigma: float, dim: int) -> float:
 
     Strictly decreasing once ``ln K > (n+1)/min(alpha,varsigma)`` in 2-D.
     """
-    if K < math.e:
+    if not K >= math.e:
         raise KTooSmall(f"need K >= e, got {K}")
     m = min(alpha, varsigma)
     if dim == 2:
@@ -98,9 +98,9 @@ def kdecay_rhs(K: float, alpha: float, varsigma: float, dim: int) -> float:
                 f"need alpha in (0, 1] and varsigma > 0, got {alpha}, {varsigma}")
         expo = -0.5 * m
     elif dim == 3:
-        if not (1.0 / 3.0 < m < 1.0):
+        if not (1.0 / 3.0 < alpha and 1.0 / 3.0 < varsigma and m < 1.0):
             raise ExponentOutOfRange(
-                f"need min(alpha, varsigma) in (1/3, 1), got {m}")
+                f"need min(alpha, varsigma) in (1/3, 1), got {alpha}, {varsigma}")
         expo = -0.5 * m + 1.0 / 6.0
     else:
         raise UnsupportedDimension(f"dim must be 2 or 3, got {dim}")

@@ -306,8 +306,8 @@ def tail_and_holder_bounds(tau: float, b: float, K: float, alpha: float,
     """
     if dim not in (2, 3):
         raise UnsupportedDimension(f"dim must be 2 or 3, got {dim}")
-    if tau <= 0.0 or b <= 0.0 or K <= 0.0:
-        raise NonpositiveArgument("tau, b, K must be positive")
+    if not (tau > 0.0 and b > 0.0 and K > 0.0):
+        raise NonpositiveArgument(f"tau, b, K must be positive, got {tau}, {b}, {K}")
     if not (0.0 < alpha <= 1.0):
         raise InvalidExponent(f"alpha must lie in (0, 1], got {alpha}")
     expo = (dim - 1) / 2.0
@@ -320,9 +320,9 @@ def tail_and_holder_bounds(tau: float, b: float, K: float, alpha: float,
 
 def select_tau(K: float, zeta: float) -> float:
     """Decay parameter ``tau = 4 K ln(K^zeta)``, strictly increasing in both args."""
-    if K < math.e:
+    if not K >= math.e:
         raise KTooSmall(f"need K >= e, got {K}")
-    if zeta <= 0.0:
+    if not zeta > 0.0:
         raise InvalidParameter(f"zeta must be positive, got {zeta}")
     return 4.0 * K * zeta * math.log(K)
 
@@ -331,12 +331,14 @@ def zeta_default(alpha: float, varsigma: float, dim: int) -> float:
     """Exponent choice matching the bound evaluators' decay rates."""
     m = min(alpha, varsigma)
     if dim == 2:
-        if not (0.0 < m <= 1.0):
-            raise ExponentOutOfRange(f"need min(alpha, varsigma) in (0, 1], got {m}")
+        if not (0.0 < alpha and 0.0 < varsigma and m <= 1.0):
+            raise ExponentOutOfRange(
+                f"need min(alpha, varsigma) in (0, 1], got {alpha}, {varsigma}")
         return 0.5 * m
     if dim == 3:
-        if not (1.0 / 3.0 < m < 1.0):
-            raise ExponentOutOfRange(f"need min(alpha, varsigma) in (1/3, 1), got {m}")
+        if not (1.0 / 3.0 < alpha and 1.0 / 3.0 < varsigma and m < 1.0):
+            raise ExponentOutOfRange(
+                f"need min(alpha, varsigma) in (1/3, 1), got {alpha}, {varsigma}")
         return 0.5 * m + 1.0 / 6.0
     raise UnsupportedDimension(f"dim must be 2 or 3, got {dim}")
 
@@ -485,8 +487,8 @@ def boundary_term_bound(tau: float, b: float, K: float, beta: float,
 
         |I4| <= e^{-tau b} K^{-(beta + (n+1)/2)} (K + tau) * ||u||_{C^{1,beta}}.
     """
-    if tau <= 0.0 or b <= 0.0 or K <= 0.0:
-        raise NonpositiveArgument("tau, b, K must be positive")
+    if not (tau > 0.0 and b > 0.0 and K > 0.0):
+        raise NonpositiveArgument(f"tau, b, K must be positive, got {tau}, {b}, {K}")
     if not (0.0 < beta <= 1.0):
         raise InvalidExponent(f"beta must lie in (0, 1], got {beta}")
     return math.exp(-tau * b) * K ** (-(beta + (dim + 1) / 2.0)) * (K + tau) \

@@ -43,14 +43,15 @@ Subcommands
 Configs are JSON validated against the subcommand's schema in
 ``CONFIG_SCHEMAS``, the reference for every key, its type, range and default
 (``schema_version`` must be 1, ``experiment`` must match the subcommand and
-unknown keys are rejected).  A small checker of the schema keywords used
-there accepts a valid config and fills its defaults; jsonschema is imported
-only for a config that the checker rejects, to name the offending value, and
-it has the last word: a config that it accepts runs.  Every run writes
-``<prefix>_<table>.csv`` tables (RFC 4180, ``\\r\\n`` line endings, floats at 17 significant digits, fixed
-column order documented per runner) plus ``<prefix>_report.json`` echoing the
-config as read and with its defaults filled in, seed, artifact version,
-summary statistics, and wall clock.  Replaying a config with the same seed
+unknown keys are rejected).  One small checker of the schema keywords used
+there fills the defaults and finds every failure, in jsonschema's words; a
+rejected config is reported at the failure that jsonschema's ``best_match``
+would pick (jsonschema itself is the tests' reference, not a dependency).
+Every run writes ``<prefix>_<table>.csv`` tables (RFC 4180, ``\\r\\n`` line
+endings, floats at 17 significant digits, fixed column order documented per
+runner) plus ``<prefix>_report.json`` echoing the config as read and with
+its defaults filled in, seed, artifact version, summary statistics, and wall
+clock.  Replaying a config with the same seed
 reproduces the CSV bytes exactly; per-point seeds derive from the master
 seed and the point index.
 
@@ -153,8 +154,9 @@ _CRITERION = _obj(default={}, delta=_unit(1.0))
 def _by_kind(tag: str, then: dict, otherwise: dict, **properties) -> dict:
     """An object with the keys of ``then`` when its ``kind`` is ``tag`` and
     those of ``otherwise`` when not (or when it has no ``kind``).  Not a
-    oneOf: best_match explains a failed oneOf by whichever branch fails
-    deepest, often one whose ``kind`` does not match."""
+    oneOf: a failed oneOf fails every branch, so its errors would come from
+    branches whose ``kind`` does not match; here only the branch that the
+    ``kind`` picks is checked, and every error is about that branch."""
     return {"type": "object", "properties": properties, "then": then, "else": otherwise,
             "if": {"required": ["kind"], "properties": {"kind": {"const": tag}}}}
 
@@ -242,72 +244,62 @@ def _is_type(value, name: str) -> bool:
     return isinstance(value, {"object": dict, "array": list, "string": str}[name])
 
 
-_LIMITS = {"minimum": operator.ge, "exclusiveMinimum": operator.gt, "maximum": operator.le,
-           "minItems": operator.ge, "maxItems": operator.le}
+_RANGES = {"minimum": (operator.ge, "is less than the minimum of"),
+           "exclusiveMinimum": (operator.gt, "is less than or equal to the minimum of"),
+           "maximum": (operator.le, "is greater than the maximum of")}
 
 
-def _conforms(schema: dict, value) -> bool:
-    """Whether ``value`` satisfies ``schema``, filling in each absent key's
-    ``default`` before checking ``properties``, as :func:`_jsonschema_check`
-    does.  It knows only the keywords of ``CONFIG_SCHEMAS`` and walks them in
-    the schema's order, as jsonschema does; ``then`` and ``else`` belong to
-    ``if``, and ``default`` and ``$schema`` check nothing."""
+def _errors(schema: dict, value, path: tuple = ()):
+    """Yield ``(path, message)`` for each keyword of ``schema`` that ``value``
+    fails, in jsonschema's order (the schema's own, depth first) and in its
+    4.x wording.  Each absent key's ``default`` is filled into ``value``
+    before that key's subschema is checked, as a jsonschema validator whose
+    ``properties`` fills defaults does.  It knows only the keywords of
+    ``CONFIG_SCHEMAS``; ``then`` and ``else`` belong to ``if``, and
+    ``default`` and ``$schema`` check nothing."""
     is_obj, is_list = isinstance(value, dict), isinstance(value, list)
     for key, arg in schema.items():
         if key == "type":
-            ok = _is_type(value, arg)
+            if not _is_type(value, arg):
+                yield path, f"{value!r} is not of type {arg!r}"
         elif key in ("const", "enum"):  # of scalars, where a bool equals only a bool
-            ok = any(isinstance(value, bool) == isinstance(each, bool) and value == each
-                     for each in (arg if key == "enum" else [arg]))
-        elif key in ("minItems", "maxItems"):
-            ok = not is_list or _LIMITS[key](len(value), arg)
-        elif key in _LIMITS:
-            ok = not _is_type(value, "number") or _LIMITS[key](value, arg)
+            if not any(isinstance(value, bool) == isinstance(each, bool) and value == each
+                       for each in (arg if key == "enum" else [arg])):
+                yield path, (f"{value!r} is not one of {arg!r}" if key == "enum"
+                             else f"{arg!r} was expected")
+        elif key == "minItems":
+            if is_list and len(value) < arg:
+                yield path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif key == "maxItems":
+            if is_list and len(value) > arg:
+                yield path, f"{value!r} is too long"
+        elif key in _RANGES:
+            holds, phrase = _RANGES[key]
+            if _is_type(value, "number") and not holds(value, arg):
+                yield path, f"{value!r} {phrase} {arg!r}"
         elif key == "items":
-            ok = not is_list or all(_conforms(arg, item) for item in value)
+            for i, item in enumerate(value if is_list else ()):
+                yield from _errors(arg, item, (*path, i))
         elif key == "properties":
             for name, sub in arg.items() if is_obj else ():
                 if "default" in sub and name not in value:
                     value[name] = copy.deepcopy(sub["default"])
-            ok = not is_obj or all(_conforms(sub, value[name])
-                                   for name, sub in arg.items() if name in value)
+                if name in value:
+                    yield from _errors(sub, value[name], (*path, name))
         elif key == "required":
-            ok = not is_obj or all(name in value for name in arg)
+            for name in arg if is_obj else ():
+                if name not in value:
+                    yield path, f"{name!r} is a required property"
         elif key == "additionalProperties":  # always false in CONFIG_SCHEMAS
-            ok = not is_obj or set(value) <= set(schema.get("properties", ()))
+            extra = sorted(set(value) - set(schema.get("properties", ()))) if is_obj else ()
+            if extra:
+                names, verb = ", ".join(map(repr, extra)), "was" if len(extra) == 1 else "were"
+                yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
         elif key == "if":
-            ok = _conforms(schema.get("then" if _conforms(arg, value) else "else", {}),
-                           value)
-        elif key in ("then", "else", "default", "$schema"):
-            continue
-        else:
+            branch = "then" if next(_errors(arg, value), None) is None else "else"
+            yield from _errors(schema.get(branch, {}), value, path)
+        elif key not in ("then", "else", "default", "$schema"):
             raise ValueError(f"the config checker lacks the schema keyword {key!r}")
-        if not ok:
-            return False
-    return True
-
-
-def _jsonschema_check(schema: dict, as_read):
-    """The reference check: jsonschema's Draft 2020-12 validator, extended to
-    fill defaults.  Returns its most relevant error (None when the config
-    conforms) and its filled copy of ``as_read``."""
-    from jsonschema import Draft202012Validator, validators
-    from jsonschema.exceptions import best_match
-
-    def fill_defaults(validator, properties, instance, schema):
-        """The ``properties`` keyword, after setting each absent key's default."""
-        if validator.is_type(instance, "object"):
-            for key, sub in properties.items():
-                if "default" in sub and key not in instance:
-                    instance[key] = copy.deepcopy(sub["default"])
-        yield from Draft202012Validator.VALIDATORS["properties"](
-            validator, properties, instance, schema)
-
-    # built directly: ``jsonschema.validate`` would re-check the metaschema
-    # on every call (the schemas themselves are checked in the tests)
-    validator = validators.extend(Draft202012Validator, {"properties": fill_defaults})
-    effective = copy.deepcopy(as_read)
-    return best_match(validator(schema).iter_errors(effective)), effective
 
 
 def _reject_constant(name: str):
@@ -333,15 +325,13 @@ def load_config(path: str, experiment: str) -> tuple:
     found = as_read.get("experiment") if isinstance(as_read, dict) else None
     if found not in (None, experiment):
         raise ConfigInvalid(f"config is for {found!r}, not {experiment!r}")
-    schema = CONFIG_SCHEMAS[experiment]
     effective = copy.deepcopy(as_read)
-    if not _conforms(schema, effective):
-        # jsonschema explains the rejection, and stays the reference: a
-        # config that it accepts runs
-        error, effective = _jsonschema_check(schema, as_read)
-        if error is not None:
-            where = "/".join(str(p) for p in error.absolute_path) or "top level"
-            raise ConfigInvalid(f"config rejected by schema at {where}: {error.message}")
+    # jsonschema's best_match: the shallowest failure, the greatest path among equals
+    error = max(_errors(CONFIG_SCHEMAS[experiment], effective),
+                key=lambda e: (-len(e[0]), e[0]), default=None)
+    if error is not None:
+        where = "/".join(map(str, error[0])) or "top level"
+        raise ConfigInvalid(f"config rejected by schema at {where}: {error[1]}")
     return as_read, effective
 
 

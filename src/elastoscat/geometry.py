@@ -584,23 +584,23 @@ def make_cap_domain(K: float, L: float, M: float, varsigma: float,
     ``gamma(t) = K t^2 + cubic * |t|^3``.  Raises ``ChartInvalid`` when any
     chart inequality fails on the sample grid and ``KTooSmall`` for K < e.
     """
-    if K < math.e:
+    if not K >= math.e:
         raise KTooSmall(f"need K >= e, got K={K}")
-    if M < 1.0:
-        raise ChartInvalid(f"need M >= 1, got M={M}")
-    if L <= 0.0:
+    if not 1.0 <= M < math.inf:
+        raise ChartInvalid(f"need a finite M >= 1, got M={M}")
+    if not L > 0.0:
         raise ChartInvalid(f"need L > 0, got L={L}")
     if not (0.0 < varsigma <= 1.0):
         raise ChartInvalid(f"need varsigma in (0, 1], got {varsigma}")
     rho = math.sqrt(M) / K
     b = 1.0 / K
     c3 = float(cubic)
+    if not (math.isfinite(K) and math.isfinite(c3)):
+        raise ChartInvalid(f"need finite K and cubic, got K={K}, cubic={cubic}")
 
     # Chart validation on the sample grid.
     t = np.linspace(0.0, rho, CHART_SAMPLES)
     g = CapGraph(K, c3).gamma(t)
-    if g[0] != 0.0:
-        raise ChartInvalid("gamma(0) must vanish")
     if np.any(g[1:] <= 0.0):
         raise ChartInvalid("gamma must be positive away from the contact point")
     ratio = g[1:] / t[1:] ** 2

@@ -1,6 +1,7 @@
 """Criterion evaluators: structural shapes, verdicts and calibration."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,15 +9,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from elastoscat import (
+    boundary_term_bound,
     calibrate_constant,
     calibrate_contraction_scale,
     diameter_lower_bound,
     kdecay_rhs,
     kpoint_criterion,
+    make_cap_domain,
     medium_kpoint_criterion,
     medium_small_criterion,
+    select_tau,
     small_support_criterion,
     small_support_rhs,
+    tail_and_holder_bounds,
+    zeta_default,
 )
 from elastoscat.bounds import (
     REGIME_INDETERMINATE,
@@ -24,6 +30,7 @@ from elastoscat.bounds import (
     REGIME_RADIATING,
 )
 from elastoscat.errors import (
+    ChartInvalid,
     EmptySweep,
     ExponentOutOfRange,
     InvalidExponent,
@@ -82,6 +89,46 @@ def test_kdecay_shape_rejects_bad_inputs():
         kdecay_rhs(30.0, 0.2, 1.0, 3)
     with pytest.raises(UnsupportedDimension):
         kdecay_rhs(30.0, 0.5, 0.5, 4)
+
+
+_CAP = dict(K=10.0, L=1.0, M=1.0, varsigma=0.5, cubic=0.0)
+_LID = dict(tau=40.0, b=0.1, K=10.0)
+
+# id: (function, valid arguments, the argument set to NaN, the error it raises)
+NAN_GUARDS = {
+    "make_cap_domain-K": (make_cap_domain, _CAP, "K", KTooSmall),
+    "make_cap_domain-L": (make_cap_domain, _CAP, "L", ChartInvalid),
+    "make_cap_domain-M": (make_cap_domain, _CAP, "M", ChartInvalid),
+    "make_cap_domain-cubic": (make_cap_domain, _CAP, "cubic", ChartInvalid),
+    "select_tau-K": (select_tau, dict(K=10.0, zeta=0.5), "K", KTooSmall),
+    "select_tau-zeta": (select_tau, dict(K=10.0, zeta=0.5), "zeta", InvalidParameter),
+    "kdecay_rhs-K": (kdecay_rhs, dict(K=10.0, alpha=1.0, varsigma=0.9, dim=2), "K",
+                     KTooSmall),
+    # min(0.5, nan) is 0.5: the 3-D range test alone let a NaN varsigma through
+    "kdecay_rhs-varsigma-3d": (kdecay_rhs, dict(K=10.0, alpha=0.5, varsigma=0.5, dim=3),
+                               "varsigma", ExponentOutOfRange),
+    "zeta_default-varsigma-2d": (zeta_default, dict(alpha=0.5, varsigma=0.9, dim=2),
+                                 "varsigma", ExponentOutOfRange),
+    "zeta_default-varsigma-3d": (zeta_default, dict(alpha=0.5, varsigma=0.9, dim=3),
+                                 "varsigma", ExponentOutOfRange),
+    "small_support_rhs-epsilon": (small_support_rhs, dict(epsilon=0.1, delta=1.0, dim=2),
+                                  "epsilon", NonpositiveArgument),
+    **{f"{fn.__name__}-{arg}": (fn, args, arg, NonpositiveArgument)
+       for fn, args in ((boundary_term_bound, dict(_LID, beta=1.0, c1beta_norm=1.0)),
+                        (tail_and_holder_bounds, dict(_LID, alpha=1.0, dim=2)))
+       for arg in _LID},
+}
+
+
+@pytest.mark.parametrize("case", list(NAN_GUARDS))
+def test_guards_reject_nan_and_name_it(case):
+    # a guard written ``x <= 0`` or ``K < e`` is false for NaN, which then
+    # ran on into a NaN result or another check's message
+    fn, args, arg, error = NAN_GUARDS[case]
+    fn(**args)
+    with pytest.raises(error) as info:
+        fn(**dict(args, **{arg: math.nan}))
+    assert re.search(rf"\b{arg}\b", str(info.value)) and "nan" in str(info.value)
 
 
 @given(k1=st.floats(21.0, 1e4), factor=st.floats(1.01, 10.0))

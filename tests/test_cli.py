@@ -19,7 +19,8 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from jsonschema import Draft202012Validator
+from jsonschema import Draft202012Validator, validators
+from jsonschema.exceptions import best_match
 
 import elastoscat
 from elastoscat import cli
@@ -1017,8 +1018,9 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-def test_no_module_imports_scipy_sparse():
-    # the package's one Krylov solver is its own shifted GMRES
+def test_no_module_imports_scipy_sparse_or_jsonschema():
+    # the package's one Krylov solver is its own shifted GMRES, and its one
+    # config validator is cli._errors (jsonschema is the tests' reference)
     for path in sorted((ROOT / "src" / "elastoscat").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
@@ -1027,7 +1029,8 @@ def test_no_module_imports_scipy_sparse():
                   if isinstance(node, ast.ImportFrom) and node.module
                   for alias in node.names}
         assert not {name for name in names
-                    if name == "scipy.sparse" or name.startswith("scipy.sparse.")}, path.name
+                    if name.split(".")[0] == "jsonschema" or name == "scipy.sparse"
+                    or name.startswith("scipy.sparse.")}, path.name
 
 
 def test_cli_import_leaves_numpy_polynomial_unloaded():
@@ -1039,7 +1042,7 @@ def test_cli_import_leaves_numpy_polynomial_unloaded():
 
 
 def test_cli_import_leaves_jsonschema_fractions_and_futures_unloaded():
-    # jsonschema explains rejected configs, fractions serves one cap routine,
+    # jsonschema is a test-only reference, fractions serves one cap routine,
     # and nothing needs concurrent.futures (which loads logging)
     modules = ("jsonschema", "fractions", "concurrent.futures", "logging")
     code = f"import sys, elastoscat.cli; print([m in sys.modules for m in {modules!r}])"
@@ -1111,12 +1114,12 @@ def test_each_experiment_loads_only_the_scipy_it_calls(tmp_path, name):
 
 
 @pytest.mark.parametrize("case", ["misspelt-key", "ellipse-without-b"])
-def test_rejected_config_loads_jsonschema_for_its_message(tmp_path, case):
+def test_rejected_config_names_its_path_without_jsonschema(tmp_path, case):
     make, path, value, where = EXIT_2_CASES[case]
     cfg = edit(make(), path, value)
     _, jsonschema_loaded, prefix, err = _cold_run(tmp_path, cfg["experiment"], cfg,
                                                   returncode=2)
-    assert jsonschema_loaded
+    assert not jsonschema_loaded
     assert err.startswith("config error: config rejected by schema") and where in err
     assert not prefix.parent.exists()
 
@@ -1139,6 +1142,29 @@ def _edit_once(data, cfg) -> None:
         parent[path[-1]] = data.draw(_WRONG_VALUES)
 
 
+def _reference_errors(schema, cfg):
+    """The reference check: jsonschema's Draft 2020-12 validator, extended to
+    fill defaults.  Returns every error it finds in a filled copy of ``cfg``,
+    and that copy."""
+
+    def fill_defaults(validator, properties, instance, schema):
+        """The ``properties`` keyword, after setting each absent key's default."""
+        if validator.is_type(instance, "object"):
+            for key, sub in properties.items():
+                if "default" in sub and key not in instance:
+                    instance[key] = copy.deepcopy(sub["default"])
+        yield from Draft202012Validator.VALIDATORS["properties"](
+            validator, properties, instance, schema)
+
+    validator = validators.extend(Draft202012Validator, {"properties": fill_defaults})
+    filled = copy.deepcopy(cfg)
+    return list(validator(schema).iter_errors(filled)), filled
+
+
+def _where(path):
+    return "/".join(str(p) for p in path) or "top level"
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_config_checker_agrees_with_jsonschema(data):
@@ -1147,20 +1173,37 @@ def test_config_checker_agrees_with_jsonschema(data):
     for _ in range(data.draw(st.integers(1, 2))):
         _edit_once(data, cfg)
     schema = cli.CONFIG_SCHEMAS[name]
-    error, reference = cli._jsonschema_check(schema, cfg)
-    filled = copy.deepcopy(cfg)
-    assert cli._conforms(schema, filled) == (error is None)
-    if error is None:
-        assert filled == reference
+    errors, reference = _reference_errors(schema, cfg)
+    # the walker finds every error jsonschema finds, in its order and words
+    assert list(cli._errors(schema, copy.deepcopy(cfg))) == [
+        (tuple(e.absolute_path), e.message) for e in errors]
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            _, effective = cli.load_config(write_cfg(tmp, "cfg.json", cfg), name)
+        except cli.ConfigInvalid as exc:
+            reported = str(exc)
+        else:
+            reported = None
+    if reported is None:
+        assert errors == [] and effective == reference
+    elif cfg.get("experiment") not in (None, name):
+        # load_config names the other experiment; the schema's const fails
+        assert reported.startswith("config is for") and errors
+    else:
+        best = best_match(errors)
+        assert reported.startswith(
+            f"config rejected by schema at {_where(best.absolute_path)}: ")
+        assert reported in {f"config rejected by schema at {_where(e.absolute_path)}: "
+                            f"{e.message}" for e in errors}
 
 
 @pytest.mark.parametrize("name", list(REACH_CONFIGS))
 def test_config_checker_fills_the_defaults_jsonschema_fills(name):
     cfg = REACH_CONFIGS[name]()
     schema = cli.CONFIG_SCHEMAS[name]
-    error, reference = cli._jsonschema_check(schema, cfg)
+    errors, reference = _reference_errors(schema, cfg)
     filled = copy.deepcopy(cfg)
-    assert error is None and cli._conforms(schema, filled)
+    assert errors == [] and list(cli._errors(schema, filled)) == []
     assert filled == reference != cfg
 
 
@@ -1181,34 +1224,13 @@ def test_config_checker_knows_every_schema_keyword():
         for sub in _subschemas(schema):
             for key, arg in sub.items():
                 for probe in (None, 0, "x", [], {}):
-                    cli._conforms({key: arg}, probe)
+                    list(cli._errors({key: arg}, probe))
                 if key in ("const", "enum"):
-                    # _equal compares scalars only
+                    # the checker compares scalars only
                     assert all(isinstance(v, (str, int, float))
                                for v in (arg if key == "enum" else [arg]))
     with pytest.raises(ValueError, match="pattern"):
-        cli._conforms({"pattern": "^a"}, "a")
-
-
-def test_config_rejected_by_the_checker_but_not_jsonschema_runs(tmp_path, monkeypatch):
-    # jsonschema has the last word: with the checker rejecting everything,
-    # valid runs write the same bytes
-    configs = {"sweep-small": tiny_sweep_cfg(), "distinguish": dist_cfg(),
-               "nonradiating-audit": nonradiating_cfg()}
-    outputs = []
-    for reject in (False, True):
-        if reject:
-            monkeypatch.setattr(cli, "_conforms", lambda schema, value: False)
-        written = {}
-        for name, cfg in configs.items():
-            prefix = tmp_path / str(reject) / name
-            assert cli.main([name, "--config", write_cfg(tmp_path, f"{name}.json", cfg),
-                             "--out", str(prefix)]) == 0
-            report = json.loads(Path(f"{prefix}_report.json").read_text())
-            written[name] = (report["config_effective"], [
-                path.read_bytes() for path in sorted(prefix.parent.glob("*.csv"))])
-        outputs.append(written)
-    assert outputs[0] == outputs[1]
+        list(cli._errors({"pattern": "^a"}, "a"))
 
 
 def _acceptance_imports():
