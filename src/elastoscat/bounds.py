@@ -117,14 +117,16 @@ def small_support_criterion(sup_boundary_phi: float, holder_seminorm_phi: float,
     a ratio above the calibrated constant asserts the source radiates, a ratio
     below is consistent with non-radiation (the necessary-condition direction).
     """
-    if sup_boundary_phi < 0.0 or holder_seminorm_phi < 0.0 or linf_phi < 0.0:
-        raise NonpositiveArgument("norm inputs must be nonnegative")
-    if omega <= 0.0:
+    if not (sup_boundary_phi >= 0.0 and holder_seminorm_phi >= 0.0 and linf_phi >= 0.0):
+        raise NonpositiveArgument(
+            f"sup_boundary_phi, holder_seminorm_phi, linf_phi must be nonnegative, "
+            f"got {sup_boundary_phi}, {holder_seminorm_phi}, {linf_phi}")
+    if not omega > 0.0:
         raise NonpositiveArgument(f"omega must be positive, got {omega}")
-    denom = omega ** (-delta) * holder_seminorm_phi + linf_phi
-    if denom <= 0.0:
-        raise InvalidParameter("regularity denominator vanishes")
     rhs = small_support_rhs(epsilon, delta, dim)
+    denom = omega ** (-delta) * holder_seminorm_phi + linf_phi
+    if not denom > 0.0:
+        raise InvalidParameter("regularity denominator vanishes")
     lhs = sup_boundary_phi / denom
     return _finish("small-support", lhs, rhs, c_fit)
 
@@ -132,10 +134,11 @@ def small_support_criterion(sup_boundary_phi: float, holder_seminorm_phi: float,
 def diameter_lower_bound(lhs_ratio: float, delta: float, omega: float,
                          c_fit: float) -> float:
     """``min(1, (c_fit * lhs)^{1/delta}) / omega`` — support-size floor."""
-    if lhs_ratio < 0.0:
+    if not lhs_ratio >= 0.0:
         raise NonpositiveArgument(f"lhs_ratio must be nonnegative, got {lhs_ratio}")
-    if delta <= 0.0 or omega <= 0.0 or c_fit <= 0.0:
-        raise NonpositiveArgument("delta, omega, c_fit must be positive")
+    if not (delta > 0.0 and omega > 0.0 and c_fit > 0.0):
+        raise NonpositiveArgument(
+            f"delta, omega, c_fit must be positive, got {delta}, {omega}, {c_fit}")
     return min(1.0, (c_fit * lhs_ratio) ** (1.0 / delta)) / omega
 
 
@@ -156,10 +159,10 @@ def kpoint_criterion(phi_at_q: float, norm_max: float, K: float, alpha: float,
 
 def upsilon(eps: float, v_sup: float, s: float = 1.0) -> float:
     """Smallness ratio ``eps*v/(s - eps*v)``, non-decreasing in both arguments."""
-    if s <= 0.0:
+    if not s > 0.0:
         raise InvalidParameter(f"s must be positive, got {s}")
-    if eps < 0.0 or v_sup < 0.0:
-        raise InvalidParameter("eps and v_sup must be nonnegative")
+    if not (eps >= 0.0 and v_sup >= 0.0):
+        raise InvalidParameter(f"eps, v_sup must be nonnegative, got {eps}, {v_sup}")
     prod = eps * v_sup
     if prod >= s:
         raise OutOfRegime(f"eps*v = {prod} >= s = {s}")
@@ -216,8 +219,8 @@ def calibrate_constant(sweep: Sequence) -> CalibrationResult:
         raise EmptySweep("cannot calibrate from an empty sweep")
     ratios = []
     for lhs, rhs in entries:
-        if rhs <= 0.0:
-            raise InvalidParameter(f"structural rhs must be positive, got {rhs}")
+        if not (lhs >= 0.0 and rhs > 0.0):
+            raise InvalidParameter(f"need lhs >= 0 and rhs > 0, got lhs {lhs}, rhs {rhs}")
         ratios.append(lhs / rhs)
     fit = float(max(ratios))
     violations = sum(1 for lhs, rhs in entries

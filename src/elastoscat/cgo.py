@@ -283,8 +283,8 @@ def shell_integral(k_minus: float, k_plus: float, tau: float, b: float,
         raise UnsupportedDimension(f"dim must be 2 or 3, got {dim}")
     if not (0.0 < k_minus <= k_plus):
         raise InvalidCurvatures(f"need 0 < K_minus <= K_plus, got {k_minus}, {k_plus}")
-    if tau <= 0.0 or b <= 0.0:
-        raise NonpositiveArgument("tau and b must be positive")
+    if not (tau > 0.0 and b > 0.0):
+        raise NonpositiveArgument(f"tau, b must be positive, got {tau}, {b}")
     sigma = 2.0 if dim == 2 else 2.0 * np.pi
     expo = (dim - 1) / 2.0
     glow = lower_incomplete_gamma(tau * b, (dim + 1) / 2.0).real

@@ -50,15 +50,18 @@ would pick (jsonschema itself is the tests' reference, not a dependency).
 Every run writes ``<prefix>_<table>.csv`` tables (RFC 4180, ``\\r\\n`` line
 endings, floats at 17 significant digits, fixed column order documented per
 runner) plus ``<prefix>_report.json`` echoing the config as read and with
-its defaults filled in, seed, artifact version, summary statistics, and wall
-clock.  Replaying a config with the same seed
+its defaults filled in, seed, artifact version, summary statistics, the
+self-checks (``self_checks``: each one's name, value, reference and limit),
+and wall clock.  Replaying a config with the same seed
 reproduces the CSV bytes exactly; per-point seeds derive from the master
 seed and the point index.
 
 Exit codes: 0 success, 2 invalid config (a schema violation, or a medium
-with 2 lam + 2 mu <= 0), 3 numerical-validation failure
-(including any self-check whose recomputation, refined or by quadrature,
-disagrees beyond the declared tolerance; partial outputs are removed).
+with 2 lam + 2 mu <= 0), 3 numerical-validation failure: a ``ToolkitError``
+raised mid-run, or a failed self-check.  Each runner returns its self-checks
+as ``Check`` records, and ``_execute`` alone fails the run, naming every
+check whose value is not at most its limit, before any file is written;
+partial outputs of a failed write are removed.
 """
 from __future__ import annotations
 
@@ -72,6 +75,7 @@ import operator
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -389,6 +393,17 @@ def _disk_farfield(med, cfg: dict, radius: float, amplitude, center=(0.0, 0.0)):
                               directions_circle(int(cfg["directions"])))
 
 
+class Check(NamedTuple):
+    """One self-check of a run, named after the fault it catches: the run
+    fails unless ``value <= limit`` (so a NaN fails).  ``reference`` is the
+    value that ``value`` was compared with, or None against a tolerance."""
+
+    name: str
+    value: float
+    reference: float | None
+    limit: float
+
+
 def _pattern_gap(a, b) -> float:
     """L2 norm of the difference of two patterns over the same directions,
     with :func:`farfield_norm`'s equal weights."""
@@ -433,17 +448,16 @@ def run_sweep_small(cfg: dict, seed: int) -> dict:
     rows = [row for row, _ in results]
     # quadrature self-check on the first radiating point: the configured
     # Gauss mesh against the closed form
+    checks = []
     for (row, exact), amp in zip(results, amps):
         if exact is not None:
             gap = _pattern_gap(_disk_farfield(med, cfg, row[2], amp), exact)
-            if gap > cfg["tolerance"] * max(row[5], 1e-300):
-                raise NumericalValidationFailure(
-                    f"far-field self-check: quadrature misses the closed form "
-                    f"{row[5]} by {gap}")
+            checks.append(Check("quadrature misses the closed form", gap, row[5],
+                                cfg["tolerance"] * max(row[5], 1e-300)))
             break
     header = ["index", "epsilon", "radius", "amp_x", "amp_y", "farfield_norm",
               "criterion_lhs", "criterion_rhs", "ratio", "regime"]
-    return {"tables": {"sweep": (header, rows)},
+    return {"tables": {"sweep": (header, rows)}, "checks": checks,
             "summary": {"points": len(rows), "delta": delta, "c_fit": c_fit}}
 
 
@@ -493,10 +507,9 @@ def run_nonradiating_audit(cfg: dict, seed: int) -> dict:
     rows = [point(i) for i in range(len(family))]
     # nullity self-check: the first configuration must stay null when refined
     _, _, mesh_f, phi_f, ffn_f = null_source(0, refined=True)
-    nullity, nullity_f = rows[0][6], ffn_f / field_norms(phi_f, mesh_f)[0]
-    if nullity > tol or nullity_f > tol:
-        raise NumericalValidationFailure(
-            f"nullity self-check: {nullity} vs refined {nullity_f} exceeds {tol}")
+    checks = [Check("configured nullity exceeds tolerance", rows[0][6], None, tol),
+              Check("refined nullity exceeds tolerance",
+                    ffn_f / field_norms(phi_f, mesh_f)[0], None, tol)]
     calib = bounds.calibrate_constant([(r[7], r[8]) for r in rows])
     c_diam = 1.0 / (3.0 * calib.constant_fit)
     diam_violations = 0
@@ -508,7 +521,7 @@ def run_nonradiating_audit(cfg: dict, seed: int) -> dict:
     header = ["index", "kind", "diameter", "epsilon", "phi_l2",
               "farfield_norm", "nullity", "criterion_lhs", "criterion_rhs",
               "ratio", "diameter_bound"]
-    return {"tables": {"audit": (header, rows)},
+    return {"tables": {"audit": (header, rows)}, "checks": checks,
             "summary": {"calibration": calib.to_json_dict(),
                         "diameter_c_fit": c_diam,
                         "diameter_violations": diam_violations}}
@@ -546,11 +559,8 @@ def run_cgo_verify(cfg: dict, seed: int) -> dict:
     row0, pr0, s0 = built[0]
     grid_fine = cgo.probe_grid(pr0, spacing=2.0 * math.pi / (s0 * 2 * ppw),
                                points_per_side=pts_side)
-    res_fine = cgo.cgo_residual(pr0, med, grid_fine)
-    if res_fine > 0.5 * row0[5]:
-        raise NumericalValidationFailure(
-            f"probe residual did not improve under refinement: "
-            f"{row0[5]} -> {res_fine}")
+    checks = [Check("probe residual does not halve when refined",
+                    cgo.cgo_residual(pr0, med, grid_fine), row0[5], 0.5 * row0[5])]
 
     para = cfg["paraboloid"]
     grid = [(int(dim), float(K), float(tau)) for dim in para["dims"]
@@ -576,6 +586,7 @@ def run_cgo_verify(cfg: dict, seed: int) -> dict:
                             "xi_eta_err", "residual"], probe_rows),
                 "paraboloid": (["dim", "K", "tau", "closed_re", "closed_im",
                                 "mc_re", "mc_im", "stderr", "z"], para_rows)},
+            "checks": checks,
             "summary": {"worst_residual": max(r[5] for r in probe_rows),
                         "worst_z": worst_z}}
 
@@ -593,8 +604,7 @@ def _identity_point(med, caps: dict, K: float, zeta: float, refine: float = 1.0)
     bump = polynomial_bump(dom, amplitude=tuple(caps["amplitude"]),
                            linear=None if lin is None else np.asarray(lin, float),
                            whole_boundary=False)
-    budget = int(caps["node_budget"])
-    bd = cgo.integral_identity_check(dom, bump, pr, med, node_budget=budget,
+    bd = cgo.integral_identity_check(dom, bump, pr, med, node_budget=int(caps["node_budget"]),
                                      refine=refine)
     return tau, dom, bd
 
@@ -608,14 +618,10 @@ def run_identity_check(cfg: dict, seed: int) -> dict:
     zeta = caps.get("zeta")
     zeta = cgo.zeta_default(float(caps["alpha"]), float(caps["varsigma"]), 2) \
         if zeta is None else float(zeta)
-    tol = float(cfg["tolerance"])
 
     def point(i):
         K = k_values[i]
         tau, _, bd = _identity_point(med, caps, K, zeta)
-        if bd.residual_rel > tol:
-            raise NumericalValidationFailure(
-                f"identity residual {bd.residual_rel} exceeds {tol} at K={K}")
         return [K, zeta, tau, abs(bd.lhs), abs(bd.i1), abs(bd.i2),
                 abs(bd.i3), abs(bd.i4), bd.residual_abs, bd.residual_rel,
                 bd.nodes_used]
@@ -623,18 +629,15 @@ def run_identity_check(cfg: dict, seed: int) -> dict:
     rows = [point(i) for i in range(len(k_values))]
     # refinement self-check: row 0's cap audited at twice every quadrature
     # density; an under-resolved configured rule misses it by far more
-    configured = rows[0][9]
     refined = _identity_point(med, caps, k_values[0], zeta, refine=2.0)[2].residual_rel
-    if configured > 1.5 * refined + _NOISE_FLOOR:
-        raise NumericalValidationFailure(
-            f"identity residual {configured} at K={k_values[0]} exceeds 1.5 times "
-            f"its refined value {refined}")
+    # np.max, unlike max, carries a NaN residual through to the check
+    checks = [Check("identity residual exceeds tolerance",
+                    float(np.max([r[9] for r in rows])), None, float(cfg["tolerance"])),
+              Check("row 0 residual exceeds 1.5 times its refined value", rows[0][9],
+                    refined, 1.5 * refined + _NOISE_FLOOR)]
     header = ["K", "zeta", "tau", "lhs_abs", "i1_abs", "i2_abs", "i3_abs",
               "i4_abs", "residual_abs", "residual_rel", "nodes_used"]
-    return {"tables": {"identity": (header, rows)},
-            "summary": {"worst_residual_rel": max(r[9] for r in rows),
-                        "row0_residual_rel": configured,
-                        "row0_refined_residual_rel": refined}}
+    return {"tables": {"identity": (header, rows)}, "checks": checks, "summary": {}}
 
 
 def run_kpoint_decay(cfg: dict, seed: int) -> dict:
@@ -667,7 +670,7 @@ def run_kpoint_decay(cfg: dict, seed: int) -> dict:
         summary[label] = calib.to_json_dict()
     header = ["K", "zeta", "tau", "i2_abs", "i2_bound", "i3_abs", "i3_bound",
               "i4_abs", "i4_bound", "lhs_abs"]
-    return {"tables": {"decay": (header, rows)}, "summary": summary}
+    return {"tables": {"decay": (header, rows)}, "checks": [], "summary": summary}
 
 
 def run_medium_demo(cfg: dict, seed: int) -> dict:
@@ -689,7 +692,6 @@ def run_medium_demo(cfg: dict, seed: int) -> dict:
         # the origin and the radius are two keys, beyond the schema
         raise ConfigInvalid("scatterer/incident/origin: point-source origin must "
                             "lie outside the scatterer")
-    tol = float(cfg["tolerance"])
     # the contrasts share one domain, and with it the points v_sup reads
     v_sup_sample = _v_sup_sample(dom)
 
@@ -738,13 +740,11 @@ def run_medium_demo(cfg: dict, seed: int) -> dict:
     # PDE self-check: the first direct solve must satisfy the perturbed
     # system on its own lattice
     max_rel, _, _ = lattice_pde_residual(scatterers[0], mesh, direct[0].u_total.values)
-    if max_rel > tol:
-        raise NumericalValidationFailure(
-            f"lattice residual {max_rel} exceeds {tol} at h={mesh.h}")
+    checks = [Check("lattice residual exceeds tolerance", max_rel, None,
+                    float(cfg["tolerance"]))]
 
     entries = [(r[2], r[3], r[5], r[6]) for r in rows if not r[11]]
-    summary = {"lattice_residual_max": max_rel,
-               "delta": float(cfg["criterion"]["delta"])}
+    summary = {"delta": float(cfg["criterion"]["delta"])}
     if entries:
         try:
             calib = bounds.calibrate_contraction_scale(entries)
@@ -754,7 +754,7 @@ def run_medium_demo(cfg: dict, seed: int) -> dict:
     header = ["index", "v0", "epsilon", "v_sup", "upsilon", "ratio_scattered",
               "ratio_total", "farfield_norm", "series_terms", "contraction",
               "mode_gap", "out_of_regime"]
-    return {"tables": {"medium": (header, rows)}, "summary": summary}
+    return {"tables": {"medium": (header, rows)}, "checks": checks, "summary": summary}
 
 
 def run_distinguish(cfg: dict, seed: int) -> dict:
@@ -778,7 +778,7 @@ def run_distinguish(cfg: dict, seed: int) -> dict:
     margin = diff / (10.0 * noise) if noise > 0 else 0.0
     rows = [[sep, radius, diff, noise, margin]]
     return {"tables": {"distinguish": (["separation", "radius", "diff_norm",
-                                        "noise", "margin"], rows)},
+                                        "noise", "margin"], rows)}, "checks": [],
             "summary": {"diff_norm": diff, "noise": noise, "margin": margin,
                         "distinct": margin > 1.0}}
 
@@ -798,6 +798,11 @@ def _execute(experiment: str, as_read: dict, cfg: dict, out_prefix: Path,
              seed: int) -> Path:
     started = time.monotonic()
     result = RUNNERS[experiment](cfg, seed)
+    failed = [c for c in result["checks"] if not c.value <= c.limit]
+    if failed:  # before any file is made
+        raise NumericalValidationFailure("; ".join(
+            f"{c.name} (value {c.value}, reference {c.reference}, limit {c.limit})"
+            for c in failed))
     written = []
     try:
         out_prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -816,6 +821,7 @@ def _execute(experiment: str, as_read: dict, cfg: dict, out_prefix: Path,
             "config_effective": cfg,
             "tables": tables,
             "summary": result["summary"],
+            "self_checks": [check._asdict() for check in result["checks"]],
             "wall_clock_sec": time.monotonic() - started,
         }
         report_path = Path(f"{out_prefix}_report.json")

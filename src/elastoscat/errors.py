@@ -137,4 +137,6 @@ class ConfigInvalid(ToolkitError):
 
 
 class NumericalValidationFailure(ToolkitError):
-    """A mesh-refinement self-check disagreed beyond its declared tolerance."""
+    """A self-check of a run failed: a value compared with its refined
+    recomputation, a closed form or a configured tolerance exceeded its
+    limit, or was NaN."""

@@ -641,7 +641,7 @@ def contraction_report(scatterer: MediumScatterer, s: float = 1.0) -> Contractio
     one exists).  Out-of-regime inputs are flagged, not rejected, and the
     ratio fields are set to infinity there.
     """
-    if s <= 0.0:
+    if not s > 0.0:
         raise InvalidParameter(f"s must be positive, got {s}")
     eps = diameter(scatterer.domain) * scatterer.medium.omega
     v = scatterer.v_sup()

@@ -19,9 +19,11 @@ from elastoscat import (
     medium_kpoint_criterion,
     medium_small_criterion,
     select_tau,
+    shell_integral,
     small_support_criterion,
     small_support_rhs,
     tail_and_holder_bounds,
+    upsilon,
     zeta_default,
 )
 from elastoscat.bounds import (
@@ -93,6 +95,8 @@ def test_kdecay_shape_rejects_bad_inputs():
 
 _CAP = dict(K=10.0, L=1.0, M=1.0, varsigma=0.5, cubic=0.0)
 _LID = dict(tau=40.0, b=0.1, K=10.0)
+_SMALL = dict(sup_boundary_phi=0.05, holder_seminorm_phi=1.0, linf_phi=1.0, delta=1.0,
+              epsilon=0.1, dim=2, omega=1.0)
 
 # id: (function, valid arguments, the argument set to NaN, the error it raises)
 NAN_GUARDS = {
@@ -117,6 +121,18 @@ NAN_GUARDS = {
        for fn, args in ((boundary_term_bound, dict(_LID, beta=1.0, c1beta_norm=1.0)),
                         (tail_and_holder_bounds, dict(_LID, alpha=1.0, dim=2)))
        for arg in _LID},
+    **{f"small_support_criterion-{arg}": (small_support_criterion, _SMALL, arg,
+                                          NonpositiveArgument)
+       for arg in ("sup_boundary_phi", "holder_seminorm_phi", "linf_phi", "omega",
+                   "epsilon")},
+    **{f"diameter_lower_bound-{arg}": (
+        diameter_lower_bound, dict(lhs_ratio=0.5, delta=1.0, omega=1.0, c_fit=1.0), arg,
+        NonpositiveArgument) for arg in ("lhs_ratio", "delta", "omega", "c_fit")},
+    **{f"upsilon-{arg}": (upsilon, dict(eps=0.5, v_sup=1.0, s=1.0), arg, InvalidParameter)
+       for arg in ("eps", "v_sup", "s")},
+    **{f"shell_integral-{arg}": (shell_integral,
+                                 dict(k_minus=5.0, k_plus=15.0, tau=40.0, b=0.1, dim=2),
+                                 arg, NonpositiveArgument) for arg in ("tau", "b")},
 }
 
 
@@ -254,6 +270,10 @@ def test_calibrate_constant_guards():
         calibrate_constant([])
     with pytest.raises(InvalidParameter):
         calibrate_constant([(0.1, 0.0)])
+    # a NaN on either side would make a NaN constant_fit
+    for entry in ((1.0, math.nan), (math.nan, 1.0)):
+        with pytest.raises(InvalidParameter, match=r"lhs .*rhs .*nan"):
+            calibrate_constant([(0.2, 1.0), entry])
 
 
 def test_calibrate_contraction_scale_recovers_feasible_s():

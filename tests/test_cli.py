@@ -8,6 +8,7 @@ schema validation, exit codes, and CSV/JSON writers as the installed
 import ast
 import copy
 import csv
+import dataclasses
 import importlib.util
 import inspect
 import json
@@ -23,7 +24,7 @@ from jsonschema import Draft202012Validator, validators
 from jsonschema.exceptions import best_match
 
 import elastoscat
-from elastoscat import cli
+from elastoscat import cli, scattering
 from elastoscat.bounds import REGIME_NONRADIATING
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,6 +43,12 @@ def read_table(path):
         rows = list(csv.reader(fh))
     header = rows[0]
     return header, [dict(zip(header, r)) for r in rows[1:]]
+
+
+def self_checks(prefix):
+    """The run's ``self_checks`` from its report, by check name."""
+    report = json.loads(Path(f"{prefix}_report.json").read_text(encoding="utf-8"))
+    return {check["name"]: check for check in report["self_checks"]}
 
 
 def sweep_cfg(**over):
@@ -384,8 +391,10 @@ def _value_paths(node, path=()):
         yield path
 
 
+# st.builds, not st.just: a config read from JSON never shares one {} or []
+# between two keys, and a shared one would take the defaults filled into both
 _WRONG_VALUES = st.one_of(
-    st.text(max_size=4), st.none(), st.booleans(), st.just({}), st.just([]),
+    st.text(max_size=4), st.none(), st.booleans(), st.builds(dict), st.builds(list),
     st.integers(-3, 3), st.floats(-10.0, 10.0),
     st.lists(st.integers(-2, 2), max_size=3))
 
@@ -660,12 +669,12 @@ def test_identity_check_table(tmp_path):
     for row in rows:
         assert float(row["residual_rel"]) < 0.01
         assert 0 < int(row["nodes_used"]) <= 1000000
-    report = json.loads(Path(f"{prefix}_report.json").read_text())
-    assert report["summary"]["worst_residual_rel"] < 0.01
+    checks = self_checks(prefix)
+    assert checks["identity residual exceeds tolerance"]["value"] < 0.01
     # the refinement self-check's two values, row 0 at refine 1 and 2
-    summary = report["summary"]
-    assert summary["row0_residual_rel"] == float(rows[0]["residual_rel"])
-    assert 0.0 < summary["row0_refined_residual_rel"] < 1e-12
+    row0 = checks["row 0 residual exceeds 1.5 times its refined value"]
+    assert row0["value"] == float(rows[0]["residual_rel"])
+    assert 0.0 < row0["reference"] < 1e-12
 
 
 def test_under_resolved_panel_rule_fails_the_refinement_check(tmp_path, monkeypatch,
@@ -722,7 +731,7 @@ def test_medium_demo_table(tmp_path):
         assert float(row["ratio_total"]) > 0.0
     report = json.loads(Path(f"{prefix}_report.json").read_text())
     assert "contraction_scale" in report["summary"]
-    assert report["summary"]["lattice_residual_max"] < 0.01
+    assert self_checks(prefix)["lattice residual exceeds tolerance"]["value"] < 0.01
 
 
 def test_medium_demo_solves_each_contrast_once_per_mode(tmp_path, monkeypatch):
@@ -744,8 +753,7 @@ def test_medium_demo_solves_each_contrast_once_per_mode(tmp_path, monkeypatch):
     # in-regime ones; the PDE self-check reads the first direct solve
     assert sweeps == [("direct-dense", [0.2, 0.8, 0.05]),
                       ("neumann-series", [0.2, 0.05])]
-    report = json.loads(Path(f"{prefix}_report.json").read_text())
-    assert report["summary"]["lattice_residual_max"] < 0.01
+    assert self_checks(prefix)["lattice residual exceeds tolerance"]["value"] < 0.01
 
 
 # v0 = 0.8 on disk(0.45) with omega = 2 and s = 1 is out of regime:
@@ -970,6 +978,80 @@ def test_self_checks_reuse_the_first_row(tmp_path, monkeypatch, case):
     assert calls == expected
 
 
+def _scaled(owner, name, factor):
+    """A defect: ``owner.name`` returns ``factor`` times its true value."""
+    def inject(monkeypatch):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: factor * real(*args))
+    return inject
+
+
+def _closed_form_off(monkeypatch):
+    real = cli.farfield_of_disk
+
+    def off(*args):
+        ff = real(*args)
+        return elastoscat.FarFieldPattern(ff.directions, ff.up_inf * (1.0 + 1e-5),
+                                          ff.us_inf * (1.0 + 1e-5))
+
+    monkeypatch.setattr(cli, "farfield_of_disk", off)
+
+
+def _coarse_nullity_mesh(refined):
+    """A defect: the configured (or the refined) nullity mesh is a 2x4 Gauss
+    mesh, on which the far field of a null source reads 2.1e-3."""
+    def inject(monkeypatch):
+        real = cli._gauss
+        monkeypatch.setattr(cli, "_gauss", lambda dom, cfg, fine=False: (
+            cli.gauss_mesh(dom, n_radial=2, n_angular=4) if fine == refined
+            else real(dom, cfg, fine)))
+    return inject
+
+
+def _probe_off(monkeypatch):
+    # xi off by 1e-3: the first probe's residual goes from 4.0e-4 to 4.7e-4
+    # when refined; a 1e-4 error still halves it
+    real = cli.cgo.make_cgo
+
+    def off(*args):
+        probe = real(*args)
+        return dataclasses.replace(probe, xi=probe.xi * (1.0 + 1e-3))
+
+    monkeypatch.setattr(cli.cgo, "make_cgo", off)
+
+
+# check name: (experiment, config, a defect that fails that check alone)
+DEFECTS = {
+    "quadrature misses the closed form": ("sweep-small", tiny_sweep_cfg, _closed_form_off),
+    "configured nullity exceeds tolerance": ("nonradiating-audit", nonradiating_cfg,
+                                             _coarse_nullity_mesh(False)),
+    "refined nullity exceeds tolerance": ("nonradiating-audit", nonradiating_cfg,
+                                          _coarse_nullity_mesh(True)),
+    "probe residual does not halve when refined": ("cgo-verify", cgo_cfg, _probe_off),
+    # a closed form 2 % off gives residual_rel 0.0196 at refine 1 and 2 alike
+    "identity residual exceeds tolerance": (
+        "identity-check", _identity_cfg, _scaled(cli.cgo, "paraboloid_integral_closed", 1.02)),
+    "row 0 residual exceeds 1.5 times its refined value": (
+        "identity-check", _identity_cfg,
+        lambda monkeypatch: monkeypatch.setattr(cli.cgo, "_PANEL_POINTS", 6)),
+    # without the singular cell the residual is 0.021 (1.9e-3 with it)
+    "lattice residual exceeds tolerance": (
+        "medium-demo", _medium_cfg, _scaled(scattering, "singular_cell_integral", 0.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(DEFECTS))
+def test_each_self_check_fails_its_defect_alone(tmp_path, monkeypatch, capsys, name):
+    experiment, make, inject = DEFECTS[name]
+    cfg_path = write_cfg(tmp_path, "cfg.json", make())
+    inject(monkeypatch)
+    rc = cli.main([experiment, "--config", cfg_path, "--out", str(tmp_path / "fail" / "x")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert [check for check in DEFECTS if check in err] == [name], err
+    assert not (tmp_path / "fail").exists()
+
+
 def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
     seen = []
     execute = cli._execute
@@ -1031,6 +1113,18 @@ def test_no_module_imports_scipy_sparse_or_jsonschema():
         assert not {name for name in names
                     if name.split(".")[0] == "jsonschema" or name == "scipy.sparse"
                     or name.startswith("scipy.sparse.")}, path.name
+
+
+def test_only_execute_raises_numerical_validation_failure():
+    # runners return their self-checks as records; one place fails a run
+    tree = ast.parse((ROOT / "src" / "elastoscat" / "cli.py").read_text(encoding="utf-8"))
+    raises = {node for node in ast.walk(tree) if isinstance(node, ast.Raise)
+              and node.exc is not None
+              and "NumericalValidationFailure" in ast.unparse(node.exc)}
+    execute = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_execute")
+    assert len(raises) == 1 and raises <= set(ast.walk(execute)), \
+        [node.lineno for node in raises]
 
 
 def test_cli_import_leaves_numpy_polynomial_unloaded():

@@ -1101,6 +1101,12 @@ def test_upsilon_rejects_out_of_regime():
         upsilon(0.5, 1.0, s=0.0)
 
 
+def test_contraction_report_rejects_a_nan_s():
+    # NaN fails every comparison: only a ``not s > 0`` guard rejects it
+    with pytest.raises(InvalidParameter, match=r"\bs must be positive, got nan"):
+        contraction_report(scatterer(v0=0.25, radius=0.25), s=float("nan"))
+
+
 def test_contraction_report_fields():
     sc = scatterer(v0=0.25, radius=0.25)
     rep = contraction_report(sc, s=1.0)
