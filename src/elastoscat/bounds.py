@@ -150,8 +150,9 @@ def kpoint_criterion(phi_at_q: float, norm_max: float, K: float, alpha: float,
     ``lhs = |phi(q)| / max(1, norm_max)`` where ``norm_max`` caps the Holder
     and H^1 norms of the intensity.
     """
-    if phi_at_q < 0.0 or norm_max < 0.0:
-        raise NonpositiveArgument("magnitude inputs must be nonnegative")
+    if not (phi_at_q >= 0.0 and norm_max >= 0.0):
+        raise NonpositiveArgument(f"phi_at_q, norm_max must be nonnegative, "
+                                  f"got {phi_at_q}, {norm_max}")
     rhs = kdecay_rhs(K, alpha, varsigma, dim)
     lhs = phi_at_q / max(1.0, norm_max)
     return _finish("kpoint", lhs, rhs, c_fit)
@@ -179,15 +180,16 @@ def medium_small_criterion(V_ui_sup: float, V_norm: float, ui_norm: float,
     carries the a-priori amplification factor ``1 + Upsilon(eps_max, V_max)``
     evaluated at the sweep's extreme parameters.
     """
-    if V_ui_sup < 0.0 or V_norm <= 0.0 or ui_norm <= 0.0:
-        raise NonpositiveArgument("need V_ui_sup >= 0 and positive norms")
+    if not (V_ui_sup >= 0.0 and V_norm > 0.0 and ui_norm > 0.0):
+        raise NonpositiveArgument(f"need V_ui_sup >= 0 and positive V_norm, ui_norm, "
+                                  f"got {V_ui_sup}, {V_norm}, {ui_norm}")
     if epsilon > eps_max:
         raise InvalidParameter(f"epsilon = {epsilon} exceeds eps_max = {eps_max}")
     if eps_max * V_max >= s:
         raise OutOfRegime(
             f"eps_max * V_max = {eps_max * V_max} >= s = {s}; bounds void")
     ups = upsilon(eps_max, V_max, s)
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise NonpositiveArgument(f"epsilon must be positive, got {epsilon}")
     _check_holder_exponent(delta, dim)
     rhs = epsilon ** delta * (
@@ -200,8 +202,8 @@ def medium_kpoint_criterion(Vui_at_q: float, K: float, alpha: float,
                             varsigma: float, dim: int,
                             c_fit: float = 1.0) -> CriterionReport:
     """``lhs = |V(q) u_i(q)|`` against the same K-decay structural side."""
-    if Vui_at_q < 0.0:
-        raise NonpositiveArgument("magnitude input must be nonnegative")
+    if not Vui_at_q >= 0.0:
+        raise NonpositiveArgument(f"Vui_at_q must be nonnegative, got {Vui_at_q}")
     rhs = kdecay_rhs(K, alpha, varsigma, dim)
     return _finish("medium-kpoint", Vui_at_q, rhs, c_fit)
 

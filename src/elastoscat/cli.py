@@ -26,7 +26,9 @@ Subcommands
     64 machine epsilons.
 ``kpoint-decay``
     Identity term magnitudes against their structural bounds on a
-    (K, zeta) grid, with per-term constant calibration.
+    (K, zeta) grid, with per-term constant calibration; the first cap is
+    audited once more at twice every quadrature density, as in
+    ``identity-check``.
 ``medium-demo``
     Volume-integral-equation solves (GMRES, and the Neumann series where
     the contraction regime holds; each mode runs one Krylov sweep over
@@ -311,6 +313,14 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name} is not allowed")
 
 
+def _finite_float(text: str) -> float:
+    # and it reads a number past the float range, such as 1e400, as inf
+    value = float(text)
+    if not math.isfinite(value):
+        _reject_constant(text)
+    return value
+
+
 def load_config(path: str, experiment: str) -> tuple:
     """Read a JSON config for ``experiment`` and validate it against
     ``CONFIG_SCHEMAS[experiment]``.
@@ -321,7 +331,7 @@ def load_config(path: str, experiment: str) -> tuple:
     """
     try:
         as_read = json.loads(Path(path).read_text(encoding="utf-8"),
-                             parse_constant=_reject_constant)
+                             parse_float=_finite_float, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from None
     except ValueError as exc:  # malformed JSON or UTF-8
@@ -609,6 +619,15 @@ def _identity_point(med, caps: dict, K: float, zeta: float, refine: float = 1.0)
     return tau, dom, bd
 
 
+def _refinement_check(med, caps: dict, K: float, zeta: float, residual_rel: float) -> Check:
+    """Row 0's cap audited again at twice every quadrature density: an
+    under-resolved configured rule misses the refined residual by far more
+    than 1.5 times it."""
+    refined = _identity_point(med, caps, K, zeta, refine=2.0)[2].residual_rel
+    return Check("row 0 residual exceeds 1.5 times its refined value", residual_rel,
+                 refined, 1.5 * refined + _NOISE_FLOOR)
+
+
 def run_identity_check(cfg: dict, seed: int) -> dict:
     """Columns: K, zeta, tau, lhs_abs, i1_abs, i2_abs, i3_abs, i4_abs,
     residual_abs, residual_rel, nodes_used."""
@@ -627,14 +646,10 @@ def run_identity_check(cfg: dict, seed: int) -> dict:
                 bd.nodes_used]
 
     rows = [point(i) for i in range(len(k_values))]
-    # refinement self-check: row 0's cap audited at twice every quadrature
-    # density; an under-resolved configured rule misses it by far more
-    refined = _identity_point(med, caps, k_values[0], zeta, refine=2.0)[2].residual_rel
     # np.max, unlike max, carries a NaN residual through to the check
     checks = [Check("identity residual exceeds tolerance",
                     float(np.max([r[9] for r in rows])), None, float(cfg["tolerance"])),
-              Check("row 0 residual exceeds 1.5 times its refined value", rows[0][9],
-                    refined, 1.5 * refined + _NOISE_FLOOR)]
+              _refinement_check(med, caps, k_values[0], zeta, rows[0][9])]
     header = ["K", "zeta", "tau", "lhs_abs", "i1_abs", "i2_abs", "i3_abs",
               "i4_abs", "residual_abs", "residual_rel", "nodes_used"]
     return {"tables": {"identity": (header, rows)}, "checks": checks, "summary": {}}
@@ -659,9 +674,9 @@ def run_kpoint_decay(cfg: dict, seed: int) -> dict:
         _, i3_bound = cgo.tail_and_holder_bounds(tau, b, K, float(caps["alpha"]), 2)
         i4_bound = cgo.boundary_term_bound(tau, b, K, float(caps["beta"]), 1.0, 2)
         return [K, zeta, tau, abs(bd.i2), i2_bound, abs(bd.i3), i3_bound,
-                abs(bd.i4), i4_bound, abs(bd.lhs)]
+                abs(bd.i4), i4_bound, abs(bd.lhs)], bd.residual_rel
 
-    rows = [point(i) for i in range(len(grid))]
+    rows, residuals = zip(*(point(i) for i in range(len(grid))))
     summary = {}
     for label, (col_meas, col_bound) in {"i2": (3, 4), "i3": (5, 6),
                                          "i4": (7, 8)}.items():
@@ -670,7 +685,9 @@ def run_kpoint_decay(cfg: dict, seed: int) -> dict:
         summary[label] = calib.to_json_dict()
     header = ["K", "zeta", "tau", "i2_abs", "i2_bound", "i3_abs", "i3_bound",
               "i4_abs", "i4_bound", "lhs_abs"]
-    return {"tables": {"decay": (header, rows)}, "checks": [], "summary": summary}
+    return {"tables": {"decay": (header, list(rows))},
+            "checks": [_refinement_check(med, caps, *grid[0], residuals[0])],
+            "summary": summary}
 
 
 def run_medium_demo(cfg: dict, seed: int) -> dict:
@@ -703,8 +720,8 @@ def run_medium_demo(cfg: dict, seed: int) -> dict:
             return vals.astype(complex)
         return MediumScatterer(dom, med, contrast, v_sup_sample)
 
-    # one FFT operator (with its far-field phases) and one sample of the
-    # incident wave for every solve of the run
+    # one FFT operator and one sample of the incident wave for every solve
+    # of the run
     ui = incident.sample(mesh)
     shared = dict(operator=LatticeOperator(mesh, med), incident_values=ui)
     sup_i = float(np.max(np.linalg.norm(ui.values, axis=1)))

@@ -19,7 +19,8 @@ sweep over ``a = 1``), and a sweep shares one Krylov space: the systems
 and one sequence of powers ``(-A)^k u_i`` every amplitude's Neumann series.
 The same Arnoldi process, run on the residual, restarts an amplitude that
 one cycle leaves unsolved.  The direct mode's power-iteration contraction
-estimate is made once per sweep, on ``A``, and only where it is read.
+estimate is made once per sweep, on ``A``, and only where it is read; the
+far fields of a sweep are radiated together, on the first read of any.
 Meshes whose nodes are not on one h-lattice are rejected with
 ``MeshMismatch``.
 """
@@ -54,12 +55,10 @@ from .geometry import (
 from .greens import kupradze_batch, singular_cell_integral
 from .source import (
     FarFieldPattern,
-    SourceProblem,
     _check_mesh_resolution,
+    _patterns,
     _unit_directions,
     directions_circle,
-    farfield_of_source,
-    farfield_phases,
 )
 
 _SERIES_MAX_TERMS = 200
@@ -280,8 +279,7 @@ class LatticeOperator:
     nodes' lattice index), so ``P`` is block Toeplitz.  Its kernel table over
     the ``(2nx - 1) x (2ny - 1)`` offsets is evaluated once, here, embedded
     in a circulant padded to fast FFT lengths, and applied by ``fft2``
-    (Vainikko 2000).  ``farfield_phases`` builds the far-field phase pair of
-    a set of directions on first use and keeps it as long as the operator.
+    (Vainikko 2000).
 
     Meshes that are not lattice subsets raise ``MeshMismatch``; repeated
     lattice keys raise ``CoincidentPoints``; a padded grid that would need
@@ -317,21 +315,12 @@ class LatticeOperator:
         self.medium = medium
         self.keys = keys
         self._spectrum = np.fft.fft2(spectrum)
-        self.nodes = mesh.nodes
-        self._phases = {}
 
     def check(self, mesh: QuadratureMesh, medium: LameMedium) -> None:
         """Raise ``MeshMismatch`` unless built for this mesh and medium."""
         if mesh.mesh_id != self.mesh_id or medium != self.medium:
             raise MeshMismatch("the lattice operator was built for another "
                                "mesh or medium")
-
-    def farfield_phases(self, dirs: np.ndarray) -> Optional[np.ndarray]:
-        """:func:`~elastoscat.source.farfield_phases` of the unit ``dirs`` on
-        the operator's mesh and medium, built on first use and then kept."""
-        if (key := dirs.tobytes()) not in self._phases:
-            self._phases[key] = farfield_phases(self.medium, self.nodes, dirs)
-        return self._phases[key]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         spectrum = self._spectrum
@@ -350,8 +339,9 @@ def _medium_setup(scatterer: MediumScatterer, incident: IncidentWave,
     """The argument checks of :func:`solve_medium_sweep`, and what it solves
     with: the operator (built when ``None``), the contrast at the nodes
     (N, 1), the incident wave at the nodes as a flat vector, and
-    ``finish(vvals, ut_flat, terms, contraction)``, the :class:`MediumSolve`
-    of a total field for the contrast values ``vvals``."""
+    ``finish(amplitudes, results)``, the sweep's :class:`MediumSolve` list
+    from one ``(ut_flat, terms, contraction)`` per amplitude.  Their far
+    fields are radiated together, on the first read of any of them."""
     if scatterer.medium.dim != 2:
         raise UnsupportedDimension("medium solves are 2-D only")
     if mode not in ("direct-dense", "neumann-series"):
@@ -373,19 +363,23 @@ def _medium_setup(scatterer: MediumScatterer, incident: IncidentWave,
     contrast = scatterer.contrast_on(nodes)[:, None]
     ui = incident(nodes) if incident_values is None else incident_values.values
 
-    def finish(vvals, ut_flat, terms, contraction):
-        ut = ut_flat.reshape(nodes.shape)
-        equivalent = -med.omega ** 2 * vvals * ut
-        problem = SourceProblem(domain=scatterer.domain, medium=med,
-                                phi=SampledVectorField(nodes=nodes, values=equivalent,
-                                                       mesh_ref=mesh.mesh_id))
-        return MediumSolve(
-            u_total=SampledVectorField(nodes=nodes, values=ut, mesh_ref=mesh.mesh_id),
-            u_scattered=SampledVectorField(nodes=nodes, values=ut - ui,
-                                           mesh_ref=mesh.mesh_id),
-            farfield=lambda: farfield_of_source(
-                problem, mesh, directions, operator.farfield_phases(directions)),
-            series_terms_used=terms, contraction_estimate=contraction)
+    def finish(amplitudes, results):
+        sources, solves = [], []
+        for k, (a, (ut_flat, terms, contraction)) in enumerate(zip(amplitudes, results)):
+            ut = ut_flat.reshape(nodes.shape)
+            # the equivalent source -omega^2 V u_t, checked finite here
+            equivalent = -med.omega ** 2 * (a * contrast) * ut
+            sources.append(SampledVectorField(nodes=nodes, values=equivalent,
+                                              mesh_ref=mesh.mesh_id))
+            solves.append(MediumSolve(
+                u_total=SampledVectorField(nodes=nodes, values=ut, mesh_ref=mesh.mesh_id),
+                u_scattered=SampledVectorField(nodes=nodes, values=ut - ui,
+                                               mesh_ref=mesh.mesh_id),
+                farfield=lambda k=k: patterns()[k],
+                series_terms_used=terms, contraction_estimate=contraction))
+        patterns = cache(partial(_patterns, med, mesh, directions,
+                                 [src.values for src in sources]))
+        return solves
 
     return operator, contrast, ui.ravel(), finish
 
@@ -486,13 +480,7 @@ def solve_medium(scatterer: MediumScatterer, incident: IncidentWave,
     What every solve on one mesh shares is passed in, not rebuilt:
     ``incident_values``, the wave at the nodes (``incident.sample(mesh)``,
     read-only; values tied to another mesh raise ``MeshMismatch``, and the
-    point-source origin is still checked on ``incident``), and, through
-    ``operator``, the far field's phase pair ``e^{-i kappa_p xhat.y}``,
-    ``e^{-i kappa_s xhat.y}`` for ``directions``, built on the first far
-    field read.  The operator keeps that pair only when its M N entries fit
-    one ``source._PHASE_BLOCK`` block, where the far field has the same bits
-    with it as without; a larger far field forms its phases block by block
-    on each read.
+    point-source origin is still checked on ``incident``).
 
     ``direct-dense`` (the name is historical) solves the 2N x 2N system
     ``(I + omega^2 P V) u_t = u_i`` by restarted GMRES and raises
@@ -502,8 +490,9 @@ def solve_medium(scatterer: MediumScatterer, incident: IncidentWave,
     ``neumann-series`` iterates the fixed point
     ``u_t <- u_i - omega^2 P(V u_t)`` and reports the observed contraction
     ratio, refusing to continue when successive corrections grow.  The far
-    field is radiated by the equivalent source ``-omega^2 V u_t``; it is
-    computed on the first read of ``farfield``, but ``directions`` and the
+    field is radiated by the equivalent source ``-omega^2 V u_t``, with the
+    bits of :func:`~elastoscat.source.farfield_of_source` of that source; it
+    is computed on the first read of ``farfield``, but ``directions`` and the
     mesh resolution it needs are checked here.
 
     This is :func:`solve_medium_sweep` over the one amplitude 1.
@@ -536,7 +525,10 @@ def solve_medium_sweep(scatterer: MediumScatterer, amplitudes, incident: Inciden
     a time, and each amplitude adds ``a^k`` times each power under its own
     stopping rule, divergence test and term cap.  The sweep raises
     ``SingularSystem`` or ``SeriesDiverges`` where the sweep of any one of
-    its amplitudes raises it.
+    its amplitudes raises it.  The first read of any amplitude's
+    ``farfield`` radiates every amplitude's equivalent source in one pass
+    over the blocks of directions, each block's two phase matrices built
+    once for all of them, and each amplitude keeps its pattern.
     """
     operator, q, b, finish = _medium_setup(scatterer, incident, mesh, mode,
                                            directions, operator, incident_values)
@@ -547,15 +539,15 @@ def solve_medium_sweep(scatterer: MediumScatterer, amplitudes, incident: Inciden
         while live:
             power, k = -op(power), k + 1
             live = [i for i in live if series[i].add(amplitudes[i] ** k * power)]
-        return [finish(a * q, *sum_.result()) for a, sum_ in zip(amplitudes, series)]
+        return finish(amplitudes, [sum_.result() for sum_ in series])
     estimate = cache(partial(_norm_estimate, op, op_adjoint, b.size))
-    solves = []
+    results = []
     for a, (ut_flat, info) in zip(amplitudes, _shifted_gmres(op, b, amplitudes)):
         # an amplitude that one cycle left unsolved restarts from its iterate
         ut_flat = _gmres(_contrast_ops(operator, a * q)[0], b, ut_flat,
                          info and _GMRES_MAX_CYCLES - 1, info)
-        solves.append(finish(a * q, ut_flat, 1, lambda a=a: float(abs(a)) * estimate()))
-    return solves
+        results.append((ut_flat, 1, lambda a=a: float(abs(a)) * estimate()))
+    return finish(amplitudes, results)
 
 
 def _shifted_gmres(op: Callable, b: np.ndarray, amps: list):

@@ -212,25 +212,39 @@ def _phase_matrix(kappa: float, dots: np.ndarray, phase: np.ndarray) -> np.ndarr
     return phase
 
 
-def farfield_phases(medium: LameMedium, nodes: np.ndarray, dirs: np.ndarray):
-    """The read-only (2, M, N) phase pair ``e^{-i kappa_p xhat_j.y_k}`` and
-    ``e^{-i kappa_s xhat_j.y_k}`` of the unit ``dirs`` on the ``nodes``, for
-    :func:`farfield_of_source`'s ``phases``; ``None`` when its M N entries
-    exceed one ``_PHASE_BLOCK`` block.  Within one block the far field forms
-    ``dots`` by one product over all directions, as here, so a pattern
-    radiated with the stored pair has the same bits as one without."""
-    if dirs.shape[0] * nodes.shape[0] > _PHASE_BLOCK:
-        return None
-    dots = dirs @ nodes.T
-    pair = np.empty((2,) + dots.shape, dtype=complex)
-    for kappa, phase in zip((medium.kappa_p, medium.kappa_s), pair):
-        _phase_matrix(kappa, dots, phase)
-    pair.flags.writeable = False
-    return pair
+def _patterns(medium: LameMedium, mesh: QuadratureMesh, dirs: np.ndarray,
+              intensities) -> list[FarFieldPattern]:
+    """The far-field pattern of each (N, 2) intensity of ``intensities`` on
+    the mesh, along the unit ``dirs``: :func:`farfield_of_source` without
+    its checks, for many sources at once.
+
+    Each block of about ``_PHASE_BLOCK`` phase entries forms ``dots`` and
+    each of its two phase matrices once and applies them to every ``w phi``,
+    so a pattern has the same bits whichever list it is radiated in.
+    """
+    wphis = [mesh.weights[:, None] * phi for phi in intensities]
+    cp, cs = farfield_constants(medium)
+    m, n = dirs.shape[0], mesh.nodes.shape[0]
+    step = min(m, max(1, _PHASE_BLOCK // max(n, 1)))
+    phase = np.empty((step, n), dtype=complex)
+    ups = [np.empty(m, dtype=complex) for _ in wphis]
+    uss = [np.empty((m, 2), dtype=complex) for _ in wphis]
+    for lo in range(0, m, step):
+        xhat = dirs[lo:lo + step]
+        dots = xhat @ mesh.nodes.T
+        z = phase[:xhat.shape[0]]
+        _phase_matrix(medium.kappa_p, dots, z)
+        for up, wphi in zip(ups, wphis):
+            up[lo:lo + step] = -cp * np.sum((z @ wphi) * xhat, axis=1)
+        _phase_matrix(medium.kappa_s, dots, z)
+        for us, wphi in zip(uss, wphis):
+            us[lo:lo + step] = _transverse(-cs * (z @ wphi), xhat)
+    return [FarFieldPattern(directions=dirs, up_inf=up, us_inf=us)
+            for up, us in zip(ups, uss)]
 
 
 def farfield_of_source(problem: SourceProblem, mesh: QuadratureMesh,
-                       directions, phases=None) -> FarFieldPattern:
+                       directions) -> FarFieldPattern:
     """Far-field pattern of the outgoing solution, by direct quadrature.
 
     The sign matches :func:`solve_source`: this is the pattern of the field
@@ -248,36 +262,12 @@ def farfield_of_source(problem: SourceProblem, mesh: QuadratureMesh,
     block of directions forms the two (block, N) phase matrices and applies
     them to ``w phi`` as matrix products; a block holds about
     ``_PHASE_BLOCK`` phase entries, which bounds memory for any M and N.
-    ``phases``, the pair :func:`farfield_phases` built for this mesh's nodes,
-    the medium and ``directions``, replaces the phase matrices (one block);
-    a pair whose shape is not (2, M, N) raises ``MeshMismatch``.
     """
     if problem.medium.dim != 2 or problem.domain.dim != 2:
         raise UnsupportedDimension("far-field quadrature is 2-D only")
     dirs = _unit_directions(directions)
-    med = problem.medium
-    _check_mesh_resolution(mesh, med)
-    wphi = mesh.weights[:, None] * problem.intensity_on(mesh)
-    cp, cs = farfield_constants(med)
-    m, n = dirs.shape[0], mesh.nodes.shape[0]
-    if phases is not None and phases.shape != (2, m, n):
-        raise MeshMismatch("the far-field phases do not fit the directions and nodes")
-    step = m if phases is not None else min(m, max(1, _PHASE_BLOCK // max(n, 1)))
-    phase = np.empty((step, n), dtype=complex) if phases is None else None
-    up = np.empty(m, dtype=complex)
-    us = np.empty((m, 2), dtype=complex)
-    for lo in range(0, m, step):
-        xhat = dirs[lo:lo + step]
-        if phases is None:
-            dots = xhat @ mesh.nodes.T
-            z = phase[:xhat.shape[0]]
-            p_amp = _phase_matrix(med.kappa_p, dots, z) @ wphi
-            s_amp = _phase_matrix(med.kappa_s, dots, z) @ wphi
-        else:
-            p_amp, s_amp = phases @ wphi
-        up[lo:lo + step] = -cp * np.sum(p_amp * xhat, axis=1)
-        us[lo:lo + step] = _transverse(-cs * s_amp, xhat)
-    return FarFieldPattern(directions=dirs, up_inf=up, us_inf=us)
+    _check_mesh_resolution(mesh, problem.medium)
+    return _patterns(problem.medium, mesh, dirs, [problem.intensity_on(mesh)])[0]
 
 
 def _j1_over_x(x: float) -> float:

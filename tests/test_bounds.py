@@ -133,6 +133,18 @@ NAN_GUARDS = {
     **{f"shell_integral-{arg}": (shell_integral,
                                  dict(k_minus=5.0, k_plus=15.0, tau=40.0, b=0.1, dim=2),
                                  arg, NonpositiveArgument) for arg in ("tau", "b")},
+    **{f"kpoint_criterion-{arg}": (
+        kpoint_criterion, dict(phi_at_q=1.0, norm_max=1.0, K=10.0, alpha=1.0, varsigma=0.9,
+                               dim=2), arg, NonpositiveArgument)
+       for arg in ("phi_at_q", "norm_max")},
+    "medium_kpoint_criterion-Vui_at_q": (
+        medium_kpoint_criterion, dict(Vui_at_q=1.0, K=10.0, alpha=1.0, varsigma=0.9, dim=2),
+        "Vui_at_q", NonpositiveArgument),
+    # a NaN epsilon was caught only as a NaN structural side, unnamed
+    **{f"medium_small_criterion-{arg}": (
+        medium_small_criterion, dict(V_ui_sup=1.0, V_norm=1.0, ui_norm=1.0, delta=1.0,
+                                     epsilon=0.1, eps_max=0.2, V_max=1.0),
+        arg, NonpositiveArgument) for arg in ("V_ui_sup", "V_norm", "ui_norm", "epsilon")},
 }
 
 

@@ -367,6 +367,39 @@ def test_config_defects_exit_2(tmp_path, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
+# Python's json reads a number past the float range, such as 1e400, as inf
+@pytest.mark.parametrize("number", ["1e400", "-1e400"])
+@pytest.mark.parametrize("path", [["tolerance"], ["sweep", "epsilons", 1]],
+                         ids=["tolerance", "array-entry"])
+def test_numbers_that_overflow_exit_2(tmp_path, capsys, path, number):
+    text = json.dumps(edit(tiny_sweep_cfg(), path, "overflow"))
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(text.replace('"overflow"', number), encoding="utf-8")
+    rc = cli.main(["sweep-small", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "out" / "x")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and f"non-finite number {number}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_finite_numbers_read_as_without_the_overflow_hook(tmp_path, monkeypatch):
+    cfg = edit(dict(tiny_sweep_cfg(), tolerance=1e-3), ["sweep", "epsilons"],
+               [0.1, 0.30000000000000004])
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    hooked = cli.load_config(path, "sweep-small")
+    monkeypatch.setattr(cli, "_finite_float", float)
+    assert json.dumps(hooked) == json.dumps(cli.load_config(path, "sweep-small"))
+    assert hooked[0] == cfg
+    # and a run writes the same config_effective
+    prefix = tmp_path / "out" / "sw"
+    assert cli.main(["sweep-small", "--config", path, "--out", str(prefix)]) == 0
+    report = json.loads(Path(f"{prefix}_report.json").read_text(encoding="utf-8"))
+    assert json.dumps(report["config_effective"], sort_keys=True) \
+        == json.dumps(hooked[1], sort_keys=True)
+
+
 def test_integral_float_counts_are_accepted(tmp_path):
     # JSON Schema's "integer" admits 8.0; the runners cast before numpy
     csvs = []
@@ -799,22 +832,21 @@ POINT_SOURCE = {"kind": "point-source", "origin": [1.0, 0.0]}
 
 def test_medium_demo_evaluates_the_incident_and_builds_the_phases_once(
         tmp_path, monkeypatch):
-    from elastoscat import scattering
+    from elastoscat import scattering, source
 
     evaluated, built = [], []
-    call, phases = scattering.IncidentWave.__call__, scattering.farfield_phases
+    call, phase_matrix = scattering.IncidentWave.__call__, source._phase_matrix
 
     def counted_call(self, pts):
         evaluated.append(1)
         return call(self, pts)
 
-    def counted_phases(*args):
-        pair = phases(*args)
-        built.append(pair is not None)
-        return pair
+    def counted_phases(kappa, *args):
+        built.append(kappa)
+        return phase_matrix(kappa, *args)
 
     monkeypatch.setattr(scattering.IncidentWave, "__call__", counted_call)
-    monkeypatch.setattr(scattering, "farfield_phases", counted_phases)
+    monkeypatch.setattr(source, "_phase_matrix", counted_phases)
     cfg = _medium_cfg()
     cfg["scatterer"].update(v0_values=MIXED_REGIME_V0, incident=POINT_SOURCE)
     prefix = tmp_path / "out" / "md"
@@ -823,29 +855,31 @@ def test_medium_demo_evaluates_the_incident_and_builds_the_phases_once(
     _, rows = read_table(Path(f"{prefix}_medium.csv"))
     assert len(rows) == len(MIXED_REGIME_V0)
     # five solves and three far fields, one point-source evaluation and one
-    # phase pair (64 directions on 256 nodes fit one block, so it is kept)
+    # block of phases (64 directions on 256 nodes), its kappa_p and kappa_s
+    # matrices
     assert evaluated == [1]
-    assert built == [True]
+    med = cli._medium_from(cfg)
+    assert built == [med.kappa_p, med.kappa_s]
 
 
 def test_medium_demo_radiates_the_direct_solves_only(tmp_path, monkeypatch):
     from elastoscat import scattering
 
     calls = []
-    real = scattering.farfield_of_source
+    real = scattering._patterns
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(medium, mesh, dirs, intensities):
+        calls.append(len(intensities))
+        return real(medium, mesh, dirs, intensities)
 
-    monkeypatch.setattr(scattering, "farfield_of_source", counted)
+    monkeypatch.setattr(scattering, "_patterns", counted)
     cfg = _medium_cfg()
     cfg["scatterer"]["v0_values"] = MIXED_REGIME_V0
     assert cli.main(["medium-demo", "--config", write_cfg(tmp_path, "m.json", cfg),
                      "--workers", "1", "--out", str(tmp_path / "out" / "md")]) == 0
-    # three direct solves; the Neumann solves of the two in-regime rows
-    # radiate nothing
-    assert len(calls) == len(MIXED_REGIME_V0)
+    # one pass radiates the three direct solves; the Neumann sweep of the
+    # two in-regime rows radiates nothing
+    assert calls == [len(MIXED_REGIME_V0)]
 
 
 def test_medium_demo_masks_the_v_sup_draw_once(tmp_path, monkeypatch):
@@ -1020,35 +1054,46 @@ def _probe_off(monkeypatch):
     monkeypatch.setattr(cli.cgo, "make_cgo", off)
 
 
-# check name: (experiment, config, a defect that fails that check alone)
+def _six_point_panels(monkeypatch):
+    monkeypatch.setattr(cli.cgo, "_PANEL_POINTS", 6)
+
+
+# (check name, experiment): (config, a defect that fails that check alone)
 DEFECTS = {
-    "quadrature misses the closed form": ("sweep-small", tiny_sweep_cfg, _closed_form_off),
-    "configured nullity exceeds tolerance": ("nonradiating-audit", nonradiating_cfg,
-                                             _coarse_nullity_mesh(False)),
-    "refined nullity exceeds tolerance": ("nonradiating-audit", nonradiating_cfg,
-                                          _coarse_nullity_mesh(True)),
-    "probe residual does not halve when refined": ("cgo-verify", cgo_cfg, _probe_off),
+    ("quadrature misses the closed form", "sweep-small"): (tiny_sweep_cfg, _closed_form_off),
+    ("configured nullity exceeds tolerance", "nonradiating-audit"): (
+        nonradiating_cfg, _coarse_nullity_mesh(False)),
+    ("refined nullity exceeds tolerance", "nonradiating-audit"): (
+        nonradiating_cfg, _coarse_nullity_mesh(True)),
+    ("probe residual does not halve when refined", "cgo-verify"): (cgo_cfg, _probe_off),
     # a closed form 2 % off gives residual_rel 0.0196 at refine 1 and 2 alike
-    "identity residual exceeds tolerance": (
-        "identity-check", _identity_cfg, _scaled(cli.cgo, "paraboloid_integral_closed", 1.02)),
-    "row 0 residual exceeds 1.5 times its refined value": (
-        "identity-check", _identity_cfg,
-        lambda monkeypatch: monkeypatch.setattr(cli.cgo, "_PANEL_POINTS", 6)),
+    ("identity residual exceeds tolerance", "identity-check"): (
+        _identity_cfg, _scaled(cli.cgo, "paraboloid_integral_closed", 1.02)),
+    ("row 0 residual exceeds 1.5 times its refined value", "identity-check"): (
+        _identity_cfg, _six_point_panels),
+    ("row 0 residual exceeds 1.5 times its refined value", "kpoint-decay"): (
+        kpoint_cfg, _six_point_panels),
     # without the singular cell the residual is 0.021 (1.9e-3 with it)
-    "lattice residual exceeds tolerance": (
-        "medium-demo", _medium_cfg, _scaled(scattering, "singular_cell_integral", 0.0)),
+    ("lattice residual exceeds tolerance", "medium-demo"): (
+        _medium_cfg, _scaled(scattering, "singular_cell_integral", 0.0)),
 }
+# a check's first row is known by its name, a later one by its experiment too
+DEFECT_IDS = []
+for _name, _experiment in DEFECTS:
+    DEFECT_IDS.append(f"{_name} ({_experiment})" if _name in DEFECT_IDS else _name)
+CHECK_NAMES = list(dict.fromkeys(name for name, _ in DEFECTS))
 
 
-@pytest.mark.parametrize("name", list(DEFECTS))
-def test_each_self_check_fails_its_defect_alone(tmp_path, monkeypatch, capsys, name):
-    experiment, make, inject = DEFECTS[name]
+@pytest.mark.parametrize("name, experiment", list(DEFECTS), ids=DEFECT_IDS)
+def test_each_self_check_fails_its_defect_alone(tmp_path, monkeypatch, capsys, name,
+                                                experiment):
+    make, inject = DEFECTS[name, experiment]
     cfg_path = write_cfg(tmp_path, "cfg.json", make())
     inject(monkeypatch)
     rc = cli.main([experiment, "--config", cfg_path, "--out", str(tmp_path / "fail" / "x")])
     assert rc == 3
     err = capsys.readouterr().err
-    assert [check for check in DEFECTS if check in err] == [name], err
+    assert [check for check in CHECK_NAMES if check in err] == [name], err
     assert not (tmp_path / "fail").exists()
 
 

@@ -32,7 +32,7 @@ from elastoscat import (
     upsilon,
     volume_mesh,
 )
-from elastoscat import scattering
+from elastoscat import scattering, source
 from elastoscat.greens import kupradze_batch, singular_cell_integral
 from elastoscat.elastic import content_id
 from elastoscat.geometry import QuadratureMesh, inside, signed_distance
@@ -41,7 +41,6 @@ from elastoscat.source import (
     coincident_nodes,
     directions_circle,
     farfield_of_source,
-    farfield_phases,
     potential_row,
 )
 from elastoscat.errors import (
@@ -536,60 +535,78 @@ SHARED_INCIDENTS = {
 }
 
 
-@pytest.mark.parametrize("mode", ["direct-dense", "neumann-series"])
-@pytest.mark.parametrize("name", list(SHARED_INCIDENTS))
-def test_solve_with_shared_incident_and_phases_matches_unshared(monkeypatch, name, mode):
-    # the run-wide incident sample and the operator's kept phase pair give
-    # the bits of a solve that evaluates the wave itself, and the far field
-    # the bits of farfield_of_source forming its phases block by block
-    sc = scatterer(v0=0.2)
-    mesh = volume_mesh(sc.domain, h=0.05)
-    inc = make_incident(*SHARED_INCIDENTS[name], MED)
-    want = solve_medium(sc, inc, mesh, mode=mode)
-    equivalent = -MED.omega ** 2 * sc.contrast_on(mesh.nodes)[:, None] * want.u_total.values
-    problem = SourceProblem(domain=sc.domain, medium=MED,
-                            phi=SampledVectorField(nodes=mesh.nodes, values=equivalent,
-                                                   mesh_ref=mesh.mesh_id))
-    blocks = farfield_of_source(problem, mesh, want.farfield.directions)
-    built = []
-    real = scattering.farfield_phases
+SWEEP_AMPLITUDES = [0.5, 1.0, 1.5]
+
+
+def _phase_calls(monkeypatch):
+    """A list that gains one entry per phase matrix the far field builds."""
+    calls = []
+    real = source._phase_matrix
 
     def counted(*args):
-        built.append(1)
+        calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(scattering, "farfield_phases", counted)
-    operator = scattering.LatticeOperator(mesh, MED)
-    shared = inc.sample(mesh)
-    for _ in range(2):
-        got = solve_medium(sc, inc, mesh, mode=mode, operator=operator,
-                           incident_values=shared)
-        assert (got.u_total.values == want.u_total.values).all()
-        assert (got.u_scattered.values == want.u_scattered.values).all()
-        assert got.series_terms_used == want.series_terms_used
-        for pattern in (got.farfield, want.farfield):
-            assert repr(pattern) == repr(blocks)
-            assert content_id(pattern.up_inf, pattern.us_inf) \
-                == content_id(blocks.up_inf, blocks.us_inf)
-    # the second far field read the pair the first one built
-    assert built == [1]
+    monkeypatch.setattr(source, "_phase_matrix", counted)
+    return calls
 
 
-def test_far_field_larger_than_one_block_keeps_no_phases():
-    # 1,100 directions on 256 nodes exceed _PHASE_BLOCK entries: nothing is
-    # kept and the far field takes its blocks, with the same bits
+@pytest.mark.parametrize("mode", ["direct-dense", "neumann-series"])
+@pytest.mark.parametrize("name", list(SHARED_INCIDENTS))
+def test_solve_with_shared_incident_and_phases_matches_unshared(name, mode):
+    # the run-wide incident sample gives the bits of a sweep that evaluates
+    # the wave itself, and each amplitude's far field, radiated in one pass
+    # over shared phase blocks, the bits of farfield_of_source of its own
+    # equivalent source; 1,100 directions on 256 nodes take two blocks
     sc = scatterer(v0=0.2)
     mesh = volume_mesh(sc.domain, h=0.05)
     dirs = directions_circle(1100)
     assert dirs.shape[0] * mesh.nodes.shape[0] > _PHASE_BLOCK
+    inc = make_incident(*SHARED_INCIDENTS[name], MED)
+    want = solve_medium_sweep(sc, SWEEP_AMPLITUDES, inc, mesh, mode, dirs)
+    got = solve_medium_sweep(sc, SWEEP_AMPLITUDES, inc, mesh, mode, dirs,
+                             operator=scattering.LatticeOperator(mesh, MED),
+                             incident_values=inc.sample(mesh))
+    contrast = sc.contrast_on(mesh.nodes)[:, None]
+    for a, g, w in zip(SWEEP_AMPLITUDES, got, want):
+        assert (g.u_total.values == w.u_total.values).all()
+        assert (g.u_scattered.values == w.u_scattered.values).all()
+        assert g.series_terms_used == w.series_terms_used
+        equivalent = -MED.omega ** 2 * (a * contrast) * w.u_total.values
+        problem = SourceProblem(domain=sc.domain, medium=MED,
+                                phi=SampledVectorField(nodes=mesh.nodes, values=equivalent,
+                                                       mesh_ref=mesh.mesh_id))
+        alone = farfield_of_source(problem, mesh, dirs)
+        for pattern in (g.farfield, w.farfield):
+            assert repr(pattern) == repr(alone)
+            assert content_id(pattern.up_inf, pattern.us_inf) \
+                == content_id(alone.up_inf, alone.us_inf)
+
+
+def test_far_field_larger_than_one_block_keeps_no_phases(monkeypatch):
+    # a sweep builds each block's two phase matrices once, on the first far
+    # field read, whatever its amplitude count, and keeps none: reading the
+    # other amplitudes builds nothing
+    sc = scatterer(v0=0.2)
+    mesh = volume_mesh(sc.domain, h=0.05)
+    dirs = directions_circle(1100)
+    blocks = -(-dirs.shape[0] // (_PHASE_BLOCK // mesh.nodes.shape[0]))
+    assert blocks == 2
     operator = scattering.LatticeOperator(mesh, MED)
-    assert operator.farfield_phases(dirs) is None
     inc = make_incident("point-source", {"origin": (1.0, 0.0)}, MED)
-    got = solve_medium(sc, inc, mesh, directions=dirs, operator=operator,
-                       incident_values=inc.sample(mesh))
-    want = solve_medium(sc, inc, mesh, directions=dirs)
-    assert np.array_equal(got.farfield.up_inf, want.farfield.up_inf)
-    assert np.array_equal(got.farfield.us_inf, want.farfield.us_inf)
+    calls = _phase_calls(monkeypatch)
+    for count in (1, 4):
+        for mode in ("direct-dense", "neumann-series"):
+            calls.clear()
+            sols = solve_medium_sweep(sc, [0.5 + 0.25 * k for k in range(count)], inc,
+                                      mesh, mode, dirs, operator=operator,
+                                      incident_values=inc.sample(mesh))
+            assert calls == []
+            assert sols[0].farfield.up_inf.shape == (dirs.shape[0],)
+            assert len(calls) == 2 * blocks
+            for sol in sols[1:]:
+                assert sol.farfield.up_inf.shape == (dirs.shape[0],)
+            assert len(calls) == 2 * blocks
 
 
 def test_shared_values_or_phases_from_another_mesh_are_rejected(monkeypatch):
@@ -607,20 +624,10 @@ def test_shared_values_or_phases_from_another_mesh_are_rejected(monkeypatch):
         for mode in ("direct-dense", "neumann-series"):
             with pytest.raises(MeshMismatch, match="another mesh"):
                 solve_medium(sc, inc, mesh, mode=mode, incident_values=foreign)
-    # an operator, and so its phases, built for another mesh
+    # an operator built for another mesh
     with pytest.raises(MeshMismatch, match="another mesh or medium"):
         solve_medium(sc, inc, mesh, operator=scattering.LatticeOperator(other, MED),
                      incident_values=inc.sample(mesh))
-    # a pair for another mesh's nodes or other directions, given directly
-    n = mesh.nodes.shape[0]
-    problem = SourceProblem(domain=sc.domain, medium=MED,
-                            phi=SampledVectorField(nodes=mesh.nodes, values=np.ones((n, 2)),
-                                                   mesh_ref=mesh.mesh_id))
-    dirs = directions_circle(64)
-    for pair in (farfield_phases(MED, other.nodes, dirs),
-                 farfield_phases(MED, mesh.nodes, directions_circle(65))):
-        with pytest.raises(MeshMismatch, match="do not fit"):
-            farfield_of_source(problem, mesh, dirs, phases=pair)
 
 
 def test_shared_arrays_are_read_only():
@@ -630,9 +637,6 @@ def test_shared_arrays_are_read_only():
         values = make_incident(kind, params, MED).sample(mesh).values
         with pytest.raises(ValueError, match="read-only"):
             values[0, 0] = 0.0
-    pair = scattering.LatticeOperator(mesh, MED).farfield_phases(directions_circle(64))
-    with pytest.raises(ValueError, match="read-only"):
-        pair[0, 0, 0] = 0.0
     lo, hi = sc.domain.shape.bbox()
     with pytest.raises(ValueError, match="read-only"):
         scattering._v_sup_points(tuple(lo), tuple(hi), 2)[0, 0] = 0.0
@@ -696,14 +700,7 @@ def test_direct_contraction_estimate_runs_on_first_read(monkeypatch):
 
 
 def test_farfield_is_radiated_on_first_read(monkeypatch):
-    calls = []
-    real = scattering.farfield_of_source
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(scattering, "farfield_of_source", counted)
+    calls = _phase_calls(monkeypatch)
     sc = scatterer(v0=0.2)
     mesh = volume_mesh(sc.domain, h=0.05)
     inc = make_incident("pressure-plane", {"direction": (1.0, 0.0)}, MED)
@@ -711,7 +708,8 @@ def test_farfield_is_radiated_on_first_read(monkeypatch):
     assert calls == []
     first = sol.farfield
     assert sol.farfield is first
-    assert calls == [1]
+    # the default directions fit one block: its kappa_p and kappa_s matrices
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("directions, error", [
