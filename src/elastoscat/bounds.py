@@ -183,6 +183,9 @@ def medium_small_criterion(V_ui_sup: float, V_norm: float, ui_norm: float,
     if not (V_ui_sup >= 0.0 and V_norm > 0.0 and ui_norm > 0.0):
         raise NonpositiveArgument(f"need V_ui_sup >= 0 and positive V_norm, ui_norm, "
                                   f"got {V_ui_sup}, {V_norm}, {ui_norm}")
+    if not (eps_max >= 0.0 and V_max >= 0.0):
+        raise NonpositiveArgument(f"need nonnegative eps_max and V_max, "
+                                  f"got {eps_max}, {V_max}")
     if epsilon > eps_max:
         raise InvalidParameter(f"epsilon = {epsilon} exceeds eps_max = {eps_max}")
     if eps_max * V_max >= s:

@@ -87,9 +87,11 @@ def helmholtz_fundamental(x: np.ndarray, y: np.ndarray, kappa: float, dim: int) 
     """Outgoing scalar fundamental solution ``Phi_kappa(x, y)``."""
     if dim not in (2, 3):
         raise UnsupportedDimension(f"dim must be 2 or 3, got {dim}")
-    if kappa <= 0:
+    if not kappa > 0:
         raise NonpositiveArgument(f"kappa must be positive, got {kappa}")
     r = float(np.linalg.norm(np.asarray(x, float) - np.asarray(y, float)))
+    if not math.isfinite(r):
+        raise InvalidParameter(f"|x - y| must be finite, got {r}")
     if r == 0.0:
         raise CoincidentPoints("x and y must be distinct")
     if dim == 2:
@@ -139,21 +141,31 @@ def kupradze_tensor(x: np.ndarray, y: np.ndarray, medium: LameMedium) -> np.ndar
 
 
 def kupradze_batch(diffs: np.ndarray, medium: LameMedium) -> np.ndarray:
-    """Vectorized ``G`` for an (N, n) array of differences ``x - y``."""
+    """Vectorized ``G`` for an (N, n) array of differences ``x - y``.
+
+    The scalar kernels depend on ``|x - y|`` alone, so they are evaluated
+    once per distinct separation and indexed back: a lattice offset table
+    repeats each radius at up to eight offsets.  ``hankel1`` and the
+    arithmetic act elementwise, so the result has the bits of an evaluation
+    at every row.  Non-finite separations raise ``InvalidParameter``.
+    """
     n = medium.dim
     r = np.linalg.norm(diffs, axis=1)
+    if not np.all(np.isfinite(r)):
+        raise InvalidParameter("separations x - y must be finite")
     if np.any(r == 0.0):
         raise CoincidentPoints("zero separation in batch")
     e = diffs / r[:, None]
-    ps, dps, dds = _phi_derivs(medium.kappa_s, r, n)
-    pp, dpp, ddp = _phi_derivs(medium.kappa_p, r, n)
+    radii, at = np.unique(r, return_inverse=True)
+    ps, dps, dds = _phi_derivs(medium.kappa_s, radii, n)
+    pp, dpp, ddp = _phi_derivs(medium.kappa_p, radii, n)
     # Hess phi = phi'' ee^T + (phi'/r)(I - ee^T), applied to phi_s - phi_p
-    co_ee = (dds - ddp) - (dps - dpp) / r
-    co_id = (dps - dpp) / r
+    co_ee = (dds - ddp) - (dps - dpp) / radii
+    co_id = (dps - dpp) / radii
     eye = np.eye(n)
     ee = e[:, :, None] * e[:, None, :]
-    g = (ps / medium.mu + co_id / medium.omega ** 2)[:, None, None] * eye \
-        + (co_ee / medium.omega ** 2)[:, None, None] * ee
+    g = (ps / medium.mu + co_id / medium.omega ** 2)[at, None, None] * eye \
+        + (co_ee / medium.omega ** 2)[at, None, None] * ee
     return g
 
 

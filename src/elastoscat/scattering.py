@@ -50,7 +50,6 @@ from .geometry import (
     QuadratureMesh,
     diameter,
     inside,
-    signed_distance,
 )
 from .greens import kupradze_batch, singular_cell_integral
 from .source import (
@@ -64,7 +63,8 @@ from .source import (
 _SERIES_MAX_TERMS = 200
 # the Neumann series stops before a term below this fraction of |u_i|
 _SERIES_TOL = 1e-12
-# lattice_pde_residual skips nodes within this many cells of the boundary
+# lattice_pde_residual counts a node when every lattice point within this many
+# cells of it is a mesh node
 _RESIDUAL_MARGIN_CELLS = 6
 _GMRES_RTOL = 1e-12
 _GMRES_RESTART = 50
@@ -651,14 +651,18 @@ def lattice_pde_residual(scatterer: MediumScatterer, mesh: QuadratureMesh,
 
     Second differences taken directly between lattice neighbors at the mesh
     spacing measure how well the sampled field satisfies the perturbed system
-    (elastic operator plus ``omega^2 (1+V)``).  Nodes whose stencil reaches
-    past the mesh are excluded, and so are nodes within
-    ``_RESIDUAL_MARGIN_CELLS`` cells of the boundary, since the quadrature
-    error concentrates there.  Returns ``(max_rel, median_rel, n_interior)``
-    with the residual normalized by ``omega^2 |u|`` per node.  The mesh must
-    pass the solve's lattice checks (:func:`_lattice_keys`).
+    (elastic operator plus ``omega^2 (1+V)``).  Only interior nodes count:
+    those whose every lattice point within ``_RESIDUAL_MARGIN_CELLS`` cells
+    (Euclidean) is a mesh node, since the quadrature error concentrates at
+    the boundary.  That set is an erosion of the mesh's lattice by a disk,
+    found from the lattice alone, and each of its nodes has a complete
+    stencil.
+    Returns ``(max_rel, median_rel, n_interior)`` with the residual
+    normalized by ``omega^2 |u|`` per node.  The mesh must pass the solve's
+    lattice checks (:func:`_lattice_keys`).
     """
-    keys = _lattice_keys(mesh) + 1
+    m = _RESIDUAL_MARGIN_CELLS
+    keys = _lattice_keys(mesh) + m
     nodes = mesh.nodes
     ut = np.asarray(u_total_values)
     if ut.shape != nodes.shape:
@@ -667,9 +671,9 @@ def lattice_pde_residual(scatterer: MediumScatterer, mesh: QuadratureMesh,
     if not np.all(np.isfinite(ut)):
         raise DimensionMismatch("field contains non-finite entries")
     med = scatterer.medium
-    # the field scattered into a lattice padded with NaN, so a node whose
-    # stencil reaches a missing neighbour gets a NaN residual
-    lattice = np.full(tuple(keys.max(axis=0) + 2) + (ut.shape[1],), np.nan,
+    # the field scattered into a lattice padded with m cells of NaN: NaN
+    # marks a point that is no mesh node, for the stencil and the erosion
+    lattice = np.full(tuple(keys.max(axis=0) + m + 1) + (ut.shape[1],), np.nan,
                       dtype=np.result_type(ut, float))
     lattice[tuple(keys.T)] = ut
 
@@ -679,9 +683,13 @@ def lattice_pde_residual(scatterer: MediumScatterer, mesh: QuadratureMesh,
     res = _lame_stencil(shifted, med, mesh.h, order=2) \
         + med.omega ** 2 * scatterer.contrast_on(nodes)[:, None] * ut
     rel = np.linalg.norm(res, axis=1) / (med.omega ** 2 * np.linalg.norm(ut, axis=1))
-    margin = _RESIDUAL_MARGIN_CELLS * mesh.h
-    rels = rel[[i for i in np.flatnonzero(np.all(np.isfinite(res), axis=1))
-                if signed_distance(scatterer.domain, nodes[i]) <= -margin]]
+    # the erosion: AND of the meshed-point grid over the disk's shifts
+    meshed = ~np.isnan(lattice[..., 0])
+    nx, ny = meshed.shape
+    eroded = np.logical_and.reduce([meshed[m + i:nx - m + i, m + j:ny - m + j]
+                                    for i in range(-m, m + 1) for j in range(-m, m + 1)
+                                    if i * i + j * j <= m * m])
+    rels = rel[eroded[tuple((keys - m).T)] & np.all(np.isfinite(res), axis=1)]
     if not rels.size:
         raise MeshMismatch(
             f"no interior lattice nodes beyond {_RESIDUAL_MARGIN_CELLS} cells; refine the mesh")

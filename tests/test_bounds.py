@@ -144,7 +144,8 @@ NAN_GUARDS = {
     **{f"medium_small_criterion-{arg}": (
         medium_small_criterion, dict(V_ui_sup=1.0, V_norm=1.0, ui_norm=1.0, delta=1.0,
                                      epsilon=0.1, eps_max=0.2, V_max=1.0),
-        arg, NonpositiveArgument) for arg in ("V_ui_sup", "V_norm", "ui_norm", "epsilon")},
+        arg, NonpositiveArgument)
+       for arg in ("V_ui_sup", "V_norm", "ui_norm", "epsilon", "eps_max", "V_max")},
 }
 
 

@@ -326,6 +326,10 @@ EXIT_2_CASES = {
     "three-dimensional-medium": (sweep_cfg, ["medium", "dim"], 3, "medium/dim"),
     "negative-epsilon": (sweep_cfg, ["sweep", "epsilons"], [-0.05, 0.1, 0.2, 0.1],
                          "sweep/epsilons/0"),
+    # a subnormal epsilon ran to an infinite ratio (1e-310) or a zero radius
+    # (5e-324); the schema's positive bound lets both through to the runner
+    **{f"subnormal-epsilon-{value}": (tiny_sweep_cfg, ["sweep", "epsilons", 1], value,
+                                      "sweep/epsilons/1") for value in (1e-310, 5e-324)},
     "holder-exponent-above-one": (sweep_cfg, ["criterion", "delta"], 2,
                                   "criterion/delta"),
     "paraboloid-dimension-4": (cgo_cfg, ["paraboloid", "dims"], [4],
@@ -524,10 +528,20 @@ def test_benchmark_traced_functions_exist(monkeypatch):
     tracer = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracer)   # for its dataclass
     spec.loader.exec_module(tracer)
-    for qual in tracer.COUNTERS:
+    reads = set()
+    for qual, counters in tracer.COUNTERS.items():
         mod_name, fn_name = qual.split(".")
         module = importlib.import_module(f"{tracer.PACKAGE}.{mod_name}")
-        assert callable(getattr(module, fn_name, None)), qual
+        fn = getattr(module, fn_name, None)
+        assert callable(fn), qual
+        # an argument a counter subscripts is still a parameter of its function
+        # (``a.get`` reads, such as the Hoelder pair budget, may be absent)
+        params = set(inspect.signature(fn).parameters)
+        for name, count in counters.items():
+            read = set(re.findall(r'\ba\["(\w+)"\]', inspect.getsource(count)))
+            assert read <= params, (qual, name, read - params)
+            reads |= read
+    assert reads == {"diffs", "ys", "mesh", "samples", "fld", "path"}
     corners = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     fld = elastoscat.SampledVectorField(corners, corners)
     bound = inspect.signature(elastoscat.holder_seminorm).bind(fld, 1.0)
@@ -1202,6 +1216,7 @@ KEEP = {
                                "medium, for a cap medium scatterer to report",
     "helmholtz_fundamental": "the scalar kernel that test_greens.py checks "
                              "the Kupradze tensor against",
+    "signed_distance": "wrapped by perfbench/tracer.py; ROADMAP item 17 retires it",
 }
 
 # one small config per experiment

@@ -14,13 +14,16 @@ from scipy.integrate import quad
 
 from elastoscat import (
     disk,
+    ellipse,
     farfield_kernels,
     helmholtz_fundamental,
     kupradze_tensor,
     lower_incomplete_gamma,
     make_medium,
     singular_cell_integral,
+    volume_mesh,
 )
+from elastoscat import greens
 from elastoscat.greens import _phi_derivs, farfield_kernels_batch, kupradze_batch
 from elastoscat.errors import (
     CoincidentPoints,
@@ -28,8 +31,10 @@ from elastoscat.errors import (
     NonpositiveArgument,
     UnsupportedDimension,
 )
+from elastoscat.scattering import LatticeOperator
 
 EULER_GAMMA = 0.5772156649015328606
+MED2 = make_medium(2.0, 1.0, 2.0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +290,79 @@ def test_tensor_batch_matches_single():
     for k, d in enumerate(diffs):
         single = kupradze_tensor(d, np.zeros(2), med)
         assert np.max(np.abs(batch[k] - single)) < 1e-14
+
+
+def _kupradze_by_rows(diffs, medium):
+    """Reference: the scalar kernels evaluated at every row's separation, as
+    kupradze_batch once did, then the same tensor arithmetic."""
+    n = medium.dim
+    r = np.linalg.norm(diffs, axis=1)
+    e = diffs / r[:, None]
+    ps, dps, dds = _phi_derivs(medium.kappa_s, r, n)
+    pp, dpp, ddp = _phi_derivs(medium.kappa_p, r, n)
+    co_ee = (dds - ddp) - (dps - dpp) / r
+    co_id = (dps - dpp) / r
+    ee = e[:, :, None] * e[:, None, :]
+    return (ps / medium.mu + co_id / medium.omega ** 2)[:, None, None] * np.eye(n) \
+        + (co_ee / medium.omega ** 2)[:, None, None] * ee
+
+
+def _lattice_offsets(domain, h):
+    """Every nonzero offset ``o * h`` of a cell mesh's lattice, as the
+    lattice operator's kernel table takes them."""
+    nodes = volume_mesh(domain, h=h).nodes
+    nx, ny = np.round((nodes.max(axis=0) - nodes.min(axis=0)) / h).astype(int) + 1
+    ox, oy = np.meshgrid(np.arange(1 - nx, nx), np.arange(1 - ny, ny), indexing="ij")
+    offsets = np.stack([ox.ravel(), oy.ravel()], axis=1)
+    return offsets[np.any(offsets != 0, axis=1)] * h
+
+
+KERNEL_DIFFS = {
+    **{f"{name}-h{h}": (lambda dom=dom, h=h: _lattice_offsets(dom, h), 2)
+       for name, dom in (("disk", disk(0.45)), ("ellipse", ellipse(0.6, 0.4, (0.1, -0.05))))
+       for h in (0.03, 0.05)},
+    "random-2d": (lambda: np.random.default_rng(4).normal(size=(2000, 2)), 2),
+    "random-3d": (lambda: np.random.default_rng(5).normal(size=(2000, 3)), 3),
+}
+
+
+@pytest.mark.parametrize("case", list(KERNEL_DIFFS))
+def test_kupradze_batch_matches_rowwise_kernels_bit_for_bit(case):
+    # the scalar kernels are taken once per distinct radius and indexed back
+    make, dim = KERNEL_DIFFS[case]
+    diffs = make()
+    med = make_medium(2.0, 1.0, 2.0, dim)
+    assert np.array_equal(kupradze_batch(diffs, med), _kupradze_by_rows(diffs, med))
+
+
+@pytest.mark.parametrize("h,radii,offsets", [(0.03, 454, 3720), (0.05, 152, 1224)])
+def test_lattice_table_evaluates_each_radius_once(monkeypatch, h, radii, offsets):
+    sizes = []
+
+    def counted(kappa, r, dim):
+        sizes.append(np.size(r))
+        return _phi_derivs(kappa, r, dim)
+
+    monkeypatch.setattr(greens, "_phi_derivs", counted)
+    assert len(_lattice_offsets(disk(0.45), h)) == offsets
+    LatticeOperator(volume_mesh(disk(0.45), h=h), MED2)
+    assert sizes == [radii, radii]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kupradze_batch(np.array([[np.nan, 0.0], [1.0, 0.0]]), MED2),
+    lambda: kupradze_tensor(np.array([np.inf, 0.0]), np.zeros(2), MED2),
+    lambda: helmholtz_fundamental(np.array([np.nan, 0.0]), np.zeros(2), 2.0, 2),
+], ids=["kupradze_batch", "kupradze_tensor", "helmholtz_fundamental"])
+def test_kernels_reject_non_finite_points(call):
+    with pytest.raises(InvalidParameter, match="finite"):
+        call()
+
+
+def test_scalar_kernel_rejects_nan_wavenumber():
+    # a guard written ``kappa <= 0`` let NaN through to a NaN value
+    with pytest.raises(NonpositiveArgument, match="nan"):
+        helmholtz_fundamental(np.array([1.0, 0.0]), np.zeros(2), math.nan, 2)
 
 
 def test_singular_cell_matches_refined_quadrature():

@@ -218,23 +218,38 @@ def test_lattice_residual_needs_cell_mesh():
         lattice_pde_residual(sc, smooth, vals)
 
 
-def _lattice_residual_by_nodes(scatterer, mesh, u_total_values, margin_cells=6):
+def _lattice_keys(mesh):
+    return np.round((mesh.nodes - mesh.nodes.min(axis=0)) / mesh.h).astype(int)
+
+
+def _interior_by_nodes(mesh, margin_cells=6):
+    """Reference: the nodes whose every lattice point within ``margin_cells``
+    cells (Euclidean) is a mesh node, by one dict lookup per point."""
+    keys = [tuple(k) for k in _lattice_keys(mesh).tolist()]
+    meshed = set(keys)
+    ball = [(dx, dy) for dx in range(-margin_cells, margin_cells + 1)
+            for dy in range(-margin_cells, margin_cells + 1)
+            if dx * dx + dy * dy <= margin_cells ** 2]
+    return [i for i, (kx, ky) in enumerate(keys)
+            if all((kx + dx, ky + dy) in meshed for dx, dy in ball)]
+
+
+def _lattice_residual_by_nodes(scatterer, mesh, u_total_values):
     """Reference: the per-node loop over a dict of lattice neighbours that
-    lattice_pde_residual once ran."""
+    lattice_pde_residual once ran, on the nodes of _interior_by_nodes."""
     nodes = mesh.nodes
     ut = np.asarray(u_total_values)
     h = mesh.h
     med = scatterer.medium
     lam, mu, omega = med.lam, med.mu, med.omega
-    keys = np.round((nodes - nodes.min(axis=0)) / h).astype(int)
+    keys = _lattice_keys(mesh)
     index = {(int(k[0]), int(k[1])): i for i, k in enumerate(keys)}
     offsets = [(1, 0), (-1, 0), (0, 1), (0, -1),
                (1, 1), (1, -1), (-1, 1), (-1, -1)]
     rels = []
     vvals = scatterer.contrast_on(nodes)
-    for i, k in enumerate(keys):
-        if signed_distance(scatterer.domain, nodes[i]) > -margin_cells * h:
-            continue
+    for i in _interior_by_nodes(mesh):
+        k = keys[i]
         nb = [index.get((int(k[0]) + dx, int(k[1]) + dy)) for dx, dy in offsets]
         if any(j is None for j in nb):
             continue
@@ -275,6 +290,30 @@ def test_lattice_residual_matches_node_loop(name):
     assert count == want_count > 0
     assert worst == pytest.approx(want_worst, rel=1e-12, abs=0.0)
     assert median == pytest.approx(want_median, rel=1e-12, abs=0.0)
+
+
+RESIDUAL_DOMAINS = {
+    "disk": disk(0.45),
+    "offset-ellipse": ellipse(0.5, 0.3, center=(0.1, -0.05)),
+    "ellipse": ellipse(0.6, 0.4),
+}
+
+
+@pytest.mark.parametrize("h", [0.03, 0.02, 0.01])
+@pytest.mark.parametrize("name", list(RESIDUAL_DOMAINS))
+def test_residual_interior_holds_the_signed_distance_set(name, h):
+    # every node at least 6h inside the boundary is in the lattice erosion;
+    # the nodes it adds have a meshed 6-cell disk, and none lies closer to
+    # the boundary than 5.5h (5.72h at least on these meshes)
+    dom = RESIDUAL_DOMAINS[name]
+    mesh = volume_mesh(dom, h=h)
+    sc = MediumScatterer(domain=dom, medium=MED, contrast=lambda x: np.zeros(x.shape[:-1]))
+    eroded = set(_interior_by_nodes(mesh))
+    depth = np.array([signed_distance(dom, x) for x in mesh.nodes])
+    assert set(np.flatnonzero(depth <= -6 * h)) <= eroded
+    assert depth[sorted(eroded)].max() <= -5.5 * h
+    _, _, count = lattice_pde_residual(sc, mesh, np.ones(mesh.nodes.shape, dtype=complex))
+    assert count == len(eroded)
 
 
 def test_lattice_residual_rejects_non_finite_field():
