@@ -435,12 +435,17 @@ def run_sweep_small(cfg: dict, seed: int) -> dict:
     amps = sweep.get("amplitudes", [[1.0, 0.0]] * len(eps_list))
     if len(amps) != len(eps_list):
         raise ConfigInvalid("sweep/amplitudes must match sweep/epsilons in length")
+    # a disk of radius R has R^2 times the Gauss weights of the unit disk
+    unit_weight = float(np.min(_gauss(disk(1.0), cfg).weights))
     for i, eps in enumerate(eps_list):
-        # a subnormal epsilon overflows the criterion ratio, and its disk
-        # radius can round to zero
-        if min(eps, eps / (2.0 * med.omega)) < sys.float_info.min:
-            raise ConfigInvalid(f"sweep/epsilons/{i}: {eps} or its disk radius "
-                                f"epsilon / (2 omega) is below the normal floats")
+        # a subnormal epsilon overflows the criterion ratio, and a tiny one
+        # leaves the quadrature self-check's Gauss mesh with weights, and a
+        # spacing, of zero
+        radius = eps / (2.0 * med.omega)
+        if min(eps, radius * radius * unit_weight) < sys.float_info.min:
+            raise ConfigInvalid(f"sweep/epsilons/{i}: {eps} is so small that the "
+                                f"Gauss weights on its disk of radius epsilon / "
+                                f"(2 omega) are below the normal floats")
     delta = float(cfg["criterion"]["delta"])
     c_fit = float(cfg["criterion"]["c_fit"])
     dirs = directions_circle(int(cfg["directions"]))

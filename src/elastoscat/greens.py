@@ -21,11 +21,15 @@ with constants derived from the tensor's leading term:
             c_s = e^{i pi/4} sqrt(2/(pi ks)) / (4 mu)
     n = 3:  c_p = 1 / (4 pi (lam + 2 mu)),   c_s = 1 / (4 pi mu).
 
-``scipy.special`` is imported inside the functions that call it, so that
-only a 2-D kernel loads it.  The lower incomplete gamma function needs only
-``math``: its power series below ``t = c + 1``, and the complete gamma minus
-the upper function's continued fraction above (W. Gautschi, "A computational
-procedure for incomplete gamma functions", ACM TOMS 5, 1979).
+The module needs NumPy and ``math`` alone.  The Hankel functions H0^(1)
+and H1^(1) of the 2-D kernels come from three bands of the argument z,
+with crossovers set by comparison with ``scipy.special.hankel1``: the
+ascending series of J0, J1, Y0 and Y1 (DLMF 10.8) for z < 4, Miller's
+backward recurrence with the Neumann series of Y0 and Y1 up to z = 19,
+and Hankel's expansion (DLMF 10.17) above.  The lower incomplete gamma
+function is its power series below ``t = c + 1``, and the complete gamma
+minus the upper function's continued fraction above (W. Gautschi, "A
+computational procedure for incomplete gamma functions", ACM TOMS 5, 1979).
 """
 from __future__ import annotations
 
@@ -83,6 +87,120 @@ def lower_incomplete_gamma(t: float, c: float) -> complex:
         return complex(math.inf)
 
 
+def _series_table(rows: int) -> np.ndarray:
+    """Coefficients of ``q**k``, ``q = (z/2)**2``, in J0, J1 / (z/2), and
+    the parts of Y0 and Y1 / (z/2) outside their logarithm terms."""
+    table, harmonic = [], 0.0
+    for k in range(rows):
+        harmonic += 1.0 / k if k else 0.0
+        a = (-1) ** k / math.factorial(k) ** 2
+        b = (-1) ** k / (math.factorial(k) * math.factorial(k + 1))
+        table.append((a, b, -2.0 / math.pi * harmonic * a,
+                      -(2.0 * harmonic + 1.0 / (k + 1)) / math.pi * b))
+    return np.array(table)
+
+
+def _asymptotic_table(rows: int) -> np.ndarray:
+    """Coefficients of ``z**(-2k)`` in Hankel's P0, Q0 z, P1 and Q1 z."""
+    def a(k, nu):
+        top = math.prod(4 * nu * nu - (2 * j - 1) ** 2 for j in range(1, k + 1))
+        return top / (math.factorial(k) * 8 ** k)
+    return np.array([[(-1) ** k * a(2 * k + odd, nu) for nu in (0, 1) for odd in (0, 1)]
+                     for k in range(rows)])
+
+
+def _recurrence_weights(top: int) -> np.ndarray:
+    """Weights of ``J_n``, n = 0..top, in ``J0 + 2 sum J_2k`` (which is 1)
+    and in the parts of Y0 and Y1 outside their logarithm and 1/z terms."""
+    w = np.zeros((3, top + 1))
+    w[0, 0] = 1.0
+    for k in range(1, top // 2 + 1):
+        w[0, 2 * k] = 2.0
+        w[1, 2 * k] = -4.0 / math.pi * (-1) ** k / k
+    for m in range((top + 1) // 2):   # J_{2m+1}, with 1/m read as 0 at m = 0
+        w[2, 2 * m + 1] = 2.0 / math.pi * (-1) ** (m + 1) * ((1.0 / m if m else 0.0)
+                                                          + 1.0 / (m + 1))
+    return w
+
+
+def _cut(table: np.ndarray, x_max: float) -> np.ndarray:
+    """The rows of ``table`` up to the first whose terms at ``x_max`` are
+    below half an ulp of one."""
+    size = np.max(np.abs(table), axis=1) * x_max ** np.arange(len(table))
+    return table[:int(np.argmax(size < 2.0 ** -53))]
+
+
+# Term counts and the recurrence's starting order are set at the band edges,
+# so each value depends on its own argument alone.
+_SERIES_BELOW = 4.0
+_ASYMPTOTIC_FROM = 19.0
+_SERIES = _cut(_series_table(24), (_SERIES_BELOW / 2.0) ** 2)
+_ASYMPTOTIC = _cut(_asymptotic_table(24), _ASYMPTOTIC_FROM ** -2)
+_RECURRENCE = _recurrence_weights(50)   # Miller starts 31 orders above the band
+
+
+def _horner(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The polynomials in the columns of ``table`` at ``x``, one row each.
+    All of them run in one flat array: one multiply and one add per term."""
+    coeffs = np.repeat(table, x.size, axis=1)
+    xs = np.tile(x, table.shape[1])
+    acc = coeffs[-1].copy()
+    for row in coeffs[-2::-1]:
+        acc *= xs
+        acc += row
+    return acc.reshape(table.shape[1], x.size)
+
+
+def _hankel_series(z):
+    # the ascending series (DLMF 10.8) with L = (2/pi)(ln(z/2) + gamma):
+    # Y0 = L J0 + S0(q) and Y1 = L J1 + (z/2) S1(q) - 2/(pi z)
+    t = 0.5 * z
+    j0, j1_t, s0, s1_t = _horner(_SERIES, t * t)
+    j1 = t * j1_t
+    log_part = 2.0 / math.pi * (np.log(t) + EULER_GAMMA)
+    return (j0 + 1j * (log_part * j0 + s0),
+            j1 + 1j * (log_part * j1 + t * s1_t - 2.0 / math.pi / z))
+
+
+def _hankel_recurrence(z):
+    # Miller: J_n up to one common factor, from J_50 = 1 and J_51 = 0 down
+    # to J_0, with J0 + 2 sum J_2k (which is 1) and the Neumann series
+    # Y0 = L J0 - (4/pi) sum (-1)^k J_2k / k and its derivative -Y1 summed
+    # alongside
+    j, j_up = np.ones_like(z), np.zeros_like(z)
+    sums = np.zeros((3,) + z.shape)
+    for n in range(_RECURRENCE.shape[1] - 1, 0, -1):
+        sums += _RECURRENCE[:, n, None] * j
+        j, j_up = (2.0 * n / z) * j - j_up, j
+    norm, s0, s1 = sums + _RECURRENCE[:, 0, None] * j
+    j0, j1 = j / norm, j_up / norm
+    log_part = 2.0 / math.pi * (np.log(0.5 * z) + EULER_GAMMA)
+    return (j0 + 1j * (log_part * j0 + s0 / norm),
+            j1 + 1j * (log_part * j1 + s1 / norm - 2.0 / math.pi * j0 / z))
+
+
+def _hankel_asymptotic(z):
+    # Hankel's expansion (DLMF 10.17):
+    # H_nu = sqrt(2/(pi z)) e^{i(z - nu pi/2 - pi/4)} (P_nu + i Q_nu)
+    p0, q0, p1, q1 = _horner(_ASYMPTOTIC, 1.0 / (z * z))
+    wave = np.sqrt(2.0 / (math.pi * z)) * np.exp(1j * z)
+    return (wave * np.exp(-0.25j * math.pi) * (p0 + 1j * q0 / z),
+            wave * np.exp(-0.75j * math.pi) * (p1 + 1j * q1 / z))
+
+
+def _hankel01(z: np.ndarray) -> tuple:
+    """``H0^(1)(z)`` and ``H1^(1)(z)`` for an array of ``z > 0``; NaN for a
+    NaN argument."""
+    h0 = np.full(z.shape, np.nan, dtype=complex)
+    h1 = h0.copy()
+    for band, part in ((z < _SERIES_BELOW, _hankel_series),
+                       ((z >= _SERIES_BELOW) & (z < _ASYMPTOTIC_FROM), _hankel_recurrence),
+                       (z >= _ASYMPTOTIC_FROM, _hankel_asymptotic)):
+        if np.any(band):
+            h0[band], h1[band] = part(z[band])
+    return h0, h1
+
+
 def helmholtz_fundamental(x: np.ndarray, y: np.ndarray, kappa: float, dim: int) -> complex:
     """Outgoing scalar fundamental solution ``Phi_kappa(x, y)``."""
     if dim not in (2, 3):
@@ -95,9 +213,7 @@ def helmholtz_fundamental(x: np.ndarray, y: np.ndarray, kappa: float, dim: int) 
     if r == 0.0:
         raise CoincidentPoints("x and y must be distinct")
     if dim == 2:
-        from scipy.special import hankel1
-
-        return 0.25j * complex(hankel1(0, kappa * r))
+        return 0.25j * complex(_hankel01(np.array([kappa * r]))[0][0])
     return np.exp(1j * kappa * r) / (4.0 * np.pi * r)
 
 
@@ -110,10 +226,7 @@ def _phi_derivs(kappa: float, r, dim: int):
     r = np.asarray(r, dtype=float)
     z = kappa * r
     if dim == 2:
-        from scipy.special import hankel1
-
-        h0 = hankel1(0, z)
-        h1 = hankel1(1, z)
+        h0, h1 = _hankel01(z)
         phi = 0.25j * h0
         dphi = -0.25j * kappa * h1
         # H1'(z) = H0(z) - H1(z)/z
@@ -145,7 +258,7 @@ def kupradze_batch(diffs: np.ndarray, medium: LameMedium) -> np.ndarray:
 
     The scalar kernels depend on ``|x - y|`` alone, so they are evaluated
     once per distinct separation and indexed back: a lattice offset table
-    repeats each radius at up to eight offsets.  ``hankel1`` and the
+    repeats each radius at up to eight offsets.  ``_hankel01`` and the
     arithmetic act elementwise, so the result has the bits of an evaluation
     at every row.  Non-finite separations raise ``InvalidParameter``.
     """

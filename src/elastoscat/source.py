@@ -103,6 +103,8 @@ def directions_circle(count: int) -> np.ndarray:
 
 
 def _check_mesh_resolution(mesh: QuadratureMesh, medium: LameMedium) -> None:
+    if not 0.0 < mesh.h < math.inf:
+        raise MeshTooCoarse(f"mesh spacing must be positive and finite, got {mesh.h}")
     ppw = 2.0 * np.pi / (medium.kappa_s * mesh.h)
     if ppw < SOURCE_MIN_PPW:
         raise MeshTooCoarse(

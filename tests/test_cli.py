@@ -330,6 +330,10 @@ EXIT_2_CASES = {
     # (5e-324); the schema's positive bound lets both through to the runner
     **{f"subnormal-epsilon-{value}": (tiny_sweep_cfg, ["sweep", "epsilons", 1], value,
                                       "sweep/epsilons/1") for value in (1e-310, 5e-324)},
+    # a tiny normal epsilon left the quadrature self-check's Gauss mesh with
+    # weights and spacing 0, and its resolution check divided by zero
+    **{f"tiny-epsilon-{value}": (tiny_sweep_cfg, ["sweep", "epsilons", 0], value,
+                                 "sweep/epsilons/0") for value in (1e-300, 1e-307)},
     "holder-exponent-above-one": (sweep_cfg, ["criterion", "delta"], 2,
                                   "criterion/delta"),
     "paraboloid-dimension-4": (cgo_cfg, ["paraboloid", "dims"], [4],
@@ -1160,8 +1164,9 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 
 
 def test_no_module_imports_scipy_sparse_or_jsonschema():
-    # the package's one Krylov solver is its own shifted GMRES, and its one
-    # config validator is cli._errors (jsonschema is the tests' reference)
+    # the package's one Krylov solver is its own shifted GMRES, its Hankel
+    # functions are greens._hankel01, and its one config validator is
+    # cli._errors: SciPy and jsonschema are the tests' references
     for path in sorted((ROOT / "src" / "elastoscat").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
@@ -1170,8 +1175,20 @@ def test_no_module_imports_scipy_sparse_or_jsonschema():
                   if isinstance(node, ast.ImportFrom) and node.module
                   for alias in node.names}
         assert not {name for name in names
-                    if name.split(".")[0] == "jsonschema" or name == "scipy.sparse"
-                    or name.startswith("scipy.sparse.")}, path.name
+                    if name.split(".")[0] in ("jsonschema", "scipy")}, path.name
+
+
+def test_medium_demo_runs_without_scipy(tmp_path):
+    # sys.modules["scipy"] = None makes every SciPy import fail
+    prefix = tmp_path / "out" / "medium-demo"
+    code = ("import sys; sys.modules['scipy'] = None; from elastoscat import cli; "
+            "sys.exit(cli.main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "medium-demo", "--config",
+         write_cfg(tmp_path, "medium.json", _medium_cfg()), "--out", str(prefix)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert Path(f"{prefix}_medium.csv").exists()
 
 
 def test_only_execute_raises_numerical_validation_failure():
@@ -1233,7 +1250,7 @@ REACH_CONFIGS = {
 
 # The SciPy subpackages each experiment loads in a fresh interpreter; the
 # experiments not named here load no SciPy module at all.
-SCIPY_LOADED = {"medium-demo": {"scipy.special"}}
+SCIPY_LOADED = {}
 SCIPY_WATCHED = ("scipy.special", "scipy.sparse.linalg", "scipy.optimize")
 
 

@@ -1025,23 +1025,23 @@ GOLDEN_INCIDENTS = {
     "point": ("point-source", {"origin": (1.0, 0.0)}),
 }
 GOLDEN_MEDIUM = {
-    "pressure/direct-dense": ["fbc01aa54bf30ce6", "5f6a62766639ff36", 1,
+    "pressure/direct-dense": ["6bd438253bd12b24", "3e772f42e0051872", 1,
                               "0.03634893637737824"],
-    "pressure/neumann-series": ["f6752fd3f57cfe9e", "77a2baec6b4ff5a6", 8,
-                                "0.028306675632410492"],
-    "point/direct-dense": ["ed0f94ab5a71e7db", "751185d04dc4fe0b", 1,
+    "pressure/neumann-series": ["d1a43768a1d98ff7", "cf5b20f8593dbb61", 8,
+                                "0.028306675632410502"],
+    "point/direct-dense": ["8daa634e87dcfdc3", "d6591cb53deddfc3", 1,
                            "0.03634893637737824"],
-    "point/neumann-series": ["90a8b16d67a4ee0c", "7db22fe5b9bd1e8b", 8,
-                             "0.028244625596182425"],
+    "point/neumann-series": ["1b6227f4b1626844", "205b546a71c27828", 8,
+                             "0.02824462559618243"],
 }
 GOLDEN_MEDIUM_LATTICE = {
-    "pressure/direct-dense": ["0e47942639050f23", "7fa26314bed472a5", 1,
-                              "0.03634893637737823"],
-    "pressure/neumann-series": ["44040e422145eabb", "7a3a7aee4a73d90b", 8,
+    "pressure/direct-dense": ["7d5ea4d2b9dd1c40", "582165fd2ce44632", 1,
+                              "0.03634893637737824"],
+    "pressure/neumann-series": ["058bef31d2227e5d", "049afe8fe6ec2c21", 8,
                                 "0.028306675632410485"],
-    "point/direct-dense": ["6fddbdc0a0e58faa", "0d5ff069119baeec", 1,
-                           "0.03634893637737823"],
-    "point/neumann-series": ["29f7c4560726b3be", "624f27fd374827ae", 8,
+    "point/direct-dense": ["676fa6e2e0afdb26", "e434dbb1d8854b27", 1,
+                           "0.03634893637737824"],
+    "point/neumann-series": ["7652ec0f531801c0", "bf4d3ffad9ee8b02", 8,
                              "0.028244625596182425"],
 }
 

@@ -199,6 +199,17 @@ def test_solve_rejects_3d_and_coarse_mesh():
         solve_source(prob, coarse, np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("h", [0.0, -0.1, np.nan, np.inf])
+def test_far_field_rejects_a_spacing_that_is_not_positive_and_finite(h):
+    # a Gauss mesh whose weights underflow has spacing 0: the points per
+    # wavelength divided by zero and the resolution check passed
+    mesh = QuadratureMesh(nodes=np.zeros((1, 2)), weights=np.array([1e-300]),
+                          h=h, style="smooth", mesh_id="degenerate")
+    prob = SourceProblem(domain=disk(0.5), medium=MED, phi=const_phi([1, 0]))
+    with pytest.raises(MeshTooCoarse, match="positive and finite"):
+        farfield_of_source(prob, mesh, directions_circle(4))
+
+
 # ---------------------------------------------------------------------------
 # far fields
 # ---------------------------------------------------------------------------
