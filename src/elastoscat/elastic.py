@@ -38,10 +38,9 @@ from .errors import (
 )
 
 _UNIT_NORMAL_TOL = 1.0e-12
-# Node pairs per block of holder_seminorm, and the most pairs of kd-tree
-# leaves; bounds its index and difference arrays whatever the number of
-# nodes.
-_PAIR_BLOCK = 1 << 20
+# Node pairs per block of holder_seminorm's scan: its index and difference
+# arrays stay near 1.5 MiB whatever the number of nodes.
+_PAIR_BLOCK = 1 << 13
 # Most nodes in a leaf of holder_seminorm's kd-tree; at least 2 keeps every
 # leaf nonempty.
 _LEAF_SIZE = 4
@@ -192,8 +191,9 @@ def holder_seminorm(fld: SampledVectorField, delta: float) -> float:
     nodes are then split one level at a time, from (root, root) down to
     pairs of leaves, and each one whose bound is at most the best ratio is
     dropped.  The surviving leaf pairs are visited in decreasing order of
-    bound, in blocks of at most ``_PAIR_BLOCK`` node pairs, until the bound
-    falls to the best ratio found.  Each visited node pair is evaluated by
+    bound, in blocks of at most ``_PAIR_BLOCK`` (2^13) node pairs, until the
+    bound falls to the best ratio found; a block's index, difference and
+    ratio arrays take about 1.5 MiB.  Each visited node pair is evaluated by
     ``_max_pair_ratio``, so the result is the maximum of the same per-pair
     floats over a subset holding the argmax pair: equal, bit for bit, to
     the maximum over all pairs.
@@ -225,11 +225,13 @@ def holder_seminorm(fld: SampledVectorField, delta: float) -> float:
     return float(best)
 
 
-def _kd_tree(nodes: np.ndarray):
+def _kd_tree(nodes: np.ndarray, leaf_pairs: int = 1 << 20):
     """Balanced kd-tree over the nodes: each level splits every tree node at
     half its size along the longer axis of its box, down to leaves of at
     most ``_LEAF_SIZE`` nodes, or fewer levels when the pairs of leaves
-    would outnumber ``_PAIR_BLOCK``.
+    would outnumber ``leaf_pairs``, which bounds the leaf-pair lists and
+    their bounds.  The depth does not follow the scan block
+    ``_PAIR_BLOCK``: a shallower tree prunes less.
 
     Returns ``(perm, levels)``: ``levels[l] = (starts, counts)`` lists the
     ``2**l`` tree nodes of depth ``l``, node ``t`` being ``nodes[perm]``
@@ -237,7 +239,7 @@ def _kd_tree(nodes: np.ndarray):
     ``2 t`` and ``2 t + 1`` one level down.
     """
     n = nodes.shape[0]
-    cap = (math.isqrt(8 * _PAIR_BLOCK + 1) - 1) // 2    # cap (cap + 1) / 2 <= block
+    cap = (math.isqrt(8 * leaf_pairs + 1) - 1) // 2    # cap (cap + 1) / 2 <= pairs
     depth = min(((n - 1) // _LEAF_SIZE).bit_length(), cap.bit_length() - 1)
     perm = np.arange(n)
     starts, counts = np.zeros(1, dtype=np.intp), np.array([n])

@@ -323,10 +323,12 @@ def _polar_gauss(center: np.ndarray, a: float, b: float, n_radial: int,
 
 def _cloud_diameter(pts: np.ndarray) -> float:
     """Largest distance between two points of the cloud."""
-    # chunked O(n^2); clouds are a few thousand points
+    # O(n^2) in chunks of rows with about 2^15 pairs each: the (rows, n, 2)
+    # difference array stays 512 KiB whatever the cloud size
+    step = max(1, (1 << 15) // pts.shape[0])
     picked = []
-    for i in range(0, pts.shape[0], 512):
-        d2 = np.sum((pts[i:i + 512, None, :] - pts[None, :, :]) ** 2, axis=2)
+    for i in range(0, pts.shape[0], step):
+        d2 = np.sum((pts[i:i + step, None, :] - pts[None, :, :]) ** 2, axis=2)
         picked.append(np.sqrt(np.max(d2)))
     return float(np.max(picked))
 

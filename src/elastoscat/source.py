@@ -33,7 +33,7 @@ from .greens import farfield_constants, kupradze_batch, singular_cell_integral
 
 SOURCE_MIN_PPW = 4.0
 _TANGENT_TOL = 1.0e-12
-_PHASE_BLOCK = 1 << 18   # phase-matrix entries per block of far-field directions
+_PHASE_BLOCK = 1 << 15   # phase-matrix entries per block of far-field directions
 _J1_MAX_ARG = 6.0e5      # J_1(x)/x takes 32 + ceil(1.5 x) nodes: under a million
 
 
@@ -220,9 +220,12 @@ def _patterns(medium: LameMedium, mesh: QuadratureMesh, dirs: np.ndarray,
     the mesh, along the unit ``dirs``: :func:`farfield_of_source` without
     its checks, for many sources at once.
 
-    Each block of about ``_PHASE_BLOCK`` phase entries forms ``dots`` and
-    each of its two phase matrices once and applies them to every ``w phi``,
-    so a pattern has the same bits whichever list it is radiated in.
+    Each block of about ``_PHASE_BLOCK`` (2^15) phase entries forms ``dots``
+    and each of its two phase matrices once and applies them to every
+    ``w phi``, so a pattern has the same bits whichever list it is radiated
+    in.  A block's ``dots``, phase argument and complex phase matrix take
+    about 1 MiB together, whatever the number of directions; a mesh of
+    more than 2^15 nodes takes one direction a block.
     """
     wphis = [mesh.weights[:, None] * phi for phi in intensities]
     cp, cs = farfield_constants(medium)
@@ -263,7 +266,8 @@ def farfield_of_source(problem: SourceProblem, mesh: QuadratureMesh,
     ``us = -c_s (I - xhat xhat^T) sum_k e^{-i ks xhat.y_k} w_k phi_k``.  Each
     block of directions forms the two (block, N) phase matrices and applies
     them to ``w phi`` as matrix products; a block holds about
-    ``_PHASE_BLOCK`` phase entries, which bounds memory for any M and N.
+    ``_PHASE_BLOCK`` phase entries, which bounds memory near 1 MiB for any
+    M (and N up to 2^15).
     """
     if problem.medium.dim != 2 or problem.domain.dim != 2:
         raise UnsupportedDimension("far-field quadrature is 2-D only")

@@ -18,6 +18,7 @@ from elastoscat import (
     polynomial_bump,
 )
 from elastoscat import elastic
+from conftest import peak_mib
 from elastoscat.errors import (
     DimensionMismatch,
     InsufficientSamples,
@@ -238,7 +239,7 @@ def test_seminorm_equals_all_pairs_reference(make, delta):
 
 def test_seminorm_blocks_cover_every_pair(monkeypatch):
     fld = _random_field()
-    # 2,400 pairs a block: 64 leaves of 6 or 7 nodes, 9 blocks in all
+    # 2,400 pairs a block: 128 leaves of 3 or 4 nodes, 4 blocks in all
     monkeypatch.setattr(elastic, "_PAIR_BLOCK", 6 * 400)
     assert holder_seminorm(fld, 0.7) == _holder_by_all_pairs(fld, 0.7)
 
@@ -394,14 +395,34 @@ def _counting_pairs(monkeypatch):
 
 @pytest.mark.parametrize("block", [64, 500])
 def test_seminorm_small_blocks_split_both_passes(monkeypatch, block):
-    # 400 nodes in 8 leaves of 50 (block 64) or 16 of 25 (block 500): the
-    # pass over the pairs within each leaf and the pass over the surviving
-    # pairs of leaves take 1,329 or 130 blocks in all
+    # 400 nodes in 128 leaves of 3 or 4 at either block: the pass over the
+    # pairs within each leaf and the pass over the surviving pairs of
+    # leaves take 105 (block 64) or 14 (block 500) blocks in all
     fld = _random_field()
     monkeypatch.setattr(elastic, "_PAIR_BLOCK", block)
     blocks = _counting_pairs(monkeypatch)
     assert holder_seminorm(fld, 0.7) == _holder_by_all_pairs(fld, 0.7)
     assert len(blocks) > 10 and max(blocks) <= block
+
+
+def test_seminorm_shallow_tree_splits_leaf_pairs_across_blocks(monkeypatch):
+    # a tree capped at 64 leaf pairs stops at 8 leaves of 50: each pair of
+    # leaves (up to 2,500 node pairs) spans several blocks of 500
+    fld = _random_field()
+    tree = elastic._kd_tree
+    monkeypatch.setattr(elastic, "_kd_tree", lambda nodes: tree(nodes, leaf_pairs=64))
+    monkeypatch.setattr(elastic, "_PAIR_BLOCK", 500)
+    assert elastic._kd_tree(fld.nodes)[1][-1][1].tolist() == [50] * 8
+    blocks = _counting_pairs(monkeypatch)
+    assert holder_seminorm(fld, 0.7) == _holder_by_all_pairs(fld, 0.7)
+    assert len(blocks) > 10 and max(blocks) <= 500
+
+
+def test_seminorm_working_set_stays_under_2_mib():
+    # 2,048 nodes: a scan block's index, difference and ratio arrays take
+    # about 1.5 MiB; blocks of 2^20 pairs took 3.3 MiB
+    fld = _nonradiating_field()
+    assert peak_mib(lambda: holder_seminorm(fld, 1.0)) < 2.0
 
 
 def test_seminorm_prunes_most_pairs(monkeypatch):

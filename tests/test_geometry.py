@@ -34,9 +34,12 @@ from elastoscat.geometry import (
     Cap,
     CapGraph,
     Ellipse,
+    _BOUNDARY_SCAN,
+    _cloud_diameter,
     _gauss_legendre,
     _graph_columns,
 )
+from conftest import peak_mib
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +187,35 @@ def test_diameter_cap_matches_boundary_sampling():
     for p in cloud[:: 8]:
         best = max(best, float(np.max(np.linalg.norm(cloud - p, axis=1))))
     assert diameter(dom) == pytest.approx(best, rel=1e-3)
+
+
+def _diameter_unchunked(pts):
+    """Reference: the largest of the same per-pair floats ``dx^2 + dy^2``,
+    from two (n, n) arrays in one pass."""
+    dx = pts[:, None, 0] - pts[None, :, 0]
+    dy = pts[:, None, 1] - pts[None, :, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return float(np.sqrt(np.max(dx)))
+
+
+def test_cap_diameter_matches_unchunked_reference():
+    dom = make_cap_domain(10.0, 3.0, 4.0, 0.9, 1.5)
+    assert diameter(dom) == _diameter_unchunked(dom.shape.boundary_sample(_BOUNDARY_SCAN))
+
+
+def test_cloud_diameter_matches_unchunked_reference_over_a_ragged_chunk():
+    # 1,001 points: chunks of 32 rows, the last one of 9
+    pts = ellipse(0.7, 0.4, center=(0.2, -0.1)).shape.boundary_sample(1001)
+    assert _cloud_diameter(pts) == _diameter_unchunked(pts)
+
+
+def test_cap_diameter_working_set_stays_under_2_mib():
+    # 2,048 boundary points in chunks of 16 rows: 512 KiB of differences;
+    # chunks of 512 rows took 32 MiB
+    dom = make_cap_domain(10.0, 3.0, 4.0, 0.9, 1.5)
+    assert peak_mib(lambda: diameter(dom)) < 2.0
 
 
 @given(scale=st.floats(0.1, 20.0))

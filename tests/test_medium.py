@@ -590,16 +590,23 @@ def _phase_calls(monkeypatch):
     return calls
 
 
+def _two_block_directions(mesh):
+    """Directions that fill one far-field phase block on the mesh and half
+    of a second, whatever ``_PHASE_BLOCK`` is."""
+    step = _PHASE_BLOCK // mesh.nodes.shape[0]
+    return directions_circle(step + step // 2)
+
+
 @pytest.mark.parametrize("mode", ["direct-dense", "neumann-series"])
 @pytest.mark.parametrize("name", list(SHARED_INCIDENTS))
 def test_solve_with_shared_incident_and_phases_matches_unshared(name, mode):
     # the run-wide incident sample gives the bits of a sweep that evaluates
     # the wave itself, and each amplitude's far field, radiated in one pass
     # over shared phase blocks, the bits of farfield_of_source of its own
-    # equivalent source; 1,100 directions on 256 nodes take two blocks
+    # equivalent source; the directions on 256 nodes take two blocks
     sc = scatterer(v0=0.2)
     mesh = volume_mesh(sc.domain, h=0.05)
-    dirs = directions_circle(1100)
+    dirs = _two_block_directions(mesh)
     assert dirs.shape[0] * mesh.nodes.shape[0] > _PHASE_BLOCK
     inc = make_incident(*SHARED_INCIDENTS[name], MED)
     want = solve_medium_sweep(sc, SWEEP_AMPLITUDES, inc, mesh, mode, dirs)
@@ -628,7 +635,7 @@ def test_far_field_larger_than_one_block_keeps_no_phases(monkeypatch):
     # other amplitudes builds nothing
     sc = scatterer(v0=0.2)
     mesh = volume_mesh(sc.domain, h=0.05)
-    dirs = directions_circle(1100)
+    dirs = _two_block_directions(mesh)
     blocks = -(-dirs.shape[0] // (_PHASE_BLOCK // mesh.nodes.shape[0]))
     assert blocks == 2
     operator = scattering.LatticeOperator(mesh, MED)

@@ -27,6 +27,7 @@ from elastoscat.geometry import QuadratureMesh
 from elastoscat import source
 from elastoscat.greens import farfield_kernels_batch, kupradze_batch
 from elastoscat.source import potential_row
+from conftest import peak_mib
 from elastoscat.errors import (
     BumpNotVanishing,
     CoincidentPoints,
@@ -327,6 +328,17 @@ def test_farfield_matches_direction_loop_over_ragged_blocks(monkeypatch):
     monkeypatch.setattr(source, "_PHASE_BLOCK", 7 * mesh.nodes.shape[0] + 3)
     ff = farfield_of_source(problem, mesh, directions_circle(53))
     assert_matches_direction_loop(ff, problem, mesh)
+
+
+@pytest.mark.parametrize("n_radial, n_angular, m", [(32, 64, 256), (48, 128, 96)])
+def test_farfield_working_set_stays_under_2_mib(n_radial, n_angular, m):
+    # sweep-small's quadrature check (2,048 nodes x 256 directions) and the
+    # refined nullity check (6,144 nodes x 96 directions): a block's dots,
+    # phase argument and phases take 1 MiB; blocks of 2^18 entries took 8
+    problem = SourceProblem(disk(0.5), MED, _wavy_phi)
+    mesh = gauss_mesh(disk(0.5), n_radial, n_angular)
+    dirs = directions_circle(m)
+    assert peak_mib(lambda: farfield_of_source(problem, mesh, dirs)) < 2.0
 
 
 @pytest.mark.parametrize("directions, error", [
