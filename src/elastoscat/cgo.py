@@ -48,6 +48,8 @@ from .greens import lower_incomplete_gamma
 RESIDUAL_MIN_PPW = 12.0
 # the points of the Gauss-Legendre rule on each _gl_panels panel
 _PANEL_POINTS = 24
+# _gl_panels uses at least this many panels (times its refinement factor)
+_MIN_PANELS = 2
 # paraboloid_integral_mc pools this many batch means into its standard error
 _MC_BATCHES = 32
 
@@ -347,13 +349,12 @@ def zeta_default(alpha: float, varsigma: float, dim: int) -> float:
 # integral identity
 # ---------------------------------------------------------------------------
 
-def _gl_panels(a: float, bnd: float, osc: float, min_panels: int = 2,
-               factor: float = 1.0):
+def _gl_panels(a: float, bnd: float, osc: float, factor: float):
     """Composite Gauss-Legendre nodes/weights resolving oscillation ``osc``,
     ``_PANEL_POINTS`` nodes on each panel."""
     length = bnd - a
     periods = osc * length / (2.0 * math.pi)
-    n_pan = max(int(math.ceil(min_panels * factor)),
+    n_pan = max(int(math.ceil(_MIN_PANELS * factor)),
                 int(math.ceil(2.0 * periods * factor)))
     xg, wg = _gauss_legendre(_PANEL_POINTS)
     edges = np.linspace(a, bnd, n_pan + 1)

@@ -26,7 +26,7 @@ Meshes whose nodes are not on one h-lattice are rejected with
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable, Optional, Union
 
@@ -81,6 +81,9 @@ _SOLVE_BUDGET = 1 << 30
 # uniform points in the domain's bounding box that MediumScatterer.v_sup draws
 _V_SUP_SAMPLES = 4096
 _V_SUP_SEED = 7
+# steps and seed of the direct mode's power-iteration contraction estimate
+_NORM_ITERS = 12
+_NORM_SEED = 3
 
 
 @dataclass
@@ -95,9 +98,6 @@ class MediumScatterer:
     domain: DomainGeometry
     medium: LameMedium
     contrast: Callable
-    # the points of the v_sup draw inside the domain, when the caller has
-    # them (``_v_sup_sample``); drawn and masked on every call when absent
-    v_sup_sample: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def contrast_on(self, pts: np.ndarray) -> np.ndarray:
         vals = np.asarray(self.contrast(pts), dtype=complex)
@@ -107,8 +107,12 @@ class MediumScatterer:
         return vals
 
     def v_sup(self) -> float:
-        """Sampled sup of |V| over the domain (dense random + mesh-free)."""
-        pts = _v_sup_sample(self.domain) if self.v_sup_sample is None else self.v_sup_sample
+        """Sampled sup of |V| over the domain: the largest |V| at the points
+        of a seeded uniform draw in its bounding box that lie inside it."""
+        lo, hi = self.domain.shape.bbox()
+        pts = np.random.default_rng(_V_SUP_SEED).uniform(
+            lo, hi, size=(_V_SUP_SAMPLES, self.domain.dim))
+        pts = pts[inside(self.domain, pts)]
         if not len(pts):
             return 0.0
         return float(np.max(np.abs(self.contrast_on(pts))))
@@ -209,24 +213,6 @@ def make_incident(kind: str, params: dict, medium: LameMedium) -> IncidentWave:
             raise InvalidDirection("point-source origin must be a 2-D point")
         return IncidentWave(kind=kind, direction=None, origin=origin, medium=medium)
     raise InvalidDirection(f"unknown incident kind {kind!r}")
-
-
-@cache
-def _v_sup_points(lo: tuple, hi: tuple, dim: int) -> np.ndarray:
-    """The seeded uniform draw in the box ``[lo, hi]`` that
-    ``MediumScatterer.v_sup`` reads, made once per box and read-only."""
-    pts = np.random.default_rng(_V_SUP_SEED).uniform(lo, hi, size=(_V_SUP_SAMPLES, dim))
-    pts.flags.writeable = False
-    return pts
-
-
-def _v_sup_sample(domain: DomainGeometry) -> np.ndarray:
-    """The points of the seeded draw in the bounding box of ``domain`` that
-    lie inside it, read-only: the sample ``MediumScatterer.v_sup`` reads."""
-    pts = _v_sup_points(*map(tuple, domain.shape.bbox()), domain.dim)
-    pts = pts[inside(domain, pts)]
-    pts.flags.writeable = False
-    return pts
 
 
 def _fast_length(m: int) -> int:
@@ -330,58 +316,6 @@ class LatticeOperator:
         src = np.fft.fft2(grid)
         out = np.fft.ifft2(spectrum[:, 0] * src[0] + spectrum[:, 1] * src[1])
         return out[at].T
-
-
-def _medium_setup(scatterer: MediumScatterer, incident: IncidentWave,
-                  mesh: QuadratureMesh, mode: str, directions,
-                  operator: Optional[LatticeOperator],
-                  incident_values: Optional[SampledVectorField]):
-    """The argument checks of :func:`solve_medium_sweep`, and what it solves
-    with: the operator (built when ``None``), the contrast at the nodes
-    (N, 1), the incident wave at the nodes as a flat vector, and
-    ``finish(amplitudes, results)``, the sweep's :class:`MediumSolve` list
-    from one ``(ut_flat, terms, contraction)`` per amplitude.  Their far
-    fields are radiated together, on the first read of any of them."""
-    if scatterer.medium.dim != 2:
-        raise UnsupportedDimension("medium solves are 2-D only")
-    if mode not in ("direct-dense", "neumann-series"):
-        raise InvalidParameter(f"unknown mode {mode!r}")
-    if incident.kind == "point-source" and bool(
-            inside(scatterer.domain, incident.origin[None, :])[0]):
-        raise InvalidDirection("point-source origin must lie outside the scatterer")
-    med = scatterer.medium
-    if directions is None:
-        directions = _default_directions(med, scatterer.domain)
-    directions = _unit_directions(directions)
-    _check_mesh_resolution(mesh, med)
-    if incident_values is not None and incident_values.mesh_ref != mesh.mesh_id:
-        raise MeshMismatch("the incident values are tied to another mesh")
-    nodes = mesh.nodes
-    if operator is None:
-        operator = LatticeOperator(mesh, med)
-    operator.check(mesh, med)
-    contrast = scatterer.contrast_on(nodes)[:, None]
-    ui = incident(nodes) if incident_values is None else incident_values.values
-
-    def finish(amplitudes, results):
-        sources, solves = [], []
-        for k, (a, (ut_flat, terms, contraction)) in enumerate(zip(amplitudes, results)):
-            ut = ut_flat.reshape(nodes.shape)
-            # the equivalent source -omega^2 V u_t, checked finite here
-            equivalent = -med.omega ** 2 * (a * contrast) * ut
-            sources.append(SampledVectorField(nodes=nodes, values=equivalent,
-                                              mesh_ref=mesh.mesh_id))
-            solves.append(MediumSolve(
-                u_total=SampledVectorField(nodes=nodes, values=ut, mesh_ref=mesh.mesh_id),
-                u_scattered=SampledVectorField(nodes=nodes, values=ut - ui,
-                                               mesh_ref=mesh.mesh_id),
-                farfield=lambda k=k: patterns()[k],
-                series_terms_used=terms, contraction_estimate=contraction))
-        patterns = cache(partial(_patterns, med, mesh, directions,
-                                 [src.values for src in sources]))
-        return solves
-
-    return operator, contrast, ui.ravel(), finish
 
 
 def _contrast_ops(operator: LatticeOperator, vvals: np.ndarray):
@@ -530,8 +464,27 @@ def solve_medium_sweep(scatterer: MediumScatterer, amplitudes, incident: Inciden
     over the blocks of directions, each block's two phase matrices built
     once for all of them, and each amplitude keeps its pattern.
     """
-    operator, q, b, finish = _medium_setup(scatterer, incident, mesh, mode,
-                                           directions, operator, incident_values)
+    med = scatterer.medium
+    if med.dim != 2:
+        raise UnsupportedDimension("medium solves are 2-D only")
+    if mode not in ("direct-dense", "neumann-series"):
+        raise InvalidParameter(f"unknown mode {mode!r}")
+    if incident.kind == "point-source" and bool(
+            inside(scatterer.domain, incident.origin[None, :])[0]):
+        raise InvalidDirection("point-source origin must lie outside the scatterer")
+    if directions is None:
+        directions = _default_directions(med, scatterer.domain)
+    directions = _unit_directions(directions)
+    _check_mesh_resolution(mesh, med)
+    if incident_values is not None and incident_values.mesh_ref != mesh.mesh_id:
+        raise MeshMismatch("the incident values are tied to another mesh")
+    if operator is None:
+        operator = LatticeOperator(mesh, med)
+    operator.check(mesh, med)
+    nodes = mesh.nodes
+    q = scatterer.contrast_on(nodes)[:, None]
+    ui = incident(nodes) if incident_values is None else incident_values.values
+    b = ui.ravel()
     op, op_adjoint = _contrast_ops(operator, q)
     if mode == "neumann-series":
         series = [_Series(b) for _ in amplitudes]
@@ -539,15 +492,27 @@ def solve_medium_sweep(scatterer: MediumScatterer, amplitudes, incident: Inciden
         while live:
             power, k = -op(power), k + 1
             live = [i for i in live if series[i].add(amplitudes[i] ** k * power)]
-        return finish(amplitudes, [sum_.result() for sum_ in series])
-    estimate = cache(partial(_norm_estimate, op, op_adjoint, b.size))
-    results = []
-    for a, (ut_flat, info) in zip(amplitudes, _shifted_gmres(op, b, amplitudes)):
-        # an amplitude that one cycle left unsolved restarts from its iterate
-        ut_flat = _gmres(_contrast_ops(operator, a * q)[0], b, ut_flat,
-                         info and _GMRES_MAX_CYCLES - 1, info)
-        results.append((ut_flat, 1, lambda a=a: float(abs(a)) * estimate()))
-    return finish(amplitudes, results)
+        results = [sum_.result() for sum_ in series]
+    else:
+        estimate = cache(partial(_norm_estimate, op, op_adjoint, b.size))
+        results = []
+        for a, (ut_flat, info) in zip(amplitudes, _shifted_gmres(op, b, amplitudes)):
+            # an amplitude that one cycle left unsolved restarts from its iterate
+            ut_flat = _gmres(_contrast_ops(operator, a * q)[0], b, ut_flat,
+                             info and _GMRES_MAX_CYCLES - 1, info)
+            results.append((ut_flat, 1, lambda a=a: float(abs(a)) * estimate()))
+    fields = [ut_flat.reshape(nodes.shape) for ut_flat, _, _ in results]
+    # the equivalent sources -omega^2 V u_t, checked finite here
+    sources = [SampledVectorField(nodes=nodes, values=-med.omega ** 2 * (a * q) * ut,
+                                  mesh_ref=mesh.mesh_id).values
+               for a, ut in zip(amplitudes, fields)]
+    patterns = cache(partial(_patterns, med, mesh, directions, sources))
+    return [MediumSolve(
+        u_total=SampledVectorField(nodes=nodes, values=ut, mesh_ref=mesh.mesh_id),
+        u_scattered=SampledVectorField(nodes=nodes, values=ut - ui, mesh_ref=mesh.mesh_id),
+        farfield=lambda k=k: patterns()[k],
+        series_terms_used=terms, contraction_estimate=contraction)
+        for k, (ut, (_, terms, contraction)) in enumerate(zip(fields, results))]
 
 
 def _shifted_gmres(op: Callable, b: np.ndarray, amps: list):
@@ -603,14 +568,14 @@ def _shifted_gmres(op: Callable, b: np.ndarray, amps: list):
              int(stop[i] == 0)) for i, m in enumerate(np.where(stop > 0, stop, j))]
 
 
-def _norm_estimate(op: Callable, op_adjoint: Callable, size: int,
-                   iters: int = 12, seed: int = 3) -> float:
-    """Power-iteration estimate of the operator 2-norm (diagnostic only)."""
-    rng = np.random.default_rng(seed)
+def _norm_estimate(op: Callable, op_adjoint: Callable, size: int) -> float:
+    """Power-iteration estimate of the operator 2-norm (diagnostic only):
+    ``_NORM_ITERS`` steps from a seeded random start."""
+    rng = np.random.default_rng(_NORM_SEED)
     v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     v /= np.linalg.norm(v)
     sigma = 0.0
-    for _ in range(iters):
+    for _ in range(_NORM_ITERS):
         w = op_adjoint(op(v))
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
@@ -625,29 +590,37 @@ def _default_directions(medium: LameMedium, domain: DomainGeometry) -> np.ndarra
     return directions_circle(count)
 
 
-def contraction_report(scatterer: MediumScatterer, s: float = 1.0) -> ContractionReport:
-    """Evaluate the smallness product and the a-priori field-size bounds.
+def contraction_report(scatterer: MediumScatterer, amplitudes,
+                       s: float = 1.0) -> list[ContractionReport]:
+    """Evaluate the smallness product and the a-priori field-size bounds for
+    the contrasts ``a * scatterer.contrast``, one report per amplitude ``a``
+    of ``amplitudes``, in order.
 
-    ``epsilon = diameter * omega`` and the bounds use the supplied constant
-    ``s`` (calibrate it with the bounds module; the analysis only guarantees
-    one exists).  Out-of-regime inputs are flagged, not rejected, and the
-    ratio fields are set to infinity there.
+    ``epsilon = diameter * omega``; ``v_sup`` is ``|a|`` times the
+    scatterer's one :meth:`MediumScatterer.v_sup`.  The bounds use the
+    supplied constant ``s`` (calibrate it with the bounds module; the
+    analysis only guarantees one exists).  Out-of-regime inputs are flagged,
+    not rejected, and the ratio fields are set to infinity there.
     """
     if not s > 0.0:
         raise InvalidParameter(f"s must be positive, got {s}")
     eps = diameter(scatterer.domain) * scatterer.medium.omega
-    v = scatterer.v_sup()
-    prod = eps * v
-    if prod >= s:
-        return ContractionReport(epsilon=eps, v_sup=v, upsilon=np.inf,
-                                 bound_ut=np.inf, out_of_regime=True)
-    return ContractionReport(epsilon=eps, v_sup=v, upsilon=upsilon(eps, v, s),
-                             bound_ut=s / (s - prod), out_of_regime=False)
+    profile_sup = scatterer.v_sup()
+    reports = []
+    for a in amplitudes:
+        v = float(abs(a)) * profile_sup
+        prod = eps * v
+        out = prod >= s
+        reports.append(ContractionReport(
+            epsilon=eps, v_sup=v, upsilon=np.inf if out else upsilon(eps, v, s),
+            bound_ut=np.inf if out else s / (s - prod), out_of_regime=out))
+    return reports
 
 
-def lattice_pde_residual(scatterer: MediumScatterer, mesh: QuadratureMesh,
-                         u_total_values: np.ndarray):
-    """Discrete PDE residual of a solved total field on its own mesh lattice.
+def lattice_pde_residual(scatterer: MediumScatterer, amplitude: complex,
+                         mesh: QuadratureMesh, u_total_values: np.ndarray):
+    """Discrete PDE residual of a solved total field on its own mesh lattice,
+    for the contrast ``V = amplitude * scatterer.contrast``.
 
     Second differences taken directly between lattice neighbors at the mesh
     spacing measure how well the sampled field satisfies the perturbed system
@@ -681,7 +654,7 @@ def lattice_pde_residual(scatterer: MediumScatterer, mesh: QuadratureMesh,
         return lattice[tuple((keys + o).T)]
 
     res = _lame_stencil(shifted, med, mesh.h, order=2) \
-        + med.omega ** 2 * scatterer.contrast_on(nodes)[:, None] * ut
+        + med.omega ** 2 * (amplitude * scatterer.contrast_on(nodes))[:, None] * ut
     rel = np.linalg.norm(res, axis=1) / (med.omega ** 2 * np.linalg.norm(ut, axis=1))
     # the erosion: AND of the meshed-point grid over the disk's shifts
     meshed = ~np.isnan(lattice[..., 0])

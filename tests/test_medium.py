@@ -194,7 +194,7 @@ def test_total_field_satisfies_perturbed_system():
     mesh = volume_mesh(sc.domain, h=0.03)
     inc = make_incident("pressure-plane", {"direction": (1.0, 0.0)}, MED)
     sol = solve_medium(sc, inc, mesh)
-    worst, median, count = lattice_pde_residual(sc, mesh, sol.u_total.values)
+    worst, median, count = lattice_pde_residual(sc, 1.0, mesh, sol.u_total.values)
     assert count > 100
     assert worst < 1e-2
     assert median < 2e-3
@@ -206,8 +206,21 @@ def test_lattice_residual_flags_wrong_field():
     inc = make_incident("pressure-plane", {"direction": (1.0, 0.0)}, MED)
     # the incident field alone does not solve the perturbed system
     ui = inc(mesh.nodes)
-    worst, _, _ = lattice_pde_residual(sc, mesh, ui)
+    worst, _, _ = lattice_pde_residual(sc, 1.0, mesh, ui)
     assert worst > 0.05
+
+
+def test_lattice_residual_reads_the_amplitude():
+    # the residual of V = a q on the profile q is that of the contrast a q
+    profile = scatterer(v0=1.0)
+    mesh = volume_mesh(profile.domain, h=0.05)
+    inc = make_incident("pressure-plane", {"direction": (1.0, 0.0)}, MED)
+    for a in (0.4, -1.5):
+        u = solve_medium(_scaled(profile, a), inc, mesh).u_total.values
+        assert lattice_pde_residual(profile, a, mesh, u) \
+            == lattice_pde_residual(_scaled(profile, a), 1.0, mesh, u)
+    assert lattice_pde_residual(profile, 0.4, mesh, u) \
+        != lattice_pde_residual(profile, -1.5, mesh, u)
 
 
 def test_lattice_residual_needs_cell_mesh():
@@ -215,7 +228,7 @@ def test_lattice_residual_needs_cell_mesh():
     smooth = gauss_mesh(sc.domain, n_radial=16, n_angular=32)
     vals = np.zeros((smooth.nodes.shape[0], 2), dtype=complex)
     with pytest.raises(MeshMismatch):
-        lattice_pde_residual(sc, smooth, vals)
+        lattice_pde_residual(sc, 1.0, smooth, vals)
 
 
 def _lattice_keys(mesh):
@@ -285,7 +298,7 @@ def test_lattice_residual_matches_node_loop(name):
     mesh = volume_mesh(sc.domain, h=h)
     inc = make_incident("pressure-plane", {"direction": (1.0, 0.0)}, MED)
     u = inc(mesh.nodes) if wrong else solve_medium(sc, inc, mesh).u_total.values
-    worst, median, count = lattice_pde_residual(sc, mesh, u)
+    worst, median, count = lattice_pde_residual(sc, 1.0, mesh, u)
     want_worst, want_median, want_count = _lattice_residual_by_nodes(sc, mesh, u)
     assert count == want_count > 0
     assert worst == pytest.approx(want_worst, rel=1e-12, abs=0.0)
@@ -312,7 +325,8 @@ def test_residual_interior_holds_the_signed_distance_set(name, h):
     depth = np.array([signed_distance(dom, x) for x in mesh.nodes])
     assert set(np.flatnonzero(depth <= -6 * h)) <= eroded
     assert depth[sorted(eroded)].max() <= -5.5 * h
-    _, _, count = lattice_pde_residual(sc, mesh, np.ones(mesh.nodes.shape, dtype=complex))
+    _, _, count = lattice_pde_residual(sc, 1.0, mesh,
+                                       np.ones(mesh.nodes.shape, dtype=complex))
     assert count == len(eroded)
 
 
@@ -322,7 +336,7 @@ def test_lattice_residual_rejects_non_finite_field():
     vals = np.ones((mesh.nodes.shape[0], 2), dtype=complex)
     vals[3, 1] = np.nan
     with pytest.raises(DimensionMismatch):
-        lattice_pde_residual(sc, mesh, vals)
+        lattice_pde_residual(sc, 1.0, mesh, vals)
 
 
 def test_series_diverges_for_strong_contrast():
@@ -683,13 +697,10 @@ def test_shared_arrays_are_read_only():
         values = make_incident(kind, params, MED).sample(mesh).values
         with pytest.raises(ValueError, match="read-only"):
             values[0, 0] = 0.0
-    lo, hi = sc.domain.shape.bbox()
-    with pytest.raises(ValueError, match="read-only"):
-        scattering._v_sup_points(tuple(lo), tuple(hi), 2)[0, 0] = 0.0
 
 
-def test_v_sup_reads_the_shared_draw_with_the_same_bits():
-    # the draw every row used to make for itself, once per call
+def test_v_sup_reads_the_shared_draw_with_the_same_bits(monkeypatch):
+    # the seeded draw in the bounding box, masked to the domain, on every call
     for sc in (scatterer(v0=0.4), scatterer(v0=0.3, radius=0.3, center=(0.2, -0.1))):
         lo, hi = sc.domain.shape.bbox()
         rng = np.random.default_rng(scattering._V_SUP_SEED)
@@ -697,20 +708,30 @@ def test_v_sup_reads_the_shared_draw_with_the_same_bits():
         want = float(np.max(np.abs(sc.contrast_on(pts[inside(sc.domain, pts)]))))
         assert sc.v_sup() == want
         assert sc.v_sup() == want
+    # a draw with no point in the domain reads 0
+    monkeypatch.setattr(scattering, "_V_SUP_SAMPLES", 0)
+    assert scatterer(v0=0.4).v_sup() == 0.0
 
 
-def test_v_sup_reads_a_given_sample_with_the_same_bits():
-    # a caller with many contrasts on one domain masks the draw once
-    for sc in (scatterer(v0=0.4), scatterer(v0=0.3, radius=0.3, center=(0.2, -0.1))):
-        sample = scattering._v_sup_sample(sc.domain)
-        with pytest.raises(ValueError, match="read-only"):
-            sample[0, 0] = 0.0
-        given = scattering.MediumScatterer(sc.domain, sc.medium, sc.contrast, sample)
-        assert given.v_sup() == sc.v_sup()
-    # a domain the draw misses reads 0
-    far = scattering.MediumScatterer(disk(0.1), MED, lambda pts: np.ones(len(pts)),
-                                     np.zeros((0, 2)))
-    assert far.v_sup() == 0.0
+def test_contraction_report_scales_one_draw_by_each_amplitude(monkeypatch):
+    # row v_sup is |a| times the profile's, with the bits of the scaled
+    # contrast's own draw for a real amplitude, and the draw is made once
+    profile = scatterer(v0=1.0, radius=0.3)
+    amplitudes = [0.2, -0.5, 3.0, 0.0]
+    calls = []
+    v_sup = MediumScatterer.v_sup
+
+    def counted(self):
+        calls.append(1)
+        return v_sup(self)
+
+    monkeypatch.setattr(MediumScatterer, "v_sup", counted)
+    reports = contraction_report(profile, amplitudes, s=1.0)
+    assert calls == [1]
+    assert reports == [contraction_report(scatterer(v0=a, radius=0.3), [1.0], s=1.0)[0]
+                       for a in amplitudes]
+    assert [rep.out_of_regime for rep in reports] == [False, False, True, False]
+    assert contraction_report(profile, [], s=1.0) == []
 
 
 def test_operator_for_another_mesh_or_medium_is_rejected():
@@ -808,7 +829,7 @@ def test_solve_medium_beyond_the_dense_size_limit():
     assert mesh.nodes.shape[0] > 20_000
     inc = make_incident("pressure-plane", {"direction": (1.0, 0.0)}, MED)
     sol = solve_medium(sc, inc, mesh)
-    worst, _, count = lattice_pde_residual(sc, mesh, sol.u_total.values)
+    worst, _, count = lattice_pde_residual(sc, 1.0, mesh, sol.u_total.values)
     assert count > 15_000
     assert worst < 1e-3
 
@@ -1011,7 +1032,7 @@ def test_lattice_residual_rejects_duplicate_mesh_node():
                          style="cell", mesh_id="repeated-node")
     vals = np.ones((4, 2), dtype=complex)
     with pytest.raises(CoincidentPoints, match="coincides with 2 mesh nodes"):
-        lattice_pde_residual(scatterer(), dup, vals)
+        lattice_pde_residual(scatterer(), 1.0, dup, vals)
 
 
 # Golden values: the solved fields pinned bit for bit, so a change to the
@@ -1127,7 +1148,7 @@ def test_bound_on_total_field_at_half_product():
     # diameter*omega = 0.5 and constant |V| = 1: ratio bounds are 1 and 2
     sc = MediumScatterer(domain=disk(0.125), medium=MED,
                          contrast=lambda pts: np.ones(np.asarray(pts).shape[:-1]))
-    rep = contraction_report(sc, s=1.0)
+    [rep] = contraction_report(sc, [1.0], s=1.0)
     assert rep.epsilon == pytest.approx(0.5, rel=1e-12)
     assert rep.v_sup == pytest.approx(1.0, rel=1e-12)
     assert rep.upsilon == pytest.approx(1.0, rel=1e-12)
@@ -1148,12 +1169,12 @@ def test_upsilon_rejects_out_of_regime():
 def test_contraction_report_rejects_a_nan_s():
     # NaN fails every comparison: only a ``not s > 0`` guard rejects it
     with pytest.raises(InvalidParameter, match=r"\bs must be positive, got nan"):
-        contraction_report(scatterer(v0=0.25, radius=0.25), s=float("nan"))
+        contraction_report(scatterer(v0=0.25, radius=0.25), [1.0], s=float("nan"))
 
 
 def test_contraction_report_fields():
     sc = scatterer(v0=0.25, radius=0.25)
-    rep = contraction_report(sc, s=1.0)
+    [rep] = contraction_report(sc, [1.0], s=1.0)
     assert rep.epsilon == pytest.approx(0.25 * 2 * MED.omega, rel=1e-12)
     assert not rep.out_of_regime
     assert rep.upsilon == pytest.approx(
@@ -1164,7 +1185,7 @@ def test_contraction_report_fields():
 
 def test_contraction_report_out_of_regime_flag():
     sc = scatterer(v0=5.0, radius=0.5)
-    rep = contraction_report(sc, s=1.0)
+    [rep] = contraction_report(sc, [1.0], s=1.0)
     assert rep.out_of_regime
     assert np.isinf(rep.upsilon) and np.isinf(rep.bound_ut)
 
@@ -1174,7 +1195,7 @@ def test_scattered_field_within_predicted_ratio():
     s_fit = 1.0
     for v0, radius in ((0.2, 0.2), (0.3, 0.15), (0.1, 0.3)):
         sc = scatterer(v0=v0, radius=radius)
-        rep = contraction_report(sc, s=s_fit)
+        [rep] = contraction_report(sc, [1.0], s=s_fit)
         if rep.out_of_regime or rep.epsilon * rep.v_sup > 0.5 * s_fit:
             continue
         mesh = volume_mesh(sc.domain, h=radius / 10.0)
